@@ -40,11 +40,13 @@ int main() {
   std::sort(fanout.rbegin(), fanout.rend());
   if (fanout.size() > 50) fanout.resize(50);
 
+  Result<GraphSnapshot> snap = GraphSnapshot::Capture(graph);
+  Check(snap.status());
   double total_ms = 0, max_ms = 0;
   size_t under_1ms = 0, max_deleted = 0;
   for (const auto& [children, id] : fanout) {
     WallTimer timer;
-    auto deleted = *ComputeDeletionSet(graph, {id});
+    auto deleted = *ComputeDeletionSet(*snap, {id});
     double ms = timer.ElapsedMillis();
     total_ms += ms;
     max_ms = std::max(max_ms, ms);

@@ -69,8 +69,8 @@ int main() {
         WallTimer t;
         ParallelFor(kViews, threads, [&](size_t b, size_t e, int) {
           for (size_t i = b; i < e; ++i) {
-            Result<GraphView> view = ZoomOutView(*snap, {"dealer"}, 1);
-            Check(view.status());
+            GraphView view = GraphView::MakeIdentity(*snap);
+            Check(view.ApplyZoomOut({"dealer"}, 1));
           }
         });
         return t.ElapsedMillis();

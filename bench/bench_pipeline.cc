@@ -48,7 +48,7 @@ int main() {
   Result<GraphSnapshot> snap = GraphSnapshot::Capture(graph);
   Check(snap.status());
 
-  auto outputs = FindNodes(graph, And(ByRole(NodeRole::kModuleOutput),
+  auto outputs = FindNodes(*snap, And(ByRole(NodeRole::kModuleOutput),
                                       ByModule(graph, "aggregate")));
   if (outputs.empty()) {
     std::fprintf(stderr, "bench error: no aggregate outputs\n");

@@ -39,7 +39,7 @@ int main() {
         sale = inv.output_nodes.back();
       }
     }
-    auto ancestors = Ancestors(graph, sale);
+    auto ancestors = Ancestors(GraphSnapshot::CaptureForParents(graph), sale);
     size_t state_total = 0, state_used = 0, inputs_used = 0;
     graph.ForEachAliveNode([&](NodeId id) {
       NodeRole role = graph.node(id).role();

@@ -64,7 +64,9 @@ int main() {
       global_min = inv.output_nodes.back();
     }
   }
-  auto ancestors = Ancestors(graph, global_min);
+  auto snap = GraphSnapshot::Capture(graph);
+  Check(snap.status());
+  auto ancestors = Ancestors(*snap, global_min);
   size_t used = 0, total = 0;
   graph.ForEachAliveNode([&](NodeId id) {
     if (graph.node(id).role() != NodeRole::kStateBase) return;

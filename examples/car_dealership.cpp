@@ -66,7 +66,11 @@ int main() {
     std::printf("no sale happened; nothing to analyze\n");
     return 0;
   }
-  auto ancestors = Ancestors(graph, sale);
+  // Queries read an immutable snapshot; it stays valid until the zoom
+  // below mutates the graph.
+  auto snap = GraphSnapshot::Capture(graph);
+  Check(snap.status());
+  auto ancestors = Ancestors(*snap, sale);
   size_t cars_used = 0, state_total = 0;
   graph.ForEachAliveNode([&](NodeId id) {
     if (graph.node(id).role() != NodeRole::kStateBase) return;
@@ -93,7 +97,7 @@ int main() {
     // deletion of any single car because the dealership's aggregates can
     // be re-derived from the remaining inventory (paper Example 4.3).
     std::printf("  ... but the sale's existence depends on it: %s\n",
-                *DependsOn(graph, sale, used) ? "yes" : "no");
+                *DependsOn(*snap, sale, used) ? "yes" : "no");
   }
   if (unused != kInvalidNode) {
     std::printf("car %s entered the sale's derivation: no\n",
@@ -111,7 +115,7 @@ int main() {
   });
   if (last_request != kInvalidNode) {
     std::printf("the sale's existence depends on the accepted request: %s\n",
-                *DependsOn(graph, sale, last_request) ? "yes" : "no");
+                *DependsOn(*snap, sale, last_request) ? "yes" : "no");
   }
 
   // --- Flexible granularity ---

@@ -77,11 +77,15 @@ int main() {
 
   // 4. Inspect the provenance graph.
   graph.Seal();
+  // Queries read an immutable snapshot; it stays valid until the zoom
+  // below mutates the graph.
+  auto snap = GraphSnapshot::Capture(graph);
+  Check(snap.status());
   std::printf("\nprovenance graph: %zu nodes, %zu edges, %zu invocations\n",
               graph.num_alive(), graph.num_edges(),
               graph.invocations().size());
   std::printf("provenance of the last total:\n  %s\n",
-              ProvExpressionString(graph, last_total, 6).c_str());
+              ProvExpressionString(*snap, last_total, 6).c_str());
 
   // 5. What-if: delete the first execution's input. Two different
   //    questions (Section 4):
@@ -97,11 +101,11 @@ int main() {
       first_input = id;
     }
   });
-  auto ancestry = Ancestors(graph, last_total);
+  auto ancestry = Ancestors(*snap, last_total);
   std::printf("\nfirst input is in the last total's derivation: %s\n",
               ancestry.count(first_input) ? "yes" : "no");
   std::printf("last total's existence depends on it: %s\n",
-              *DependsOn(graph, last_total, first_input) ? "yes" : "no");
+              *DependsOn(*snap, last_total, first_input) ? "yes" : "no");
 
   // 6. ZoomOut hides the stats module's internals; ZoomIn restores them.
   Zoomer zoomer(&graph);

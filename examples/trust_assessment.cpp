@@ -55,7 +55,9 @@ int main() {
   // Workflow inputs are fully trusted (1.0 by default).
   std::unordered_map<NodeId, double> trust;
   const double kDealerTrust[] = {0.95, 0.7, 0.95, 0.3};
-  for (NodeId id : FindNodes(graph, ByRole(NodeRole::kStateBase))) {
+  auto snap = GraphSnapshot::Capture(graph);
+  Check(snap.status());
+  for (NodeId id : FindNodes(*snap, ByRole(NodeRole::kStateBase))) {
     std::string payload(graph.node(id).payload());
     for (int k = 1; k <= 4; ++k) {
       if (payload.rfind("dealer" + std::to_string(k) + ".", 0) == 0) {
@@ -63,7 +65,7 @@ int main() {
       }
     }
   }
-  GraphEvaluator<TrustSemiring> eval(graph, std::move(trust));
+  GraphEvaluator<TrustSemiring> eval(*snap, std::move(trust));
 
   std::printf("buyer wants a %s; per-dealer bid trust:\n",
               (*wf)->buyer_model().c_str());

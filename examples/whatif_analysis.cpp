@@ -61,6 +61,8 @@ int main() {
 
   // Enumerate the cars whose tokens entered the graph and test, car by
   // car, whether removing that one car would remove the winning bid.
+  auto snap = GraphSnapshot::Capture(*loaded);
+  Check(snap.status());
   int survives = 0, kills = 0, independent = 0;
   loaded->ForEachAliveNode([&](NodeId id) {
     NodeView n = loaded->node(id);
@@ -68,7 +70,7 @@ int main() {
         n.payload().find(".Cars[") == std::string_view::npos) {
       return;
     }
-    if (!*DependsOn(*loaded, bid, id)) {
+    if (!*DependsOn(*snap, bid, id)) {
       // Most cars: the bid does not depend on them at all, or the COUNT
       // aggregate survives on the remaining cars (paper Example 4.3).
       bool in_derivation = !loaded->ChildrenOf(id).empty();
@@ -93,7 +95,7 @@ int main() {
     }
   });
   size_t before = loaded->num_alive();
-  auto dead = *ComputeDeletionSet(*loaded, {request});
+  auto dead = *ComputeDeletionSet(*snap, {request});
   std::printf(
       "\ndeleting the bid request would remove %zu of %zu nodes "
       "(everything except state tuples and module invocations)\n",

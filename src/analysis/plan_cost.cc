@@ -1,7 +1,10 @@
 #include "analysis/plan_cost.h"
 
 #include <algorithm>
+#include <optional>
 #include <set>
+
+#include "provenance/query.h"
 
 namespace lipstick::analysis {
 
@@ -55,23 +58,19 @@ ZoomEstimate EstimateZoom(const GraphSnapshot& snap,
   return est;
 }
 
-/// Upper bound for a pattern stage from the label histogram: the tightest
-/// label conjunct caps the output (role/payload conjuncts only narrow it
-/// further, which the interval already expresses through lo = 0).
-uint64_t PatternUpperBound(const GraphSnapshot& snap,
-                           const PlanPattern& pattern, uint64_t rows_in) {
+/// Upper bound for a pattern stage from the graph's label counts (the
+/// stats terminal's): the tightest label conjunct caps the output
+/// (role/payload conjuncts only narrow it further, which the interval
+/// already expresses through lo = 0).
+uint64_t PatternUpperBound(const GraphStats& stats, const PlanPattern& pattern,
+                           uint64_t rows_in) {
   uint64_t hi = rows_in;
-  bool has_label = false;
   for (const PatternAtom& atom : pattern.atoms) {
     if (atom.kind != PatternAtom::Kind::kLabel) continue;
-    has_label = true;
-    uint64_t count = 0;
-    for (const auto& [label, n] : snap.graph().LabelHistogram()) {
-      if (label == NodeLabelToString(atom.label)) count = n;
-    }
-    hi = std::min(hi, count);
+    hi = std::min<uint64_t>(hi,
+                            stats.labels[static_cast<size_t>(atom.label)]);
   }
-  return has_label ? hi : rows_in;
+  return hi;
 }
 
 }  // namespace
@@ -90,6 +89,7 @@ PlanCostReport EstimatePlanCost(const GraphSnapshot& snap, const Plan& plan) {
 
   CardInterval rows = CardInterval::Exact(alive);
   double est = static_cast<double>(alive);
+  std::optional<GraphStats> stats;  // label counts, computed on first use
   for (const PlanOp& op : plan.ops) {
     switch (op.kind) {
       case PlanOpKind::kZoomOut: {
@@ -110,7 +110,10 @@ PlanCostReport EstimatePlanCost(const GraphSnapshot& snap, const Plan& plan) {
         break;
       case PlanOpKind::kRestrict:
       case PlanOpKind::kFind: {
-        uint64_t hi = PatternUpperBound(snap, op.pattern, rows.hi);
+        if (!stats.has_value()) {
+          stats = ComputeGraphStats(snap).ValueOr(GraphStats{});
+        }
+        uint64_t hi = PatternUpperBound(*stats, op.pattern, rows.hi);
         rows = CardInterval::Range(0, hi);
         est = std::min(est, static_cast<double>(hi));
         break;

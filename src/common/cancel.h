@@ -24,12 +24,13 @@ namespace lipstick {
 /// trigger fires. Poll() is safe from any number of threads concurrently.
 ///
 /// Installation is thread-local: a CancelScope makes a token current for
-/// the calling thread, and the traversal engine (Traverse, ParallelReach,
-/// ParallelFor) both polls the current token and re-installs it on its
-/// worker threads, so a deadline set at the service layer reaches every
-/// traversal visitor without threading a parameter through the operator
-/// APIs. Configure (SetDeadlineMs / SetProbe) before sharing the token
-/// with other threads; Cancel/Poll/status are safe afterwards.
+/// the calling thread. The traversals (Traverse, GraphView's subgraph and
+/// deletion propagation) poll the current token, and ParallelFor
+/// re-installs it on its worker threads, so a deadline set at the service
+/// layer reaches every traversal visitor without threading a parameter
+/// through the operator APIs. Configure (SetDeadlineMs / SetProbe) before
+/// sharing the token with other threads; Cancel/Poll/status are safe
+/// afterwards.
 class CancelToken {
  public:
   /// Deadline evaluation cadence: the clock is read once per this many

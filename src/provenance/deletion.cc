@@ -1,57 +1,18 @@
 #include "provenance/deletion.h"
 
-#include <unordered_map>
-
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "provenance/query.h"
+#include "provenance/view.h"
 
 namespace lipstick {
 
 Result<std::unordered_set<NodeId>> ComputeDeletionSet(
     const GraphSnapshot& snap, const std::vector<NodeId>& seeds) {
-  LIPSTICK_RETURN_IF_ERROR(
-      RequireSealed(snap.graph(), "deletion propagation"));
-  // Not a plain reachability: a node may be inspected several times before
-  // its lost-edge count crosses the deletion threshold, so the propagation
-  // keeps its own worklist on top of the snapshot's pooled bitmap (which
-  // replaces the unordered_set membership checks of the old path).
-  VisitedLease deleted = snap.AcquireVisited();
-  std::vector<NodeId> order;  // deleted nodes, also the BFS worklist
-  std::unordered_map<NodeId, size_t> lost_edges;
-
-  for (NodeId s : seeds) {
-    if (snap.Contains(s) && !deleted->TestAndSet(s)) order.push_back(s);
-  }
-
-  auto alive_parent_count = [&snap](NodeId id) {
-    size_t n = 0;
-    for (NodeId p : snap.ParentsOf(id)) n += snap.Contains(p) ? 1 : 0;
-    return n;
-  };
-
-  size_t head = 0;
-  while (head < order.size()) {
-    NodeId dead = order[head++];
-    for (NodeId child : snap.ChildrenOf(dead)) {
-      if (deleted->Test(child)) continue;
-      size_t lost = ++lost_edges[child];
-      NodeLabel cl = snap.node(child).label();
-      bool joint = cl == NodeLabel::kTimes || cl == NodeLabel::kTensor;
-      if (joint || lost >= alive_parent_count(child)) {
-        deleted->Set(child);
-        order.push_back(child);
-      }
-    }
-  }
+  LIPSTICK_ASSIGN_OR_RETURN(
+      std::vector<NodeId> order,
+      GraphView::MakeIdentity(snap).DeletionOrder(seeds));
   return std::unordered_set<NodeId>(order.begin(), order.end());
-}
-
-Result<std::unordered_set<NodeId>> ComputeDeletionSet(
-    const ProvenanceGraph& graph, const std::vector<NodeId>& seeds) {
-  LIPSTICK_RETURN_IF_ERROR(RequireSealed(graph, "deletion propagation"));
-  Result<GraphSnapshot> snap = GraphSnapshot::Capture(graph);
-  if (!snap.ok()) return snap.status();
-  return ComputeDeletionSet(*snap, seeds);
 }
 
 Result<size_t> PropagateDeletion(ProvenanceGraph* graph, NodeId seed) {
@@ -60,8 +21,12 @@ Result<size_t> PropagateDeletion(ProvenanceGraph* graph, NodeId seed) {
       obs::MetricsRegistry::Global().RegisterHistogram("query.delete_us");
   obs::ScopedHistTimer obs_timer(kDeleteUs);
 
-  LIPSTICK_ASSIGN_OR_RETURN(std::unordered_set<NodeId> dead,
-                            ComputeDeletionSet(*graph, {seed}));
+  LIPSTICK_RETURN_IF_ERROR(RequireSealed(*graph, "deletion propagation"));
+  LIPSTICK_ASSIGN_OR_RETURN(GraphSnapshot snap,
+                            GraphSnapshot::Capture(*graph));
+  LIPSTICK_ASSIGN_OR_RETURN(
+      std::vector<NodeId> dead,
+      GraphView::MakeIdentity(snap).DeletionOrder({&seed, 1}));
   for (NodeId id : dead) graph->SetAlive(id, false);
   graph->Seal();
   span.Arg("deleted_nodes", static_cast<uint64_t>(dead.size()));
@@ -70,21 +35,7 @@ Result<size_t> PropagateDeletion(ProvenanceGraph* graph, NodeId seed) {
 
 Result<bool> DependsOn(const GraphSnapshot& snap, NodeId target,
                        NodeId source) {
-  if (!snap.Contains(target) || !snap.Contains(source)) return false;
-  if (target == source) return true;
-  LIPSTICK_ASSIGN_OR_RETURN(std::unordered_set<NodeId> deleted,
-                            ComputeDeletionSet(snap, {source}));
-  return deleted.count(target) > 0;
-}
-
-Result<bool> DependsOn(const ProvenanceGraph& graph, NodeId target,
-                       NodeId source) {
-  if (!graph.Contains(target) || !graph.Contains(source)) return false;
-  if (target == source) return true;
-  LIPSTICK_RETURN_IF_ERROR(RequireSealed(graph, "deletion propagation"));
-  Result<GraphSnapshot> snap = GraphSnapshot::Capture(graph);
-  if (!snap.ok()) return snap.status();
-  return DependsOn(*snap, target, source);
+  return DependsOnSet(snap, target, {source});
 }
 
 }  // namespace lipstick

@@ -17,11 +17,10 @@ namespace lipstick {
 /// Nodes with no incoming edges (tokens, module invocations) survive unless
 /// they are seeds — matching the paper's Example 4.4, where deleting the
 /// bid request erases everything except state tuples and invocations.
+/// Runs GraphView::DeletionOrder on the snapshot's identity view.
 ///
 /// Returns the full set of deleted nodes (including the seeds). Fails with
 /// kInvalidArgument if the graph is not sealed.
-Result<std::unordered_set<NodeId>> ComputeDeletionSet(
-    const ProvenanceGraph& graph, const std::vector<NodeId>& seeds);
 Result<std::unordered_set<NodeId>> ComputeDeletionSet(
     const GraphSnapshot& snap, const std::vector<NodeId>& seeds);
 
@@ -32,10 +31,9 @@ Result<size_t> PropagateDeletion(ProvenanceGraph* graph, NodeId seed);
 
 /// Dependency query (Section 4.3): does the existence of `target` depend on
 /// the existence of `source`? Answered by checking whether `target` is
-/// deleted when the deletion of `source` is propagated. Non-mutating.
-/// Fails with kInvalidArgument if the graph is not sealed.
-Result<bool> DependsOn(const ProvenanceGraph& graph, NodeId target,
-                       NodeId source);
+/// deleted when the deletion of `source` is propagated (DependsOnSet with
+/// one source). Non-mutating. Fails with kInvalidArgument if the graph is
+/// not sealed.
 Result<bool> DependsOn(const GraphSnapshot& snap, NodeId target,
                        NodeId source);
 

@@ -141,17 +141,22 @@ const char* NodeStyle(const NodeFacts& f) {
   }
 }
 
-/// The render core, shared by the snapshot and view paths. `Source` binds
-/// the iteration order, facts, parent lists, and inclusion predicate of
-/// one of the two; rendering a view through its source is byte-identical
-/// to materializing it first, because a view's iteration order *is* the
-/// materialized graph's ForEachNode order.
-template <typename Source>
-Status WriteDotCore(const Source& src, std::ostream& os,
-                    const DotOptions& options) {
+}  // namespace
+
+/// The renderer. Rendering a view is byte-identical to materializing it
+/// first, because a view's iteration order *is* the materialized graph's
+/// ForEachNode order.
+Status WriteDot(const GraphView& view, std::ostream& os,
+                const DotOptions& options) {
+  const GraphSnapshot& snap = view.snapshot();
   auto included = [&](NodeId id) {
-    if (!src.Alive(id)) return false;
+    if (!view.VisibleOrSynthetic(id)) return false;
     return options.subset.empty() || options.subset.count(id) > 0;
+  };
+  auto facts = [&](NodeId id) {
+    return view.IsSynthetic(id)
+               ? FactsOf(view.synthetic_nodes()[view.SyntheticIndex(id)])
+               : FactsOf(snap, id);
   };
 
   os << "digraph provenance {\n  rankdir=BT;\n  node [fontsize=10];\n";
@@ -159,10 +164,10 @@ Status WriteDotCore(const Source& src, std::ostream& os,
   // Cluster nodes per invocation (the shaded boxes of Figure 2(c)).
   std::map<uint32_t, std::vector<NodeId>> by_invocation;
   std::vector<NodeId> unclustered;
-  const std::vector<InvocationInfo>& invocations = src.invocations();
-  src.ForEachRenderNode([&](NodeId id) {
+  const std::vector<InvocationInfo>& invocations = snap.invocations();
+  view.ForEachVisibleNode([&](NodeId id, const GraphView::SyntheticNode*) {
     if (!included(id)) return;
-    uint32_t inv = src.Facts(id).invocation;
+    uint32_t inv = facts(id).invocation;
     if (options.cluster_by_invocation && inv != kNoInvocation &&
         inv < invocations.size()) {
       by_invocation[inv].push_back(id);
@@ -172,7 +177,7 @@ Status WriteDotCore(const Source& src, std::ostream& os,
   });
 
   auto emit_node = [&](NodeId id) {
-    NodeFacts f = src.Facts(id);
+    NodeFacts f = facts(id);
     os << "    n" << id << " [label=\"";
     EmitLabelText(os, f, options.show_ids, id);
     os << "\"," << NodeStyle(f) << "];\n";
@@ -181,7 +186,7 @@ Status WriteDotCore(const Source& src, std::ostream& os,
   for (const auto& [inv, ids] : by_invocation) {
     const InvocationInfo& info = invocations[inv];
     os << "  subgraph cluster_inv" << inv << " {\n    label=\"";
-    EscapeTo(os, src.str(info.instance_name));
+    EscapeTo(os, snap.strings().GetChecked(info.instance_name));
     os << " (exec " << info.execution << ")\";\n    style=dashed;\n";
     for (NodeId id : ids) emit_node(id);
     os << "  }\n";
@@ -190,9 +195,9 @@ Status WriteDotCore(const Source& src, std::ostream& os,
   for (NodeId id : unclustered) emit_node(id);
   os << "  }\n";
 
-  src.ForEachRenderNode([&](NodeId id) {
+  view.ForEachVisibleNode([&](NodeId id, const GraphView::SyntheticNode*) {
     if (!included(id)) return;
-    for (NodeId p : src.Parents(id)) {
+    for (NodeId p : view.ParentsOf(id)) {
       if (!included(p)) continue;
       os << "  n" << p << " -> n" << id << ";\n";
     }
@@ -202,69 +207,11 @@ Status WriteDotCore(const Source& src, std::ostream& os,
   return Status::OK();
 }
 
-struct SnapshotSource {
-  const GraphSnapshot& snap;
-
-  bool Alive(NodeId id) const { return snap.Contains(id); }
-  NodeFacts Facts(NodeId id) const { return FactsOf(snap, id); }
-  std::span<const NodeId> Parents(NodeId id) const {
-    return snap.ParentsOf(id);
-  }
-  const std::vector<InvocationInfo>& invocations() const {
-    return snap.invocations();
-  }
-  std::string_view str(StrId id) const {
-    return snap.strings().GetChecked(id);
-  }
-  template <typename Fn>
-  void ForEachRenderNode(Fn&& fn) const {
-    snap.ForEachNode(std::forward<Fn>(fn));
-  }
-};
-
-struct ViewSource {
-  const GraphView& view;
-
-  bool Alive(NodeId id) const { return view.VisibleOrSynthetic(id); }
-  NodeFacts Facts(NodeId id) const {
-    if (view.IsSynthetic(id)) {
-      return FactsOf(view.synthetic_nodes()[view.SyntheticIndex(id)]);
-    }
-    return FactsOf(view.snapshot(), id);
-  }
-  std::span<const NodeId> Parents(NodeId id) const {
-    return view.ParentsOf(id);
-  }
-  const std::vector<InvocationInfo>& invocations() const {
-    return view.snapshot().invocations();
-  }
-  std::string_view str(StrId id) const {
-    return view.snapshot().strings().GetChecked(id);
-  }
-  template <typename Fn>
-  void ForEachRenderNode(Fn&& fn) const {
-    view.ForEachVisibleNode(
-        [&fn](NodeId id, const GraphView::SyntheticNode*) { fn(id); });
-  }
-};
-
-}  // namespace
-
-Status WriteDot(const GraphSnapshot& snap, std::ostream& os,
-                const DotOptions& options) {
-  return WriteDotCore(SnapshotSource{snap}, os, options);
-}
-
 Status WriteDot(const ProvenanceGraph& graph, std::ostream& os,
                 const DotOptions& options) {
   // Rendering reads parent edges only, so unsealed graphs stay writable.
   GraphSnapshot snap = GraphSnapshot::CaptureForParents(graph);
-  return WriteDot(snap, os, options);
-}
-
-Status WriteDot(const GraphView& view, std::ostream& os,
-                const DotOptions& options) {
-  return WriteDotCore(ViewSource{view}, os, options);
+  return WriteDot(GraphView::MakeIdentity(snap), os, options);
 }
 
 Status WriteDotToFile(const ProvenanceGraph& graph, const std::string& path,

@@ -25,18 +25,16 @@ struct DotOptions {
   bool show_ids = false;
 };
 
-/// Writes the graph in Graphviz DOT format. Labels are streamed straight
-/// to `os` (no per-document string is built) with bounds-checked payload
+/// Writes a view in Graphviz DOT format. Labels are streamed straight to
+/// `os` (no per-document string is built) with bounds-checked payload
 /// resolution, so a corrupt .pg file renders as empty labels instead of
-/// crashing. The snapshot form is the core; the graph form captures one
-/// internally (parent edges only — works unsealed).
-Status WriteDot(const GraphSnapshot& snap, std::ostream& os,
-                const DotOptions& options = {});
-Status WriteDot(const ProvenanceGraph& graph, std::ostream& os,
-                const DotOptions& options = {});
-/// Renders a lazy view without materializing it: byte-identical to
+/// crashing. A lazy view renders without materializing: byte-identical to
 /// WriteDot(view.Materialize()) on the same options.
 Status WriteDot(const GraphView& view, std::ostream& os,
+                const DotOptions& options = {});
+/// The whole graph, through the identity view of a parent-only snapshot
+/// (works unsealed).
+Status WriteDot(const ProvenanceGraph& graph, std::ostream& os,
                 const DotOptions& options = {});
 Status WriteDotToFile(const ProvenanceGraph& graph, const std::string& path,
                       const DotOptions& options = {});

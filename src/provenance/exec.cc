@@ -1,15 +1,15 @@
 #include "provenance/exec.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdarg>
 #include <cstdio>
-#include <map>
+#include <cstring>
 #include <optional>
-#include <unordered_set>
 #include <utility>
 
+#include "common/cancel.h"
 #include "common/str_util.h"
-#include "provenance/deletion.h"
 #include "provenance/query.h"
 #include "provenance/semiring.h"
 
@@ -28,12 +28,6 @@ void Appendf(std::string* out, const char* fmt, ...) {
   if (n > 0) out->append(buf, std::min<size_t>(n, sizeof(buf) - 1));
 }
 
-NodePredicate PatternPredicate(const PlanPattern& pattern) {
-  return [pattern](NodeId, const NodeView& n) {
-    return pattern.Matches(n.label(), n.role(), n.payload());
-  };
-}
-
 std::string JoinIds(const std::vector<NodeId>& ids) {
   std::vector<std::string> parts;
   parts.reserve(ids.size());
@@ -41,9 +35,23 @@ std::string JoinIds(const std::vector<NodeId>& ids) {
   return Join(parts, ",");
 }
 
-void RenderStatsBlock(std::string* out, const GraphStats& stats,
-                      const std::vector<std::pair<std::string, size_t>>&
-                          histogram) {
+/// NodeLabel values ordered by name: the order the stats block lists its
+/// label counts in.
+const std::array<NodeLabel, kNumNodeLabels>& LabelsByName() {
+  static const std::array<NodeLabel, kNumNodeLabels> order = [] {
+    std::array<NodeLabel, kNumNodeLabels> labels;
+    for (size_t i = 0; i < labels.size(); ++i) {
+      labels[i] = static_cast<NodeLabel>(i);
+    }
+    std::sort(labels.begin(), labels.end(), [](NodeLabel a, NodeLabel b) {
+      return std::strcmp(NodeLabelToString(a), NodeLabelToString(b)) < 0;
+    });
+    return labels;
+  }();
+  return order;
+}
+
+void RenderStatsBlock(std::string* out, const GraphStats& stats) {
   Appendf(out, "nodes:        %zu\n", stats.nodes);
   Appendf(out, "edges:        %zu\n", stats.edges);
   Appendf(out, "tokens:       %zu\n", stats.tokens);
@@ -51,8 +59,11 @@ void RenderStatsBlock(std::string* out, const GraphStats& stats,
   Appendf(out, "max fan-in:   %zu\n", stats.max_fan_in);
   Appendf(out, "max fan-out:  %zu\n", stats.max_fan_out);
   Appendf(out, "depth:        %zu\n", stats.depth);
-  for (const auto& [label, count] : histogram) {
-    Appendf(out, "  label %-10s %zu\n", label.c_str(), count);
+  for (NodeLabel label : LabelsByName()) {
+    size_t count = stats.labels[static_cast<size_t>(label)];
+    if (count > 0) {
+      Appendf(out, "  label %-10s %zu\n", NodeLabelToString(label), count);
+    }
   }
 }
 
@@ -64,223 +75,14 @@ void RenderFindLine(std::string* out, NodeId id, NodeLabel label,
   out->push_back('\n');
 }
 
-/// ------------------------------------------------------------------
-/// Terminals on a bare snapshot (plans without view operators, and the
-/// naive executor after it materialized every stage). These are the
-/// historical single-op renderers, byte for byte.
-/// ------------------------------------------------------------------
-
-Result<std::string> RenderTerminalOnSnapshot(const GraphSnapshot& snap,
-                                             const PlanOp& op, int threads) {
+/// Runs the plan's terminal on the (composed) view.
+Result<std::string> RenderTerminal(const GraphView& view, const PlanOp& op) {
   std::string out;
   switch (op.kind) {
     case PlanOpKind::kStats: {
-      Result<GraphStats> stats = ComputeGraphStats(snap);
+      Result<GraphStats> stats = ComputeGraphStats(view);
       if (!stats.ok()) return stats.status();
-      RenderStatsBlock(&out, *stats, snap.graph().LabelHistogram());
-      return out;
-    }
-    case PlanOpKind::kFind: {
-      std::vector<NodeId> found =
-          FindNodes(snap, PatternPredicate(op.pattern), threads);
-      for (NodeId id : found) {
-        NodeView n = snap.node(id);
-        RenderFindLine(&out, id, n.label(), n.role(), n.payload());
-      }
-      Appendf(&out, "(%zu nodes)\n", found.size());
-      return out;
-    }
-    case PlanOpKind::kExpr:
-      out = ProvExpressionString(snap, op.target, 12);
-      out.push_back('\n');
-      return out;
-    case PlanOpKind::kDepends: {
-      Result<bool> dep = DependsOn(snap, op.target, op.source);
-      if (!dep.ok()) return dep.status();
-      out = *dep ? "yes\n" : "no\n";
-      return out;
-    }
-    default:
-      return Status::InvalidArgument("not a terminal operation");
-  }
-}
-
-/// ------------------------------------------------------------------
-/// Terminals on a composed view: the same algorithms re-read through the
-/// view's adjacency (mask + synthetic zoom nodes + parent rewirings), so
-/// their output matches running the terminal on the materialized graph.
-/// ------------------------------------------------------------------
-
-/// Deletion propagation over the view's adjacency; mirrors
-/// ComputeDeletionSet (deletion.cc) with Contains -> VisibleOrSynthetic.
-std::vector<NodeId> ViewDeletionOrder(const GraphView& view,
-                                      const std::vector<NodeId>& seeds) {
-  GraphView::ChildOverlay overlay = view.BuildChildOverlay();
-  std::unordered_set<NodeId> deleted;
-  std::vector<NodeId> order;
-  std::unordered_map<NodeId, size_t> lost_edges;
-  for (NodeId s : seeds) {
-    if (view.VisibleOrSynthetic(s) && deleted.insert(s).second) {
-      order.push_back(s);
-    }
-  }
-  auto alive_parent_count = [&view](NodeId id) {
-    size_t n = 0;
-    for (NodeId p : view.ParentsOf(id)) {
-      n += view.VisibleOrSynthetic(p) ? 1 : 0;
-    }
-    return n;
-  };
-  size_t head = 0;
-  while (head < order.size()) {
-    NodeId dead = order[head++];
-    view.ForEachChild(dead, overlay, [&](NodeId child) {
-      if (deleted.count(child)) return;
-      size_t lost = ++lost_edges[child];
-      NodeLabel cl = view.IsSynthetic(child)
-                         ? NodeLabel::kZoomedModule
-                         : view.snapshot().node(child).label();
-      bool joint = cl == NodeLabel::kTimes || cl == NodeLabel::kTensor;
-      if (joint || lost >= alive_parent_count(child)) {
-        deleted.insert(child);
-        order.push_back(child);
-      }
-    });
-  }
-  return order;
-}
-
-Result<GraphStats> ComputeViewStats(const GraphView& view) {
-  const GraphSnapshot& snap = view.snapshot();
-  GraphStats stats;
-  stats.invocations = snap.graph().num_live_invocations();
-  // Depth fixpoint exactly as ComputeGraphStats, with a side column for
-  // the synthetic zoom nodes.
-  std::vector<std::vector<size_t>> depth(snap.num_shards());
-  for (uint32_t s = 0; s < snap.num_shards(); ++s) {
-    depth[s].assign(snap.ShardSize(s), 0);
-  }
-  std::vector<size_t> syn_depth(view.num_synthetic(), 0);
-  auto depth_at = [&](NodeId id) -> size_t& {
-    if (view.IsSynthetic(id)) return syn_depth[view.SyntheticIndex(id)];
-    return depth[NodeShard(id)][NodeIndex(id)];
-  };
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    view.ForEachVisibleNode([&](NodeId id, const GraphView::SyntheticNode*) {
-      size_t best = 0;
-      for (NodeId p : view.ParentsOf(id)) {
-        if (view.VisibleOrSynthetic(p)) {
-          best = std::max(best, depth_at(p) + 1);
-        }
-      }
-      if (best > depth_at(id)) {
-        depth_at(id) = best;
-        changed = true;
-      }
-    });
-  }
-  // Fan-out has no CSR to read (the view never seals), so accumulate it
-  // from the parent side: every visible edge child->parent is one out-edge
-  // of the parent.
-  std::vector<std::vector<size_t>> fan_out(snap.num_shards());
-  for (uint32_t s = 0; s < snap.num_shards(); ++s) {
-    fan_out[s].assign(snap.ShardSize(s), 0);
-  }
-  std::vector<size_t> syn_fan_out(view.num_synthetic(), 0);
-  auto fan_out_at = [&](NodeId id) -> size_t& {
-    if (view.IsSynthetic(id)) return syn_fan_out[view.SyntheticIndex(id)];
-    return fan_out[NodeShard(id)][NodeIndex(id)];
-  };
-  view.ForEachVisibleNode(
-      [&](NodeId id, const GraphView::SyntheticNode* syn) {
-        ++stats.nodes;
-        size_t fan_in = 0;
-        for (NodeId p : view.ParentsOf(id)) {
-          if (!view.VisibleOrSynthetic(p)) continue;
-          ++fan_in;
-          ++fan_out_at(p);
-        }
-        stats.edges += fan_in;
-        stats.max_fan_in = std::max(stats.max_fan_in, fan_in);
-        if (syn == nullptr &&
-            snap.node(id).label() == NodeLabel::kToken) {
-          ++stats.tokens;
-        }
-        stats.depth = std::max(stats.depth, depth_at(id));
-      });
-  view.ForEachVisibleNode([&](NodeId id, const GraphView::SyntheticNode*) {
-    stats.max_fan_out = std::max(stats.max_fan_out, fan_out_at(id));
-  });
-  return stats;
-}
-
-std::vector<std::pair<std::string, size_t>> ViewLabelHistogram(
-    const GraphView& view) {
-  std::map<std::string, size_t> hist;
-  view.ForEachVisibleNode(
-      [&](NodeId id, const GraphView::SyntheticNode* syn) {
-        NodeLabel label = syn != nullptr
-                              ? NodeLabel::kZoomedModule
-                              : view.snapshot().node(id).label();
-        ++hist[NodeLabelToString(label)];
-      });
-  return {hist.begin(), hist.end()};
-}
-
-/// Mirror of semiring.cc's ExprString over the view adjacency.
-std::string ViewExprString(const GraphView& view, NodeId id, int depth) {
-  if (depth <= 0) return "...";
-  auto join_parents = [&](const char* sep) {
-    std::vector<std::string> parts;
-    for (NodeId p : view.ParentsOf(id)) {
-      if (view.VisibleOrSynthetic(p)) {
-        parts.push_back(ViewExprString(view, p, depth - 1));
-      }
-    }
-    return Join(parts, sep);
-  };
-  if (view.IsSynthetic(id)) {
-    const GraphView::SyntheticNode& z =
-        view.synthetic_nodes()[view.SyntheticIndex(id)];
-    return StrCat("M<", z.module, ">(", join_parents(", "), ")");
-  }
-  NodeView n = view.snapshot().node(id);
-  switch (n.label()) {
-    case NodeLabel::kToken:
-      return n.payload().empty() ? std::string("x?")
-                                 : std::string(n.payload());
-    case NodeLabel::kPlus:
-      return StrCat("(", join_parents(" + "), ")");
-    case NodeLabel::kTimes:
-      return StrCat("(", join_parents(" * "), ")");
-    case NodeLabel::kDelta:
-      return StrCat("delta(", join_parents(" + "), ")");
-    case NodeLabel::kTensor:
-      return StrCat("(", join_parents(" (x) "), ")");
-    case NodeLabel::kAggregate:
-      return StrCat(n.payload(), "[", join_parents(", "), "]");
-    case NodeLabel::kConstValue:
-      return n.value().ToString();
-    case NodeLabel::kBlackBox:
-      return StrCat(n.payload(), "(", join_parents(", "), ")");
-    case NodeLabel::kModuleInvocation:
-      return StrCat("m<", n.payload(), ">");
-    case NodeLabel::kZoomedModule:
-      return StrCat("M<", n.payload(), ">(", join_parents(", "), ")");
-  }
-  return "?";
-}
-
-Result<std::string> RenderTerminalOnView(const GraphView& view,
-                                         const PlanOp& op) {
-  std::string out;
-  switch (op.kind) {
-    case PlanOpKind::kStats: {
-      Result<GraphStats> stats = ComputeViewStats(view);
-      if (!stats.ok()) return stats.status();
-      RenderStatsBlock(&out, *stats, ViewLabelHistogram(view));
+      RenderStatsBlock(&out, *stats);
       return out;
     }
     case PlanOpKind::kFind: {
@@ -308,21 +110,13 @@ Result<std::string> RenderTerminalOnView(const GraphView& view,
       return out;
     }
     case PlanOpKind::kExpr:
-      out = view.VisibleOrSynthetic(op.target)
-                ? ViewExprString(view, op.target, 12)
-                : "0";
+      out = ProvExpressionString(view, op.target, 12);
       out.push_back('\n');
       return out;
     case PlanOpKind::kDepends: {
-      if (!view.VisibleOrSynthetic(op.target) ||
-          !view.VisibleOrSynthetic(op.source)) {
-        return std::string("no\n");
-      }
-      if (op.target == op.source) return std::string("yes\n");
-      std::vector<NodeId> deleted = ViewDeletionOrder(view, {op.source});
-      bool dep = std::find(deleted.begin(), deleted.end(), op.target) !=
-                 deleted.end();
-      return std::string(dep ? "yes\n" : "no\n");
+      Result<bool> dep = DependsOnSet(view, op.target, {&op.source, 1});
+      if (!dep.ok()) return dep.status();
+      return std::string(*dep ? "yes\n" : "no\n");
     }
     default:
       return Status::InvalidArgument("not a terminal operation");
@@ -385,64 +179,43 @@ Result<size_t> ApplyStage(GraphView* view, const PlanOp& op, int threads) {
   }
 }
 
-}  // namespace
+/// The plan's output over its final view: the terminal's rendering, or
+/// the last view stage's summary line.
+Result<std::string> RenderOutput(const GraphView& view, const Plan& plan,
+                                 size_t last_removed) {
+  if (plan.HasTerminal()) return RenderTerminal(view, plan.ops.back());
+  return RenderViewSummary(plan.ops[plan.NumViewOps() - 1],
+                           view.num_visible(), last_removed);
+}
 
-std::string PlanViewCache::Key(const std::string& scope,
-                               const std::string& prefix) {
+std::string CacheKey(const std::string& scope, const std::string& prefix) {
   std::string key = scope;
   key.push_back('\x1f');
   key.append(prefix);
   return key;
 }
 
+}  // namespace
+
 std::shared_ptr<const PlanViewCache::Entry> PlanViewCache::GetLongestPrefix(
     const std::string& scope, const std::vector<std::string>& prefixes,
     size_t* index) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<std::string> keys;
+  keys.reserve(prefixes.size());
   for (size_t i = prefixes.size(); i-- > 0;) {
-    auto it = index_.find(Key(scope, prefixes[i]));
-    if (it == index_.end()) continue;
-    lru_.splice(lru_.begin(), lru_, it->second);
-    ++hits_;
-    *index = i;
-    return it->second->entry;
+    keys.push_back(CacheKey(scope, prefixes[i]));
   }
-  ++misses_;
-  return nullptr;
+  std::shared_ptr<const Entry> entry;
+  size_t probe = 0;
+  if (!lru_.Get(keys, &entry, &probe)) return nullptr;
+  *index = prefixes.size() - 1 - probe;
+  return entry;
 }
 
 void PlanViewCache::Put(const std::string& scope, const std::string& prefix,
                         Entry entry) {
-  if (capacity_ == 0) return;
-  std::string key = Key(scope, prefix);
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    it->second->entry = std::make_shared<const Entry>(std::move(entry));
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  lru_.push_front(Slot{key, std::make_shared<const Entry>(std::move(entry))});
-  index_[key] = lru_.begin();
-  while (lru_.size() > capacity_) {
-    index_.erase(lru_.back().key);
-    lru_.pop_back();
-  }
-}
-
-size_t PlanViewCache::entries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return lru_.size();
-}
-
-uint64_t PlanViewCache::hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return hits_;
-}
-
-uint64_t PlanViewCache::misses() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return misses_;
+  lru_.Put(CacheKey(scope, prefix),
+           std::make_shared<const Entry>(std::move(entry)));
 }
 
 Result<std::string> ExecutePlan(const GraphSnapshot& snap,
@@ -454,42 +227,44 @@ Result<std::string> ExecutePlan(const GraphSnapshot& snap,
   }
   int threads = opts.threads < 1 ? 1 : opts.threads;
   size_t view_ops = plan.NumViewOps();
-  if (view_ops == 0) {
-    return RenderTerminalOnSnapshot(snap, plan.ops.back(), threads);
-  }
+  PlanViewCache* cache = view_ops > 0 ? opts.cache : nullptr;
   std::optional<GraphView> view;
   size_t start = 0;
   size_t last_removed = 0;
-  if (opts.cache != nullptr) {
+  if (cache != nullptr) {
     size_t idx = 0;
     std::shared_ptr<const PlanViewCache::Entry> hit =
-        opts.cache->GetLongestPrefix(opts.scope, opt.view_prefixes, &idx);
+        cache->GetLongestPrefix(opts.scope, opt.view_prefixes, &idx);
     if (hit != nullptr) {
       view = hit->view.Clone();
       last_removed = hit->last_stage_removed;
       start = idx + 1;
     }
   }
-  if (!view.has_value()) {
-    Result<GraphView> identity = GraphView::MakeIdentity(snap);
-    if (!identity.ok()) return identity.status();
-    view = std::move(*identity);
-  }
+  if (!view.has_value()) view = GraphView::MakeIdentity(snap);
+  std::vector<std::pair<size_t, PlanViewCache::Entry>> fresh;
   for (size_t i = start; i < view_ops; ++i) {
     Result<size_t> removed = ApplyStage(&*view, plan.ops[i], threads);
     if (!removed.ok()) return removed.status();
     last_removed = *removed;
-    if (opts.cache != nullptr) {
-      opts.cache->Put(
-          opts.scope, opt.view_prefixes[i],
-          PlanViewCache::Entry{view->Clone(), last_removed, opts.pin});
+    if (cache != nullptr) {
+      fresh.emplace_back(
+          i, PlanViewCache::Entry{view->Clone(), last_removed, opts.pin});
     }
   }
-  if (plan.HasTerminal()) {
-    return RenderTerminalOnView(*view, plan.ops.back());
+  if (!fresh.empty()) {
+    // A fired token may have cut a stage short without failing it (the
+    // parallel zoom scans just stop claiming work): such a view is
+    // partial and must not be published.
+    if (CancelToken* token = CurrentCancelToken();
+        token != nullptr && token->cancelled()) {
+      return token->status();
+    }
+    for (auto& [i, entry] : fresh) {
+      cache->Put(opts.scope, opt.view_prefixes[i], std::move(entry));
+    }
   }
-  return RenderViewSummary(plan.ops[view_ops - 1], view->num_visible(),
-                           last_removed);
+  return RenderOutput(*view, plan, last_removed);
 }
 
 Result<std::string> ExecutePlanNaive(const GraphSnapshot& snap,
@@ -502,15 +277,12 @@ Result<std::string> ExecutePlanNaive(const GraphSnapshot& snap,
   const GraphSnapshot* cur = &snap;
   std::optional<GraphSnapshot> owned_snap;
   size_t last_removed = 0;
-  size_t final_visible = 0;
   for (size_t i = 0; i < view_ops; ++i) {
-    Result<GraphView> view = GraphView::MakeIdentity(*cur);
-    if (!view.ok()) return view.status();
-    Result<size_t> removed = ApplyStage(&*view, plan.ops[i], threads);
+    GraphView view = GraphView::MakeIdentity(*cur);
+    Result<size_t> removed = ApplyStage(&view, plan.ops[i], threads);
     if (!removed.ok()) return removed.status();
     last_removed = *removed;
-    final_visible = view->num_visible();
-    Result<ProvenanceGraph> graph = view->Materialize();
+    Result<ProvenanceGraph> graph = view.Materialize();
     if (!graph.ok()) return graph.status();
     auto owner =
         std::make_shared<const ProvenanceGraph>(std::move(*graph));
@@ -519,19 +291,13 @@ Result<std::string> ExecutePlanNaive(const GraphSnapshot& snap,
     owned_snap = std::move(*next);
     cur = &*owned_snap;
   }
-  if (plan.HasTerminal()) {
-    return RenderTerminalOnSnapshot(*cur, plan.ops.back(), threads);
-  }
-  return RenderViewSummary(plan.ops[view_ops - 1], final_visible,
-                           last_removed);
+  return RenderOutput(GraphView::MakeIdentity(*cur), plan, last_removed);
 }
 
 Result<GraphView> BuildPlanView(const GraphSnapshot& snap, const Plan& plan,
                                 int threads) {
   if (threads < 1) threads = 1;
-  Result<GraphView> identity = GraphView::MakeIdentity(snap);
-  if (!identity.ok()) return identity.status();
-  GraphView view = std::move(*identity);
+  GraphView view = GraphView::MakeIdentity(snap);
   for (size_t i = 0; i < plan.NumViewOps(); ++i) {
     Result<size_t> removed = ApplyStage(&view, plan.ops[i], threads);
     if (!removed.ok()) return removed.status();

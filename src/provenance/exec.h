@@ -2,13 +2,11 @@
 #define LIPSTICK_PROVENANCE_EXEC_H_
 
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/lru_cache.h"
 #include "common/result.h"
 #include "provenance/optimizer.h"
 #include "provenance/plan.h"
@@ -35,7 +33,7 @@ class PlanViewCache {
   };
 
   /// `capacity` = max entries; 0 disables the cache entirely.
-  explicit PlanViewCache(size_t capacity) : capacity_(capacity) {}
+  explicit PlanViewCache(size_t capacity) : lru_(capacity) {}
 
   /// Probes `prefixes` (canonical strings, longest last) from longest to
   /// shortest and returns the first entry found, storing its index in
@@ -49,24 +47,12 @@ class PlanViewCache {
   /// least recently used entry when over capacity. No-op at capacity 0.
   void Put(const std::string& scope, const std::string& prefix, Entry entry);
 
-  size_t entries() const;
-  uint64_t hits() const;
-  uint64_t misses() const;
+  size_t entries() const { return lru_.size(); }
+  uint64_t hits() const { return lru_.hits(); }
+  uint64_t misses() const { return lru_.misses(); }
 
  private:
-  static std::string Key(const std::string& scope, const std::string& prefix);
-
-  struct Slot {
-    std::string key;
-    std::shared_ptr<const Entry> entry;
-  };
-
-  const size_t capacity_;
-  mutable std::mutex mu_;
-  std::list<Slot> lru_;  // front = most recently used
-  std::unordered_map<std::string, std::list<Slot>::iterator> index_;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
+  LruCache<std::shared_ptr<const Entry>> lru_;
 };
 
 struct ExecOptions {
@@ -82,15 +68,18 @@ struct ExecOptions {
 /// Runs an optimized plan over the snapshot and renders its output — the
 /// single rendering path behind local one-shot queries, `query --batch`,
 /// and the serve daemon, so remote responses are byte-identical to local
-/// output. View stages execute against one composed GraphView (mask
-/// fusion); plans without view operators render straight off the
-/// snapshot. Safe to call concurrently from many threads on one snapshot.
+/// output. Every plan runs on one GraphView: the snapshot's identity view
+/// or a cached prefix, extended by the remaining view stages (mask
+/// fusion), then closed by the terminal. A stage cut short by the calling
+/// thread's CancelToken returns the token's status, and nothing from that
+/// run enters the cache. Safe to call concurrently from many threads on
+/// one snapshot.
 Result<std::string> ExecutePlan(const GraphSnapshot& snap,
                                 const OptimizedPlan& opt,
                                 const ExecOptions& opts = {});
 
 /// Reference executor: materializes a standalone graph between every view
-/// stage, then runs the terminal with the legacy single-op renderers. The
+/// stage, then runs the terminal on the identity view of the last one. The
 /// plan-equivalence suite asserts ExecutePlan == ExecutePlanNaive byte for
 /// byte; bench_pipeline measures the gap.
 Result<std::string> ExecutePlanNaive(const GraphSnapshot& snap,

@@ -1,7 +1,6 @@
 #include "provenance/graph.h"
 
 #include <algorithm>
-#include <map>
 
 #include "common/timer.h"
 #include "obs/metrics.h"
@@ -616,17 +615,6 @@ void ProvenanceGraph::AbortInvocation(uint32_t invocation) {
   inv.output_nodes.clear();
   inv.state_nodes.clear();
   if (GraphWalSink* sink = wal_sink_) sink->OnAbortInvocation(invocation);
-}
-
-std::vector<std::pair<std::string, size_t>> ProvenanceGraph::LabelHistogram()
-    const {
-  std::map<std::string, size_t> counts;
-  for (const NodeColumns& s : shards_) {
-    for (uint64_t i = 0; i < s.size(); ++i) {
-      if (s.flags[i] & kAliveFlag) ++counts[NodeLabelToString(s.labels[i])];
-    }
-  }
-  return {counts.begin(), counts.end()};
 }
 
 ProvenanceGraph::MemoryStats ProvenanceGraph::ComputeMemoryStats() const {

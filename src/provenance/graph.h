@@ -51,6 +51,8 @@ enum class NodeLabel : uint8_t {
   kModuleInvocation,  // "m" node, payload = module name
   kZoomedModule,      // collapsed module created by ZoomOut, payload = module
 };
+inline constexpr size_t kNumNodeLabels =
+    static_cast<size_t>(NodeLabel::kZoomedModule) + 1;
 
 /// Structural role in the workflow-level construction of Section 3.1.
 /// kIntermediate marks nodes produced by a module's internal Pig Latin
@@ -558,9 +560,6 @@ class ProvenanceGraph {
   /// detached first, and the graph must not be moved while attached.
   void AttachWalSink(GraphWalSink* sink);
   GraphWalSink* wal_sink() const { return wal_sink_; }
-
-  /// Per-label alive-node counts, for diagnostics and tests.
-  std::vector<std::pair<std::string, size_t>> LabelHistogram() const;
 
   /// Bytes held by each storage component, for size accounting
   /// (bench_prov_size) and capacity planning.

@@ -175,9 +175,6 @@ struct StringTable {
   }
 };
 
-Result<ProvenanceGraph> LoadGraphV1(std::istream& is);
-Result<ProvenanceGraph> LoadGraphV2(std::istream& is);
-
 }  // namespace
 
 Status SaveGraph(const ProvenanceGraph& graph, std::ostream& os) {
@@ -320,85 +317,6 @@ Result<ProvenanceGraph> LoadGraphV2(std::istream& is) {
   return graph;
 }
 
-// Loader for the legacy v1 format (payload and invocation names written
-// inline per record). Kept so graphs saved by older builds still load.
-Result<ProvenanceGraph> LoadGraphV1(std::istream& is) {
-  std::string tag;
-  size_t num_shards = 0;
-  if (!(is >> tag >> num_shards) || tag != "shards" || num_shards == 0 ||
-      num_shards > kMaxShards) {
-    return Status::ParseError("bad shard count");
-  }
-
-  ProvenanceGraph graph;
-  std::vector<ShardWriter> writers;
-  writers.push_back(graph.writer());
-  for (size_t s = 1; s < num_shards; ++s) writers.push_back(graph.AddShard());
-
-  while (is >> tag) {
-    if (tag == "end") break;
-    if (tag == "n") {
-      NodeId id;
-      int label, role, vflag, alive;
-      uint32_t invocation;
-      std::string parents_s, payload_s, value_s;
-      if (!(is >> id >> label >> role >> vflag >> alive >> invocation >>
-            parents_s >> payload_s >> value_s)) {
-        return Status::ParseError("bad node record");
-      }
-      if (label < 0 || label > static_cast<int>(NodeLabel::kZoomedModule) ||
-          role < 0 || role > static_cast<int>(NodeRole::kZoom)) {
-        return Status::ParseError(
-            StrCat("node ", id, " has out-of-range label/role"));
-      }
-      NodeRecord rec;
-      rec.label = static_cast<NodeLabel>(label);
-      rec.role = static_cast<NodeRole>(role);
-      rec.is_value_node = vflag != 0;
-      rec.alive = alive != 0;
-      rec.invocation = invocation;
-      LIPSTICK_ASSIGN_OR_RETURN(rec.parents, DecodeIdList(parents_s));
-      LIPSTICK_ASSIGN_OR_RETURN(rec.payload, Unescape(payload_s));
-      LIPSTICK_ASSIGN_OR_RETURN(rec.value, DecodeValue(value_s));
-      uint32_t shard = NodeShard(id);
-      if (shard >= writers.size()) {
-        return Status::ParseError("node references unknown shard");
-      }
-      NodeId got = writers[shard].Restore(rec);
-      if (got != id) {
-        return Status::ParseError(
-            StrCat("node id mismatch: expected ", id, " got ", got));
-      }
-    } else if (tag == "v") {
-      std::string module_s, instance_s, in_s, out_s, state_s;
-      uint32_t execution;
-      NodeId m_node;
-      if (!(is >> module_s >> instance_s >> execution >> m_node >> in_s >>
-            out_s >> state_s)) {
-        return Status::ParseError("bad invocation record");
-      }
-      InvocationInfo info;
-      LIPSTICK_ASSIGN_OR_RETURN(std::string module, Unescape(module_s));
-      LIPSTICK_ASSIGN_OR_RETURN(std::string instance, Unescape(instance_s));
-      info.module_name = graph.InternString(module);
-      info.instance_name = graph.InternString(instance);
-      info.execution = execution;
-      info.m_node = m_node;
-      LIPSTICK_ASSIGN_OR_RETURN(info.input_nodes, DecodeIdList(in_s));
-      LIPSTICK_ASSIGN_OR_RETURN(info.output_nodes, DecodeIdList(out_s));
-      LIPSTICK_ASSIGN_OR_RETURN(info.state_nodes, DecodeIdList(state_s));
-      graph.RestoreInvocation(std::move(info));
-    } else {
-      return Status::ParseError(StrCat("unknown record tag: ", tag));
-    }
-  }
-  if (tag != "end") {
-    return Status::ParseError("truncated graph file: missing end marker");
-  }
-  LIPSTICK_RETURN_IF_ERROR(CheckLoadedRefs(graph));
-  return graph;
-}
-
 }  // namespace
 
 Result<ProvenanceGraph> LoadGraph(std::istream& is) {
@@ -407,7 +325,6 @@ Result<ProvenanceGraph> LoadGraph(std::istream& is) {
     return Status::ParseError("bad graph file header");
   }
   if (header == "LIPSTICKGRAPH v2") return LoadGraphV2(is);
-  if (header == "LIPSTICKGRAPH v1") return LoadGraphV1(is);
   return Status::ParseError("bad graph file header");
 }
 

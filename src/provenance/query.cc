@@ -4,7 +4,6 @@
 #include <array>
 #include <unordered_map>
 
-#include "provenance/deletion.h"
 #include "provenance/traverse.h"
 
 namespace lipstick {
@@ -37,10 +36,6 @@ NodePredicate ByModule(const ProvenanceGraph& graph, std::string module) {
   };
 }
 
-NodePredicate ByModule(const GraphSnapshot& snap, std::string module) {
-  return ByModule(snap.graph(), std::move(module));
-}
-
 NodePredicate And(NodePredicate a, NodePredicate b) {
   return [a = std::move(a), b = std::move(b)](NodeId id, const NodeView& n) {
     return a(id, n) && b(id, n);
@@ -60,38 +55,12 @@ NodePredicate Not(NodePredicate p) {
 }
 
 std::vector<NodeId> FindNodes(const GraphSnapshot& snap,
-                              const NodePredicate& pred, int num_threads) {
-  if (num_threads < 1) num_threads = 1;
-  if (num_threads == 1) {
-    std::vector<NodeId> out;
-    snap.ForEachAliveNode([&](NodeId id) {
-      if (pred(id, snap.node(id))) out.push_back(id);
-    });
-    return out;
-  }
-  std::vector<std::vector<NodeId>> found(num_threads);
-  ParallelForNodes(snap, num_threads,
-                   [&](uint32_t s, uint64_t b, uint64_t e, int w) {
-                     for (uint64_t i = b; i < e; ++i) {
-                       NodeId id = MakeNodeId(s, i);
-                       if (!snap.Contains(id)) continue;
-                       if (pred(id, snap.node(id))) found[w].push_back(id);
-                     }
-                   });
-  std::vector<NodeId> out;
-  for (const std::vector<NodeId>& v : found) {
-    out.insert(out.end(), v.begin(), v.end());
-  }
-  // NodeId encodes (shard, index) in scan order: sorting restores the
-  // sequential ForEachAliveNode order exactly.
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<NodeId> FindNodes(const ProvenanceGraph& graph,
                               const NodePredicate& pred) {
-  GraphSnapshot snap = GraphSnapshot::CaptureForParents(graph);
-  return FindNodes(snap, pred, 1);
+  std::vector<NodeId> out;
+  snap.ForEachAliveNode([&](NodeId id) {
+    if (pred(id, snap.node(id))) out.push_back(id);
+  });
+  return out;
 }
 
 Result<std::vector<NodeId>> ShortestDerivationPath(const GraphSnapshot& snap,
@@ -128,67 +97,54 @@ Result<std::vector<NodeId>> ShortestDerivationPath(const GraphSnapshot& snap,
   return path;
 }
 
-Result<std::vector<NodeId>> ShortestDerivationPath(
-    const ProvenanceGraph& graph, NodeId from, NodeId to) {
-  LIPSTICK_RETURN_IF_ERROR(RequireSealed(graph, "path queries"));
-  Result<GraphSnapshot> snap = GraphSnapshot::Capture(graph);
-  if (!snap.ok()) return snap.status();
-  return ShortestDerivationPath(*snap, from, to);
-}
-
 Result<bool> PathExists(const GraphSnapshot& snap, NodeId from, NodeId to) {
   LIPSTICK_ASSIGN_OR_RETURN(std::vector<NodeId> path,
                             ShortestDerivationPath(snap, from, to));
   return !path.empty();
 }
 
-Result<bool> PathExists(const ProvenanceGraph& graph, NodeId from,
-                        NodeId to) {
-  LIPSTICK_ASSIGN_OR_RETURN(std::vector<NodeId> path,
-                            ShortestDerivationPath(graph, from, to));
-  return !path.empty();
+Result<bool> DependsOnSet(const GraphView& view, NodeId target,
+                          std::span<const NodeId> sources) {
+  if (!view.VisibleOrSynthetic(target)) return false;
+  LIPSTICK_ASSIGN_OR_RETURN(std::vector<NodeId> deleted,
+                            view.DeletionOrder(sources, target));
+  return !deleted.empty() && deleted.back() == target;
 }
 
 Result<bool> DependsOnSet(const GraphSnapshot& snap, NodeId target,
                           const std::vector<NodeId>& sources) {
-  if (!snap.Contains(target)) return false;
-  LIPSTICK_ASSIGN_OR_RETURN(std::unordered_set<NodeId> deleted,
-                            ComputeDeletionSet(snap, sources));
-  return deleted.count(target) > 0;
+  return DependsOnSet(GraphView::MakeIdentity(snap), target, sources);
 }
 
-Result<bool> DependsOnSet(const ProvenanceGraph& graph, NodeId target,
-                          const std::vector<NodeId>& sources) {
-  if (!graph.Contains(target)) return false;
-  LIPSTICK_RETURN_IF_ERROR(RequireSealed(graph, "deletion propagation"));
-  Result<GraphSnapshot> snap = GraphSnapshot::Capture(graph);
-  if (!snap.ok()) return snap.status();
-  return DependsOnSet(*snap, target, sources);
-}
-
-Result<GraphStats> ComputeGraphStats(const GraphSnapshot& snap) {
+Result<GraphStats> ComputeGraphStats(const GraphView& view) {
+  const GraphSnapshot& snap = view.snapshot();
   LIPSTICK_RETURN_IF_ERROR(RequireSealed(snap.graph(), "ComputeGraphStats"));
   GraphStats stats;
   stats.invocations = snap.graph().num_live_invocations();
   // Longest path via DP over a topological order; the construction order
   // within each shard is already topological (parents precede children),
   // but cross-shard edges may go either way, so iterate to a fixpoint.
-  // Depths live in dense per-shard columns instead of a hash map: the
-  // fixpoint reads every parent's depth once per round.
-  std::vector<std::vector<size_t>> depth(snap.num_shards());
+  // Depths live in dense per-shard columns (plus one for the synthetic
+  // zoom nodes) instead of a hash map: the fixpoint reads every parent's
+  // depth once per round.
+  std::vector<std::vector<uint32_t>> depth(snap.num_shards());
   for (uint32_t s = 0; s < snap.num_shards(); ++s) {
     depth[s].assign(snap.ShardSize(s), 0);
   }
-  auto depth_at = [&depth](NodeId id) -> size_t& {
+  std::vector<uint32_t> syn_depth(view.num_synthetic(), 0);
+  auto depth_at = [&](NodeId id) -> uint32_t& {
+    if (view.IsSynthetic(id)) return syn_depth[view.SyntheticIndex(id)];
     return depth[NodeShard(id)][NodeIndex(id)];
   };
   bool changed = true;
   while (changed) {
     changed = false;
-    snap.ForEachAliveNode([&](NodeId id) {
-      size_t best = 0;
-      for (NodeId p : snap.ParentsOf(id)) {
-        if (snap.Contains(p)) best = std::max(best, depth_at(p) + 1);
+    view.ForEachVisibleNode([&](NodeId id, const GraphView::SyntheticNode*) {
+      uint32_t best = 0;
+      for (NodeId p : view.ParentsOf(id)) {
+        if (view.VisibleOrSynthetic(p)) {
+          best = std::max(best, depth_at(p) + 1);
+        }
       }
       if (best > depth_at(id)) {
         depth_at(id) = best;
@@ -196,25 +152,29 @@ Result<GraphStats> ComputeGraphStats(const GraphSnapshot& snap) {
       }
     });
   }
-  snap.ForEachAliveNode([&](NodeId id) {
+  GraphView::ChildOverlay overlay = view.BuildChildOverlay();
+  view.ForEachVisibleNode([&](NodeId id, const GraphView::SyntheticNode* syn) {
     ++stats.nodes;
     size_t fan_in = 0;
-    for (NodeId p : snap.ParentsOf(id)) fan_in += snap.Contains(p) ? 1 : 0;
+    for (NodeId p : view.ParentsOf(id)) {
+      fan_in += view.VisibleOrSynthetic(p) ? 1 : 0;
+    }
     stats.edges += fan_in;
     stats.max_fan_in = std::max(stats.max_fan_in, fan_in);
-    stats.max_fan_out =
-        std::max(stats.max_fan_out, snap.ChildrenOf(id).size());
-    stats.tokens += snap.node(id).label() == NodeLabel::kToken ? 1 : 0;
-    stats.depth = std::max(stats.depth, depth_at(id));
+    size_t fan_out = 0;
+    view.ForEachChild(id, overlay, [&fan_out](NodeId) { ++fan_out; });
+    stats.max_fan_out = std::max(stats.max_fan_out, fan_out);
+    NodeLabel label =
+        syn != nullptr ? NodeLabel::kZoomedModule : snap.node(id).label();
+    ++stats.labels[static_cast<size_t>(label)];
+    stats.tokens += label == NodeLabel::kToken ? 1 : 0;
+    stats.depth = std::max<size_t>(stats.depth, depth_at(id));
   });
   return stats;
 }
 
-Result<GraphStats> ComputeGraphStats(const ProvenanceGraph& graph) {
-  LIPSTICK_RETURN_IF_ERROR(RequireSealed(graph, "ComputeGraphStats"));
-  Result<GraphSnapshot> snap = GraphSnapshot::Capture(graph);
-  if (!snap.ok()) return snap.status();
-  return ComputeGraphStats(*snap);
+Result<GraphStats> ComputeGraphStats(const GraphSnapshot& snap) {
+  return ComputeGraphStats(GraphView::MakeIdentity(snap));
 }
 
 }  // namespace lipstick

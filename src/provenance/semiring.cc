@@ -85,54 +85,100 @@ std::string Polynomial::ToString() const {
 
 namespace {
 
-std::string ExprString(const GraphSnapshot& g, NodeId id, int depth) {
-  if (depth <= 0) return "...";
-  NodeView n = g.node(id);
-  auto join_parents = [&](const char* sep) {
-    std::vector<std::string> parts;
-    for (NodeId p : g.ParentsOf(id)) {
-      if (g.Contains(p)) parts.push_back(ExprString(g, p, depth - 1));
+/// Appends the expression of `id` to `out` in one pass: every level
+/// writes straight into the result, so nothing is built and copied per
+/// subexpression.
+void AppendExpr(const GraphView& view, NodeId id, int depth,
+                std::string* out) {
+  if (depth <= 0) {
+    out->append("...");
+    return;
+  }
+  auto parents = [&](const char* sep) {
+    bool first = true;
+    for (NodeId p : view.ParentsOf(id)) {
+      if (!view.VisibleOrSynthetic(p)) continue;
+      if (!first) out->append(sep);
+      first = false;
+      AppendExpr(view, p, depth - 1, out);
     }
-    return Join(parts, sep);
   };
+  auto module = [&](const char* open, std::string_view name) {
+    out->append(open);
+    out->append(name);
+    out->append(">(");
+    parents(", ");
+    out->push_back(')');
+  };
+  if (view.IsSynthetic(id)) {
+    module("M<", view.synthetic_nodes()[view.SyntheticIndex(id)].module);
+    return;
+  }
+  NodeView n = view.snapshot().node(id);
   switch (n.label()) {
     case NodeLabel::kToken:
-      return n.payload().empty() ? std::string("x?") : std::string(n.payload());
+      out->append(n.payload().empty() ? std::string_view("x?") : n.payload());
+      return;
     case NodeLabel::kPlus:
-      return StrCat("(", join_parents(" + "), ")");
+      out->push_back('(');
+      parents(" + ");
+      out->push_back(')');
+      return;
     case NodeLabel::kTimes:
-      return StrCat("(", join_parents(" * "), ")");
+      out->push_back('(');
+      parents(" * ");
+      out->push_back(')');
+      return;
     case NodeLabel::kDelta:
-      return StrCat("delta(", join_parents(" + "), ")");
+      out->append("delta(");
+      parents(" + ");
+      out->push_back(')');
+      return;
     case NodeLabel::kTensor:
-      return StrCat("(", join_parents(" (x) "), ")");
+      out->push_back('(');
+      parents(" (x) ");
+      out->push_back(')');
+      return;
     case NodeLabel::kAggregate:
-      return StrCat(n.payload(), "[", join_parents(", "), "]");
+      out->append(n.payload());
+      out->push_back('[');
+      parents(", ");
+      out->push_back(']');
+      return;
     case NodeLabel::kConstValue:
-      return n.value().ToString();
+      out->append(n.value().ToString());
+      return;
     case NodeLabel::kBlackBox:
-      return StrCat(n.payload(), "(", join_parents(", "), ")");
+      out->append(n.payload());
+      out->push_back('(');
+      parents(", ");
+      out->push_back(')');
+      return;
     case NodeLabel::kModuleInvocation:
-      return StrCat("m<", n.payload(), ">");
+      out->append("m<");
+      out->append(n.payload());
+      out->push_back('>');
+      return;
     case NodeLabel::kZoomedModule:
-      return StrCat("M<", n.payload(), ">(", join_parents(", "), ")");
+      module("M<", n.payload());
+      return;
   }
-  return "?";
+  out->push_back('?');
 }
 
 }  // namespace
 
-std::string ProvExpressionString(const GraphSnapshot& snap, NodeId node,
+std::string ProvExpressionString(const GraphView& view, NodeId node,
                                  int max_depth) {
-  if (!snap.Contains(node)) return "0";
-  return ExprString(snap, node, max_depth);
+  if (!view.VisibleOrSynthetic(node)) return "0";
+  std::string out;
+  AppendExpr(view, node, max_depth, &out);
+  return out;
 }
 
-std::string ProvExpressionString(const ProvenanceGraph& graph, NodeId node,
+std::string ProvExpressionString(const GraphSnapshot& snap, NodeId node,
                                  int max_depth) {
-  // Expression rendering follows parent edges only.
-  GraphSnapshot snap = GraphSnapshot::CaptureForParents(graph);
-  return ProvExpressionString(snap, node, max_depth);
+  return ProvExpressionString(GraphView::MakeIdentity(snap), node, max_depth);
 }
 
 }  // namespace lipstick

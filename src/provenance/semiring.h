@@ -10,6 +10,7 @@
 
 #include "provenance/graph.h"
 #include "provenance/snapshot.h"
+#include "provenance/view.h"
 
 namespace lipstick {
 
@@ -167,11 +168,8 @@ class GraphEvaluator {
  public:
   using V = typename S::ValueType;
 
-  /// Evaluation reads parent edges only, so the snapshot works unsealed.
-  explicit GraphEvaluator(const ProvenanceGraph& graph,
-                          std::unordered_map<NodeId, V> token_assignment = {})
-      : snap_(GraphSnapshot::CaptureForParents(graph)),
-        assignment_(std::move(token_assignment)) {}
+  /// Evaluation reads parent edges only, so a parent-only snapshot of an
+  /// unsealed graph works.
   explicit GraphEvaluator(const GraphSnapshot& snap,
                           std::unordered_map<NodeId, V> token_assignment = {})
       : snap_(snap), assignment_(std::move(token_assignment)) {}
@@ -228,10 +226,13 @@ class GraphEvaluator {
 };
 
 /// Renders the provenance expression rooted at `node` as a string, e.g.
-/// "delta(x1 + x2) * m0". For human consumption and golden tests;
-/// `max_depth` truncates deep derivations with "...".
-std::string ProvExpressionString(const ProvenanceGraph& graph, NodeId node,
+/// "delta(x1 + x2) * m0", or "0" for a node that is not visible. For human
+/// consumption and golden tests; `max_depth` truncates deep derivations
+/// with "...". Follows parent edges only, so parent-only snapshots of
+/// unsealed graphs work too.
+std::string ProvExpressionString(const GraphView& view, NodeId node,
                                  int max_depth = 32);
+/// ProvExpressionString over the snapshot's identity view.
 std::string ProvExpressionString(const GraphSnapshot& snap, NodeId node,
                                  int max_depth = 32);
 

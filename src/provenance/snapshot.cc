@@ -29,6 +29,7 @@ GraphSnapshot::GraphSnapshot(const ProvenanceGraph& graph)
     shard_sizes_.push_back(graph.ShardSize(s));
     num_nodes_ += shard_sizes_.back();
   }
+  num_alive_ = graph.num_alive();
 }
 
 Result<GraphSnapshot> GraphSnapshot::Capture(const ProvenanceGraph& graph) {

@@ -1,7 +1,6 @@
 #ifndef LIPSTICK_PROVENANCE_SNAPSHOT_H_
 #define LIPSTICK_PROVENANCE_SNAPSHOT_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -19,24 +18,13 @@ namespace lipstick {
 /// pools the backing storage so repeated queries stop re-allocating.
 class VisitedSet {
  public:
-  /// Marks `id`; returns true if it was already marked. Single-reader form.
+  /// Marks `id`; returns true if it was already marked.
   bool TestAndSet(NodeId id) {
     uint64_t& word = bits_[NodeShard(id)][NodeIndex(id) >> 6];
     uint64_t mask = 1ull << (NodeIndex(id) & 63);
     if (word & mask) return true;
     word |= mask;
     return false;
-  }
-
-  /// Marks `id` from concurrent workers; returns true if already marked.
-  /// Safe against itself and Test() on other threads, not against the
-  /// non-atomic TestAndSet().
-  bool TestAndSetAtomic(NodeId id) {
-    uint64_t& word = bits_[NodeShard(id)][NodeIndex(id) >> 6];
-    uint64_t mask = 1ull << (NodeIndex(id) & 63);
-    std::atomic_ref<uint64_t> ref(word);
-    if (ref.load(std::memory_order_relaxed) & mask) return true;
-    return (ref.fetch_or(mask, std::memory_order_acq_rel) & mask) != 0;
   }
 
   bool Test(NodeId id) const {
@@ -59,6 +47,18 @@ class VisitedSet {
   /// snapshots of the same graph extent (identical shard geometry) — the
   /// cloning path of composed GraphViews.
   void CopyFrom(const VisitedSet& other) { bits_ = other.bits_; }
+
+  /// Marks every id (and the unused tail bits of each shard's last word).
+  void SetAll() {
+    for (std::vector<uint64_t>& shard : bits_) {
+      std::fill(shard.begin(), shard.end(), ~uint64_t{0});
+    }
+  }
+
+  void Reset(NodeId id) {
+    bits_[NodeShard(id)][NodeIndex(id) >> 6] &=
+        ~(1ull << (NodeIndex(id) & 63));
+  }
 
  private:
   friend class GraphSnapshot;
@@ -161,6 +161,8 @@ class GraphSnapshot {
   }
   size_t ShardSize(uint32_t shard) const { return shard_sizes_[shard]; }
   size_t num_nodes() const { return num_nodes_; }
+  /// Alive nodes at capture.
+  size_t num_alive() const { return num_alive_; }
   bool sealed() const { return graph_->sealed(); }
   const StringPool& strings() const { return graph_->strings(); }
   std::string_view str(StrId id) const { return graph_->str(id); }
@@ -183,6 +185,7 @@ class GraphSnapshot {
   std::shared_ptr<const ProvenanceGraph> owner_;
   std::vector<size_t> shard_sizes_;  // sizes at capture, for bitmap sizing
   size_t num_nodes_ = 0;
+  size_t num_alive_ = 0;
   std::shared_ptr<VisitedLease::Pool> pool_;
 };
 

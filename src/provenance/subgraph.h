@@ -2,7 +2,6 @@
 #define LIPSTICK_PROVENANCE_SUBGRAPH_H_
 
 #include <unordered_set>
-#include <vector>
 
 #include "common/result.h"
 #include "provenance/graph.h"
@@ -11,34 +10,22 @@
 namespace lipstick {
 
 /// All transitive ancestors of `node` (derivation inputs), excluding itself.
-/// Works on sealed and unsealed graphs (parent edges are always available).
-std::unordered_set<NodeId> Ancestors(const ProvenanceGraph& graph,
-                                     NodeId node);
+/// Reads parent edges only, so parent-only snapshots of unsealed graphs
+/// work too.
 std::unordered_set<NodeId> Ancestors(const GraphSnapshot& snap, NodeId node);
 
 /// All transitive descendants of `node` (derived data), excluding itself.
 /// Fails with kInvalidArgument if the graph is not sealed.
-Result<std::unordered_set<NodeId>> Descendants(const ProvenanceGraph& graph,
-                                               NodeId node);
 Result<std::unordered_set<NodeId>> Descendants(const GraphSnapshot& snap,
                                                NodeId node);
 
-/// Core of the subgraph query: the member nodes (including `node` itself)
-/// as a vector in unspecified order. The up/down reachability phases run on
-/// the parallel traversal engine when `num_threads` > 1; the member *set*
-/// is identical at any thread count. Empty if `node` is not alive.
-Result<std::vector<NodeId>> SubgraphNodes(const GraphSnapshot& snap,
-                                          NodeId node, int num_threads = 1);
-
 /// The subgraph query of Section 5.1: given a node, returns the node itself,
 /// all its ancestors and descendants, and all siblings of its descendants
-/// (the co-parents needed to re-derive each descendant). Fails with
-/// kInvalidArgument if the graph is not sealed.
-Result<std::unordered_set<NodeId>> SubgraphQuery(const ProvenanceGraph& graph,
-                                                 NodeId node);
+/// (the co-parents needed to re-derive each descendant). Empty if `node`
+/// is not alive. Runs GraphView::SubgraphMembers on the snapshot's
+/// identity view. Fails with kInvalidArgument if the graph is not sealed.
 Result<std::unordered_set<NodeId>> SubgraphQuery(const GraphSnapshot& snap,
-                                                 NodeId node,
-                                                 int num_threads = 1);
+                                                 NodeId node);
 
 }  // namespace lipstick
 

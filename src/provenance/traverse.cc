@@ -2,29 +2,23 @@
 
 #include <algorithm>
 #include <atomic>
-#include <barrier>
 #include <thread>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace lipstick {
 
 namespace internal {
 
-void RecordTraversal(TraverseDirection dir, size_t visited, int threads) {
+void RecordTraversal(size_t visited) {
   if (!obs::MetricsRegistry::Enabled()) return;
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
   static const obs::MetricId kTraversals =
       metrics.RegisterCounter("query.traversals");
   static const obs::MetricId kVisited =
       metrics.RegisterCounter("query.traverse_visited");
-  static const obs::MetricId kParallel =
-      metrics.RegisterCounter("query.traversals_parallel");
-  (void)dir;
   metrics.CounterAdd(kTraversals);
   metrics.CounterAdd(kVisited, visited);
-  if (threads > 1) metrics.CounterAdd(kParallel);
 }
 
 }  // namespace internal
@@ -185,76 +179,6 @@ void ParallelForNodes(const GraphSnapshot& snap, int num_threads,
                   }
                 }
               });
-}
-
-std::vector<NodeId> ParallelReach(const GraphSnapshot& snap,
-                                  std::span<const NodeId> seeds,
-                                  TraverseDirection dir, int num_threads,
-                                  VisitedSet& visited) {
-  std::vector<NodeId> result;
-  if (num_threads <= 1) {
-    Traverse(snap, seeds, dir, visited, [&result](NodeId n, NodeId) {
-      result.push_back(n);
-      return Visit::kExpand;
-    });
-    return result;
-  }
-
-  obs::ObsSpan span("query", "parallel_reach");
-  const int workers = num_threads;
-  std::vector<NodeId> frontier(seeds.begin(), seeds.end());
-  std::vector<std::vector<NodeId>> next(workers);
-  std::atomic<size_t> cursor{0};
-  std::atomic<bool> done{false};
-  constexpr size_t kGrab = 128;  // frontier entries claimed per fetch_add
-
-  // Level-synchronous BFS: workers expand disjoint slices of the current
-  // frontier into private next-frontiers; the barrier's completion step
-  // (run by exactly one thread) concatenates them into the next level.
-  std::barrier sync(workers, [&]() noexcept {
-    frontier.clear();
-    for (std::vector<NodeId>& local : next) {
-      frontier.insert(frontier.end(), local.begin(), local.end());
-      local.clear();
-    }
-    result.insert(result.end(), frontier.begin(), frontier.end());
-    cursor.store(0, std::memory_order_relaxed);
-    if (frontier.empty()) done.store(true, std::memory_order_relaxed);
-  });
-
-  // Workers poll the spawner's cancel token once per expanded frontier
-  // node; after it fires they stop producing next-frontier entries, the
-  // frontier drains, and every worker exits through the normal barrier.
-  CancelToken* token = CurrentCancelToken();
-  RunWorkers(workers, [&](int w) {
-    CancelScope scope(token);
-    bool cancelled = false;
-    while (true) {
-      size_t start;
-      while (!cancelled &&
-             (start = cursor.fetch_add(kGrab, std::memory_order_relaxed)) <
-                 frontier.size()) {
-        size_t end = std::min(frontier.size(), start + kGrab);
-        for (size_t i = start; i < end; ++i) {
-          if (token != nullptr && token->Poll()) {
-            cancelled = true;
-            break;
-          }
-          for (NodeId n : Neighbors(snap, frontier[i], dir)) {
-            if (!snap.Contains(n) || visited.TestAndSetAtomic(n)) continue;
-            next[w].push_back(n);
-          }
-        }
-      }
-      sync.arrive_and_wait();
-      if (done.load(std::memory_order_relaxed)) break;
-    }
-  });
-
-  span.Arg("visited", static_cast<uint64_t>(result.size()));
-  span.Arg("threads", static_cast<uint64_t>(workers));
-  internal::RecordTraversal(dir, result.size(), workers);
-  return result;
 }
 
 }  // namespace lipstick

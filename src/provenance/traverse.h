@@ -11,9 +11,10 @@
 
 namespace lipstick {
 
-/// The shared frontier-based traversal engine of the read path. Every
-/// operator that used to hand-roll a BFS (subgraph, zoom, deletion, path
-/// queries, stats) now sits on these primitives; see DESIGN.md §5g.
+/// The shared traversal primitives of the read path: frontier BFS over a
+/// snapshot (zoom's Definition 4.1 check, path queries, ancestors and
+/// descendants) and the work-stealing scans behind zoom planning and
+/// `query --batch`; see DESIGN.md §5g.
 
 enum class TraverseDirection : uint8_t {
   kForward,   // derivation order: follow children (requires sealed CSR)
@@ -34,7 +35,7 @@ enum class Visit : uint8_t { kExpand, kSkip, kStop };
 namespace internal {
 /// Observability hook (metrics + trace span args) shared by all traversal
 /// entry points; defined in traverse.cc so the template stays lean.
-void RecordTraversal(TraverseDirection dir, size_t visited, int threads);
+void RecordTraversal(size_t visited);
 }  // namespace internal
 
 /// Frontier BFS from `seeds` over alive nodes. `visit(node, via)` is called
@@ -64,25 +65,15 @@ size_t Traverse(const GraphSnapshot& snap, std::span<const NodeId> seeds,
       ++reported;
       Visit v = visit(n, id);
       if (v == Visit::kStop) {
-        internal::RecordTraversal(dir, reported, 1);
+        internal::RecordTraversal(reported);
         return reported;
       }
       if (v == Visit::kExpand) queue.push_back(n);
     }
   }
-  internal::RecordTraversal(dir, reported, 1);
+  internal::RecordTraversal(reported);
   return reported;
 }
-
-/// Every alive node reachable from `seeds` (seeds excluded unless
-/// re-reached), collected with the work-stealing parallel BFS when
-/// `num_threads` > 1. Result order is unspecified in parallel mode; the
-/// result *set* equals the single-threaded traversal. `visited` must use
-/// a bitmap leased from `snap`; on return it marks exactly the result.
-std::vector<NodeId> ParallelReach(const GraphSnapshot& snap,
-                                  std::span<const NodeId> seeds,
-                                  TraverseDirection dir, int num_threads,
-                                  VisitedSet& visited);
 
 /// Runs `fn(begin, end, worker)` over disjoint chunks covering [0, n) on
 /// `num_threads` workers with work stealing (workers that drain their

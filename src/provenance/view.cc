@@ -1,25 +1,33 @@
 #include "provenance/view.h"
 
+#include <algorithm>
+#include <set>
 #include <string>
 #include <utility>
 
-#include "obs/metrics.h"
+#include "common/cancel.h"
 #include "obs/trace.h"
-#include "provenance/subgraph.h"
 #include "provenance/zoom.h"
 
 namespace lipstick {
 
-Result<GraphView> GraphView::MakeIdentity(const GraphSnapshot& snap) {
-  LIPSTICK_RETURN_IF_ERROR(RequireSealed(snap.graph(), "plan execution"));
-  GraphView view(snap, Mode::kHide);
-  view.num_visible_underlying_ = snap.graph().num_alive();
+namespace {
+
+/// The reason the calling thread's token fired; only valid right after
+/// PollCurrentCancel() returned true.
+Status FiredCancelStatus() { return CurrentCancelToken()->status(); }
+
+}  // namespace
+
+GraphView GraphView::MakeIdentity(const GraphSnapshot& snap) {
+  GraphView view(snap);
+  view.num_visible_underlying_ = snap.num_alive();
   return view;
 }
 
 GraphView GraphView::Clone() const {
-  GraphView copy(*snap_, keep_mode_ ? Mode::kKeep : Mode::kHide);
-  copy.mask_->CopyFrom(*mask_);
+  GraphView copy(*snap_);
+  if (mask_.has_value()) copy.Mask().CopyFrom(**mask_);
   copy.num_visible_underlying_ = num_visible_underlying_;
   copy.synthetic_ = synthetic_;
   copy.syn_alive_ = syn_alive_;
@@ -28,22 +36,24 @@ GraphView GraphView::Clone() const {
   return copy;
 }
 
-Status GraphView::RequireHideMode(const char* op) const {
-  if (!keep_mode_) return Status::OK();
-  return Status::InvalidArgument(
-      std::string("view composition requires a hide-mode view: ") + op);
+VisitedSet& GraphView::Mask() {
+  if (!mask_.has_value()) mask_.emplace(snap_->AcquireVisited());
+  return **mask_;
 }
 
-std::unordered_set<NodeId> GraphView::VisibleSet() const {
-  std::unordered_set<NodeId> set;
-  set.reserve(num_visible_underlying_);
-  for (uint32_t s = 0; s < snap_->num_shards(); ++s) {
-    for (uint64_t i = 0; i < snap_->ShardSize(s); ++i) {
-      NodeId id = MakeNodeId(s, i);
-      if (Visible(id)) set.insert(id);
-    }
+void GraphView::Hide(NodeId id) {
+  if (IsSynthetic(id)) {
+    syn_alive_[SyntheticIndex(id)] = 0;
+    --num_syn_alive_;
+  } else {
+    Mask().Set(id);
+    --num_visible_underlying_;
   }
-  return set;
+}
+
+GraphView::Marks GraphView::NewMarks() const {
+  return Marks{snap_->AcquireVisited(),
+               std::vector<uint8_t>(synthetic_.size(), 0)};
 }
 
 GraphView::ChildOverlay GraphView::BuildChildOverlay() const {
@@ -70,14 +80,14 @@ GraphView::ChildOverlay GraphView::BuildChildOverlay() const {
 
 Status GraphView::ApplyZoomOut(const std::vector<std::string>& modules,
                                int num_threads) {
-  LIPSTICK_RETURN_IF_ERROR(RequireHideMode("ApplyZoomOut"));
+  LIPSTICK_RETURN_IF_ERROR(RequireSealed(snap_->graph(), "ZoomOut"));
   std::set<std::string> unique(modules.begin(), modules.end());
   // One shared mark set across modules makes earlier modules' removals
   // invisible to later planning passes, mirroring the eager path's
   // seal-between-modules behavior.
   for (const std::string& module : unique) {
     Result<internal::ZoomPlan> plan =
-        internal::PlanZoomOut(*snap_, module, *mask_, num_threads);
+        internal::PlanZoomOut(*snap_, module, Mask(), num_threads);
     if (!plan.ok()) return plan.status();
     num_visible_underlying_ -= plan->removed.size();
     for (internal::ZoomInvocationPlan& ip : plan->invocations) {
@@ -94,96 +104,86 @@ Status GraphView::ApplyZoomOut(const std::vector<std::string>& modules,
 
 Status GraphView::ApplySubgraph(const std::vector<NodeId>& roots, bool up,
                                 bool down) {
-  LIPSTICK_RETURN_IF_ERROR(RequireHideMode("ApplySubgraph"));
-  std::unordered_set<NodeId> members;
-  std::vector<NodeId> work;
-  for (NodeId r : roots) {
-    if (VisibleOrSynthetic(r)) members.insert(r);
-  }
-  std::unordered_set<NodeId> seeds = members;
-  if (up) {
-    work.assign(seeds.begin(), seeds.end());
-    while (!work.empty()) {
-      NodeId id = work.back();
-      work.pop_back();
-      for (NodeId p : ParentsOf(id)) {
-        if (VisibleOrSynthetic(p) && members.insert(p).second) {
-          work.push_back(p);
-        }
-      }
-    }
-  }
-  if (down) {
-    ChildOverlay overlay = BuildChildOverlay();
-    std::unordered_set<NodeId> down_set;
-    std::unordered_set<NodeId> visited = seeds;
-    work.assign(seeds.begin(), seeds.end());
-    while (!work.empty()) {
-      NodeId id = work.back();
-      work.pop_back();
-      ForEachChild(id, overlay, [&](NodeId c) {
-        if (visited.insert(c).second) {
-          down_set.insert(c);
-          work.push_back(c);
-        }
-      });
-    }
-    for (NodeId d : down_set) {
-      members.insert(d);
-      if (up) {
-        // The legacy subgraph query also keeps co-parents of descendants:
-        // every node a descendant is jointly derived from.
-        for (NodeId p : ParentsOf(d)) {
-          if (VisibleOrSynthetic(p)) members.insert(p);
-        }
-      }
-    }
-  }
-  // Narrow visibility to the members.
-  size_t kept = 0;
-  for (uint32_t s = 0; s < snap_->num_shards(); ++s) {
-    for (uint64_t i = 0; i < snap_->ShardSize(s); ++i) {
-      NodeId id = MakeNodeId(s, i);
-      if (!Visible(id)) continue;
-      if (members.count(id)) {
-        ++kept;
-      } else {
-        mask_->Set(id);
-      }
-    }
-  }
-  num_visible_underlying_ = kept;
-  for (size_t k = 0; k < synthetic_.size(); ++k) {
-    if (syn_alive_[k] && !members.count(SyntheticId(k))) {
-      syn_alive_[k] = 0;
-      --num_syn_alive_;
+  LIPSTICK_ASSIGN_OR_RETURN(std::vector<NodeId> members,
+                            SubgraphMembers(roots, up, down));
+  // Every member is visible: hide everything, then reveal the members.
+  VisitedSet& mask = Mask();
+  mask.SetAll();
+  num_visible_underlying_ = 0;
+  std::fill(syn_alive_.begin(), syn_alive_.end(), 0);
+  num_syn_alive_ = 0;
+  for (NodeId id : members) {
+    if (IsSynthetic(id)) {
+      syn_alive_[SyntheticIndex(id)] = 1;
+      ++num_syn_alive_;
+    } else {
+      mask.Reset(id);
+      ++num_visible_underlying_;
     }
   }
   return Status::OK();
 }
 
+Result<std::vector<NodeId>> GraphView::SubgraphMembers(
+    const std::vector<NodeId>& roots, bool up, bool down) const {
+  if (down) {
+    LIPSTICK_RETURN_IF_ERROR(RequireSealed(snap_->graph(), "subgraph queries"));
+  }
+  // `in` marks members as they are found; `found` lists them, and doubles
+  // as the ancestor worklist.
+  Marks in = NewMarks();
+  std::vector<NodeId> found;
+  for (NodeId r : roots) {
+    if (VisibleOrSynthetic(r) && !TestAndMark(in, r)) found.push_back(r);
+  }
+  const size_t num_seeds = found.size();
+  if (up) {
+    for (size_t head = 0; head < found.size(); ++head) {
+      if (PollCurrentCancel()) return FiredCancelStatus();
+      for (NodeId p : ParentsOf(found[head])) {
+        if (VisibleOrSynthetic(p) && !TestAndMark(in, p)) found.push_back(p);
+      }
+    }
+  }
+  if (down) {
+    ChildOverlay overlay = BuildChildOverlay();
+    Marks reached = NewMarks();
+    std::vector<NodeId> work(found.begin(), found.begin() + num_seeds);
+    for (NodeId s : work) TestAndMark(reached, s);
+    for (size_t head = 0; head < work.size(); ++head) {
+      if (PollCurrentCancel()) return FiredCancelStatus();
+      ForEachChild(work[head], overlay, [&](NodeId c) {
+        if (TestAndMark(reached, c)) return;
+        work.push_back(c);
+        if (!TestAndMark(in, c)) found.push_back(c);
+        if (!up) return;
+        // The subgraph query also keeps co-parents of descendants: every
+        // node a descendant is jointly derived from.
+        for (NodeId p : ParentsOf(c)) {
+          if (VisibleOrSynthetic(p) && !TestAndMark(in, p)) {
+            found.push_back(p);
+          }
+        }
+      });
+    }
+  }
+  return found;
+}
+
 Status GraphView::ApplyRestrict(const FactPredicate& pred) {
-  LIPSTICK_RETURN_IF_ERROR(RequireHideMode("ApplyRestrict"));
-  size_t kept = 0;
   for (uint32_t s = 0; s < snap_->num_shards(); ++s) {
     for (uint64_t i = 0; i < snap_->ShardSize(s); ++i) {
       NodeId id = MakeNodeId(s, i);
       if (!Visible(id)) continue;
       NodeView n = snap_->node(id);
-      if (pred(n.label(), n.role(), n.payload())) {
-        ++kept;
-      } else {
-        mask_->Set(id);
-      }
+      if (!pred(n.label(), n.role(), n.payload())) Hide(id);
     }
   }
-  num_visible_underlying_ = kept;
   for (size_t k = 0; k < synthetic_.size(); ++k) {
     if (syn_alive_[k] &&
         !pred(NodeLabel::kZoomedModule, NodeRole::kZoom,
               synthetic_[k].module)) {
-      syn_alive_[k] = 0;
-      --num_syn_alive_;
+      Hide(SyntheticId(k));
     }
   }
   return Status::OK();
@@ -191,53 +191,52 @@ Status GraphView::ApplyRestrict(const FactPredicate& pred) {
 
 Status GraphView::ApplyDeleteProp(const std::vector<NodeId>& seeds,
                                   size_t* removed) {
-  LIPSTICK_RETURN_IF_ERROR(RequireHideMode("ApplyDeleteProp"));
-  ChildOverlay overlay = BuildChildOverlay();
-  // Mirror of ComputeDeletionSet (provenance/deletion.cc) over the view's
-  // adjacency: a node dies when it is joint (· / ⊗) and loses any edge, or
-  // when it loses all of its visible in-edges.
-  std::unordered_set<NodeId> deleted;
-  std::vector<NodeId> order;
-  std::unordered_map<NodeId, size_t> lost_edges;
+  Result<std::vector<NodeId>> order = DeletionOrder(seeds);
+  if (!order.ok()) return order.status();
+  for (NodeId id : *order) Hide(id);
+  if (removed != nullptr) *removed = order->size();
+  return Status::OK();
+}
+
+Result<std::vector<NodeId>> GraphView::DeletionOrder(
+    std::span<const NodeId> seeds, NodeId stop_at) const {
+  LIPSTICK_RETURN_IF_ERROR(
+      RequireSealed(snap_->graph(), "deletion propagation"));
+  Marks deleted = NewMarks();
+  std::vector<NodeId> order;  // deleted nodes, also the BFS worklist
   for (NodeId s : seeds) {
-    if (VisibleOrSynthetic(s) && deleted.insert(s).second) {
-      order.push_back(s);
-    }
+    if (!VisibleOrSynthetic(s) || TestAndMark(deleted, s)) continue;
+    order.push_back(s);
+    if (s == stop_at) return order;
   }
-  auto alive_parent_count = [this](NodeId id) {
-    size_t n = 0;
-    for (NodeId p : ParentsOf(id)) n += VisibleOrSynthetic(p) ? 1 : 0;
-    return n;
-  };
-  size_t head = 0;
-  while (head < order.size()) {
-    NodeId dead = order[head++];
-    ForEachChild(dead, overlay, [&](NodeId child) {
-      if (deleted.count(child)) return;
-      size_t lost = ++lost_edges[child];
-      NodeLabel cl = IsSynthetic(child) ? NodeLabel::kZoomedModule
-                                        : snap_->node(child).label();
-      bool joint = cl == NodeLabel::kTimes || cl == NodeLabel::kTensor;
-      if (joint || lost >= alive_parent_count(child)) {
-        deleted.insert(child);
+  ChildOverlay overlay = BuildChildOverlay();
+  // Visible in-edges a touched child still has: counted once on its first
+  // lost edge, then decremented, so a wide `+` or aggregate node pays its
+  // fan-in once rather than once per lost edge.
+  std::unordered_map<NodeId, size_t> remaining;
+  bool stopped = false;
+  for (size_t head = 0; head < order.size() && !stopped; ++head) {
+    if (PollCurrentCancel()) return FiredCancelStatus();
+    ForEachChild(order[head], overlay, [&](NodeId child) {
+      if (stopped || Marked(deleted, child)) return;
+      auto [it, first_loss] = remaining.try_emplace(child, 0);
+      if (first_loss) {
+        for (NodeId p : ParentsOf(child)) {
+          it->second += VisibleOrSynthetic(p) ? 1 : 0;
+        }
+      }
+      --it->second;
+      NodeLabel label = IsSynthetic(child) ? NodeLabel::kZoomedModule
+                                           : snap_->node(child).label();
+      bool joint = label == NodeLabel::kTimes || label == NodeLabel::kTensor;
+      if (joint || it->second == 0) {
+        TestAndMark(deleted, child);
         order.push_back(child);
+        stopped = child == stop_at;
       }
     });
   }
-  for (NodeId id : order) {
-    if (IsSynthetic(id)) {
-      size_t k = SyntheticIndex(id);
-      if (syn_alive_[k]) {
-        syn_alive_[k] = 0;
-        --num_syn_alive_;
-      }
-    } else {
-      mask_->Set(id);
-      --num_visible_underlying_;
-    }
-  }
-  if (removed != nullptr) *removed = order.size();
-  return Status::OK();
+  return order;
 }
 
 Result<ProvenanceGraph> GraphView::Materialize() const {
@@ -269,13 +268,8 @@ Result<ProvenanceGraph> GraphView::Materialize() const {
       rec.is_value_node = n.is_value_node();
       rec.alive = Visible(id);
       rec.invocation = n.invocation();
-      auto ov = overrides_.find(id);
-      if (ov != overrides_.end()) {
-        rec.parents.assign(ov->second.begin(), ov->second.end());
-      } else {
-        std::span<const NodeId> ps = snap.ParentsOf(id);
-        rec.parents.assign(ps.begin(), ps.end());
-      }
+      std::span<const NodeId> ps = ParentsOf(id);
+      rec.parents.assign(ps.begin(), ps.end());
       rec.payload = std::string(n.payload());
       rec.value = n.value();
       writers[s].Restore(rec);
@@ -301,38 +295,6 @@ Result<ProvenanceGraph> GraphView::Materialize() const {
   out.Seal();
   span.Arg("nodes", static_cast<uint64_t>(out.num_nodes()));
   return out;
-}
-
-Result<GraphView> ZoomOutView(const GraphSnapshot& snap,
-                              const std::set<std::string>& module_names,
-                              int num_threads) {
-  LIPSTICK_RETURN_IF_ERROR(RequireSealed(snap.graph(), "ZoomOutView"));
-  obs::ObsSpan span("query", "zoomout_view");
-  static const obs::MetricId kZoomViewUs =
-      obs::MetricsRegistry::Global().RegisterHistogram(
-          "query.zoomout_view_us");
-  obs::ScopedHistTimer obs_timer(kZoomViewUs);
-  span.Arg("modules", static_cast<uint64_t>(module_names.size()));
-  span.Arg("threads", static_cast<uint64_t>(num_threads < 1 ? 1
-                                                            : num_threads));
-
-  GraphView view(snap, GraphView::Mode::kHide);
-  view.num_visible_underlying_ = snap.graph().num_alive();
-  std::vector<std::string> modules(module_names.begin(), module_names.end());
-  LIPSTICK_RETURN_IF_ERROR(view.ApplyZoomOut(modules, num_threads));
-  return view;
-}
-
-Result<GraphView> SubgraphView(const GraphSnapshot& snap, NodeId node,
-                               int num_threads) {
-  LIPSTICK_RETURN_IF_ERROR(RequireSealed(snap.graph(), "subgraph queries"));
-  GraphView view(snap, GraphView::Mode::kKeep);
-  Result<std::vector<NodeId>> members =
-      SubgraphNodes(snap, node, num_threads);
-  if (!members.ok()) return members.status();
-  for (NodeId id : *members) view.mask_->Set(id);
-  view.num_visible_underlying_ = members->size();
-  return view;
 }
 
 }  // namespace lipstick

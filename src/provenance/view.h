@@ -4,11 +4,11 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <set>
+#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/result.h"
@@ -17,12 +17,18 @@
 namespace lipstick {
 
 /// A lazy result of a graph-transforming query (ZoomOut, subgraph,
-/// restrict, deletion propagation): a node mask over an immutable
+/// restrict, deletion propagation): a hide mask over an immutable
 /// GraphSnapshot plus, for zoom, synthetic collapsed module nodes and
 /// parent rewirings. Nothing is copied or mutated when a view is built —
 /// the view materializes into a standalone ProvenanceGraph only on export,
 /// and materialization is byte-identical (provio v2) to what the eager,
 /// mutating operator produces.
+///
+/// The identity view (MakeIdentity) is the one read surface of the
+/// provenance layer: every read operator — the stages below, deletion
+/// propagation, and the terminals in query.h and semiring.h — is written
+/// once against a GraphView, and the snapshot-level library entry points
+/// run it on the identity view.
 ///
 /// Views compose: the plan executor (provenance/exec.h) starts from
 /// MakeIdentity() and chains ApplyZoomOut / ApplySubgraph / ApplyRestrict
@@ -57,8 +63,9 @@ class GraphView {
   GraphView& operator=(GraphView&&) = default;
 
   /// The all-visible view of a snapshot: the Scan leaf every composed plan
-  /// starts from. Fails with kInvalidArgument on an unsealed graph.
-  static Result<GraphView> MakeIdentity(const GraphSnapshot& snap);
+  /// starts from. Works on parent-only snapshots too; the operators that
+  /// read children fail with kInvalidArgument on an unsealed graph.
+  static GraphView MakeIdentity(const GraphSnapshot& snap);
 
   /// Deep copy (mask, synthetics, rewirings). The cacheable-subplan path
   /// clones a cached prefix view before extending it with further stages.
@@ -70,7 +77,7 @@ class GraphView {
   /// are out of the snapshot's range and always report false here; they are
   /// enumerated separately via synthetic_nodes().
   bool Visible(NodeId id) const {
-    return snap_->Contains(id) && mask_->Test(id) == keep_mode_;
+    return snap_->Contains(id) && !(mask_.has_value() && (*mask_)->Test(id));
   }
 
   /// Visibility across both node populations: underlying nodes by mask,
@@ -91,14 +98,11 @@ class GraphView {
   NodeId SyntheticId(size_t k) const { return MakeNodeId(0, base0_ + k); }
   /// True iff `id` names one of this view's synthetic nodes.
   bool IsSynthetic(NodeId id) const {
-    return NodeShard(id) == 0 && NodeIndex(id) >= base0_ &&
+    return !synthetic_.empty() && NodeShard(id) == 0 &&
+           NodeIndex(id) >= base0_ &&
            NodeIndex(id) < base0_ + synthetic_.size();
   }
   size_t SyntheticIndex(NodeId id) const { return NodeIndex(id) - base0_; }
-  /// Liveness of synthetic node `k` (a later pipeline stage may hide a
-  /// zoom node created by an earlier one).
-  bool SyntheticAlive(size_t k) const { return syn_alive_[k] != 0; }
-
   /// Parent list of a node under the view: synthetic nodes resolve to
   /// their input nodes, rewired module outputs to {zoom node, m node},
   /// everything else to the snapshot's parents. Callers filter for
@@ -107,22 +111,14 @@ class GraphView {
     if (IsSynthetic(id)) {
       return synthetic_[SyntheticIndex(id)].parents;
     }
-    auto it = overrides_.find(id);
-    if (it != overrides_.end()) {
-      return std::span<const NodeId>(it->second.data(), it->second.size());
+    if (!overrides_.empty()) {
+      auto it = overrides_.find(id);
+      if (it != overrides_.end()) {
+        return std::span<const NodeId>(it->second.data(), it->second.size());
+      }
     }
     return snap_->ParentsOf(id);
   }
-
-  /// The zoom rewirings: module output -> {zoom node, m node}.
-  const std::unordered_map<NodeId, std::array<NodeId, 2>>& parent_overrides()
-      const {
-    return overrides_;
-  }
-
-  /// Visible underlying nodes as a set (synthetics excluded) — the shape
-  /// the eager set-returning queries expose.
-  std::unordered_set<NodeId> VisibleSet() const;
 
   /// Every visible node in materialization order: shard 0's originals,
   /// then the alive synthetic zoom nodes, then the remaining shards. `fn`
@@ -157,47 +153,82 @@ class GraphView {
   /// Visible children of `id` under the view: the snapshot's CSR edges
   /// minus edges into rewired outputs (their parents changed), plus the
   /// overlay's synthetic/rewired edges. Duplicate edges are preserved,
-  /// like the CSR itself.
+  /// like the CSR itself. Requires a sealed snapshot.
   template <typename Fn>
   void ForEachChild(NodeId id, const ChildOverlay& overlay, Fn&& fn) const {
     if (!IsSynthetic(id)) {
-      for (NodeId c : snap_->ChildrenOf(id)) {
-        if (Visible(c) && overrides_.find(c) == overrides_.end()) fn(c);
+      std::span<const NodeId> children = snap_->ChildrenOf(id);
+      if (!mask_.has_value() && overrides_.empty()) {
+        // Nothing hidden or rewired: the CSR holds exactly the alive
+        // children, all of them visible.
+        for (NodeId c : children) fn(c);
+      } else {
+        for (NodeId c : children) {
+          if (Visible(c) &&
+              (overrides_.empty() || overrides_.find(c) == overrides_.end())) {
+            fn(c);
+          }
+        }
       }
     }
-    auto it = overlay.find(id);
-    if (it != overlay.end()) {
-      for (NodeId c : it->second) fn(c);
+    if (!overlay.empty()) {
+      auto it = overlay.find(id);
+      if (it != overlay.end()) {
+        for (NodeId c : it->second) fn(c);
+      }
     }
   }
 
   /// ------------------------------------------------------------------
-  /// Composition stages. Hide-mode views only (MakeIdentity / ZoomOutView
-  /// produce those); each stage narrows visibility in place. Equivalent to
+  /// Composition stages; each narrows visibility in place. Equivalent to
   /// materializing first and running the eager operator on the result.
+  /// The traversing stages poll the calling thread's CancelToken once per
+  /// visited node and return its status when it fires, leaving the view
+  /// partially narrowed (callers discard it).
   /// ------------------------------------------------------------------
 
   /// Collapses every named module (Definition 4.1) over the current
-  /// visibility. Duplicate names collapse once. Fails with kNotFound when
-  /// the graph holds no live invocation of a module.
+  /// visibility. Duplicate names collapse once; planning scans fan out
+  /// over `num_threads` workers. Fails with kNotFound when the graph holds
+  /// no live invocation of a module.
   Status ApplyZoomOut(const std::vector<std::string>& modules,
                       int num_threads);
 
-  /// Restricts visibility to the reachability neighborhood of `roots`:
-  /// ancestors (`up`), descendants (`down`), plus co-parents of
-  /// descendants when both directions are on (the legacy subgraph query).
-  /// Invisible roots contribute nothing, like the eager query on a dead
-  /// node.
+  /// Restricts visibility to SubgraphMembers(roots, up, down).
   Status ApplySubgraph(const std::vector<NodeId>& roots, bool up, bool down);
 
   /// Hides every visible node whose (label, role, payload) facts fail
   /// `pred`.
   Status ApplyRestrict(const FactPredicate& pred);
 
-  /// Deletion propagation (Definition 4.2) from `seeds` over the view's
-  /// adjacency; the deleted set becomes hidden. `*removed` receives the
-  /// deleted-node count (seeds included).
+  /// Deletion propagation (Definition 4.2) from `seeds`; the deleted set
+  /// becomes hidden. `*removed` receives the deleted-node count (seeds
+  /// included).
   Status ApplyDeleteProp(const std::vector<NodeId>& seeds, size_t* removed);
+
+  /// The subgraph query of Section 5.1 over the view's adjacency, the one
+  /// implementation behind the subgraph stage and SubgraphQuery: the
+  /// visible `roots`, their ancestors (`up`), their descendants (`down`),
+  /// plus co-parents of descendants when both directions are on. Returns
+  /// the members (synthetic ones included) in discovery order. Fails with
+  /// kInvalidArgument when `down` is set on an unsealed graph, and with
+  /// the token's status when the calling thread's CancelToken fires.
+  Result<std::vector<NodeId>> SubgraphMembers(const std::vector<NodeId>& roots,
+                                              bool up, bool down) const;
+
+  /// Deletion propagation (Definition 4.2) over the view's adjacency, the
+  /// one implementation behind the delete stage, the depends terminal and
+  /// deletion.h: starting from the visible seeds, repeatedly deletes every
+  /// node that is joint (· / ⊗) and loses an incoming edge, or that loses
+  /// all of its visible incoming edges. Returns the deleted nodes in
+  /// propagation order, seeds first. When `stop_at` gets deleted the
+  /// propagation ends there, with `stop_at` as the last element (the
+  /// early exit of dependency queries). Fails with kInvalidArgument on an
+  /// unsealed graph, and with the token's status when the calling thread's
+  /// CancelToken fires.
+  Result<std::vector<NodeId>> DeletionOrder(std::span<const NodeId> seeds,
+                                            NodeId stop_at = kInvalidNode)
+      const;
 
   /// Builds a standalone graph equal to what the eager operator would have
   /// produced by mutation: same string pool, same node ids, same liveness,
@@ -205,32 +236,45 @@ class GraphView {
   Result<ProvenanceGraph> Materialize() const;
 
  private:
-  friend Result<GraphView> ZoomOutView(const GraphSnapshot&,
-                                       const std::set<std::string>&, int);
-  friend Result<GraphView> SubgraphView(const GraphSnapshot&, NodeId, int);
+  explicit GraphView(const GraphSnapshot& snap)
+      : snap_(&snap), base0_(snap.ShardSize(0)) {}
 
-  enum class Mode { kKeep, kHide };
+  /// One mark bit per node across both populations: a bitmap leased from
+  /// the snapshot for underlying nodes, a flag per synthetic node.
+  struct Marks {
+    VisitedLease bits;
+    std::vector<uint8_t> syn;
+  };
+  Marks NewMarks() const;
+  /// Marks `id`; returns true if it was already marked.
+  bool TestAndMark(Marks& marks, NodeId id) const {
+    if (IsSynthetic(id)) {
+      uint8_t& flag = marks.syn[SyntheticIndex(id)];
+      if (flag) return true;
+      flag = 1;
+      return false;
+    }
+    return marks.bits->TestAndSet(id);
+  }
+  bool Marked(const Marks& marks, NodeId id) const {
+    return IsSynthetic(id) ? marks.syn[SyntheticIndex(id)] != 0
+                           : marks.bits->Test(id);
+  }
 
-  GraphView(const GraphSnapshot& snap, Mode mode)
-      : snap_(&snap),
-        keep_mode_(mode == Mode::kKeep),
-        mask_(snap.AcquireVisited()),
-        base0_(snap.ShardSize(0)) {}
-
+  /// The hide mask, leased on the first hide: views that hide nothing
+  /// (identity terminals) never touch it.
+  VisitedSet& Mask();
+  /// Hides one visible node of either population.
+  void Hide(NodeId id);
   /// Appends a synthetic zoom node (alive).
   void PushSynthetic(SyntheticNode node) {
     synthetic_.push_back(std::move(node));
     syn_alive_.push_back(1);
     ++num_syn_alive_;
   }
-  Status RequireHideMode(const char* op) const;
 
   const GraphSnapshot* snap_;
-  // The mask is a leased bitmap: marked = kept (subgraph) or marked =
-  // hidden (zoom / composed plans), so neither operator pays a full-graph
-  // scan to build it.
-  bool keep_mode_;
-  VisitedLease mask_;
+  std::optional<VisitedLease> mask_;  // marked = hidden
   size_t num_visible_underlying_ = 0;
   uint64_t base0_;  // shard 0 size; synthetic ids start here
   std::vector<SyntheticNode> synthetic_;
@@ -238,24 +282,6 @@ class GraphView {
   size_t num_syn_alive_ = 0;
   std::unordered_map<NodeId, std::array<NodeId, 2>> overrides_;
 };
-
-/// Lazy ZoomOut (Section 4.1) over a snapshot: plans the collapse of every
-/// named module (via the same planner as the eager Zoomer) and returns a
-/// view hiding the removed nodes, with one synthetic p-node per invocation
-/// and module outputs rewired through it. The snapshot is not modified;
-/// dropping the view is the (trivial) ZoomIn. Planning scans fan out over
-/// `num_threads` workers. Fails with kNotFound if a module has no live
-/// invocations.
-Result<GraphView> ZoomOutView(const GraphSnapshot& snap,
-                              const std::set<std::string>& module_names,
-                              int num_threads = 1);
-
-/// Lazy subgraph query (Section 5.1) over a snapshot: the view keeps the
-/// node, its ancestors, descendants, and co-parents of descendants.
-/// Materializing kills every other node, like restricting the eager graph
-/// to the query result. Traversals parallelize over `num_threads`.
-Result<GraphView> SubgraphView(const GraphSnapshot& snap, NodeId node,
-                               int num_threads = 1);
 
 }  // namespace lipstick
 

@@ -69,16 +69,6 @@ Result<std::unordered_set<NodeId>> IntermediateNodesByDefinition(
   return result;
 }
 
-Result<std::unordered_set<NodeId>> IntermediateNodesByDefinition(
-    const ProvenanceGraph& graph, const std::string& module_name) {
-  Result<GraphSnapshot> snap = GraphSnapshot::Capture(graph);
-  if (!snap.ok()) {
-    return Status::InvalidArgument(
-        "IntermediateNodesByDefinition requires a sealed graph");
-  }
-  return IntermediateNodesByDefinition(*snap, module_name);
-}
-
 namespace internal {
 
 Result<ZoomPlan> PlanZoomOut(const GraphSnapshot& snap,

@@ -22,8 +22,6 @@ namespace lipstick {
 /// tag-based identification ZoomOut relies on. Fails with kInvalidArgument
 /// if the graph is not sealed.
 Result<std::unordered_set<NodeId>> IntermediateNodesByDefinition(
-    const ProvenanceGraph& graph, const std::string& module_name);
-Result<std::unordered_set<NodeId>> IntermediateNodesByDefinition(
     const GraphSnapshot& snap, const std::string& module_name);
 
 namespace internal {
@@ -39,7 +37,7 @@ struct ZoomInvocationPlan {
 
 /// The full effect of collapsing one module, computed without mutating
 /// anything. Shared by the eager Zoomer (which applies it to the graph)
-/// and the lazy ZoomOutView (which keeps it as a view); computing both
+/// and GraphView::ApplyZoomOut (which keeps it as a view); computing both
 /// from one planner keeps the two paths equivalent by construction.
 struct ZoomPlan {
   std::vector<NodeId> removed;  // intermediates + state (+ base tokens)
@@ -72,7 +70,7 @@ Result<ZoomPlan> PlanZoomOut(const GraphSnapshot& snap,
 /// that ZoomIn is an exact inverse: ZoomIn(ZoomOut(G, M), M) == G.
 ///
 /// This is the eager, mutating form; for concurrent read-only zooming over
-/// one snapshot, see ZoomOutView (provenance/view.h).
+/// one snapshot, see GraphView::ApplyZoomOut (provenance/view.h).
 class Zoomer {
  public:
   explicit Zoomer(ProvenanceGraph* graph) : graph_(graph) {}

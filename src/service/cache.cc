@@ -1,7 +1,5 @@
 #include "service/cache.h"
 
-#include <utility>
-
 #include "common/str_util.h"
 
 namespace lipstick::service {
@@ -15,51 +13,6 @@ std::string ResponseCache::Key(const std::string& graph, uint64_t epoch,
     key += a;
   }
   return key;
-}
-
-bool ResponseCache::Get(const std::string& key, std::string* text) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(key);
-  if (it == index_.end()) {
-    ++misses_;
-    return false;
-  }
-  lru_.splice(lru_.begin(), lru_, it->second);
-  *text = it->second->text;
-  ++hits_;
-  return true;
-}
-
-void ResponseCache::Put(const std::string& key, std::string text) {
-  if (capacity_ == 0) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    it->second->text = std::move(text);
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  lru_.push_front(Entry{key, std::move(text)});
-  index_[key] = lru_.begin();
-  while (lru_.size() > capacity_) {
-    index_.erase(lru_.back().key);
-    lru_.pop_back();
-  }
-}
-
-size_t ResponseCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return lru_.size();
-}
-
-uint64_t ResponseCache::hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return hits_;
-}
-
-uint64_t ResponseCache::misses() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return misses_;
 }
 
 }  // namespace lipstick::service

@@ -109,11 +109,6 @@ bool IsReadQueryOp(const std::string& op) {
   return head == "delete" && op.find('|') != std::string::npos;
 }
 
-bool IsCacheableOp(const std::string& op) {
-  std::string head = HeadOf(op);
-  return head == "subgraph" || head == "zoomout";
-}
-
 Result<NodeId> ParseNodeId(const std::string& s) { return ParsePlanNodeId(s); }
 
 Result<ParsedQuery> ParseQuery(const std::string& op,

@@ -21,11 +21,6 @@ namespace lipstick::service {
 /// non-mutating deletion-propagation view stage), and `explain`.
 bool IsReadQueryOp(const std::string& op);
 
-/// Ops whose rendered output was historically worth caching server-side.
-/// The server now caches every read query under its canonical plan string;
-/// this remains for callers that want the old traversal-heavy gate.
-bool IsCacheableOp(const std::string& op);
-
 /// Parses a decimal node id ("bad node id '...'" on garbage).
 Result<NodeId> ParseNodeId(const std::string& s);
 

@@ -25,7 +25,7 @@ struct ServerOptions {
   int workers = 4;       // query execution threads
   size_t queue_depth = 64;       // admission control: beyond this, reject
   double default_deadline_ms = 0;  // applied when a request sets none
-  size_t cache_entries = 64;       // LRU slots for subgraph/zoomout views
+  size_t cache_entries = 64;       // LRU slots in each of the two caches
   int query_threads = 1;           // traversal threads inside one query
 };
 

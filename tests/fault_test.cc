@@ -4,7 +4,9 @@
 
 #include <cstdlib>
 
+#include "provenance/deletion.h"
 #include "provenance/query.h"
+#include "provenance/subgraph.h"
 #include "test_util.h"
 #include "workflow/executor.h"
 #include "workflow/module.h"
@@ -12,6 +14,8 @@
 
 namespace lipstick {
 namespace {
+
+using testing::Snap;
 
 using ::lipstick::testing::I;
 using ::lipstick::testing::MakeSchema;
@@ -240,7 +244,7 @@ TEST_F(FaultTest, RetryUntilSuccessDiscardsFailedProvenance) {
   EXPECT_EQ(graph.invocations().size(), 5u);  // 3 live + 2 aborted
   EXPECT_EQ(graph.num_live_invocations(), 3u);
   graph.Seal();
-  GraphStats stats = *ComputeGraphStats(graph);
+  GraphStats stats = *ComputeGraphStats(Snap(graph));
   EXPECT_EQ(stats.invocations, 3u);
   for (NodeId id : graph.AllNodeIds()) {
     if (!graph.Contains(id)) continue;
@@ -423,7 +427,7 @@ TEST_F(FaultTest, FailFastRollsBackStateAndProvenance) {
   EXPECT_EQ(ok->at("end").at("Out").bag.ToString(), "{(42)}");
   EXPECT_EQ(exec.executions_run(), 2u);
   graph.Seal();
-  GraphStats stats = *ComputeGraphStats(graph);
+  GraphStats stats = *ComputeGraphStats(Snap(graph));
   EXPECT_EQ(stats.invocations, 6u);  // 3 nodes x 2 committed executions
 }
 
@@ -434,12 +438,18 @@ TEST_F(FaultTest, UnsealedGraphQueriesReturnStatusNotUB) {
   auto w = g.writer();
   NodeId x = w.Token("x");
   // No Seal(): every children-dependent query reports kInvalidArgument.
-  EXPECT_EQ(ComputeGraphStats(g).status().code(),
+  GraphSnapshot parents_only = GraphSnapshot::CaptureForParents(g);
+  EXPECT_EQ(ComputeGraphStats(parents_only).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(PathExists(g, x, x).status().code(),
+  EXPECT_EQ(PathExists(parents_only, x, x).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ComputeDeletionSet(parents_only, {x}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(SubgraphQuery(parents_only, x).status().code(),
             StatusCode::kInvalidArgument);
   g.Seal();
-  LIPSTICK_EXPECT_OK(ComputeGraphStats(g).status());
+  LIPSTICK_EXPECT_OK(
+      ComputeGraphStats(GraphSnapshot::CaptureForParents(g)).status());
 }
 
 using FaultDeathTest = FaultTest;

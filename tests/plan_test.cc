@@ -7,6 +7,7 @@
 
 #include <sstream>
 
+#include "common/cancel.h"
 #include "common/str_util.h"
 #include "provenance/dot.h"
 #include "provenance/exec.h"
@@ -16,6 +17,7 @@
 #include "provenance/query.h"
 #include "provenance/snapshot.h"
 #include "provenance/view.h"
+#include "reference_terminals.h"
 #include "test_util.h"
 #include "workflowgen/dealership.h"
 
@@ -170,13 +172,35 @@ class PlanEquivalenceTest : public ::testing::Test {
     auto snap = GraphSnapshot::Capture(*graph_);
     ASSERT_TRUE(snap.ok()) << snap.status().ToString();
     snap_ = new GraphSnapshot(std::move(*snap));
-    auto tokens = FindNodes(*graph_, ByLabel(NodeLabel::kToken));
+    auto tokens = FindNodes(*snap_, ByLabel(NodeLabel::kToken));
     ASSERT_FALSE(tokens.empty());
     token_ = tokens.front();
-    auto outs = FindNodes(*graph_, And(ByRole(NodeRole::kModuleOutput),
-                                       ByModule(*graph_, "aggregate")));
+    auto outs = FindNodes(*snap_, And(ByRole(NodeRole::kModuleOutput),
+                                      ByModule(*graph_, "aggregate")));
     ASSERT_FALSE(outs.empty());
     agg_out_ = outs.front();
+    // `zoomout dealer` appends one synthetic node per dealer invocation
+    // right after shard 0's nodes; the first stands for the first live
+    // invocation, whose inputs are its parents.
+    zoom_ = MakeNodeId(0, snap_->ShardSize(0));
+    for (const InvocationInfo& inv : snap_->invocations()) {
+      if (inv.aborted() || snap_->str(inv.module_name) != "dealer") continue;
+      for (NodeId in : inv.input_nodes) {
+        if (snap_->Contains(in)) zoom_inputs_.push_back(in);
+      }
+      break;
+    }
+    ASSERT_FALSE(zoom_inputs_.empty());
+    size_t widest = 0;
+    snap_->ForEachAliveNode([&](NodeId id) {
+      size_t fan_in = 0;
+      for (NodeId p : snap_->ParentsOf(id)) fan_in += snap_->Contains(p);
+      if (fan_in > widest) {
+        widest = fan_in;
+        wide_ = id;
+      }
+    });
+    ASSERT_GE(widest, 8u);
   }
 
   static void TearDownTestSuite() {
@@ -204,16 +228,48 @@ class PlanEquivalenceTest : public ::testing::Test {
     return out.ok() ? *out : "";
   }
 
+  /// The reference terminal run on the materialized composed view.
+  static std::string Reference(const Plan& plan) {
+    Result<GraphView> view = BuildPlanView(*snap_, plan);
+    EXPECT_TRUE(view.ok()) << view.status().ToString();
+    if (!view.ok()) return "";
+    Result<ProvenanceGraph> graph = view->Materialize();
+    EXPECT_TRUE(graph.ok()) << graph.status().ToString();
+    if (!graph.ok()) return "";
+    Result<GraphSnapshot> snap = GraphSnapshot::Capture(*graph);
+    EXPECT_TRUE(snap.ok()) << snap.status().ToString();
+    if (!snap.ok()) return "";
+    return testing::ReferenceRenderTerminal(*snap, plan.ops.back());
+  }
+
+  /// Fused == naive, and, for plans ending in a terminal, fused == the
+  /// reference terminal on the materialized view.
+  static void ExpectEquivalent(const std::string& query) {
+    std::string fused = Fused(query);
+    EXPECT_FALSE(fused.empty()) << "query: " << query;
+    EXPECT_EQ(fused, Naive(query)) << "query: " << query;
+    Result<Plan> plan = ParsePlan(query, {});
+    if (plan.ok() && plan->HasTerminal()) {
+      EXPECT_EQ(fused, Reference(*plan)) << "query: " << query;
+    }
+  }
+
   static ProvenanceGraph* graph_;
   static GraphSnapshot* snap_;
   static NodeId token_;
   static NodeId agg_out_;
+  static NodeId zoom_;                      // first dealer zoom node
+  static std::vector<NodeId> zoom_inputs_;  // its parents
+  static NodeId wide_;                      // the widest fan-in node
 };
 
 ProvenanceGraph* PlanEquivalenceTest::graph_ = nullptr;
 GraphSnapshot* PlanEquivalenceTest::snap_ = nullptr;
 NodeId PlanEquivalenceTest::token_ = kInvalidNode;
 NodeId PlanEquivalenceTest::agg_out_ = kInvalidNode;
+NodeId PlanEquivalenceTest::zoom_ = kInvalidNode;
+std::vector<NodeId> PlanEquivalenceTest::zoom_inputs_;
+NodeId PlanEquivalenceTest::wide_ = kInvalidNode;
 
 TEST_F(PlanEquivalenceTest, PipelineMatrixRendersIdentically) {
   const std::vector<std::string> queries = {
@@ -232,10 +288,40 @@ TEST_F(PlanEquivalenceTest, PipelineMatrixRendersIdentically) {
       StrCat("zoomout dealer | depends ", agg_out_, " ", token_),
       StrCat("depends ", agg_out_, " ", agg_out_),
   };
-  for (const std::string& q : queries) {
-    EXPECT_EQ(Fused(q), Naive(q)) << "query: " << q;
-    EXPECT_FALSE(Fused(q).empty()) << "query: " << q;
-  }
+  for (const std::string& q : queries) ExpectEquivalent(q);
+}
+
+TEST_F(PlanEquivalenceTest, SyntheticAndWideNodeMatrixRendersIdentically) {
+  std::vector<std::string> inputs;
+  for (NodeId in : zoom_inputs_) inputs.push_back(StrCat(in));
+  const std::string zoom_inputs = Join(inputs, ",");
+  const NodeId wide_parent = snap_->ParentsOf(wide_).front();
+  std::vector<std::string> all_parents;
+  for (NodeId p : snap_->ParentsOf(wide_)) all_parents.push_back(StrCat(p));
+  const std::vector<std::string> queries = {
+      // A synthetic zoom node as deletion seed, as what deletion reaches,
+      // and on both sides of a dependency query.
+      StrCat("zoomout dealer | delete ", zoom_, " | stats"),
+      StrCat("zoomout dealer | delete ", zoom_, " | find --label m"),
+      StrCat("zoomout dealer | delete ", zoom_inputs, " | find --label zoom"),
+      StrCat("zoomout dealer | delete ", zoom_inputs, " | stats"),
+      StrCat("zoomout dealer | depends ", zoom_, " ", zoom_inputs_.front()),
+      StrCat("zoomout dealer | depends ", agg_out_, " ", zoom_),
+      StrCat("zoomout dealer | expr ", zoom_),
+      // Subgraphs rooted at a synthetic zoom node, every direction.
+      StrCat("zoomout dealer | subgraph ", zoom_, " | stats"),
+      StrCat("zoomout dealer | subgraph ", zoom_, " up | find --label zoom"),
+      StrCat("zoomout dealer | subgraph ", zoom_, " down | stats"),
+      StrCat("zoomout dealer | subgraph ", zoom_),
+      // Deletion seeded on, and flowing into, the widest fan-in node.
+      StrCat("delete ", wide_, " | stats"),
+      StrCat("delete ", wide_parent, " | stats"),
+      StrCat("delete ", Join(all_parents, ","), " | stats"),
+      StrCat("depends ", wide_, " ", wide_parent),
+      StrCat("depends ", agg_out_, " ", wide_),
+      StrCat("zoomout dealer | delete ", wide_, " | find --label token"),
+  };
+  for (const std::string& q : queries) ExpectEquivalent(q);
 }
 
 TEST_F(PlanEquivalenceTest, ViewFinalPipelinesRenderSummaries) {
@@ -247,9 +333,8 @@ TEST_F(PlanEquivalenceTest, ViewFinalPipelinesRenderSummaries) {
       StrCat("subgraph ", agg_out_, " | delete ", token_),
   };
   for (const std::string& q : queries) {
-    std::string fused = Fused(q);
-    EXPECT_EQ(fused, Naive(q)) << "query: " << q;
-    EXPECT_NE(fused.find("nodes"), std::string::npos) << fused;
+    ExpectEquivalent(q);
+    EXPECT_NE(Fused(q).find("nodes"), std::string::npos) << Fused(q);
   }
 }
 
@@ -260,10 +345,9 @@ TEST_F(PlanEquivalenceTest, ThreadCountDoesNotChangeOutput) {
   EXPECT_EQ(Fused(q, 4), Naive(q, 4));
 }
 
-TEST_F(PlanEquivalenceTest, SingleOpsMatchLegacyRenderers) {
-  // Plans without view ops render straight off the snapshot; plans with a
-  // single view op go through the composed view. Both must agree with the
-  // naive executor (which uses the legacy renderers verbatim).
+TEST_F(PlanEquivalenceTest, SingleOpsMatchReferenceTerminals) {
+  // Plans without view ops run their terminal on the identity view; both
+  // kinds must agree with the naive executor and the reference terminals.
   const std::vector<std::string> queries = {
       "stats",
       "find --label token",
@@ -272,9 +356,7 @@ TEST_F(PlanEquivalenceTest, SingleOpsMatchLegacyRenderers) {
       StrCat("subgraph ", agg_out_),
       "zoomout dealer",
   };
-  for (const std::string& q : queries) {
-    EXPECT_EQ(Fused(q), Naive(q)) << "query: " << q;
-  }
+  for (const std::string& q : queries) ExpectEquivalent(q);
 }
 
 TEST_F(PlanEquivalenceTest, ErrorsPropagateThroughBothExecutors) {
@@ -333,6 +415,37 @@ TEST_F(PlanEquivalenceTest, DotAndProvioExportsMatchNaiveMaterialization) {
   LIPSTICK_ASSERT_OK(SaveGraph(*fused_mat, fused_pg));
   LIPSTICK_ASSERT_OK(SaveGraph(*naive_final, naive_pg));
   EXPECT_EQ(fused_pg.str(), naive_pg.str());
+}
+
+TEST_F(PlanEquivalenceTest, CancelledTraversalsFailAndCacheNothing) {
+  const std::vector<std::string> queries = {
+      StrCat("subgraph ", agg_out_),
+      StrCat("depends ", agg_out_, " ", token_),
+      StrCat("zoomout dealer | subgraph ", agg_out_, " | stats"),
+      StrCat("delete ", token_, " | stats"),
+  };
+  for (const std::string& q : queries) {
+    Result<Plan> plan = ParsePlan(q, {});
+    ASSERT_TRUE(plan.ok());
+    OptimizedPlan opt = OptimizePlan(*plan);
+    PlanViewCache cache(8);
+    ExecOptions opts;
+    opts.cache = &cache;
+    opts.scope = "test";
+    {
+      CancelToken token;
+      token.Cancel(Status::Aborted("client went away"));
+      CancelScope scope(&token);
+      Result<std::string> out = ExecutePlan(*snap_, opt, opts);
+      ASSERT_FALSE(out.ok()) << "query: " << q;
+      EXPECT_EQ(out.status().code(), StatusCode::kAborted) << "query: " << q;
+    }
+    EXPECT_EQ(cache.entries(), 0u) << "query: " << q;
+    // The same request, uncancelled against the same cache, is whole.
+    Result<std::string> again = ExecutePlan(*snap_, opt, opts);
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    EXPECT_EQ(*again, Fused(q)) << "query: " << q;
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -19,6 +19,8 @@
 namespace lipstick {
 namespace {
 
+using testing::Snap;
+
 /// ------------------- dealership graph properties -----------------------
 
 class DealershipPropertyTest : public ::testing::TestWithParam<uint64_t> {
@@ -40,8 +42,8 @@ class DealershipPropertyTest : public ::testing::TestWithParam<uint64_t> {
 TEST_P(DealershipPropertyTest, GraphIsAcyclicWithValidParents) {
   // Every parent reference resolves, and following parents never revisits
   // a node (derivation graphs are DAGs by construction).
-  GraphEvaluator<CountingSemiring> eval(graph_);  // would not terminate on
-                                                  // a cycle (memoized DFS)
+  // (The memoized DFS would not terminate on a cycle.)
+  GraphEvaluator<CountingSemiring> eval(Snap(graph_));
   for (NodeId id : graph_.AllNodeIds()) {
     if (!graph_.Contains(id)) continue;
     for (NodeId p : graph_.ParentsOf(id)) {
@@ -68,8 +70,8 @@ TEST_P(DealershipPropertyTest, DeletionMatchesCountingSemiring) {
   size_t step = tokens.size() > 12 ? tokens.size() / 12 : 1;
   for (size_t i = 0; i < tokens.size(); i += step) {
     NodeId t = tokens[i];
-    auto deleted = *ComputeDeletionSet(graph_, {t});
-    GraphEvaluator<CountingSemiring> eval(graph_, {{t, 0}});
+    auto deleted = *ComputeDeletionSet(Snap(graph_), {t});
+    GraphEvaluator<CountingSemiring> eval(Snap(graph_), {{t, 0}});
     for (NodeId n : graph_.AllNodeIds()) {
       if (!graph_.Contains(n)) continue;
       EXPECT_EQ(deleted.count(n) > 0, eval.Eval(n) == 0)
@@ -109,14 +111,14 @@ TEST_P(DealershipPropertyTest, ZoomCoarseningConnectivity) {
   // Record, in the fine-grained graph, which (workflow-input, module-
   // output) pairs of the same execution are connected and which later-
   // execution outputs are reachable only through module state.
-  auto inputs = FindNodes(graph_, ByRole(NodeRole::kWorkflowInput));
+  auto inputs = FindNodes(Snap(graph_), ByRole(NodeRole::kWorkflowInput));
   ASSERT_FALSE(inputs.empty());
   NodeId first_input = inputs.front();  // execution 0
   std::vector<NodeId> state_mediated;   // outputs of later executions
   for (const InvocationInfo& inv : graph_.invocations()) {
     if (inv.execution == 0) continue;
     for (NodeId out : inv.output_nodes) {
-      if (graph_.Contains(out) && *PathExists(graph_, first_input, out)) {
+      if (graph_.Contains(out) && *PathExists(Snap(graph_), first_input, out)) {
         state_mediated.push_back(out);
         if (state_mediated.size() >= 5) break;
       }
@@ -134,7 +136,7 @@ TEST_P(DealershipPropertyTest, ZoomCoarseningConnectivity) {
       if (!graph_.Contains(in)) continue;
       for (NodeId out : inv.output_nodes) {
         if (!graph_.Contains(out)) continue;
-        EXPECT_TRUE(*PathExists(graph_, in, out))
+        EXPECT_TRUE(*PathExists(Snap(graph_), in, out))
             << "coarse module lost its own input->output edge";
       }
     }
@@ -144,7 +146,7 @@ TEST_P(DealershipPropertyTest, ZoomCoarseningConnectivity) {
   // coarse-grained view — this is precisely what fine-grained provenance
   // recovers.
   for (NodeId out : state_mediated) {
-    EXPECT_FALSE(*PathExists(graph_, first_input, out))
+    EXPECT_FALSE(*PathExists(Snap(graph_), first_input, out))
         << "state-mediated dependency should be invisible when coarse";
   }
 }
@@ -153,12 +155,12 @@ TEST_P(DealershipPropertyTest, SubgraphContainsAncestryClosure) {
   // For any node: subgraph(n) ⊇ ancestors(n) ∪ {n}, and every node in the
   // subgraph is connected to n through the ancestor/descendant relation
   // or is a parent of a descendant.
-  auto outputs = FindNodes(graph_, ByRole(NodeRole::kModuleOutput));
+  auto outputs = FindNodes(Snap(graph_), ByRole(NodeRole::kModuleOutput));
   ASSERT_FALSE(outputs.empty());
   NodeId n = outputs[outputs.size() / 2];
-  auto sub = *SubgraphQuery(graph_, n);
-  auto anc = Ancestors(graph_, n);
-  auto desc = *Descendants(graph_, n);
+  auto sub = *SubgraphQuery(Snap(graph_), n);
+  auto anc = Ancestors(Snap(graph_), n);
+  auto desc = *Descendants(Snap(graph_), n);
   EXPECT_TRUE(sub.count(n));
   for (NodeId a : anc) EXPECT_TRUE(sub.count(a));
   for (NodeId d : desc) EXPECT_TRUE(sub.count(d));
@@ -261,7 +263,7 @@ TEST_P(ArcticPropertyTest, GlobalMinMatchesDirectComputation) {
     }
   }
   ASSERT_NE(global_out, kInvalidNode);
-  auto anc = Ancestors(graph, global_out);
+  auto anc = Ancestors(Snap(graph), global_out);
   bool winner_found = false;
   for (NodeId id : anc) {
     NodeView n = graph.node(id);
@@ -315,10 +317,10 @@ TEST(StateNodeAblationTest, EagerAndLazyAgreeOnQueries) {
   // Both graphs: the bid depends on its request, never on an Accord car.
   for (int eager = 0; eager < 2; ++eager) {
     const ProvenanceGraph& g = graphs[eager];
-    auto inputs = FindNodes(g, ByRole(NodeRole::kWorkflowInput));
+    auto inputs = FindNodes(Snap(g), ByRole(NodeRole::kWorkflowInput));
     bool dep_any_input = false;
     for (NodeId in : inputs) {
-      dep_any_input = dep_any_input || *DependsOn(g, best_bid[eager], in);
+      dep_any_input = dep_any_input || *DependsOn(Snap(g), best_bid[eager], in);
     }
     EXPECT_TRUE(dep_any_input);
   }

@@ -18,6 +18,8 @@
 namespace lipstick {
 namespace {
 
+using testing::Snap;
+
 using ::lipstick::testing::I;
 using ::lipstick::testing::MakeRelation;
 using ::lipstick::testing::MakeSchema;
@@ -264,11 +266,11 @@ TEST(DeletionTest, PaperExample43DeletingOneCarKeepsBid) {
   LIPSTICK_ASSERT_OK(f.Build());
   // Example 4.3/4.5: the bid still exists if car C2 is removed — the COUNT
   // loses an input but the derivation survives.
-  auto deleted = *ComputeDeletionSet(f.graph, {f.car_c2});
+  auto deleted = *ComputeDeletionSet(Snap(f.graph), {f.car_c2});
   EXPECT_FALSE(deleted.count(f.bid_node));
   EXPECT_TRUE(deleted.count(f.car_c2));
   EXPECT_FALSE(deleted.count(f.car_c3));
-  EXPECT_FALSE(*DependsOn(f.graph, f.bid_node, f.car_c2));
+  EXPECT_FALSE(*DependsOn(Snap(f.graph), f.bid_node, f.car_c2));
 }
 
 TEST(DeletionTest, PaperExample44DeletingRequestKillsEverything) {
@@ -276,17 +278,17 @@ TEST(DeletionTest, PaperExample44DeletingRequestKillsEverything) {
   LIPSTICK_ASSERT_OK(f.Build());
   // Example 4.4: deleting the bid request erases the whole derivation
   // except nodes standing for state tuples (the cars).
-  auto deleted = *ComputeDeletionSet(f.graph, {f.request});
+  auto deleted = *ComputeDeletionSet(Snap(f.graph), {f.request});
   EXPECT_TRUE(deleted.count(f.bid_node));
   EXPECT_FALSE(deleted.count(f.car_c1));
   EXPECT_FALSE(deleted.count(f.car_c2));
-  EXPECT_TRUE(*DependsOn(f.graph, f.bid_node, f.request));
+  EXPECT_TRUE(*DependsOn(Snap(f.graph), f.bid_node, f.request));
 }
 
 TEST(DeletionTest, DeletingBothCivicsKillsCountButNotBlackBox) {
   DealerFixture f;
   LIPSTICK_ASSERT_OK(f.Build());
-  auto deleted = *ComputeDeletionSet(f.graph, {f.car_c2, f.car_c3});
+  auto deleted = *ComputeDeletionSet(Snap(f.graph), {f.car_c2, f.car_c3});
   // The whole inventory derivation for the model is gone...
   size_t dead_aggs = 0;
   for (NodeId id : f.graph.AllNodeIds()) {
@@ -321,8 +323,8 @@ TEST(DeletionTest, AgreesWithCountingSemiringZeroing) {
   LIPSTICK_ASSERT_OK(f.Build());
   std::vector<NodeId> tokens{f.request, f.car_c1, f.car_c2, f.car_c3};
   for (NodeId t : tokens) {
-    auto deleted = *ComputeDeletionSet(f.graph, {t});
-    GraphEvaluator<CountingSemiring> eval(f.graph, {{t, 0}});
+    auto deleted = *ComputeDeletionSet(Snap(f.graph), {t});
+    GraphEvaluator<CountingSemiring> eval(Snap(f.graph), {{t, 0}});
     for (NodeId n : f.graph.AllNodeIds()) {
       if (!f.graph.Contains(n)) continue;
       bool in_set = deleted.count(n) > 0;
@@ -338,8 +340,8 @@ TEST(DeletionTest, AgreesWithCountingSemiringZeroing) {
 TEST(DeletionTest, SeedMustExist) {
   DealerFixture f;
   LIPSTICK_ASSERT_OK(f.Build());
-  EXPECT_TRUE(ComputeDeletionSet(f.graph, {kInvalidNode})->empty());
-  EXPECT_FALSE(*DependsOn(f.graph, f.bid_node, kInvalidNode));
+  EXPECT_TRUE(ComputeDeletionSet(Snap(f.graph), {kInvalidNode})->empty());
+  EXPECT_FALSE(*DependsOn(Snap(f.graph), f.bid_node, kInvalidNode));
 }
 
 /// --------------------------- subgraph ----------------------------------
@@ -353,11 +355,11 @@ TEST(SubgraphTest, AncestorsAndDescendants) {
   NodeId q = w.Plus({p});
   NodeId other = w.Token("z");
   g.Seal();
-  auto anc = Ancestors(g, q);
+  auto anc = Ancestors(Snap(g), q);
   EXPECT_EQ(anc, (std::unordered_set<NodeId>{p, x, y}));
-  auto desc = *Descendants(g, x);
+  auto desc = *Descendants(Snap(g), x);
   EXPECT_EQ(desc, (std::unordered_set<NodeId>{p, q}));
-  EXPECT_TRUE(Descendants(g, other)->empty());
+  EXPECT_TRUE(Descendants(Snap(g), other)->empty());
 }
 
 TEST(SubgraphTest, IncludesSiblingsOfDescendants) {
@@ -367,7 +369,7 @@ TEST(SubgraphTest, IncludesSiblingsOfDescendants) {
   NodeId y = w.Token("y");  // sibling: co-parent of the join below
   NodeId join = w.Times({x, y});
   g.Seal();
-  auto sub = *SubgraphQuery(g, x);
+  auto sub = *SubgraphQuery(Snap(g), x);
   // y is not an ancestor or descendant of x, but it is needed to re-derive
   // the join, so the subgraph query includes it.
   EXPECT_TRUE(sub.count(y));
@@ -378,12 +380,12 @@ TEST(SubgraphTest, IncludesSiblingsOfDescendants) {
 TEST(SubgraphTest, DealerBidSubgraphCoversDerivation) {
   DealerFixture f;
   LIPSTICK_ASSERT_OK(f.Build());
-  auto sub = *SubgraphQuery(f.graph, f.request);
+  auto sub = *SubgraphQuery(Snap(f.graph), f.request);
   EXPECT_TRUE(sub.count(f.bid_node));
   // The Accord car C1 joins nothing, so it stays out of the subgraph.
   EXPECT_FALSE(sub.count(f.car_c1));
   EXPECT_TRUE(sub.count(f.car_c2));  // sibling through the join/group
-  EXPECT_TRUE(SubgraphQuery(f.graph, kInvalidNode)->empty());
+  EXPECT_TRUE(SubgraphQuery(Snap(f.graph), kInvalidNode)->empty());
 }
 
 /// ----------------------------- zoom ------------------------------------
@@ -504,7 +506,7 @@ TEST_F(ZoomTest, TagBasedIntermediatesMatchDefinition41) {
   // nodes that avoid output nodes. The executor instead tags nodes with
   // their invocation. The path-based set must be covered by the tag-based
   // removal set (which additionally removes state wrappers and bases).
-  auto by_definition = *IntermediateNodesByDefinition(graph_, "dealer");
+  auto by_definition = *IntermediateNodesByDefinition(Snap(graph_), "dealer");
   std::unordered_set<NodeId> by_tags;
   std::unordered_set<uint32_t> dealer_invs;
   for (uint32_t i = 0; i < graph_.invocations().size(); ++i) {

@@ -4,11 +4,14 @@
 
 #include "provenance/graph.h"
 #include "provenance/provio.h"
+#include "provenance/query.h"
 #include "provenance/semiring.h"
 #include "test_util.h"
 
 namespace lipstick {
 namespace {
+
+using testing::Snap;
 
 TEST(GraphTest, NodeIdPacking) {
   NodeId id = MakeNodeId(3, 12345);
@@ -174,21 +177,17 @@ TEST(GraphTest, SavepointRollbackPreservesArenaBackedParents) {
   EXPECT_EQ(testing::ToVec(g.ChildrenOf(a)), std::vector<NodeId>{wide});
 }
 
-TEST(GraphTest, LabelHistogram) {
+TEST(GraphTest, StatsCountLabels) {
   ProvenanceGraph g;
   auto w = g.writer();
   w.Token("x");
   w.Token("y");
   w.Plus({});
-  auto hist = g.LabelHistogram();
-  bool found = false;
-  for (const auto& [label, count] : hist) {
-    if (label == "token") {
-      EXPECT_EQ(count, 2u);
-      found = true;
-    }
-  }
-  EXPECT_TRUE(found);
+  g.Seal();
+  GraphStats stats = *ComputeGraphStats(Snap(g));
+  EXPECT_EQ(stats.labels[static_cast<size_t>(NodeLabel::kToken)], 2u);
+  EXPECT_EQ(stats.labels[static_cast<size_t>(NodeLabel::kPlus)], 1u);
+  EXPECT_EQ(stats.labels[static_cast<size_t>(NodeLabel::kTimes)], 0u);
 }
 
 /// ----------------------------- semiring --------------------------------
@@ -222,12 +221,12 @@ TEST(GraphEvaluatorTest, CountingSemantics) {
   NodeId prod = w.Times({x, y});
   NodeId delta = w.Delta({sum});
 
-  GraphEvaluator<CountingSemiring> eval(g, {{x, 2}, {y, 3}});
+  GraphEvaluator<CountingSemiring> eval(Snap(g), {{x, 2}, {y, 3}});
   EXPECT_EQ(eval.Eval(sum), 5u);
   EXPECT_EQ(eval.Eval(prod), 6u);
   EXPECT_EQ(eval.Eval(delta), 1u);  // duplicate elimination
 
-  GraphEvaluator<CountingSemiring> zeroed(g, {{x, 0}, {y, 0}});
+  GraphEvaluator<CountingSemiring> zeroed(Snap(g), {{x, 0}, {y, 0}});
   EXPECT_EQ(zeroed.Eval(delta), 0u);
 }
 
@@ -237,9 +236,9 @@ TEST(GraphEvaluatorTest, BooleanSemantics) {
   NodeId x = w.Token("x");
   NodeId y = w.Token("y");
   NodeId prod = w.Times({x, y});
-  GraphEvaluator<BooleanSemiring> eval(g, {{x, false}});
+  GraphEvaluator<BooleanSemiring> eval(Snap(g), {{x, false}});
   EXPECT_FALSE(eval.Eval(prod));  // joint derivation needs both
-  GraphEvaluator<BooleanSemiring> eval2(g, {{y, true}});
+  GraphEvaluator<BooleanSemiring> eval2(Snap(g), {{y, true}});
   EXPECT_TRUE(eval2.Eval(prod));
 }
 
@@ -255,7 +254,7 @@ TEST(GraphEvaluatorTest, TrustPropagation) {
   NodeId j3 = w.Times({request, car3});
   NodeId bid = w.Delta({j2, j3});
   GraphEvaluator<TrustSemiring> eval(
-      g, {{request, 0.9}, {car2, 0.5}, {car3, 0.8}});
+      Snap(g), {{request, 0.9}, {car2, 0.5}, {car3, 0.8}});
   EXPECT_DOUBLE_EQ(eval.Eval(j2), 0.5);
   EXPECT_DOUBLE_EQ(eval.Eval(j3), 0.8);
   EXPECT_DOUBLE_EQ(eval.Eval(bid), 0.8);  // best witness wins
@@ -269,7 +268,7 @@ TEST(GraphEvaluatorTest, SecurityClearance) {
   NodeId secret = w.Token("informant_tip");
   NodeId joint = w.Times({pub, secret});
   NodeId either = w.Plus({pub, secret});
-  GraphEvaluator<S> eval(g, {{secret, S::kSecret}});
+  GraphEvaluator<S> eval(Snap(g), {{secret, S::kSecret}});
   // Joint derivation needs the most restrictive clearance; an alternative
   // derivation through the public record stays public.
   EXPECT_EQ(eval.Eval(joint), S::kSecret);
@@ -283,7 +282,7 @@ TEST(GraphEvaluatorTest, WhyProvenance) {
   NodeId y = w.Token("y");
   NodeId sum = w.Plus({x, y});
   GraphEvaluator<WhySemiring> eval(
-      g, {{x, {{"x"}}}, {y, {{"y"}}}});
+      Snap(g), {{x, {{"x"}}}, {y, {{"y"}}}});
   WhySemiring::ValueType why = eval.Eval(sum);
   // Two alternative witnesses: {x} and {y}.
   EXPECT_EQ(why.size(), 2u);
@@ -297,7 +296,7 @@ TEST(GraphEvaluatorTest, StructuralNodes) {
   NodeId x = w.Token("x");
   NodeId in = w.ModuleInput(inv, x);
   NodeId bb = w.BlackBox("f", {in});
-  GraphEvaluator<CountingSemiring> eval(g, {{x, 0}});
+  GraphEvaluator<CountingSemiring> eval(Snap(g), {{x, 0}});
   EXPECT_EQ(eval.Eval(m), 1u);   // invocations never data-dependent
   EXPECT_EQ(eval.Eval(in), 0u);  // · with a zero factor
   EXPECT_EQ(eval.Eval(bb), 0u);  // all inputs gone
@@ -310,10 +309,10 @@ TEST(ExpressionStringTest, RendersOperators) {
   NodeId y = w.Token("y");
   NodeId d = w.Delta({x, y});
   NodeId t = w.Times({d, x});
-  EXPECT_EQ(ProvExpressionString(g, t), "(delta(x + y) * x)");
-  EXPECT_EQ(ProvExpressionString(g, kInvalidNode), "0");
+  EXPECT_EQ(ProvExpressionString(Snap(g), t), "(delta(x + y) * x)");
+  EXPECT_EQ(ProvExpressionString(Snap(g), kInvalidNode), "0");
   // Depth limiting.
-  EXPECT_EQ(ProvExpressionString(g, t, 1), "(... * ...)");
+  EXPECT_EQ(ProvExpressionString(Snap(g), t, 1), "(... * ...)");
 }
 
 /// --------------------------- serialization -----------------------------
@@ -402,10 +401,15 @@ TEST(ProvIoTest, RejectsCorruptInput) {
   std::istringstream bad_header("NOTAGRAPH\n");
   EXPECT_FALSE(LoadGraph(bad_header).ok());
   std::istringstream bad_record(
-      "LIPSTICKGRAPH v1\nshards 1\nq wat\n");
+      "LIPSTICKGRAPH v2\nshards 1\nstrings 0\nq wat\n");
   EXPECT_FALSE(LoadGraph(bad_record).ok());
-  std::istringstream bad_shard("LIPSTICKGRAPH v1\nshards 0\n");
+  std::istringstream bad_shard("LIPSTICKGRAPH v2\nshards 0\n");
   EXPECT_FALSE(LoadGraph(bad_shard).ok());
+  // Only v2 is a graph format; a v1 header is as unknown as any other.
+  std::istringstream v1("LIPSTICKGRAPH v1\nshards 1\nend\n");
+  Result<ProvenanceGraph> loaded = LoadGraph(v1);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().message(), "bad graph file header");
 }
 
 TEST(ProvIoTest, FileRoundTrip) {

@@ -12,6 +12,8 @@
 namespace lipstick {
 namespace {
 
+using testing::Snap;
+
 class QueryTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -34,66 +36,66 @@ class QueryTest : public ::testing::Test {
 };
 
 TEST_F(QueryTest, FindNodesByLabel) {
-  auto tokens = FindNodes(graph_, ByLabel(NodeLabel::kToken));
+  auto tokens = FindNodes(Snap(graph_), ByLabel(NodeLabel::kToken));
   EXPECT_EQ(tokens, (std::vector<NodeId>{x_, car_}));
-  auto deltas = FindNodes(graph_, ByLabel(NodeLabel::kDelta));
+  auto deltas = FindNodes(Snap(graph_), ByLabel(NodeLabel::kDelta));
   EXPECT_EQ(deltas, std::vector<NodeId>{group_});
 }
 
 TEST_F(QueryTest, FindNodesByRoleAndPayload) {
-  auto state = FindNodes(graph_, ByRole(NodeRole::kModuleState));
+  auto state = FindNodes(Snap(graph_), ByRole(NodeRole::kModuleState));
   EXPECT_EQ(state, std::vector<NodeId>{s_});
-  auto c2 = FindNodes(graph_, ByPayload("C2"));
+  auto c2 = FindNodes(Snap(graph_), ByPayload("C2"));
   EXPECT_EQ(c2, std::vector<NodeId>{car_});
 }
 
 TEST_F(QueryTest, FindNodesByModule) {
-  auto dealer_nodes = FindNodes(graph_, ByModule(graph_, "dealer"));
+  auto dealer_nodes = FindNodes(Snap(graph_), ByModule(graph_, "dealer"));
   EXPECT_FALSE(dealer_nodes.empty());
-  auto none = FindNodes(graph_, ByModule(graph_, "aggregate"));
+  auto none = FindNodes(Snap(graph_), ByModule(graph_, "aggregate"));
   EXPECT_TRUE(none.empty());
 }
 
 TEST_F(QueryTest, PredicateCombinators) {
   auto both = FindNodes(
-      graph_, And(ByLabel(NodeLabel::kToken), ByPayload("request")));
+      Snap(graph_), And(ByLabel(NodeLabel::kToken), ByPayload("request")));
   EXPECT_EQ(both, std::vector<NodeId>{x_});
-  auto either = FindNodes(
-      graph_, Or(ByLabel(NodeLabel::kDelta), ByLabel(NodeLabel::kAggregate)));
+  auto either = FindNodes(Snap(graph_), Or(ByLabel(NodeLabel::kDelta),
+                                           ByLabel(NodeLabel::kAggregate)));
   EXPECT_EQ(either.size(), 2u);
-  auto not_tokens = FindNodes(graph_, Not(ByLabel(NodeLabel::kToken)));
+  auto not_tokens = FindNodes(Snap(graph_), Not(ByLabel(NodeLabel::kToken)));
   EXPECT_EQ(not_tokens.size(), graph_.num_alive() - 2);
 }
 
 TEST_F(QueryTest, PathQueries) {
-  EXPECT_TRUE(*PathExists(graph_, x_, out_));
-  EXPECT_TRUE(*PathExists(graph_, car_, agg_));
-  EXPECT_FALSE(*PathExists(graph_, out_, x_));  // direction matters
-  EXPECT_FALSE(*PathExists(graph_, agg_, out_));
+  EXPECT_TRUE(*PathExists(Snap(graph_), x_, out_));
+  EXPECT_TRUE(*PathExists(Snap(graph_), car_, agg_));
+  EXPECT_FALSE(*PathExists(Snap(graph_), out_, x_));  // direction matters
+  EXPECT_FALSE(*PathExists(Snap(graph_), agg_, out_));
 
-  auto path = *ShortestDerivationPath(graph_, x_, out_);
+  auto path = *ShortestDerivationPath(Snap(graph_), x_, out_);
   // x -> in -> join -> group -> out: five nodes, four edges.
   ASSERT_EQ(path.size(), 5u);
   EXPECT_EQ(path.front(), x_);
   EXPECT_EQ(path.back(), out_);
-  EXPECT_TRUE(ShortestDerivationPath(graph_, out_, x_)->empty());
-  EXPECT_EQ(*ShortestDerivationPath(graph_, x_, x_),
+  EXPECT_TRUE(ShortestDerivationPath(Snap(graph_), out_, x_)->empty());
+  EXPECT_EQ(*ShortestDerivationPath(Snap(graph_), x_, x_),
             std::vector<NodeId>{x_});
 }
 
 TEST_F(QueryTest, DependsOnSet) {
   // The join needs both the request and the state tuple; either alone
   // kills it (· semantics), and so does the pair.
-  EXPECT_TRUE(*DependsOnSet(graph_, join_, {x_}));
-  EXPECT_TRUE(*DependsOnSet(graph_, join_, {car_}));
-  EXPECT_TRUE(*DependsOnSet(graph_, join_, {x_, car_}));
+  EXPECT_TRUE(*DependsOnSet(Snap(graph_), join_, {x_}));
+  EXPECT_TRUE(*DependsOnSet(Snap(graph_), join_, {car_}));
+  EXPECT_TRUE(*DependsOnSet(Snap(graph_), join_, {x_, car_}));
   // The invocation node depends on nothing.
   NodeId m = graph_.invocations()[inv_].m_node;
-  EXPECT_FALSE(*DependsOnSet(graph_, m, {x_, car_}));
+  EXPECT_FALSE(*DependsOnSet(Snap(graph_), m, {x_, car_}));
 }
 
 TEST_F(QueryTest, GraphStats) {
-  GraphStats stats = *ComputeGraphStats(graph_);
+  GraphStats stats = *ComputeGraphStats(Snap(graph_));
   EXPECT_EQ(stats.nodes, graph_.num_alive());
   EXPECT_EQ(stats.edges, graph_.num_edges());
   EXPECT_EQ(stats.tokens, 2u);
@@ -187,7 +189,7 @@ TEST(QueryWorkflowTest, ProQLStyleAnalysisOnDealershipRun) {
 
   // "All COUNT aggregations inside dealer modules."
   auto counts = FindNodes(
-      graph, And(ByLabel(NodeLabel::kAggregate), ByPayload("COUNT")));
+      Snap(graph), And(ByLabel(NodeLabel::kAggregate), ByPayload("COUNT")));
   EXPECT_FALSE(counts.empty());
   for (NodeId id : counts) {
     uint32_t inv = graph.node(id).invocation();
@@ -195,19 +197,18 @@ TEST(QueryWorkflowTest, ProQLStyleAnalysisOnDealershipRun) {
     EXPECT_EQ(graph.str(graph.invocations()[inv].module_name), "dealer");
   }
   // Every black box in this workflow is calcbid.
-  auto bbs = FindNodes(graph, ByLabel(NodeLabel::kBlackBox));
+  auto bbs = FindNodes(Snap(graph), ByLabel(NodeLabel::kBlackBox));
   for (NodeId id : bbs) EXPECT_EQ(graph.node(id).payload(), "calcbid");
   // There is a derivation path from some workflow input to some module
   // output of the aggregate module.
-  auto inputs = FindNodes(graph, ByRole(NodeRole::kWorkflowInput));
-  auto agg_outs = FindNodes(
-      graph, And(ByRole(NodeRole::kModuleOutput),
-                 ByModule(graph, "aggregate")));
+  auto inputs = FindNodes(Snap(graph), ByRole(NodeRole::kWorkflowInput));
+  auto agg_outs = FindNodes(Snap(graph), And(ByRole(NodeRole::kModuleOutput),
+                                             ByModule(graph, "aggregate")));
   ASSERT_FALSE(inputs.empty());
   ASSERT_FALSE(agg_outs.empty());
   bool found = false;
   for (NodeId in : inputs) {
-    if (*PathExists(graph, in, agg_outs.front())) found = true;
+    if (*PathExists(Snap(graph), in, agg_outs.front())) found = true;
   }
   EXPECT_TRUE(found);
 }
@@ -225,7 +226,7 @@ TEST(QueryWorkflowTest, StatsScaleWithExecutions) {
     ProvenanceGraph graph;
     LIPSTICK_ASSERT_OK((*wf)->Run(&graph).status());
     graph.Seal();
-    *out = *ComputeGraphStats(graph);
+    *out = *ComputeGraphStats(Snap(graph));
   }
   EXPECT_GT(large.nodes, small.nodes);
   EXPECT_GT(large.invocations, small.invocations);

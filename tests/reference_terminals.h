@@ -1,0 +1,198 @@
+#ifndef LIPSTICK_TESTS_REFERENCE_TERMINALS_H_
+#define LIPSTICK_TESTS_REFERENCE_TERMINALS_H_
+
+// Reference implementations of the read terminals, written directly
+// against a snapshot with plain containers: the stats block, find, expr
+// and depends as a standalone graph renders them. Tests run these on a
+// materialized view and compare with the one implementation in src/
+// (GraphView operators and the plan engine), byte for byte.
+
+#include <algorithm>
+#include <cstdarg>
+#include <cstdio>
+#include <map>
+#include <string>
+#include <unordered_map>
+#include <unordered_set>
+#include <utility>
+#include <vector>
+
+#include "common/str_util.h"
+#include "provenance/plan.h"
+#include "provenance/query.h"
+#include "provenance/snapshot.h"
+
+namespace lipstick::testing {
+
+/// Definition 4.2 by the letter: a node dies when it is joint (· / ⊗) and
+/// loses any in-edge, or when it has lost as many in-edges as it has
+/// alive parents (recounted on every loss).
+inline std::unordered_set<NodeId> ReferenceDeletionSet(
+    const GraphSnapshot& snap, const std::vector<NodeId>& seeds) {
+  std::unordered_set<NodeId> deleted;
+  std::vector<NodeId> order;
+  std::unordered_map<NodeId, size_t> lost_edges;
+  for (NodeId s : seeds) {
+    if (snap.Contains(s) && deleted.insert(s).second) order.push_back(s);
+  }
+  auto alive_parent_count = [&snap](NodeId id) {
+    size_t n = 0;
+    for (NodeId p : snap.ParentsOf(id)) n += snap.Contains(p) ? 1 : 0;
+    return n;
+  };
+  for (size_t head = 0; head < order.size(); ++head) {
+    for (NodeId child : snap.ChildrenOf(order[head])) {
+      if (deleted.count(child)) continue;
+      size_t lost = ++lost_edges[child];
+      NodeLabel cl = snap.node(child).label();
+      bool joint = cl == NodeLabel::kTimes || cl == NodeLabel::kTensor;
+      if (joint || lost >= alive_parent_count(child)) {
+        deleted.insert(child);
+        order.push_back(child);
+      }
+    }
+  }
+  return deleted;
+}
+
+/// Stats from the sealed snapshot's own columns and CSR: fixpoint depth,
+/// fan-out as CSR row length.
+inline GraphStats ReferenceGraphStats(const GraphSnapshot& snap) {
+  GraphStats stats;
+  stats.invocations = snap.graph().num_live_invocations();
+  std::unordered_map<NodeId, size_t> depth;
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    snap.ForEachAliveNode([&](NodeId id) {
+      size_t best = 0;
+      for (NodeId p : snap.ParentsOf(id)) {
+        if (snap.Contains(p)) best = std::max(best, depth[p] + 1);
+      }
+      if (best > depth[id]) {
+        depth[id] = best;
+        changed = true;
+      }
+    });
+  }
+  snap.ForEachAliveNode([&](NodeId id) {
+    ++stats.nodes;
+    size_t fan_in = 0;
+    for (NodeId p : snap.ParentsOf(id)) fan_in += snap.Contains(p) ? 1 : 0;
+    stats.edges += fan_in;
+    stats.max_fan_in = std::max(stats.max_fan_in, fan_in);
+    stats.max_fan_out =
+        std::max(stats.max_fan_out, snap.ChildrenOf(id).size());
+    NodeLabel label = snap.node(id).label();
+    ++stats.labels[static_cast<size_t>(label)];
+    stats.tokens += label == NodeLabel::kToken ? 1 : 0;
+    stats.depth = std::max(stats.depth, depth[id]);
+  });
+  return stats;
+}
+
+inline std::string ReferenceExprString(const GraphSnapshot& g, NodeId id,
+                                       int depth) {
+  if (depth <= 0) return "...";
+  NodeView n = g.node(id);
+  auto join_parents = [&](const char* sep) {
+    std::vector<std::string> parts;
+    for (NodeId p : g.ParentsOf(id)) {
+      if (g.Contains(p)) parts.push_back(ReferenceExprString(g, p, depth - 1));
+    }
+    return Join(parts, sep);
+  };
+  switch (n.label()) {
+    case NodeLabel::kToken:
+      return n.payload().empty() ? std::string("x?") : std::string(n.payload());
+    case NodeLabel::kPlus:
+      return StrCat("(", join_parents(" + "), ")");
+    case NodeLabel::kTimes:
+      return StrCat("(", join_parents(" * "), ")");
+    case NodeLabel::kDelta:
+      return StrCat("delta(", join_parents(" + "), ")");
+    case NodeLabel::kTensor:
+      return StrCat("(", join_parents(" (x) "), ")");
+    case NodeLabel::kAggregate:
+      return StrCat(n.payload(), "[", join_parents(", "), "]");
+    case NodeLabel::kConstValue:
+      return n.value().ToString();
+    case NodeLabel::kBlackBox:
+      return StrCat(n.payload(), "(", join_parents(", "), ")");
+    case NodeLabel::kModuleInvocation:
+      return StrCat("m<", n.payload(), ">");
+    case NodeLabel::kZoomedModule:
+      return StrCat("M<", n.payload(), ">(", join_parents(", "), ")");
+  }
+  return "?";
+}
+
+inline void ReferenceAppendf(std::string* out, const char* fmt, ...) {
+  char buf[256];
+  va_list ap;
+  va_start(ap, fmt);
+  int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
+  va_end(ap);
+  if (n > 0) out->append(buf, std::min<size_t>(n, sizeof(buf) - 1));
+}
+
+/// Renders a plan terminal over a sealed standalone graph, exactly as the
+/// plan engine's output format specifies (labels listed by name through a
+/// string-keyed histogram).
+inline std::string ReferenceRenderTerminal(const GraphSnapshot& snap,
+                                           const PlanOp& op) {
+  std::string out;
+  switch (op.kind) {
+    case PlanOpKind::kStats: {
+      GraphStats stats = ReferenceGraphStats(snap);
+      ReferenceAppendf(&out, "nodes:        %zu\n", stats.nodes);
+      ReferenceAppendf(&out, "edges:        %zu\n", stats.edges);
+      ReferenceAppendf(&out, "tokens:       %zu\n", stats.tokens);
+      ReferenceAppendf(&out, "invocations:  %zu\n", stats.invocations);
+      ReferenceAppendf(&out, "max fan-in:   %zu\n", stats.max_fan_in);
+      ReferenceAppendf(&out, "max fan-out:  %zu\n", stats.max_fan_out);
+      ReferenceAppendf(&out, "depth:        %zu\n", stats.depth);
+      std::map<std::string, size_t> histogram;
+      snap.ForEachAliveNode([&](NodeId id) {
+        ++histogram[NodeLabelToString(snap.node(id).label())];
+      });
+      for (const auto& [label, count] : histogram) {
+        ReferenceAppendf(&out, "  label %-10s %zu\n", label.c_str(), count);
+      }
+      return out;
+    }
+    case PlanOpKind::kFind: {
+      size_t count = 0;
+      snap.ForEachAliveNode([&](NodeId id) {
+        NodeView n = snap.node(id);
+        if (!op.pattern.Matches(n.label(), n.role(), n.payload())) return;
+        ++count;
+        ReferenceAppendf(&out, "%llu  %-9s %-13s ",
+                         static_cast<unsigned long long>(id),
+                         NodeLabelToString(n.label()),
+                         NodeRoleToString(n.role()));
+        out.append(n.payload());
+        out.push_back('\n');
+      });
+      ReferenceAppendf(&out, "(%zu nodes)\n", count);
+      return out;
+    }
+    case PlanOpKind::kExpr:
+      out = snap.Contains(op.target)
+                ? ReferenceExprString(snap, op.target, 12)
+                : std::string("0");
+      out.push_back('\n');
+      return out;
+    case PlanOpKind::kDepends: {
+      bool dep = snap.Contains(op.target) && snap.Contains(op.source) &&
+                 ReferenceDeletionSet(snap, {op.source}).count(op.target);
+      return dep ? "yes\n" : "no\n";
+    }
+    default:
+      return "not a terminal\n";
+  }
+}
+
+}  // namespace lipstick::testing
+
+#endif  // LIPSTICK_TESTS_REFERENCE_TERMINALS_H_

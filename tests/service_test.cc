@@ -239,27 +239,11 @@ TEST(CancelTokenTest, TraversalStopsOnCancelledToken) {
   token.Cancel(Status::Aborted("cancelled before the traversal began"));
   CancelScope scope(&token);
   VisitedLease visited = snap->AcquireVisited();
-  std::vector<NodeId> reached = ParallelReach(
-      *snap, std::span<const NodeId>(all.data(), 1),
-      TraverseDirection::kForward, /*num_threads=*/1, *visited);
+  size_t reached = Traverse(*snap, std::span<const NodeId>(all.data(), 1),
+                            TraverseDirection::kForward, *visited,
+                            [](NodeId, NodeId) { return Visit::kExpand; });
   // A pre-cancelled token stops the BFS at the first frontier pop.
-  EXPECT_TRUE(reached.empty());
-}
-
-TEST(CancelTokenTest, ParallelTraversalDrainsCleanlyWhenCancelled) {
-  ProvenanceGraph graph = BuildDealershipGraph();
-  Result<GraphSnapshot> snap = GraphSnapshot::Capture(graph);
-  LIPSTICK_ASSERT_OK(snap.status());
-  std::vector<NodeId> all = graph.AllNodeIds();
-  CancelToken token;
-  token.Cancel(Status::Aborted("stop"));
-  CancelScope scope(&token);
-  VisitedLease visited = snap->AcquireVisited();
-  // Must terminate (workers still meet the barrier) and visit ~nothing.
-  std::vector<NodeId> reached = ParallelReach(
-      *snap, std::span<const NodeId>(all.data(), std::min<size_t>(64, all.size())),
-      TraverseDirection::kForward, /*num_threads=*/4, *visited);
-  EXPECT_TRUE(reached.empty());
+  EXPECT_EQ(reached, 0u);
 }
 
 // ---------------------------------------------------------------------

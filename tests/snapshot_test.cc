@@ -22,6 +22,7 @@
 #include "provenance/traverse.h"
 #include "provenance/view.h"
 #include "provenance/zoom.h"
+#include "reference_terminals.h"
 #include "test_util.h"
 #include "workflowgen/arctic.h"
 #include "workflowgen/dealership.h"
@@ -69,6 +70,16 @@ ProvenanceGraph BuildArcticGraph() {
   EXPECT_TRUE((*wf)->RunSeries(3, &graph).ok());
   graph.Seal();
   return graph;
+}
+
+/// The identity view with one ZoomOut stage applied.
+Result<GraphView> ZoomedView(const GraphSnapshot& snap,
+                             const std::set<std::string>& modules,
+                             int threads) {
+  GraphView view = GraphView::MakeIdentity(snap);
+  LIPSTICK_RETURN_IF_ERROR(
+      view.ApplyZoomOut({modules.begin(), modules.end()}, threads));
+  return view;
 }
 
 // ---------------------------------------------------------------------
@@ -124,35 +135,6 @@ TEST(SnapshotTest, VisitedBitmapPoolReusesAndClears) {
 // Traversal engine.
 // ---------------------------------------------------------------------
 
-TEST(TraverseTest, ParallelReachMatchesSequentialTraverse) {
-  ProvenanceGraph g = BuildArcticGraph();
-  Result<GraphSnapshot> snap = GraphSnapshot::Capture(g);
-  LIPSTICK_ASSERT_OK(snap.status());
-  // Seed with every workflow-input token: a wide frontier.
-  std::vector<NodeId> seeds =
-      FindNodes(*snap, ByLabel(NodeLabel::kToken), 1);
-  ASSERT_FALSE(seeds.empty());
-  for (TraverseDirection dir :
-       {TraverseDirection::kForward, TraverseDirection::kBackward}) {
-    std::vector<NodeId> sequential;
-    {
-      VisitedLease visited = snap->AcquireVisited();
-      Traverse(*snap, seeds, dir, *visited, [&](NodeId n, NodeId) {
-        sequential.push_back(n);
-        return Visit::kExpand;
-      });
-    }
-    VisitedLease visited = snap->AcquireVisited();
-    std::vector<NodeId> parallel =
-        ParallelReach(*snap, seeds, dir, 4, *visited);
-    std::sort(sequential.begin(), sequential.end());
-    std::sort(parallel.begin(), parallel.end());
-    EXPECT_EQ(sequential, parallel);
-    // The visited bitmap marks exactly the result.
-    for (NodeId id : parallel) EXPECT_TRUE(visited->Test(id));
-  }
-}
-
 TEST(TraverseTest, ParallelForCoversRangeOnce) {
   std::vector<std::atomic<int>> hits(10007);
   ParallelFor(hits.size(), 4, [&](size_t begin, size_t end, int) {
@@ -165,29 +147,33 @@ TEST(TraverseTest, ParallelForCoversRangeOnce) {
   }
 }
 
-TEST(TraverseTest, SnapshotQueriesMatchGraphQueries) {
-  ProvenanceGraph g = BuildDealershipGraph();
-  Result<GraphSnapshot> snap = GraphSnapshot::Capture(g);
-  LIPSTICK_ASSERT_OK(snap.status());
-  GraphStats gs = *ComputeGraphStats(g);
-  GraphStats ss = *ComputeGraphStats(*snap);
-  EXPECT_EQ(gs.nodes, ss.nodes);
-  EXPECT_EQ(gs.edges, ss.edges);
-  EXPECT_EQ(gs.depth, ss.depth);
-  EXPECT_EQ(gs.max_fan_in, ss.max_fan_in);
-  EXPECT_EQ(gs.max_fan_out, ss.max_fan_out);
-  std::vector<NodeId> tokens = FindNodes(g, ByLabel(NodeLabel::kToken));
-  EXPECT_EQ(tokens, FindNodes(*snap, ByLabel(NodeLabel::kToken), 1));
-  // Parallel find returns the same ids in the same (scan) order.
-  EXPECT_EQ(tokens, FindNodes(*snap, ByLabel(NodeLabel::kToken), 4));
-  ASSERT_GE(tokens.size(), 2u);
-  for (NodeId t : tokens) {
-    EXPECT_EQ(Ancestors(g, t), Ancestors(*snap, t));
-  }
-  // Joint set-dependency agrees between the graph and snapshot forms.
-  std::vector<NodeId> pair = {tokens.front(), tokens.back()};
-  for (NodeId t : tokens) {
-    EXPECT_EQ(*DependsOnSet(g, t, pair), *DependsOnSet(*snap, t, pair));
+TEST(TraverseTest, IdentityViewOperatorsMatchReferenceTerminals) {
+  for (const ProvenanceGraph& g :
+       {BuildDealershipGraph(), BuildArcticGraph()}) {
+    Result<GraphSnapshot> snap = GraphSnapshot::Capture(g);
+    LIPSTICK_ASSERT_OK(snap.status());
+    GraphStats stats = *ComputeGraphStats(*snap);
+    GraphStats ref = testing::ReferenceGraphStats(*snap);
+    EXPECT_EQ(stats.nodes, ref.nodes);
+    EXPECT_EQ(stats.edges, ref.edges);
+    EXPECT_EQ(stats.tokens, ref.tokens);
+    EXPECT_EQ(stats.invocations, ref.invocations);
+    EXPECT_EQ(stats.depth, ref.depth);
+    EXPECT_EQ(stats.max_fan_in, ref.max_fan_in);
+    EXPECT_EQ(stats.max_fan_out, ref.max_fan_out);
+    EXPECT_EQ(stats.labels, ref.labels);
+    std::vector<NodeId> tokens = FindNodes(*snap, ByLabel(NodeLabel::kToken));
+    ASSERT_GE(tokens.size(), 2u);
+    // Deletion propagation, single and joint seeds, against Definition 4.2
+    // recounted from scratch on every lost edge.
+    std::vector<NodeId> pair = {tokens.front(), tokens.back()};
+    auto deleted = *ComputeDeletionSet(*snap, pair);
+    EXPECT_EQ(deleted, testing::ReferenceDeletionSet(*snap, pair));
+    for (NodeId t : tokens) {
+      EXPECT_EQ(*DependsOnSet(*snap, t, pair), deleted.count(t) > 0);
+      EXPECT_EQ(*ComputeDeletionSet(*snap, {t}),
+                testing::ReferenceDeletionSet(*snap, {t}));
+    }
   }
 }
 
@@ -195,7 +181,7 @@ TEST(TraverseTest, SnapshotQueriesMatchGraphQueries) {
 // Lazy views vs eager operators: byte-identity.
 // ---------------------------------------------------------------------
 
-TEST(ViewTest, ZoomOutViewMaterializesByteIdenticalToEagerZoom) {
+TEST(ViewTest, ZoomOutStageMaterializesByteIdenticalToEagerZoom) {
   ProvenanceGraph original = BuildDealershipGraph();
   for (const std::set<std::string>& modules :
        {std::set<std::string>{"dealer"},
@@ -210,7 +196,7 @@ TEST(ViewTest, ZoomOutViewMaterializesByteIdenticalToEagerZoom) {
     ProvenanceGraph base = CloneSealed(original);
     Result<GraphSnapshot> snap = GraphSnapshot::Capture(base);
     LIPSTICK_ASSERT_OK(snap.status());
-    Result<GraphView> view = ZoomOutView(*snap, modules, 4);
+    Result<GraphView> view = ZoomedView(*snap, modules, 4);
     LIPSTICK_ASSERT_OK(view.status());
     Result<ProvenanceGraph> materialized = view->Materialize();
     LIPSTICK_ASSERT_OK(materialized.status());
@@ -223,7 +209,7 @@ TEST(ViewTest, ZoomOutViewMaterializesByteIdenticalToEagerZoom) {
   }
 }
 
-TEST(ViewTest, ZoomOutViewDotMatchesEagerDot) {
+TEST(ViewTest, ZoomOutStageDotMatchesEagerDot) {
   ProvenanceGraph original = BuildDealershipGraph();
   ProvenanceGraph eager = CloneSealed(original);
   Zoomer zoomer(&eager);
@@ -233,7 +219,7 @@ TEST(ViewTest, ZoomOutViewDotMatchesEagerDot) {
 
   Result<GraphSnapshot> snap = GraphSnapshot::Capture(original);
   LIPSTICK_ASSERT_OK(snap.status());
-  Result<GraphView> view = ZoomOutView(*snap, {"dealer"}, 2);
+  Result<GraphView> view = ZoomedView(*snap, {"dealer"}, 2);
   LIPSTICK_ASSERT_OK(view.status());
   std::ostringstream view_dot;
   LIPSTICK_ASSERT_OK(WriteDot(*view, view_dot));
@@ -247,19 +233,24 @@ TEST(ViewTest, ZoomOutViewDotMatchesEagerDot) {
   EXPECT_EQ(view_dot.str(), mat_dot.str());
 }
 
-TEST(ViewTest, SubgraphViewMatchesEagerRestriction) {
+TEST(ViewTest, SubgraphStageMatchesEagerRestriction) {
   ProvenanceGraph original = BuildDealershipGraph();
-  std::vector<NodeId> tokens = FindNodes(original, ByLabel(NodeLabel::kToken));
+  Result<GraphSnapshot> snap = GraphSnapshot::Capture(original);
+  LIPSTICK_ASSERT_OK(snap.status());
+  std::vector<NodeId> tokens = FindNodes(*snap, ByLabel(NodeLabel::kToken));
   ASSERT_FALSE(tokens.empty());
   NodeId node = tokens.front();
 
-  Result<GraphSnapshot> snap = GraphSnapshot::Capture(original);
-  LIPSTICK_ASSERT_OK(snap.status());
   auto members = *SubgraphQuery(*snap, node);
-  Result<GraphView> view = SubgraphView(*snap, node, 4);
-  LIPSTICK_ASSERT_OK(view.status());
-  EXPECT_EQ(view->num_visible(), members.size());
-  EXPECT_EQ(view->VisibleSet(), members);
+  GraphView view = GraphView::MakeIdentity(*snap);
+  LIPSTICK_ASSERT_OK(view.ApplySubgraph({node}, true, true));
+  EXPECT_EQ(view.num_visible(), members.size());
+  size_t visible = 0;
+  view.ForEachVisibleNode([&](NodeId id, const GraphView::SyntheticNode*) {
+    EXPECT_TRUE(members.count(id)) << id;
+    ++visible;
+  });
+  EXPECT_EQ(visible, members.size());
 
   // Eager restriction: kill every non-member on a clone and save.
   ProvenanceGraph eager = CloneSealed(original);
@@ -267,7 +258,7 @@ TEST(ViewTest, SubgraphViewMatchesEagerRestriction) {
     if (!members.count(id)) eager.SetAlive(id, false);
   }
   eager.Seal();
-  Result<ProvenanceGraph> materialized = view->Materialize();
+  Result<ProvenanceGraph> materialized = view.Materialize();
   LIPSTICK_ASSERT_OK(materialized.status());
   EXPECT_EQ(SaveBytes(*materialized), SaveBytes(eager));
 
@@ -277,15 +268,15 @@ TEST(ViewTest, SubgraphViewMatchesEagerRestriction) {
   std::ostringstream restricted_dot;
   LIPSTICK_ASSERT_OK(WriteDot(original, restricted_dot, options));
   std::ostringstream view_dot;
-  LIPSTICK_ASSERT_OK(WriteDot(*view, view_dot));
+  LIPSTICK_ASSERT_OK(WriteDot(view, view_dot));
   EXPECT_EQ(view_dot.str(), restricted_dot.str());
 }
 
-TEST(ViewTest, ZoomOutViewOfUnknownModuleFails) {
+TEST(ViewTest, ZoomOutOfUnknownModuleFails) {
   ProvenanceGraph g = BuildDealershipGraph();
   Result<GraphSnapshot> snap = GraphSnapshot::Capture(g);
   LIPSTICK_ASSERT_OK(snap.status());
-  EXPECT_FALSE(ZoomOutView(*snap, {"nonexistent_module"}, 1).ok());
+  EXPECT_FALSE(ZoomedView(*snap, {"nonexistent_module"}, 1).ok());
 }
 
 // ---------------------------------------------------------------------
@@ -299,14 +290,14 @@ TEST(SnapshotStressTest, ConcurrentMixedReadersMatchBaseline) {
   LIPSTICK_ASSERT_OK(snap_or.status());
   const GraphSnapshot& snap = *snap_or;
 
-  std::vector<NodeId> tokens = FindNodes(snap, ByLabel(NodeLabel::kToken), 1);
+  std::vector<NodeId> tokens = FindNodes(snap, ByLabel(NodeLabel::kToken));
   ASSERT_GE(tokens.size(), 2u);
   NodeId probe = tokens.front();
   NodeId other = tokens.back();
 
   // Single-threaded baselines.
   const std::string baseline_zoom_bytes = [&] {
-    Result<GraphView> view = ZoomOutView(snap, {"dealer"}, 1);
+    Result<GraphView> view = ZoomedView(snap, {"dealer"}, 1);
     EXPECT_TRUE(view.ok());
     return SaveBytes(*view->Materialize());
   }();
@@ -324,7 +315,7 @@ TEST(SnapshotStressTest, ConcurrentMixedReadersMatchBaseline) {
       for (int round = 0; round < kRounds; ++round) {
         switch ((t + round) % 4) {
           case 0: {
-            Result<GraphView> view = ZoomOutView(snap, {"dealer"}, 2);
+            Result<GraphView> view = ZoomedView(snap, {"dealer"}, 2);
             if (!view.ok() ||
                 SaveBytes(*view->Materialize()) != baseline_zoom_bytes) {
               mismatches.fetch_add(1);

@@ -11,6 +11,7 @@
 #include "pig/interpreter.h"
 #include "pig/parser.h"
 #include "provenance/graph.h"
+#include "provenance/snapshot.h"
 #include "relational/value.h"
 
 namespace lipstick::testing {
@@ -19,6 +20,12 @@ namespace lipstick::testing {
 /// gtest container matchers.
 inline std::vector<NodeId> ToVec(std::span<const NodeId> ids) {
   return std::vector<NodeId>(ids.begin(), ids.end());
+}
+
+/// A read snapshot of `graph`, sealed or not: the queries that need the
+/// children index check sealing themselves and report kInvalidArgument.
+inline GraphSnapshot Snap(const ProvenanceGraph& graph) {
+  return GraphSnapshot::CaptureForParents(graph);
 }
 
 /// EXPECT that a Status/Result is OK, printing the message otherwise.

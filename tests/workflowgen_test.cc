@@ -12,6 +12,8 @@
 namespace lipstick::workflowgen {
 namespace {
 
+using testing::Snap;
+
 TEST(DealershipTest, WorkflowValidates) {
   DealershipConfig cfg;
   cfg.num_cars = 40;
@@ -155,7 +157,7 @@ TEST(DealershipTest, FineGrainedDependencyStat) {
   }
   ASSERT_NE(sold_output, kInvalidNode);
 
-  auto ancestors = Ancestors(graph, sold_output);
+  auto ancestors = Ancestors(Snap(graph), sold_output);
   size_t state_bases_in_ancestry = 0;
   size_t state_bases_total = 0;
   for (NodeId id : graph.AllNodeIds()) {
@@ -322,7 +324,7 @@ TEST(ArcticTest, WhatIfDeletionOnColdestObservation) {
     }
   }
   ASSERT_NE(used_base, kInvalidNode);
-  auto deleted = *ComputeDeletionSet(graph, {used_base});
+  auto deleted = *ComputeDeletionSet(Snap(graph), {used_base});
   EXPECT_GT(deleted.size(), 1u);
 }
 

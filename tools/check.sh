@@ -27,6 +27,12 @@
 #          machine with:
 #            tools/check.sh perf && python3 tools/bench_compare.py \
 #              compare BENCH_baseline.json build-release/BENCH_results.json --update
+#   perfbench
+#          the end-to-end benchmark's own checks: `perfbench/run.py
+#          --smoke` (builds perfbench/ into .bench_build/ and runs every
+#          workload at smoke scale) and perfbench/test_perfbench.py
+#          (determinism, declared metrics). Catches a library API change
+#          that breaks the benchmark before the benchmark itself runs,
 #   integration
 #          end-to-end serve/connect gate: boots `lipstick serve` on an
 #          ephemeral port, drives a scripted `query --connect` session
@@ -45,7 +51,7 @@
 #   all    every stage, in the order above (the default; coverage and
 #          soak excluded — they rebuild the world and run long, CI runs
 #          them as dedicated jobs).
-# Usage: tools/check.sh [build|asan|tsan|tidy|lint|crash|perf|integration|soak|coverage|all] [extra ctest args...]
+# Usage: tools/check.sh [build|asan|tsan|tidy|lint|crash|perf|perfbench|integration|soak|coverage|all] [extra ctest args...]
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -82,7 +88,7 @@ run_asan() {
 # with num_workers > 1), the lock-free StringPool (provenance_test), the
 # MetricsRegistry + TraceBuffer concurrency tests (obs_test), and the
 # snapshot/traversal read-path stress (snapshot_test: concurrent readers,
-# work-stealing ParallelFor/ParallelReach, lazy views), the plan engine
+# work-stealing ParallelFor, lazy views), the plan engine
 # (plan_test: multi-threaded plan execution + the shared PlanViewCache),
 # and the query service (service_test: accept/session/worker threads, hot
 # reload, concurrent clients).
@@ -227,6 +233,13 @@ run_perf() {
             "${repo}/BENCH_baseline.json" "${build_dir}/BENCH_results.json" ||
       echo "(report-only: set LIPSTICK_PERF_GATE=1 to enforce)"
   fi
+}
+
+run_perfbench() {
+  echo "=== perfbench: smoke run + self-test ==="
+  python3 "${repo}/perfbench/run.py" --smoke
+  python3 "${repo}/perfbench/test_perfbench.py"
+  echo "perfbench stage OK"
 }
 
 run_integration() {
@@ -393,7 +406,7 @@ run_coverage() {
 
 stage="${1:-all}"
 case "${stage}" in
-  build|asan|tsan|tidy|lint|crash|perf|integration|soak|coverage)
+  build|asan|tsan|tidy|lint|crash|perf|perfbench|integration|soak|coverage)
     shift
     CTEST_ARGS=("$@")
     "run_${stage}"
@@ -401,7 +414,7 @@ case "${stage}" in
     ;;
   all) if [[ $# -gt 0 ]]; then shift; fi ;;
   -*|'') ;;  # no stage named: run everything, args go to ctest
-  *) echo "unknown stage '${stage}' (build|asan|tsan|tidy|lint|crash|perf|integration|soak|coverage|all)"; exit 2 ;;
+  *) echo "unknown stage '${stage}' (build|asan|tsan|tidy|lint|crash|perf|perfbench|integration|soak|coverage|all)"; exit 2 ;;
 esac
 
 CTEST_ARGS=("$@")
@@ -412,5 +425,6 @@ run_tidy
 run_lint
 run_crash
 run_perf
+run_perfbench
 run_integration
 echo "All checks passed."

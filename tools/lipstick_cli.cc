@@ -31,7 +31,7 @@
 //                  stats|find|expr|depends|subgraph|zoomout|ping|graphs|
 //                  reload|metricz ... | --batch <queries.txt>
 //
-// Every `query` form accepts `--threads N`: parallel scans and traversals
+// Every `query` form accepts `--threads N`: parallel zoom-planning scans
 // for the one-shot queries, concurrent lines over one shared snapshot for
 // --batch (one read-only query per line — single ops or `|` pipelines;
 // blank lines and # comments skipped, errors report 1-based line numbers).
@@ -1029,37 +1029,36 @@ int CmdQuery(const std::vector<std::string>& args) {
     std::printf("wrote %s\n", out_path.c_str());
     return 0;
   }
-  if (op == "subgraph") {
-    // --out given: build the lazy view once and render it directly —
-    // byte-identical to materializing and rendering the restricted graph.
-    if (rest.size() != 1) return FailUsage();
-    Result<NodeId> id = service::ParseNodeId(rest[0]);
-    if (!id.ok()) return Fail(id.status().ToString());
-    Result<GraphView> view = SubgraphView(*snap, *id, threads);
+  if (op == "subgraph" || op == "zoomout") {
+    // --out given: compose the view the plan engine would run and export
+    // it — subgraph renders dot straight off the view (byte-identical to
+    // rendering the restricted graph), zoomout materializes provio.
+    if (op == "subgraph" ? rest.size() != 1 : rest.empty()) {
+      return FailUsage();
+    }
+    if (op == "subgraph") {
+      Result<NodeId> id = service::ParseNodeId(rest[0]);
+      if (!id.ok()) return Fail(id.status().ToString());
+    }
+    Result<Plan> plan = ParsePlan(op, rest);
+    if (!plan.ok()) return Fail(plan.status().ToString());
+    Result<GraphView> view = BuildPlanView(*snap, *plan, threads);
     if (!view.ok()) return Fail(view.status().ToString());
-    std::printf("subgraph of %llu: %zu nodes\n",
-                static_cast<unsigned long long>(*id), view->num_visible());
-    Status st = WriteDotToFile(*view, out_path);
+    const PlanOp& stage = plan->ops.front();
+    Status st;
+    if (op == "subgraph") {
+      std::printf("subgraph of %llu: %zu nodes\n",
+                  static_cast<unsigned long long>(stage.nodes.front()),
+                  view->num_visible());
+      st = WriteDotToFile(*view, out_path);
+    } else {
+      std::printf("zoomed out of %zu module(s); %zu nodes remain\n",
+                  stage.modules.size(), view->num_visible());
+      Result<ProvenanceGraph> zoomed = view->Materialize();
+      st = zoomed.ok() ? SaveGraphToFile(*zoomed, out_path) : zoomed.status();
+    }
     if (!st.ok()) return Fail(st.ToString());
     std::printf("wrote %s\n", out_path.c_str());
-    return 0;
-  }
-  if (op == "zoomout") {
-    if (rest.empty()) return FailUsage();
-    // Lazy: plan the collapse as a view; the standalone zoomed graph is
-    // materialized only when --out asks for it.
-    Result<GraphView> view =
-        ZoomOutView(*snap, {rest.begin(), rest.end()}, threads);
-    if (!view.ok()) return Fail(view.status().ToString());
-    std::printf("zoomed out of %zu module(s); %zu nodes remain\n",
-                rest.size(), view->num_visible());
-    if (!out_path.empty()) {
-      Result<ProvenanceGraph> zoomed = view->Materialize();
-      if (!zoomed.ok()) return Fail(zoomed.status().ToString());
-      Status st = SaveGraphToFile(*zoomed, out_path);
-      if (!st.ok()) return Fail(st.ToString());
-      std::printf("wrote %s\n", out_path.c_str());
-    }
     return 0;
   }
   if (op == "opm") {
@@ -1084,7 +1083,7 @@ int CmdQuery(const std::vector<std::string>& args) {
   if (!dot.is_open()) {
     return Fail(StrCat("cannot open ", out_path, " for writing"));
   }
-  Status st = WriteDot(*snap, dot);
+  Status st = WriteDot(GraphView::MakeIdentity(*snap), dot);
   if (!st.ok()) return Fail(st.ToString());
   std::printf("wrote %s\n", out_path.c_str());
   return 0;
