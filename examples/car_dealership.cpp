@@ -66,8 +66,7 @@ int main() {
     std::printf("no sale happened; nothing to analyze\n");
     return 0;
   }
-  // Queries read an immutable snapshot; it stays valid until the zoom
-  // below mutates the graph.
+  // Queries read an immutable snapshot; no query mutates the graph.
   auto snap = GraphSnapshot::Capture(graph);
   Check(snap.status());
   auto ancestors = Ancestors(*snap, sale);
@@ -122,13 +121,13 @@ int main() {
   // Zoom out of everything except the aggregator: an analyst studying how
   // the best bid was computed keeps Magg fine-grained and views the rest
   // coarsely.
-  Zoomer zoomer(&graph);
+  Zoomer zoomer(*snap);
   Check(zoomer.ZoomOut({"dealer", "request", "choice", "and", "xor", "car"}));
   std::printf(
       "\nzoomed out of everything but the aggregator: %zu nodes remain\n",
-      graph.num_alive());
+      zoomer.view().num_visible());
   Check(zoomer.ZoomIn({"dealer"}));
   std::printf("zoomed back into the dealerships: %zu nodes\n",
-              graph.num_alive());
+              zoomer.view().num_visible());
   return 0;
 }

@@ -77,8 +77,7 @@ int main() {
 
   // 4. Inspect the provenance graph.
   graph.Seal();
-  // Queries read an immutable snapshot; it stays valid until the zoom
-  // below mutates the graph.
+  // Queries read an immutable snapshot; no query mutates the graph.
   auto snap = GraphSnapshot::Capture(graph);
   Check(snap.status());
   std::printf("\nprovenance graph: %zu nodes, %zu edges, %zu invocations\n",
@@ -107,13 +106,14 @@ int main() {
   std::printf("last total's existence depends on it: %s\n",
               *DependsOn(*snap, last_total, first_input) ? "yes" : "no");
 
-  // 6. ZoomOut hides the stats module's internals; ZoomIn restores them.
-  Zoomer zoomer(&graph);
-  size_t fine = graph.num_alive();
+  // 6. ZoomOut hides the stats module's internals in a view of the
+  //    snapshot; ZoomIn restores them.
+  Zoomer zoomer(*snap);
+  size_t fine = zoomer.view().num_visible();
   Check(zoomer.ZoomOut({"stats"}));
   std::printf("zoom-out on 'stats': %zu -> %zu alive nodes\n", fine,
-              graph.num_alive());
+              zoomer.view().num_visible());
   Check(zoomer.ZoomIn({"stats"}));
-  std::printf("zoom-in restores %zu nodes\n", graph.num_alive());
+  std::printf("zoom-in restores %zu nodes\n", zoomer.view().num_visible());
   return 0;
 }

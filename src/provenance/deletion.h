@@ -24,11 +24,6 @@ namespace lipstick {
 Result<std::unordered_set<NodeId>> ComputeDeletionSet(
     const GraphSnapshot& snap, const std::vector<NodeId>& seeds);
 
-/// Applies ComputeDeletionSet and materializes it: deleted nodes are marked
-/// dead and the graph is re-sealed. Returns the number of deleted nodes.
-/// Fails with kInvalidArgument if the graph is not sealed.
-Result<size_t> PropagateDeletion(ProvenanceGraph* graph, NodeId seed);
-
 /// Dependency query (Section 4.3): does the existence of `target` depend on
 /// the existence of `source`? Answered by checking whether `target` is
 /// deleted when the deletion of `source` is propagated (DependsOnSet with

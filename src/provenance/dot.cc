@@ -54,8 +54,7 @@ NodeFacts FactsOf(const GraphView::SyntheticNode& z) {
   return f;
 }
 
-void EmitLabelText(std::ostream& os, const NodeFacts& f, bool show_id,
-                   NodeId id) {
+void EmitLabelText(std::ostream& os, const NodeFacts& f) {
   const char* role = nullptr;
   switch (f.role) {
     case NodeRole::kModuleInput:
@@ -116,7 +115,6 @@ void EmitLabelText(std::ostream& os, const NodeFacts& f, bool show_id,
       os << '>';
       break;
   }
-  if (show_id) os << " #" << id;
 }
 
 const char* NodeStyle(const NodeFacts& f) {
@@ -146,13 +144,8 @@ const char* NodeStyle(const NodeFacts& f) {
 /// The renderer. Rendering a view is byte-identical to materializing it
 /// first, because a view's iteration order *is* the materialized graph's
 /// ForEachNode order.
-Status WriteDot(const GraphView& view, std::ostream& os,
-                const DotOptions& options) {
+Status WriteDot(const GraphView& view, std::ostream& os) {
   const GraphSnapshot& snap = view.snapshot();
-  auto included = [&](NodeId id) {
-    if (!view.VisibleOrSynthetic(id)) return false;
-    return options.subset.empty() || options.subset.count(id) > 0;
-  };
   auto facts = [&](NodeId id) {
     return view.IsSynthetic(id)
                ? FactsOf(view.synthetic_nodes()[view.SyntheticIndex(id)])
@@ -166,10 +159,8 @@ Status WriteDot(const GraphView& view, std::ostream& os,
   std::vector<NodeId> unclustered;
   const std::vector<InvocationInfo>& invocations = snap.invocations();
   view.ForEachVisibleNode([&](NodeId id, const GraphView::SyntheticNode*) {
-    if (!included(id)) return;
     uint32_t inv = facts(id).invocation;
-    if (options.cluster_by_invocation && inv != kNoInvocation &&
-        inv < invocations.size()) {
+    if (inv != kNoInvocation && inv < invocations.size()) {
       by_invocation[inv].push_back(id);
     } else {
       unclustered.push_back(id);
@@ -179,7 +170,7 @@ Status WriteDot(const GraphView& view, std::ostream& os,
   auto emit_node = [&](NodeId id) {
     NodeFacts f = facts(id);
     os << "    n" << id << " [label=\"";
-    EmitLabelText(os, f, options.show_ids, id);
+    EmitLabelText(os, f);
     os << "\"," << NodeStyle(f) << "];\n";
   };
 
@@ -196,9 +187,8 @@ Status WriteDot(const GraphView& view, std::ostream& os,
   os << "  }\n";
 
   view.ForEachVisibleNode([&](NodeId id, const GraphView::SyntheticNode*) {
-    if (!included(id)) return;
     for (NodeId p : view.ParentsOf(id)) {
-      if (!included(p)) continue;
+      if (!view.VisibleOrSynthetic(p)) continue;
       os << "  n" << p << " -> n" << id << ";\n";
     }
   });
@@ -207,29 +197,12 @@ Status WriteDot(const GraphView& view, std::ostream& os,
   return Status::OK();
 }
 
-Status WriteDot(const ProvenanceGraph& graph, std::ostream& os,
-                const DotOptions& options) {
-  // Rendering reads parent edges only, so unsealed graphs stay writable.
-  GraphSnapshot snap = GraphSnapshot::CaptureForParents(graph);
-  return WriteDot(GraphView::MakeIdentity(snap), os, options);
-}
-
-Status WriteDotToFile(const ProvenanceGraph& graph, const std::string& path,
-                      const DotOptions& options) {
+Status WriteDotToFile(const GraphView& view, const std::string& path) {
   std::ofstream out(path);
   if (!out.is_open()) {
     return Status::IOError(StrCat("cannot open ", path, " for writing"));
   }
-  return WriteDot(graph, out, options);
-}
-
-Status WriteDotToFile(const GraphView& view, const std::string& path,
-                      const DotOptions& options) {
-  std::ofstream out(path);
-  if (!out.is_open()) {
-    return Status::IOError(StrCat("cannot open ", path, " for writing"));
-  }
-  return WriteDot(view, out, options);
+  return WriteDot(view, out);
 }
 
 }  // namespace lipstick

@@ -176,13 +176,6 @@ NodeId ShardWriter::BlackBox(std::string function,
                 current_invocation_, graph_->pool_.Intern(function), parents);
 }
 
-NodeId ShardWriter::ZoomedModule(std::string_view module,
-                                 std::vector<NodeId> parents,
-                                 uint32_t invocation) {
-  return Append(NodeLabel::kZoomedModule, NodeRole::kZoom, kAliveFlag,
-                invocation, graph_->pool_.Intern(module), parents);
-}
-
 NodeId ShardWriter::Restore(const NodeRecord& record) {
   uint32_t flags = (record.alive ? kAliveFlag : 0) |
                    (record.is_value_node ? kValueNodeFlag : 0);
@@ -336,48 +329,6 @@ void ProvenanceGraph::SetParents(NodeId id, std::span<const NodeId> parents) {
   StoreParents(shards_[s], i, parents);
   sealed_ = false;
   if (GraphWalSink* sink = wal_sink_) sink->OnSetParents(id, parents);
-}
-
-void ProvenanceGraph::AddParent(NodeId id, NodeId parent) {
-  uint32_t s = NodeShard(id);
-  uint64_t i = NodeIndex(id);
-  LIPSTICK_DCHECK(id != kInvalidNode && s < shards_.size() &&
-                      i < shards_[s].size(),
-                  "AddParent: node id out of range");
-  NodeColumns& sh = shards_[s];
-  ParentSlot& slot = sh.parents[i];
-  if (slot.count < kInlineParents) {
-    slot.ab[slot.count++] = parent;
-  } else if (slot.count == kInlineParents) {
-    // Spills to the arena: copy the inline pair, then the new edge.
-    uint64_t offset = sh.edge_arena.size();
-    sh.edge_arena.push_back(slot.ab[0]);
-    sh.edge_arena.push_back(slot.ab[1]);
-    sh.edge_arena.push_back(parent);
-    slot.ab[0] = offset;
-    slot.ab[1] = kInvalidNode;
-    slot.count = 3;
-  } else if (slot.ab[0] + slot.count == sh.edge_arena.size()) {
-    // Slot already sits at the arena tail: grow in place.
-    sh.edge_arena.push_back(parent);
-    ++slot.count;
-  } else {
-    uint64_t offset = sh.edge_arena.size();
-    sh.edge_arena.insert(sh.edge_arena.end(),
-                         sh.edge_arena.begin() + slot.ab[0],
-                         sh.edge_arena.begin() + slot.ab[0] + slot.count);
-    sh.edge_arena.push_back(parent);
-    slot.ab[0] = offset;
-    ++slot.count;
-  }
-  sealed_ = false;
-  if (GraphWalSink* sink = wal_sink_) {
-    sink->OnSetParents(id, sh.ParentSpan(i));
-  }
-}
-
-void ProvenanceGraph::ClearParents(NodeId id) {
-  SetParents(id, {});
 }
 
 void ProvenanceGraph::SetRole(NodeId id, NodeRole role) {

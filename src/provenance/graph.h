@@ -245,8 +245,7 @@ class GraphWalSink {
                             std::span<const NodeId> parents) = 0;
   /// A v-node received (or replaced) its carried value.
   virtual void OnNodeValue(NodeId id, const Value& value) = 0;
-  /// The parent list of `id` was replaced (SetParents / AddParent /
-  /// ClearParents all report the resulting full list).
+  /// The parent list of `id` was replaced by SetParents.
   virtual void OnSetParents(NodeId id, std::span<const NodeId> parents) = 0;
   virtual void OnSetAlive(NodeId id, bool alive) = 0;
   /// Every node of `shard` with index >= `from` was marked dead.
@@ -290,9 +289,6 @@ class ShardWriter {
   NodeId ConstValue(Value v);
   /// Black-box (UDF) node.
   NodeId BlackBox(std::string function, std::vector<NodeId> parents);
-  /// Collapsed-module p-node appended by ZoomOut.
-  NodeId ZoomedModule(std::string_view module, std::vector<NodeId> parents,
-                      uint32_t invocation);
 
   /// Appends a node with every field explicit (deserialization path).
   NodeId Restore(const NodeRecord& record);
@@ -460,17 +456,15 @@ class ProvenanceGraph {
   std::vector<NodeId> AllNodeIds() const;
 
   /// ------------------------------------------------------------------
-  /// Mutation API (zoom / deletion / restore paths).
+  /// Mutation API after tracking: what WAL replay applies. No query
+  /// mutates a graph; zoom, deletion and restriction are views
+  /// (provenance/view.h).
   /// ------------------------------------------------------------------
 
   /// Marks a node alive or dead. Dirties the seal.
   void SetAlive(NodeId id, bool alive);
   /// Replaces the parent list of `id`. Dirties the seal.
   void SetParents(NodeId id, std::span<const NodeId> parents);
-  /// Appends one parent edge to `id`. Dirties the seal.
-  void AddParent(NodeId id, NodeId parent);
-  /// Removes all parent edges of `id`. Dirties the seal.
-  void ClearParents(NodeId id);
 
   /// Column pokes for tools and validator tests that need to fabricate
   /// specific (possibly corrupt) node states. They do not touch

@@ -1,12 +1,9 @@
 #include "provenance/opm.h"
 
-#include <fstream>
 #include <ostream>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
-
-#include "common/str_util.h"
 
 namespace lipstick {
 
@@ -131,21 +128,6 @@ Status WriteOpmXml(const GraphSnapshot& snap, std::ostream& os) {
   os << "  </causalDependencies>\n</opmGraph>\n";
   if (!os.good()) return Status::IOError("OPM write failed");
   return Status::OK();
-}
-
-Status WriteOpmXml(const ProvenanceGraph& graph, std::ostream& os) {
-  // The export touches parent edges only, so unsealed graphs work too.
-  GraphSnapshot snap = GraphSnapshot::CaptureForParents(graph);
-  return WriteOpmXml(snap, os);
-}
-
-Status WriteOpmXmlToFile(const ProvenanceGraph& graph,
-                         const std::string& path) {
-  std::ofstream out(path);
-  if (!out.is_open()) {
-    return Status::IOError(StrCat("cannot open ", path, " for writing"));
-  }
-  return WriteOpmXml(graph, out);
 }
 
 }  // namespace lipstick

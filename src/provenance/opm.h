@@ -2,10 +2,8 @@
 #define LIPSTICK_PROVENANCE_OPM_H_
 
 #include <iosfwd>
-#include <string>
 
 #include "common/status.h"
-#include "provenance/graph.h"
 #include "provenance/snapshot.h"
 
 namespace lipstick {
@@ -25,10 +23,9 @@ namespace lipstick {
 /// have no OPM counterpart and are omitted — which is precisely the
 /// information loss the paper's model repairs; exporting makes the
 /// difference inspectable.
+/// Reads parent edges only, so a parent-only snapshot of an unsealed
+/// graph (GraphSnapshot::CaptureForParents) exports too.
 Status WriteOpmXml(const GraphSnapshot& snap, std::ostream& os);
-Status WriteOpmXml(const ProvenanceGraph& graph, std::ostream& os);
-Status WriteOpmXmlToFile(const ProvenanceGraph& graph,
-                         const std::string& path);
 
 }  // namespace lipstick
 

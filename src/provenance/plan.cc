@@ -9,6 +9,16 @@ namespace lipstick {
 
 namespace {
 
+/// Parses a decimal node id ("bad node id '...'" on garbage).
+Result<NodeId> ParsePlanNodeId(const std::string& s) {
+  char* end = nullptr;
+  NodeId id = std::strtoull(s.c_str(), &end, 10);
+  if (end == s.c_str() || *end != '\0') {
+    return Status::InvalidArgument(StrCat("bad node id '", s, "'"));
+  }
+  return id;
+}
+
 /// Splits one token at '|' boundaries, emitting the pieces and a bare "|"
 /// separator token for each pipe, so "a|b" tokenizes like "a | b".
 void SplitPipes(const std::string& token, std::vector<std::string>* out) {
@@ -123,11 +133,8 @@ const char* SubgraphDirName(SubgraphDir dir) {
 }
 
 /// Parses one pipeline stage (op name + operand tokens) into a PlanOp.
-/// `single_stage` preserves the legacy single-op surface: "delete" is not
-/// a standalone read query (the CLI owns the mutating form), and unknown
-/// operations report the historical error string.
-Result<PlanOp> ParseStage(const std::vector<std::string>& stage,
-                          bool single_stage) {
+/// Unknown operations report the historical error string.
+Result<PlanOp> ParseStage(const std::vector<std::string>& stage) {
   const std::string& op = stage[0];
   std::vector<std::string> rest(stage.begin() + 1, stage.end());
   PlanOp out;
@@ -197,7 +204,7 @@ Result<PlanOp> ParseStage(const std::vector<std::string>& stage,
     std::sort(out.modules.begin(), out.modules.end());
     return out;
   }
-  if (op == "delete" && !single_stage) {
+  if (op == "delete") {
     if (rest.size() != 1) {
       return Status::InvalidArgument("delete needs one node id list");
     }
@@ -214,15 +221,6 @@ Result<PlanOp> ParseStage(const std::vector<std::string>& stage,
 }
 
 }  // namespace
-
-Result<NodeId> ParsePlanNodeId(const std::string& s) {
-  char* end = nullptr;
-  NodeId id = std::strtoull(s.c_str(), &end, 10);
-  if (end == s.c_str() || *end != '\0') {
-    return Status::InvalidArgument(StrCat("bad node id '", s, "'"));
-  }
-  return id;
-}
 
 bool PatternAtom::Matches(NodeLabel l, NodeRole r, std::string_view p) const {
   switch (kind) {
@@ -332,13 +330,12 @@ Result<Plan> ParsePlan(const std::string& op,
   if (stages.size() == 1 && stages[0].empty()) {
     return Status::InvalidArgument("unknown query operation ''");
   }
-  bool single_stage = stages.size() == 1;
   Plan plan;
   for (size_t i = 0; i < stages.size(); ++i) {
     if (stages[i].empty()) {
       return Status::InvalidArgument("empty pipeline stage");
     }
-    Result<PlanOp> stage_op = ParseStage(stages[i], single_stage);
+    Result<PlanOp> stage_op = ParseStage(stages[i]);
     if (!stage_op.ok()) return stage_op.status();
     if (!stage_op->IsViewOp() && i + 1 != stages.size()) {
       return Status::InvalidArgument(

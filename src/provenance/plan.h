@@ -113,10 +113,6 @@ struct Plan {
 Result<Plan> ParsePlan(const std::string& op,
                        const std::vector<std::string>& args);
 
-/// Parses a decimal node id ("bad node id '...'" on garbage). Shared by
-/// the plan parser and the CLI's mutating delete path.
-Result<NodeId> ParsePlanNodeId(const std::string& s);
-
 }  // namespace lipstick
 
 #endif  // LIPSTICK_PROVENANCE_PLAN_H_

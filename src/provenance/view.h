@@ -21,8 +21,9 @@ namespace lipstick {
 /// GraphSnapshot plus, for zoom, synthetic collapsed module nodes and
 /// parent rewirings. Nothing is copied or mutated when a view is built —
 /// the view materializes into a standalone ProvenanceGraph only on export,
-/// and materialization is byte-identical (provio v2) to what the eager,
-/// mutating operator produces.
+/// and materialization is byte-identical (provio v2) to applying the
+/// operator to a copy of the graph by mutation (the eager references in
+/// tests/reference_terminals.h). No query mutates a graph.
 ///
 /// The identity view (MakeIdentity) is the one read surface of the
 /// provenance layer: every read operator — the stages below, deletion

@@ -1,9 +1,9 @@
 #include "provenance/zoom.h"
 
 #include <algorithm>
-#include <array>
 #include <utility>
 
+#include "common/check.h"
 #include "common/str_util.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -75,9 +75,8 @@ Result<ZoomPlan> PlanZoomOut(const GraphSnapshot& snap,
                              const std::string& module,
                              VisitedSet& removed_so_far, int num_threads) {
   // A node is live for this plan iff it is alive in the snapshot and not
-  // removed by a previously planned module of the same zoom. The eager path
-  // re-seals between modules, so "dead in the graph" and "marked in
-  // removed_so_far" are the same predicate there.
+  // removed by a previously planned module of the same zoom (or hidden by
+  // the view the zoom is applied to).
   auto live = [&](NodeId id) {
     return snap.Contains(id) && !removed_so_far.Test(id);
   };
@@ -178,8 +177,8 @@ Result<ZoomPlan> PlanZoomOut(const GraphSnapshot& snap,
   std::sort(plan.removed.begin(), plan.removed.end());
 
   // Pass 4: per invocation, the collapsed module p-node's inputs and the
-  // outputs to rewire through it. Input/output/m nodes are never in any
-  // removal set, so live() here matches the eager path's Contains().
+  // outputs to rewire through it. Input/output/m nodes are never in a
+  // zoom's removal set; live() drops only those an earlier stage hid.
   for (uint32_t inv_id : inv_ids) {
     const InvocationInfo& inv = snap.invocations()[inv_id];
     ZoomInvocationPlan ip;
@@ -205,49 +204,18 @@ Status Zoomer::ZoomOut(const std::set<std::string>& module_names) {
   obs::ScopedHistTimer obs_timer(kZoomOutUs);
   span.Arg("modules", static_cast<uint64_t>(module_names.size()));
 
-  if (!graph_->sealed()) graph_->Seal();
-  auto writer = graph_->writer();
-
+  std::vector<std::string> group;
   for (const std::string& module : module_names) {
-    if (IsZoomedOut(module)) continue;
-    // Collapsing the previous module appended zoom nodes, which dirties
-    // the children adjacency this module's passes read.
-    if (!graph_->sealed()) graph_->Seal();
-    Result<GraphSnapshot> snap = GraphSnapshot::Capture(*graph_);
-    if (!snap.ok()) return snap.status();
-    VisitedLease removed = snap->AcquireVisited();
-    Result<internal::ZoomPlan> plan =
-        internal::PlanZoomOut(*snap, module, *removed, num_threads_);
-    if (!plan.ok()) return plan.status();
-
-    // Apply: append the collapsed p-nodes, rewire outputs, kill removals.
-    std::vector<InvocationDetail> details;
-    for (internal::ZoomInvocationPlan& ip : plan->invocations) {
-      InvocationDetail detail;
-      detail.invocation = ip.invocation;
-      // Appending via the writer keeps id allocation uniform.
-      detail.zoom_node =
-          writer.ZoomedModule(module, std::move(ip.zoom_parents),
-                              ip.invocation);
-      for (NodeId out : ip.outputs) {
-        std::span<const NodeId> old = graph_->ParentsOf(out);
-        detail.output_parents.emplace_back(
-            out, std::vector<NodeId>(old.begin(), old.end()));
-        std::array<NodeId, 2> rewired{detail.zoom_node, ip.m_node};
-        graph_->SetParents(out, rewired);
-      }
-      details.push_back(std::move(detail));
-    }
-
-    // Record removals on the module's first detail entry for restoration.
-    for (NodeId id : plan->removed) graph_->SetAlive(id, false);
-    if (!details.empty()) {
-      details.front().removed = std::move(plan->removed);
-    }
-    store_[module] = std::move(details);
+    if (!IsZoomedOut(module)) group.push_back(module);
   }
-
-  graph_->Seal();
+  if (group.empty()) return Status::OK();
+  Status st = view_.ApplyZoomOut(group, /*num_threads=*/1);
+  if (!st.ok()) {
+    // The failed stage may have collapsed some of the group's modules.
+    view_ = Rebuild();
+    return st;
+  }
+  groups_.push_back(std::move(group));
   return Status::OK();
 }
 
@@ -259,30 +227,49 @@ Status Zoomer::ZoomIn(const std::set<std::string>& module_names) {
   span.Arg("modules", static_cast<uint64_t>(module_names.size()));
 
   for (const std::string& module : module_names) {
-    auto it = store_.find(module);
-    if (it == store_.end()) {
+    if (!IsZoomedOut(module)) {
       return Status::InvalidArgument(
           StrCat("module '", module, "' is not zoomed out"));
     }
-    for (const InvocationDetail& detail : it->second) {
-      for (NodeId id : detail.removed) graph_->SetAlive(id, true);
-      for (const auto& [out, parents] : detail.output_parents) {
-        graph_->SetParents(out, parents);
-      }
-      graph_->SetAlive(detail.zoom_node, false);
-    }
-    store_.erase(it);
   }
-  graph_->Seal();
+  for (std::vector<std::string>& group : groups_) {
+    std::erase_if(group, [&](const std::string& module) {
+      return module_names.count(module) > 0;
+    });
+  }
+  std::erase_if(groups_, [](const std::vector<std::string>& group) {
+    return group.empty();
+  });
+  view_ = Rebuild();
   return Status::OK();
 }
 
 Status Zoomer::ZoomOutAll() {
+  const GraphSnapshot& snap = view_.snapshot();
   std::set<std::string> names;
-  for (const InvocationInfo& inv : graph_->invocations()) {
-    names.insert(std::string(graph_->str(inv.module_name)));
+  for (const InvocationInfo& inv : snap.invocations()) {
+    names.insert(std::string(snap.str(inv.module_name)));
   }
   return ZoomOut(names);
+}
+
+bool Zoomer::IsZoomedOut(const std::string& module_name) const {
+  for (const std::vector<std::string>& group : groups_) {
+    if (std::find(group.begin(), group.end(), module_name) != group.end()) {
+      return true;
+    }
+  }
+  return false;
+}
+
+GraphView Zoomer::Rebuild() const {
+  GraphView view = GraphView::MakeIdentity(view_.snapshot());
+  for (const std::vector<std::string>& group : groups_) {
+    // Every group succeeded on this snapshot before, in this order.
+    LIPSTICK_CHECK(view.ApplyZoomOut(group, /*num_threads=*/1).ok(),
+                   "re-applying a zoom group failed");
+  }
+  return view;
 }
 
 }  // namespace lipstick

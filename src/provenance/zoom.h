@@ -1,7 +1,6 @@
 #ifndef LIPSTICK_PROVENANCE_ZOOM_H_
 #define LIPSTICK_PROVENANCE_ZOOM_H_
 
-#include <map>
 #include <set>
 #include <string>
 #include <unordered_set>
@@ -11,6 +10,7 @@
 #include "common/status.h"
 #include "provenance/graph.h"
 #include "provenance/snapshot.h"
+#include "provenance/view.h"
 
 namespace lipstick {
 
@@ -36,9 +36,9 @@ struct ZoomInvocationPlan {
 };
 
 /// The full effect of collapsing one module, computed without mutating
-/// anything. Shared by the eager Zoomer (which applies it to the graph)
-/// and GraphView::ApplyZoomOut (which keeps it as a view); computing both
-/// from one planner keeps the two paths equivalent by construction.
+/// anything. GraphView::ApplyZoomOut keeps it as a view; the eager
+/// reference the tests compare views with (tests/reference_terminals.h)
+/// applies the same plan to a graph.
 struct ZoomPlan {
   std::vector<NodeId> removed;  // intermediates + state (+ base tokens)
   std::vector<ZoomInvocationPlan> invocations;
@@ -57,7 +57,8 @@ Result<ZoomPlan> PlanZoomOut(const GraphSnapshot& snap,
 
 }  // namespace internal
 
-/// Implements the ZoomOut / ZoomIn graph transformations of Section 4.1.
+/// Implements the ZoomOut / ZoomIn graph transformations of Section 4.1
+/// as lazy views over one snapshot.
 ///
 /// ZoomOut(M) removes, for every invocation of every module named in M, all
 /// intermediate-computation nodes and state nodes (plus state-base tokens
@@ -66,17 +67,20 @@ Result<ZoomPlan> PlanZoomOut(const GraphSnapshot& snap,
 /// invocations of a module may share state, ZoomOut always applies to all
 /// invocations of a module, never a proper subset.
 ///
-/// The removed structure is retained in this object (the "detail store") so
-/// that ZoomIn is an exact inverse: ZoomIn(ZoomOut(G, M), M) == G.
-///
-/// This is the eager, mutating form; for concurrent read-only zooming over
-/// one snapshot, see GraphView::ApplyZoomOut (provenance/view.h).
+/// Nothing is mutated: the zoomer keeps the zoom groups applied so far and
+/// one GraphView composed from them with GraphView::ApplyZoomOut. ZoomIn
+/// rebuilds the view from the identity view and re-applies the remaining
+/// groups in their original order, so ZoomIn(ZoomOut(G, M), M) == G. The
+/// snapshot must outlive the zoomer.
 class Zoomer {
  public:
-  explicit Zoomer(ProvenanceGraph* graph) : graph_(graph) {}
+  explicit Zoomer(const GraphSnapshot& snap)
+      : view_(GraphView::MakeIdentity(snap)) {}
 
-  /// Collapses all invocations of the given module names. Modules already
-  /// zoomed out are ignored. Re-seals the graph.
+  /// Collapses all invocations of the given module names as one zoom
+  /// group. Modules already zoomed out are ignored. A failed ZoomOut
+  /// (kNotFound for a module without live invocations, kInvalidArgument
+  /// on an unsealed graph) leaves the zoomer unchanged.
   Status ZoomOut(const std::set<std::string>& module_names);
 
   /// Restores all invocations of the given module names. It is an error to
@@ -86,25 +90,19 @@ class Zoomer {
   /// Convenience: zoom out every module, producing the coarse-grained view.
   Status ZoomOutAll();
 
-  bool IsZoomedOut(const std::string& module_name) const {
-    return store_.count(module_name) > 0;
-  }
+  bool IsZoomedOut(const std::string& module_name) const;
 
-  /// Worker count for the planning column scans (1 = sequential).
-  void set_num_threads(int n) { num_threads_ = n < 1 ? 1 : n; }
+  /// The current zoom level, as a view over the snapshot.
+  const GraphView& view() const { return view_; }
+  /// The current zoom level as a standalone sealed graph.
+  Result<ProvenanceGraph> Materialize() const { return view_.Materialize(); }
 
  private:
-  struct InvocationDetail {
-    uint32_t invocation = 0;
-    NodeId zoom_node = kInvalidNode;
-    std::vector<NodeId> removed;  // intermediates + state (+ base tokens)
-    // Original parent lists of the invocation's output nodes.
-    std::vector<std::pair<NodeId, std::vector<NodeId>>> output_parents;
-  };
+  /// The identity view with every applied group re-applied in order.
+  GraphView Rebuild() const;
 
-  ProvenanceGraph* graph_;
-  std::map<std::string, std::vector<InvocationDetail>> store_;
-  int num_threads_ = 1;
+  std::vector<std::vector<std::string>> groups_;
+  GraphView view_;
 };
 
 }  // namespace lipstick

@@ -99,17 +99,10 @@ std::string RenderExplainJson(const ParsedQuery& parsed,
 
 bool IsReadQueryOp(const std::string& op) {
   std::string head = HeadOf(op);
-  if (head == "stats" || head == "find" || head == "expr" ||
-      head == "depends" || head == "subgraph" || head == "zoomout" ||
-      head == "restrict" || head == "explain") {
-    return true;
-  }
-  // `delete` is read-only as a pipeline view stage; the bare op is the
-  // CLI's mutating subcommand.
-  return head == "delete" && op.find('|') != std::string::npos;
+  return head == "stats" || head == "find" || head == "expr" ||
+         head == "depends" || head == "subgraph" || head == "zoomout" ||
+         head == "restrict" || head == "delete" || head == "explain";
 }
-
-Result<NodeId> ParseNodeId(const std::string& s) { return ParsePlanNodeId(s); }
 
 Result<ParsedQuery> ParseQuery(const std::string& op,
                                const std::vector<std::string>& args) {

@@ -16,13 +16,9 @@ namespace lipstick::service {
 
 /// True when `op` names (or begins) a read-only query the service router
 /// and the local CLI dispatch through the plan engine: the single-op forms
-/// (stats, find, expr, depends, subgraph, zoomout, restrict), a
-/// `|`-pipeline carried whole in the op field (where `delete` is the
-/// non-mutating deletion-propagation view stage), and `explain`.
+/// (stats, find, expr, depends, subgraph, zoomout, restrict, delete), a
+/// `|`-pipeline carried whole in the op field, and `explain`.
 bool IsReadQueryOp(const std::string& op);
-
-/// Parses a decimal node id ("bad node id '...'" on garbage).
-Result<NodeId> ParseNodeId(const std::string& s);
 
 /// A read request after parsing + optimization: what every query surface
 /// (CLI one-shot, `query --batch`, the serve daemon) executes, and the

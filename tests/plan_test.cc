@@ -84,11 +84,9 @@ TEST(PlanParseTest, PipelineSplitsOnPipes) {
 TEST(PlanParseTest, SubgraphDirectionAndDeleteStage) {
   EXPECT_EQ(MustParse("subgraph", {"9,7", "up"}).Canonical(),
             "subgraph(7,9;up)");
-  // delete is only a pipeline view stage; bare `delete` stays the CLI's
-  // mutating subcommand.
+  // delete is a view stage everywhere, alone or in a pipeline.
   EXPECT_EQ(MustParse("delete 42 | stats").Canonical(), "delete(42)|stats");
-  EXPECT_EQ(ParseError("delete", {"42"}),
-            "unknown query operation 'delete'");
+  EXPECT_EQ(MustParse("delete", {"42"}).Canonical(), "delete(42)");
 }
 
 TEST(PlanParseTest, ErrorsMatchLegacyStrings) {
@@ -404,7 +402,8 @@ TEST_F(PlanEquivalenceTest, DotAndProvioExportsMatchNaiveMaterialization) {
   // stage-by-stage materialized graph.
   std::ostringstream fused_dot, naive_dot;
   LIPSTICK_ASSERT_OK(WriteDot(*view, fused_dot));
-  LIPSTICK_ASSERT_OK(WriteDot(*naive_final, naive_dot));
+  LIPSTICK_ASSERT_OK(WriteDot(
+      GraphView::MakeIdentity(testing::Snap(*naive_final)), naive_dot));
   EXPECT_EQ(fused_dot.str(), naive_dot.str());
 
   // Provio: materializing the composed view == the naive chain.

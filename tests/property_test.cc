@@ -95,16 +95,18 @@ TEST_P(DealershipPropertyTest, SerializationRoundTrips) {
 
 TEST_P(DealershipPropertyTest, ZoomRoundTripPreservesAliveCount) {
   size_t before = graph_.num_alive();
-  Zoomer zoomer(&graph_);
+  GraphSnapshot snap = Snap(graph_);
+  Zoomer zoomer(snap);
   LIPSTICK_ASSERT_OK(zoomer.ZoomOutAll());
-  size_t coarse = graph_.num_alive();
+  size_t coarse = zoomer.view().num_visible();
   EXPECT_LT(coarse, before);
+  EXPECT_EQ(zoomer.Materialize()->num_alive(), coarse);
   std::set<std::string> modules;
   for (const InvocationInfo& inv : graph_.invocations()) {
     modules.insert(std::string(graph_.str(inv.module_name)));
   }
   LIPSTICK_ASSERT_OK(zoomer.ZoomIn(modules));
-  EXPECT_EQ(graph_.num_alive(), before);
+  EXPECT_EQ(zoomer.view().num_visible(), before);
 }
 
 TEST_P(DealershipPropertyTest, ZoomCoarseningConnectivity) {
@@ -125,18 +127,22 @@ TEST_P(DealershipPropertyTest, ZoomCoarseningConnectivity) {
     }
   }
 
-  Zoomer zoomer(&graph_);
+  GraphSnapshot snap = Snap(graph_);
+  Zoomer zoomer(snap);
   LIPSTICK_ASSERT_OK(zoomer.ZoomOutAll());
+  Result<ProvenanceGraph> materialized = zoomer.Materialize();
+  LIPSTICK_ASSERT_OK(materialized.status());
+  const ProvenanceGraph& coarse = *materialized;
 
   // (1) Within each invocation, the coarse view connects every input to
   // every output through the collapsed module node (the black-box
   // over-approximation).
-  for (const InvocationInfo& inv : graph_.invocations()) {
+  for (const InvocationInfo& inv : coarse.invocations()) {
     for (NodeId in : inv.input_nodes) {
-      if (!graph_.Contains(in)) continue;
+      if (!coarse.Contains(in)) continue;
       for (NodeId out : inv.output_nodes) {
-        if (!graph_.Contains(out)) continue;
-        EXPECT_TRUE(*PathExists(Snap(graph_), in, out))
+        if (!coarse.Contains(out)) continue;
+        EXPECT_TRUE(*PathExists(Snap(coarse), in, out))
             << "coarse module lost its own input->output edge";
       }
     }
@@ -146,7 +152,7 @@ TEST_P(DealershipPropertyTest, ZoomCoarseningConnectivity) {
   // coarse-grained view — this is precisely what fine-grained provenance
   // recovers.
   for (NodeId out : state_mediated) {
-    EXPECT_FALSE(*PathExists(Snap(graph_), first_input, out))
+    EXPECT_FALSE(*PathExists(Snap(coarse), first_input, out))
         << "state-mediated dependency should be invisible when coarse";
   }
 }

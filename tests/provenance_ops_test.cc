@@ -10,6 +10,7 @@
 #include "provenance/graph.h"
 #include "provenance/semiring.h"
 #include "provenance/subgraph.h"
+#include "provenance/view.h"
 #include "provenance/zoom.h"
 #include "test_util.h"
 #include "workflowgen/arctic.h"
@@ -307,12 +308,16 @@ TEST(DeletionTest, DeletingBothCivicsKillsCountButNotBlackBox) {
 TEST(DeletionTest, MaterializationRemovesNodes) {
   DealerFixture f;
   LIPSTICK_ASSERT_OK(f.Build());
-  size_t alive_before = f.graph.num_alive();
-  size_t removed = *PropagateDeletion(&f.graph, f.car_c2);
+  GraphSnapshot snap = Snap(f.graph);
+  GraphView view = GraphView::MakeIdentity(snap);
+  size_t removed = 0;
+  LIPSTICK_ASSERT_OK(view.ApplyDeleteProp({f.car_c2}, &removed));
   EXPECT_GT(removed, 1u);
-  EXPECT_EQ(f.graph.num_alive(), alive_before - removed);
-  EXPECT_FALSE(f.graph.Contains(f.car_c2));
-  EXPECT_TRUE(f.graph.Contains(f.bid_node));
+  Result<ProvenanceGraph> pruned = view.Materialize();
+  LIPSTICK_ASSERT_OK(pruned.status());
+  EXPECT_EQ(pruned->num_alive(), f.graph.num_alive() - removed);
+  EXPECT_FALSE(pruned->Contains(f.car_c2));
+  EXPECT_TRUE(pruned->Contains(f.bid_node));
 }
 
 TEST(DeletionTest, AgreesWithCountingSemiringZeroing) {
@@ -428,17 +433,20 @@ class ZoomTest : public ::testing::Test {
 };
 
 TEST_F(ZoomTest, ZoomOutRemovesIntermediatesAndState) {
-  Zoomer zoomer(&graph_);
-  size_t before = graph_.num_alive();
+  GraphSnapshot snap = Snap(graph_);
+  Zoomer zoomer(snap);
   LIPSTICK_ASSERT_OK(zoomer.ZoomOut({"dealer"}));
-  EXPECT_LT(graph_.num_alive(), before);
   EXPECT_TRUE(zoomer.IsZoomedOut("dealer"));
+  Result<ProvenanceGraph> zoomed = zoomer.Materialize();
+  LIPSTICK_ASSERT_OK(zoomed.status());
+  EXPECT_LT(zoomed->num_alive(), graph_.num_alive());
+  EXPECT_EQ(zoomed->num_alive(), zoomer.view().num_visible());
   // No intermediate or state node of any dealer invocation survives.
-  for (NodeId id : graph_.AllNodeIds()) {
-    if (!graph_.Contains(id)) continue;
-    NodeView n = graph_.node(id);
+  for (NodeId id : zoomed->AllNodeIds()) {
+    if (!zoomed->Contains(id)) continue;
+    NodeView n = zoomed->node(id);
     if (n.invocation() == kNoInvocation) continue;
-    if (graph_.str(graph_.invocations()[n.invocation()].module_name) !=
+    if (zoomed->str(zoomed->invocations()[n.invocation()].module_name) !=
         "dealer") {
       continue;
     }
@@ -447,9 +455,9 @@ TEST_F(ZoomTest, ZoomOutRemovesIntermediatesAndState) {
   }
   // Each dealer invocation now has a zoom node wired inputs -> M -> outputs.
   size_t zoom_nodes = 0;
-  for (NodeId id : graph_.AllNodeIds()) {
-    if (graph_.Contains(id) &&
-        graph_.node(id).label() == NodeLabel::kZoomedModule) {
+  for (NodeId id : zoomed->AllNodeIds()) {
+    if (zoomed->Contains(id) &&
+        zoomed->node(id).label() == NodeLabel::kZoomedModule) {
       ++zoom_nodes;
     }
   }
@@ -462,21 +470,25 @@ TEST_F(ZoomTest, ZoomOutRemovesIntermediatesAndState) {
 
 TEST_F(ZoomTest, ZoomInIsExactInverse) {
   std::string original = AliveSignature(graph_);
-  Zoomer zoomer(&graph_);
+  GraphSnapshot snap = Snap(graph_);
+  Zoomer zoomer(snap);
   LIPSTICK_ASSERT_OK(zoomer.ZoomOut({"dealer", "aggregate"}));
-  EXPECT_NE(AliveSignature(graph_), original);
+  EXPECT_NE(AliveSignature(*zoomer.Materialize()), original);
   LIPSTICK_ASSERT_OK(zoomer.ZoomIn({"dealer", "aggregate"}));
-  EXPECT_EQ(AliveSignature(graph_), original);
+  EXPECT_EQ(AliveSignature(*zoomer.Materialize()), original);
 }
 
 TEST_F(ZoomTest, ZoomOutAllYieldsCoarseGrainedGraph) {
-  Zoomer zoomer(&graph_);
+  GraphSnapshot snap = Snap(graph_);
+  Zoomer zoomer(snap);
   LIPSTICK_ASSERT_OK(zoomer.ZoomOutAll());
   // Coarse-grained view: only workflow inputs, invocation nodes, module
   // input/output wrappers, and collapsed module nodes remain.
-  for (NodeId id : graph_.AllNodeIds()) {
-    if (!graph_.Contains(id)) continue;
-    NodeView n = graph_.node(id);
+  Result<ProvenanceGraph> materialized = zoomer.Materialize();
+  LIPSTICK_ASSERT_OK(materialized.status());
+  for (NodeId id : materialized->AllNodeIds()) {
+    if (!materialized->Contains(id)) continue;
+    NodeView n = materialized->node(id);
     bool coarse = n.role() == NodeRole::kWorkflowInput ||
                   n.role() == NodeRole::kInvocation ||
                   n.role() == NodeRole::kModuleInput ||
@@ -488,17 +500,21 @@ TEST_F(ZoomTest, ZoomOutAllYieldsCoarseGrainedGraph) {
 }
 
 TEST_F(ZoomTest, ZoomInWithoutZoomOutFails) {
-  Zoomer zoomer(&graph_);
+  GraphSnapshot snap = Snap(graph_);
+  Zoomer zoomer(snap);
   EXPECT_FALSE(zoomer.ZoomIn({"dealer"}).ok());
   EXPECT_FALSE(zoomer.ZoomOut({"nonexistent_module"}).ok());
 }
 
 TEST_F(ZoomTest, RepeatedZoomOutIsIdempotent) {
-  Zoomer zoomer(&graph_);
+  GraphSnapshot snap = Snap(graph_);
+  Zoomer zoomer(snap);
   LIPSTICK_ASSERT_OK(zoomer.ZoomOut({"dealer"}));
-  size_t alive = graph_.num_alive();
+  size_t visible = zoomer.view().num_visible();
+  size_t synthetic = zoomer.view().num_synthetic();
   LIPSTICK_ASSERT_OK(zoomer.ZoomOut({"dealer"}));  // already zoomed: no-op
-  EXPECT_EQ(graph_.num_alive(), alive);
+  EXPECT_EQ(zoomer.view().num_visible(), visible);
+  EXPECT_EQ(zoomer.view().num_synthetic(), synthetic);
 }
 
 TEST_F(ZoomTest, TagBasedIntermediatesMatchDefinition41) {
@@ -553,10 +569,12 @@ TEST(ZoomArcticTest, ZoomRoundTripOnArcticGraph) {
   LIPSTICK_ASSERT_OK((*wf)->RunSeries(3, &graph).status());
   graph.Seal();
   std::string original = AliveSignature(graph);
-  Zoomer zoomer(&graph);
+  GraphSnapshot snap = Snap(graph);
+  Zoomer zoomer(snap);
   LIPSTICK_ASSERT_OK(zoomer.ZoomOut({"station"}));
+  EXPECT_NE(AliveSignature(*zoomer.Materialize()), original);
   LIPSTICK_ASSERT_OK(zoomer.ZoomIn({"station"}));
-  EXPECT_EQ(AliveSignature(graph), original);
+  EXPECT_EQ(AliveSignature(*zoomer.Materialize()), original);
 }
 
 }  // namespace

@@ -108,7 +108,7 @@ TEST_F(QueryTest, GraphStats) {
 
 TEST_F(QueryTest, DotOutputIsWellFormed) {
   std::ostringstream os;
-  LIPSTICK_ASSERT_OK(WriteDot(graph_, os));
+  LIPSTICK_ASSERT_OK(WriteDot(GraphView::MakeIdentity(Snap(graph_)), os));
   std::string dot = os.str();
   EXPECT_NE(dot.find("digraph provenance"), std::string::npos);
   EXPECT_NE(dot.find("cluster_inv0"), std::string::npos);
@@ -122,18 +122,20 @@ TEST_F(QueryTest, DotOutputIsWellFormed) {
 }
 
 TEST_F(QueryTest, DotSubsetRestriction) {
-  DotOptions options;
-  options.subset = {x_, in_};
+  GraphSnapshot snap = Snap(graph_);
+  GraphView view = GraphView::MakeIdentity(snap);
+  LIPSTICK_ASSERT_OK(view.ApplySubgraph({x_, in_}, false, false));
   std::ostringstream os;
-  LIPSTICK_ASSERT_OK(WriteDot(graph_, os, options));
+  LIPSTICK_ASSERT_OK(WriteDot(view, os));
   std::string dot = os.str();
   EXPECT_NE(dot.find(StrCat("n", x_, " [")), std::string::npos);
+  EXPECT_NE(dot.find(StrCat("n", x_, " -> n", in_)), std::string::npos);
   EXPECT_EQ(dot.find(StrCat("n", out_, " [")), std::string::npos);
 }
 
 TEST_F(QueryTest, OpmExportIsWellFormed) {
   std::ostringstream os;
-  LIPSTICK_ASSERT_OK(WriteOpmXml(graph_, os));
+  LIPSTICK_ASSERT_OK(WriteOpmXml(Snap(graph_), os));
   std::string xml = os.str();
   EXPECT_NE(xml.find("<opmGraph"), std::string::npos);
   EXPECT_NE(xml.find("<process id=\"p0\">"), std::string::npos);
@@ -159,7 +161,7 @@ TEST(OpmWorkflowTest, CrossModuleDependenciesExported) {
   LIPSTICK_ASSERT_OK((*wf)->Run(&graph).status());
   graph.Seal();
   std::ostringstream os;
-  LIPSTICK_ASSERT_OK(WriteOpmXml(graph, os));
+  LIPSTICK_ASSERT_OK(WriteOpmXml(Snap(graph), os));
   std::string xml = os.str();
   // Data flowing dealer -> aggregator shows up as derivations and
   // triggered-by relations between processes.

@@ -5,12 +5,15 @@
 // against a snapshot with plain containers: the stats block, find, expr
 // and depends as a standalone graph renders them. Tests run these on a
 // materialized view and compare with the one implementation in src/
-// (GraphView operators and the plan engine), byte for byte.
+// (GraphView operators and the plan engine), byte for byte. Also the
+// eager, mutating ZoomOut that zoom views must materialize identical to.
 
 #include <algorithm>
+#include <array>
 #include <cstdarg>
 #include <cstdio>
 #include <map>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -21,6 +24,7 @@
 #include "provenance/plan.h"
 #include "provenance/query.h"
 #include "provenance/snapshot.h"
+#include "provenance/zoom.h"
 
 namespace lipstick::testing {
 
@@ -125,6 +129,41 @@ inline std::string ReferenceExprString(const GraphSnapshot& g, NodeId id,
       return StrCat("M<", n.payload(), ">(", join_parents(", "), ")");
   }
   return "?";
+}
+
+/// ZoomOut (Section 4.1) applied to the graph by mutation, one module at a
+/// time with a re-seal in between: each module is planned with
+/// internal::PlanZoomOut over a fresh snapshot, its collapsed p-nodes are
+/// appended to shard 0, its outputs rewired to {zoom node, m node}, and
+/// its removed nodes marked dead.
+inline Status ReferenceZoomOut(ProvenanceGraph* graph,
+                               const std::set<std::string>& modules) {
+  ShardWriter writer = graph->writer();
+  for (const std::string& module : modules) {
+    graph->Seal();
+    internal::ZoomPlan plan;
+    {
+      LIPSTICK_ASSIGN_OR_RETURN(GraphSnapshot snap,
+                                GraphSnapshot::Capture(*graph));
+      VisitedLease removed = snap.AcquireVisited();
+      LIPSTICK_ASSIGN_OR_RETURN(
+          plan, internal::PlanZoomOut(snap, module, *removed, 1));
+    }
+    for (internal::ZoomInvocationPlan& ip : plan.invocations) {
+      NodeRecord zoom;
+      zoom.label = NodeLabel::kZoomedModule;
+      zoom.role = NodeRole::kZoom;
+      zoom.alive = true;
+      zoom.invocation = ip.invocation;
+      zoom.parents = std::move(ip.zoom_parents);
+      zoom.payload = module;
+      std::array<NodeId, 2> rewired{writer.Restore(zoom), ip.m_node};
+      for (NodeId out : ip.outputs) graph->SetParents(out, rewired);
+    }
+    for (NodeId id : plan.removed) graph->SetAlive(id, false);
+  }
+  graph->Seal();
+  return Status::OK();
 }
 
 inline void ReferenceAppendf(std::string* out, const char* fmt, ...) {

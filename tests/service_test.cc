@@ -384,7 +384,9 @@ TEST_F(ServerTest, RemoteOutputMatchesLocalForEveryOp) {
        {"expr", {id1}},
        {"depends", {id1, id0}},
        {"subgraph", {id0}},
-       {"zoomout", {"dealer"}}};
+       {"zoomout", {"dealer"}},
+       {"restrict", {"--label", "token"}},
+       {"delete", {id0}}};
   for (const auto& [op, args] : cases) {
     Result<std::string> local = service::ExecuteReadQuery(
         (*loaded)->snapshot, op, args, /*threads=*/1);

@@ -36,6 +36,14 @@ std::string SaveBytes(const ProvenanceGraph& graph) {
   return os.str();
 }
 
+/// Graphviz rendering of a whole graph, through its identity view.
+std::string DotBytes(const ProvenanceGraph& graph) {
+  std::ostringstream os;
+  EXPECT_TRUE(
+      WriteDot(GraphView::MakeIdentity(testing::Snap(graph)), os).ok());
+  return os.str();
+}
+
 /// Clones a graph through the provio round trip (node ids, string-pool
 /// order, and bytes are all stable across Save/Load).
 ProvenanceGraph CloneSealed(const ProvenanceGraph& graph) {
@@ -186,10 +194,9 @@ TEST(ViewTest, ZoomOutStageMaterializesByteIdenticalToEagerZoom) {
   for (const std::set<std::string>& modules :
        {std::set<std::string>{"dealer"},
         std::set<std::string>{"dealer", "aggregate"}}) {
-    // Eager: mutate a clone with the Zoomer and save it.
+    // Eager: mutate a clone with the reference ZoomOut and save it.
     ProvenanceGraph eager = CloneSealed(original);
-    Zoomer zoomer(&eager);
-    LIPSTICK_ASSERT_OK(zoomer.ZoomOut(modules));
+    LIPSTICK_ASSERT_OK(testing::ReferenceZoomOut(&eager, modules));
     std::string eager_bytes = SaveBytes(eager);
 
     // Lazy: plan a view over an untouched clone and materialize.
@@ -212,10 +219,8 @@ TEST(ViewTest, ZoomOutStageMaterializesByteIdenticalToEagerZoom) {
 TEST(ViewTest, ZoomOutStageDotMatchesEagerDot) {
   ProvenanceGraph original = BuildDealershipGraph();
   ProvenanceGraph eager = CloneSealed(original);
-  Zoomer zoomer(&eager);
-  LIPSTICK_ASSERT_OK(zoomer.ZoomOut({"dealer"}));
-  std::ostringstream eager_dot;
-  LIPSTICK_ASSERT_OK(WriteDot(eager, eager_dot));
+  LIPSTICK_ASSERT_OK(testing::ReferenceZoomOut(&eager, {"dealer"}));
+  std::string eager_dot = DotBytes(eager);
 
   Result<GraphSnapshot> snap = GraphSnapshot::Capture(original);
   LIPSTICK_ASSERT_OK(snap.status());
@@ -223,14 +228,12 @@ TEST(ViewTest, ZoomOutStageDotMatchesEagerDot) {
   LIPSTICK_ASSERT_OK(view.status());
   std::ostringstream view_dot;
   LIPSTICK_ASSERT_OK(WriteDot(*view, view_dot));
-  EXPECT_EQ(view_dot.str(), eager_dot.str());
+  EXPECT_EQ(view_dot.str(), eager_dot);
 
   // And rendering the materialized view is identical to rendering the view.
   Result<ProvenanceGraph> materialized = view->Materialize();
   LIPSTICK_ASSERT_OK(materialized.status());
-  std::ostringstream mat_dot;
-  LIPSTICK_ASSERT_OK(WriteDot(*materialized, mat_dot));
-  EXPECT_EQ(view_dot.str(), mat_dot.str());
+  EXPECT_EQ(view_dot.str(), DotBytes(*materialized));
 }
 
 TEST(ViewTest, SubgraphStageMatchesEagerRestriction) {
@@ -262,14 +265,10 @@ TEST(ViewTest, SubgraphStageMatchesEagerRestriction) {
   LIPSTICK_ASSERT_OK(materialized.status());
   EXPECT_EQ(SaveBytes(*materialized), SaveBytes(eager));
 
-  // Dot of the view == dot of the full graph restricted to the subgraph.
-  DotOptions options;
-  options.subset = {members.begin(), members.end()};
-  std::ostringstream restricted_dot;
-  LIPSTICK_ASSERT_OK(WriteDot(original, restricted_dot, options));
+  // Dot of the view == dot of the eagerly restricted graph.
   std::ostringstream view_dot;
   LIPSTICK_ASSERT_OK(WriteDot(view, view_dot));
-  EXPECT_EQ(view_dot.str(), restricted_dot.str());
+  EXPECT_EQ(view_dot.str(), DotBytes(eager));
 }
 
 TEST(ViewTest, ZoomOutOfUnknownModuleFails) {
@@ -277,6 +276,83 @@ TEST(ViewTest, ZoomOutOfUnknownModuleFails) {
   Result<GraphSnapshot> snap = GraphSnapshot::Capture(g);
   LIPSTICK_ASSERT_OK(snap.status());
   EXPECT_FALSE(ZoomedView(*snap, {"nonexistent_module"}, 1).ok());
+}
+
+// ---------------------------------------------------------------------
+// Zoomer: zoom levels as views over one snapshot, byte-identical to the
+// eager reference and to the original graph after zooming back in.
+// ---------------------------------------------------------------------
+
+void ExpectZoomRoundTrip(const ProvenanceGraph& original,
+                         const std::set<std::string>& modules) {
+  Result<GraphSnapshot> snap = GraphSnapshot::Capture(original);
+  ASSERT_TRUE(snap.ok());
+  Zoomer zoomer(*snap);
+  LIPSTICK_ASSERT_OK(zoomer.ZoomOut(modules));
+  EXPECT_NE(SaveBytes(*zoomer.Materialize()), SaveBytes(original));
+  LIPSTICK_ASSERT_OK(zoomer.ZoomIn(modules));
+  EXPECT_EQ(SaveBytes(*zoomer.Materialize()), SaveBytes(original));
+  LIPSTICK_ASSERT_OK(zoomer.ZoomOutAll());
+  std::set<std::string> all;
+  for (const InvocationInfo& inv : original.invocations()) {
+    all.insert(std::string(original.str(inv.module_name)));
+  }
+  LIPSTICK_ASSERT_OK(zoomer.ZoomIn(all));
+  EXPECT_EQ(SaveBytes(*zoomer.Materialize()), SaveBytes(original));
+}
+
+TEST(ZoomerTest, ZoomInOfZoomOutMaterializesTheOriginalBytes) {
+  ExpectZoomRoundTrip(BuildDealershipGraph(), {"dealer", "aggregate"});
+  ExpectZoomRoundTrip(BuildArcticGraph(), {"station"});
+}
+
+TEST(ZoomerTest, EveryZoomLevelMatchesTheEagerReference) {
+  ProvenanceGraph original = BuildDealershipGraph();
+  Result<GraphSnapshot> snap = GraphSnapshot::Capture(original);
+  LIPSTICK_ASSERT_OK(snap.status());
+  Zoomer zoomer(*snap);
+  // The zoomer's view against the eager reference applying the groups
+  // that remain zoomed out, in the order they were zoomed out.
+  auto expect_level = [&](const std::vector<std::set<std::string>>& groups) {
+    ProvenanceGraph eager = CloneSealed(original);
+    for (const std::set<std::string>& group : groups) {
+      LIPSTICK_ASSERT_OK(testing::ReferenceZoomOut(&eager, group));
+    }
+    EXPECT_EQ(SaveBytes(*zoomer.Materialize()), SaveBytes(eager));
+    EXPECT_EQ(zoomer.view().num_visible(), eager.num_alive());
+  };
+  LIPSTICK_ASSERT_OK(zoomer.ZoomOut({"dealer"}));
+  expect_level({{"dealer"}});
+  // dealer is already zoomed out; only aggregate joins, as a new group.
+  LIPSTICK_ASSERT_OK(zoomer.ZoomOut({"aggregate", "dealer"}));
+  expect_level({{"dealer"}, {"aggregate"}});
+  LIPSTICK_ASSERT_OK(zoomer.ZoomIn({"dealer"}));
+  EXPECT_FALSE(zoomer.IsZoomedOut("dealer"));
+  EXPECT_TRUE(zoomer.IsZoomedOut("aggregate"));
+  expect_level({{"aggregate"}});
+  LIPSTICK_ASSERT_OK(zoomer.ZoomOut({"dealer"}));
+  expect_level({{"aggregate"}, {"dealer"}});
+  LIPSTICK_ASSERT_OK(zoomer.ZoomIn({"aggregate", "dealer"}));
+  expect_level({});
+}
+
+TEST(ZoomerTest, FailedZoomOutLeavesTheZoomerUnchanged) {
+  ProvenanceGraph original = BuildDealershipGraph();
+  Result<GraphSnapshot> snap = GraphSnapshot::Capture(original);
+  LIPSTICK_ASSERT_OK(snap.status());
+  Zoomer zoomer(*snap);
+  LIPSTICK_ASSERT_OK(zoomer.ZoomOut({"dealer"}));
+  std::string before = SaveBytes(*zoomer.Materialize());
+  // "aggregate" sorts first, so the group collapses it before failing on
+  // the unknown module.
+  EXPECT_EQ(zoomer.ZoomOut({"aggregate", "nonexistent_module"}).code(),
+            StatusCode::kNotFound);
+  EXPECT_FALSE(zoomer.IsZoomedOut("aggregate"));
+  EXPECT_EQ(SaveBytes(*zoomer.Materialize()), before);
+  EXPECT_EQ(zoomer.ZoomIn({"aggregate"}).code(),
+            StatusCode::kInvalidArgument);
+  LIPSTICK_ASSERT_OK(zoomer.ZoomIn({"dealer"}));
+  EXPECT_EQ(SaveBytes(*zoomer.Materialize()), SaveBytes(original));
 }
 
 // ---------------------------------------------------------------------

@@ -272,12 +272,14 @@ run_integration() {
   # The scripted session: one-shot ops plus a batch file. Every query must
   # produce byte-identical output in local and serve mode.
   local ops=("stats" "find --label token" "expr ${id}" "subgraph ${id}"
-             "zoomout dealer")
+             "zoomout dealer" "delete ${id}" "restrict --label token")
   cat > "${work}/batch.txt" <<EOF
 stats
 find --label token
 subgraph ${id}
 zoomout dealer | subgraph ${id} | stats
+delete ${id}
+restrict --label token
 EOF
 
   echo "--- local-mode golden outputs"
@@ -289,6 +291,27 @@ EOF
   done
   "${cli}" query "${work}/g.pg" --batch "${work}/batch.txt" \
            > "${work}/local.batch.out"
+
+  echo "--- --out saves the view: .pg materializes, any other path is dot"
+  local outs=("delete ${id}" "subgraph ${id}" "zoomout dealer"
+              "restrict --label token" "zoomout dealer | subgraph ${id}")
+  i=0
+  for q in "${outs[@]}"; do
+    # shellcheck disable=SC2086
+    "${cli}" query "${work}/g.pg" ${q} --out "${work}/out.${i}.pg" >/dev/null
+    "${cli}" query "${work}/out.${i}.pg" stats > "${work}/saved.${i}.out"
+    "${cli}" query "${work}/g.pg" "${q} | stats" > "${work}/piped.${i}.out"
+    diff -u "${work}/piped.${i}.out" "${work}/saved.${i}.out" || {
+      echo "FAIL: '${q} --out x.pg' does not hold the query's view"; return 1; }
+    # shellcheck disable=SC2086
+    "${cli}" query "${work}/g.pg" ${q} --out "${work}/out.${i}.dot" >/dev/null
+    "${cli}" query "${work}/out.${i}.pg" dot --out "${work}/saved.${i}.dot" \
+             >/dev/null
+    cmp "${work}/out.${i}.dot" "${work}/saved.${i}.dot" || {
+      echo "FAIL: '${q} --out x.dot' differs from the saved view's dot"
+      return 1; }
+    i=$((i + 1))
+  done
 
   echo "--- boot lipstick serve (ephemeral port)"
   "${cli}" serve "${work}/g.pg" --port 0 > "${work}/serve.log" 2>&1 &

@@ -16,20 +16,22 @@
 //   lipstick query <graph.pg> find [--label L] [--role R] [--payload S]
 //   lipstick query <graph.pg> expr <node-id>
 //   lipstick query <graph.pg> depends <target-id> <source-id>
-//   lipstick query <graph.pg> subgraph <node-id> [--out g.dot]
-//   lipstick query <graph.pg> delete <node-id> [--out g.pg]
-//   lipstick query <graph.pg> zoomout <module> [<module>...] [--out g.pg]
-//   lipstick query <graph.pg> dot [--out graph.dot]
+//   lipstick query <graph.pg> subgraph <node-id>[,<node-id>...] [up|down]
+//   lipstick query <graph.pg> delete <node-id>[,<node-id>...]
+//   lipstick query <graph.pg> zoomout <module> [<module>...]
+//   lipstick query <graph.pg> restrict [--label L] [--role R] [--payload S]
+//   lipstick query <graph.pg> dot --out graph.dot
 //   lipstick query <graph.pg> opm --out graph.xml
-//   lipstick query <graph.pg> "zoomout m1,m2 | subgraph 42 | stats" [--out f]
+//   lipstick query <graph.pg> "zoomout m1,m2 | subgraph 42 | stats"
 //   lipstick explain <graph.pg> <query...> [--json]
 //   lipstick query <graph.pg> --batch <queries.txt> [--threads N]
 //   lipstick serve [name=]graph.pg... [--host H] [--port P] [--workers N]
 //                  [--queue-depth N] [--deadline-ms D] [--cache N]
 //                  [--query-threads N]
 //   lipstick query --connect host:port [--graph NAME] [--deadline-ms D]
-//                  stats|find|expr|depends|subgraph|zoomout|ping|graphs|
-//                  reload|metricz ... | --batch <queries.txt>
+//                  stats|find|expr|depends|subgraph|zoomout|restrict|
+//                  delete|ping|graphs|reload|metricz ... |
+//                  --batch <queries.txt>
 //
 // Every `query` form accepts `--threads N`: parallel zoom-planning scans
 // for the one-shot queries, concurrent lines over one shared snapshot for
@@ -39,7 +41,12 @@
 // A `|` anywhere in the query folds the whole command line into one
 // pipeline plan: view stages (zoomout, subgraph, restrict, delete) compose
 // into a single mask without intermediate materialization, then an
-// optional terminal (stats, find, expr, depends) renders over it.
+// optional terminal (stats, find, expr, depends) renders over it. A view
+// stage is a query like any other: it prints the same summary line
+// one-shot, in --batch and over --connect, and never changes the graph
+// file. `--out f` on a query whose last stage is a view stage also saves
+// that view: f ending in .pg gets the materialized graph (provio), any
+// other f gets Graphviz dot.
 // `explain` prints the optimized plan with predicted cardinalities
 // instead of running it.
 //
@@ -76,7 +83,6 @@
 #include "common/str_util.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "provenance/deletion.h"
 #include "provenance/dot.h"
 #include "provenance/opm.h"
 #include "provenance/provio.h"
@@ -88,7 +94,6 @@
 #include "provenance/subgraph.h"
 #include "provenance/traverse.h"
 #include "provenance/view.h"
-#include "provenance/zoom.h"
 #include "relational/csv.h"
 #include "service/client.h"
 #include "service/ops.h"
@@ -964,102 +969,11 @@ int CmdQuery(const std::vector<std::string>& args) {
   if (!graph.ok()) return Fail(graph.status().ToString());
   graph->Seal();
 
-  // `delete` mutates the graph, so it runs before the snapshot capture.
-  if (op == "delete") {
-    if (rest.size() != 1) return FailUsage();
-    Result<NodeId> id = service::ParseNodeId(rest[0]);
-    if (!id.ok()) return Fail(id.status().ToString());
-    size_t removed = *PropagateDeletion(&*graph, *id);
-    std::printf("deleted %zu node(s); %zu remain\n", removed,
-                graph->num_alive());
-    if (!out_path.empty()) {
-      Status st = SaveGraphToFile(*graph, out_path);
-      if (!st.ok()) return Fail(st.ToString());
-      std::printf("wrote %s\n", out_path.c_str());
-    }
-    return 0;
-  }
-
-  // Everything else reads through one immutable snapshot.
   Result<GraphSnapshot> snap = GraphSnapshot::Capture(*graph);
   if (!snap.ok()) return Fail(snap.status().ToString());
 
   if (!batch_path.empty()) {
     return RunBatch(*snap, batch_path, threads);
-  }
-
-  if (op == "stats" || op == "find" || op == "expr" || op == "depends" ||
-      op == "restrict" || op == "explain" ||
-      (op == "subgraph" && out_path.empty()) ||
-      (op == "zoomout" && out_path.empty()) ||
-      (pipeline && out_path.empty())) {
-    Result<std::string> text =
-        service::ExecuteReadQuery(*snap, op, rest, threads);
-    if (!text.ok()) return Fail(text.status().ToString());
-    std::fputs(text->c_str(), stdout);
-    return 0;
-  }
-  if (pipeline) {
-    // Pipeline with --out: build the composed view once, then save it —
-    // .pg materializes a standalone graph, anything else renders dot.
-    Result<Plan> plan = ParsePlan(op, rest);
-    if (!plan.ok()) return Fail(plan.status().ToString());
-    OptimizedPlan optimized = OptimizePlan(*plan);
-    if (!optimized.plan.ops.back().IsViewOp()) {
-      // A terminal stage leaves no graph to save; run it and ignore
-      // --out, the way `stats --out` always has.
-      Result<std::string> text =
-          service::ExecuteReadQuery(*snap, op, rest, threads);
-      if (!text.ok()) return Fail(text.status().ToString());
-      std::fputs(text->c_str(), stdout);
-      return 0;
-    }
-    Result<GraphView> view = BuildPlanView(*snap, optimized.plan, threads);
-    if (!view.ok()) return Fail(view.status().ToString());
-    std::printf("pipeline view: %zu nodes\n", view->num_visible());
-    if (EndsWith(out_path, ".pg")) {
-      Result<ProvenanceGraph> mat = view->Materialize();
-      if (!mat.ok()) return Fail(mat.status().ToString());
-      Status st = SaveGraphToFile(*mat, out_path);
-      if (!st.ok()) return Fail(st.ToString());
-    } else {
-      Status st = WriteDotToFile(*view, out_path);
-      if (!st.ok()) return Fail(st.ToString());
-    }
-    std::printf("wrote %s\n", out_path.c_str());
-    return 0;
-  }
-  if (op == "subgraph" || op == "zoomout") {
-    // --out given: compose the view the plan engine would run and export
-    // it — subgraph renders dot straight off the view (byte-identical to
-    // rendering the restricted graph), zoomout materializes provio.
-    if (op == "subgraph" ? rest.size() != 1 : rest.empty()) {
-      return FailUsage();
-    }
-    if (op == "subgraph") {
-      Result<NodeId> id = service::ParseNodeId(rest[0]);
-      if (!id.ok()) return Fail(id.status().ToString());
-    }
-    Result<Plan> plan = ParsePlan(op, rest);
-    if (!plan.ok()) return Fail(plan.status().ToString());
-    Result<GraphView> view = BuildPlanView(*snap, *plan, threads);
-    if (!view.ok()) return Fail(view.status().ToString());
-    const PlanOp& stage = plan->ops.front();
-    Status st;
-    if (op == "subgraph") {
-      std::printf("subgraph of %llu: %zu nodes\n",
-                  static_cast<unsigned long long>(stage.nodes.front()),
-                  view->num_visible());
-      st = WriteDotToFile(*view, out_path);
-    } else {
-      std::printf("zoomed out of %zu module(s); %zu nodes remain\n",
-                  stage.modules.size(), view->num_visible());
-      Result<ProvenanceGraph> zoomed = view->Materialize();
-      st = zoomed.ok() ? SaveGraphToFile(*zoomed, out_path) : zoomed.status();
-    }
-    if (!st.ok()) return Fail(st.ToString());
-    std::printf("wrote %s\n", out_path.c_str());
-    return 0;
   }
   if (op == "opm") {
     if (out_path.empty()) return Fail("opm requires --out <file>");
@@ -1077,13 +991,41 @@ int CmdQuery(const std::vector<std::string>& args) {
     analysis::ValidateGraph(*snap, &sink);
     return ReportDiagnostics(&sink, args[0], /*json=*/false);
   }
-  // op == "dot" (KnownQueryOp already filtered everything else).
-  if (out_path.empty()) return Fail("dot requires --out <file>");
-  std::ofstream dot(out_path);
-  if (!dot.is_open()) {
-    return Fail(StrCat("cannot open ", out_path, " for writing"));
+  if (op == "dot") {
+    if (out_path.empty()) return Fail("dot requires --out <file>");
+    std::ofstream dot(out_path);
+    if (!dot.is_open()) {
+      return Fail(StrCat("cannot open ", out_path, " for writing"));
+    }
+    Status st = WriteDot(GraphView::MakeIdentity(*snap), dot);
+    if (!st.ok()) return Fail(st.ToString());
+    std::printf("wrote %s\n", out_path.c_str());
+    return 0;
   }
-  Status st = WriteDot(GraphView::MakeIdentity(*snap), dot);
+
+  // Every other op is a read query, a single stage or a pipeline, and
+  // prints what it prints on every other surface.
+  Result<service::ParsedQuery> parsed = service::ParseQuery(op, rest);
+  if (!parsed.ok()) return Fail(parsed.status().ToString());
+  Result<std::string> text =
+      service::ExecuteParsedQuery(*snap, *parsed, threads);
+  if (!text.ok()) return Fail(text.status().ToString());
+  std::fputs(text->c_str(), stdout);
+  // --out saves the view a plan ending in a view stage leaves: a .pg path
+  // gets the materialized graph, any other path dot. A terminal leaves no
+  // graph to save, so --out is ignored there.
+  const Plan& plan = parsed->optimized.plan;
+  if (out_path.empty() || parsed->is_explain || plan.HasTerminal()) return 0;
+  Result<GraphView> view = BuildPlanView(*snap, plan, threads);
+  if (!view.ok()) return Fail(view.status().ToString());
+  Status st;
+  if (EndsWith(out_path, ".pg")) {
+    Result<ProvenanceGraph> materialized = view->Materialize();
+    st = materialized.ok() ? SaveGraphToFile(*materialized, out_path)
+                           : materialized.status();
+  } else {
+    st = WriteDotToFile(*view, out_path);
+  }
   if (!st.ok()) return Fail(st.ToString());
   std::printf("wrote %s\n", out_path.c_str());
   return 0;
