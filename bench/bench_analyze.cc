@@ -1,10 +1,11 @@
 // Static-analysis performance: wall time of the dataflow engine on the
 // generator workflows (interval-domain fixpoint, the `lipstick analyze`
-// default) and of the concrete replay domain as sample-input volume
-// grows. The analyzer is meant to be cheap enough to run on every lint
-// pass, so the interval fixpoint over a full generator workflow must stay
-// in the low milliseconds; concrete replay is allowed to scale with the
-// sample (it runs the real interpreter) but must stay linear.
+// default) and of the concrete domain (the real executor over sample
+// inputs) as sample-input volume grows. The analyzer is meant to be cheap
+// enough to run on every lint pass, so the interval fixpoint over a full
+// generator workflow must stay in the low milliseconds; the concrete
+// domain is allowed to scale with the sample (it runs the real executor)
+// but must stay linear.
 
 #include <algorithm>
 
@@ -23,7 +24,7 @@ namespace {
 
 constexpr int kReps = 5;
 
-/// FILTER / JOIN / GROUP / UNION pipeline whose concrete replay has to
+/// FILTER / JOIN / GROUP / UNION pipeline whose concrete run has to
 /// chew through the whole sample (join + state accumulation).
 const char* kPipelineWf =
     "module src {\n"
@@ -101,8 +102,8 @@ int main() {
   std::printf("%-40s %8.3f ms  (%d stations)\n",
               "interval: arctic dense, x2", arctic_ms, acfg.num_stations);
 
-  // 2. Concrete replay: analysis time grows with the sample it has to
-  // re-execute; report absolute time and per-row rate at bench scale.
+  // 2. Concrete domain: analysis time grows with the sample it has to
+  // execute; report absolute time and per-row rate at bench scale.
   Result<Workflow> pipeline = ParseWorkflow(kPipelineWf);
   Check(pipeline);
   int rows = Scaled(20000, 400);

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <set>
-#include <unordered_map>
-#include <unordered_set>
 
+#include "analysis/cost_model.h"
 #include "common/str_util.h"
 #include "pig/ast.h"
 #include "pig/interpreter.h"
 #include "provenance/graph.h"
+#include "workflow/executor.h"
 
 namespace lipstick::analysis {
 
@@ -1577,279 +1577,91 @@ void RunDeletionPass(const Workflow& wf, const WorkflowFacts& facts,
   }
 }
 
-}  // namespace
-
-/// --------------------- concrete (value-domain) replay ------------------
-
-namespace {
-
-/// Replays the executor's invocation protocol (executor.cc NodeRun::Run)
-/// against a scratch provenance graph, using the real interpreter — the
-/// value domain of the abstract interpretation, where every transfer
+/// The concrete (value) domain: runs the real WorkflowExecutor, serial
+/// path with default options, into a scratch graph, so every transfer
 /// function is the concrete semantics and the predicted emission is exact.
-class ConcreteReplay {
- public:
-  ConcreteReplay(const Workflow& wf, const AnalyzeOptions& opt,
-                 const std::vector<std::string>& topo)
-      : wf_(wf), opt_(opt), topo_(topo) {}
-
-  Status Run(WorkflowFacts* out) {
-    // Materialize state like WorkflowExecutor::Initialize.
-    for (const WorkflowNode& n : wf_.nodes()) {
-      auto& inst = state_[n.instance];
-      const ModuleSpec* spec = *wf_.FindModule(n.module);
-      for (const auto& [rel, schema] : spec->state_schemas) {
-        if (inst[rel].schema == nullptr) inst[rel] = Relation(rel, schema);
-      }
+/// Relation facts merge into `out` only after every execution committed:
+/// a failed run leaves the interval facts as they were.
+Status RunConcrete(const Workflow& wf, const AnalyzeOptions& opt,
+                   WorkflowFacts* out) {
+  WorkflowExecutor executor(&wf, opt.udfs);
+  LIPSTICK_RETURN_IF_ERROR(executor.Initialize());
+  for (const auto& [instance, rels] : opt.initial_state) {
+    for (const auto& [rel, bag] : rels) {
+      LIPSTICK_RETURN_IF_ERROR(executor.SetInitialState(instance, rel, bag));
     }
-    for (const auto& [instance, rels] : opt_.initial_state) {
-      auto it = state_.find(instance);
-      if (it == state_.end()) {
-        return Status::NotFound(
-            StrCat("initial state for unknown instance '", instance, "'"));
-      }
-      for (const auto& [rel, bag] : rels) {
-        auto rit = it->second.find(rel);
-        if (rit == it->second.end()) {
-          return Status::NotFound(StrCat("instance '", instance,
-                                         "' has no state relation '", rel,
-                                         "'"));
-        }
-        rit->second.bag = bag;
-      }
-    }
-
-    for (int e = 0; e < opt_.executions; ++e) {
-      std::map<std::string, std::map<std::string, Relation>> outputs;
-      for (const std::string& node_id : topo_) {
-        LIPSTICK_RETURN_IF_ERROR(RunNode(node_id, e, &outputs, out));
-      }
-    }
-    scratch_.Seal();
-    Harvest(out);
-    return Status::OK();
   }
-
- private:
-  Status RunNode(
-      const std::string& node_id, int exec,
-      std::map<std::string, std::map<std::string, Relation>>* outputs,
-      WorkflowFacts* out) {
-    const WorkflowNode* node = *wf_.FindNode(node_id);
-    const ModuleSpec* spec = *wf_.FindModule(node->module);
-    ShardWriter writer = scratch_.writer();
-
-    uint32_t inv = writer.BeginInvocation(spec->name, node->instance,
-                                          static_cast<uint32_t>(exec));
-    writer.set_current_invocation(inv);
-    inv_meta_.push_back({node_id, spec->name, node->instance, exec});
-
-    pig::Environment env;
-    bool is_input_node = wf_.IncomingEdges(node_id).empty();
-
-    // Union the bags arriving over in-edges (executor GatherEdgeInputs).
-    std::map<std::string, Bag> edge_inputs;
-    for (const WorkflowEdge* e : wf_.IncomingEdges(node_id)) {
-      auto from_it = outputs->find(e->from);
-      if (from_it == outputs->end()) continue;
-      for (const EdgeRelation& rel : e->relations) {
-        auto rel_it = from_it->second.find(rel.from_relation);
-        if (rel_it == from_it->second.end()) continue;
-        Bag& dst = edge_inputs[rel.to_relation];
-        for (const AnnotatedTuple& t : rel_it->second.bag) dst.Add(t);
-      }
-    }
-
-    // Bind inputs with "I" tokens / "i" wrappers.
-    for (const auto& [rel_name, schema] : spec->input_schemas) {
-      Bag bag;
-      const Bag* source = nullptr;
-      if (is_input_node) {
-        auto node_it = opt_.inputs.find(node_id);
-        if (node_it != opt_.inputs.end()) {
-          auto rel_it = node_it->second.find(rel_name);
-          if (rel_it != node_it->second.end()) source = &rel_it->second;
-        }
-      } else {
-        auto it = edge_inputs.find(rel_name);
-        if (it != edge_inputs.end()) source = &it->second;
-      }
-      if (source != nullptr) {
-        bag.Reserve(source->size());
-        size_t i = 0;
-        for (const AnnotatedTuple& t : *source) {
-          NodeId base = t.annot;
-          if (is_input_node || base == kNoProvenance) {
-            base = writer.WorkflowInput(StrCat("I", exec, ".", node_id, ".",
-                                               rel_name, "[", i, "]"));
-            // "I" tokens are created untagged (graph.cc WorkflowInput);
-            // remember the owner so Harvest can attribute them.
-            untagged_owner_[base] = inv;
-          }
-          bag.Add(t.tuple, writer.ModuleInput(inv, base));
-          ++i;
-        }
-      }
-      env.Bind(rel_name, Relation(rel_name, schema, std::move(bag)));
-    }
-
-    // Bind state; unannotated tuples get one-time base tokens.
-    std::unordered_set<NodeId> state_eligible;
-    auto& inst_state = state_[node->instance];
-    for (auto& [rel_name, rel] : inst_state) {
-      Bag rebuilt;
-      rebuilt.Reserve(rel.bag.size());
-      size_t i = 0;
-      for (const AnnotatedTuple& t : rel.bag) {
-        ProvAnnotation annot = t.annot;
-        if (annot == kNoProvenance) {
-          annot = writer.Token(StrCat(node->instance, ".", rel_name, "[", i,
-                                      "]"),
-                               NodeRole::kStateBase);
-        }
-        state_eligible.insert(annot);
-        rebuilt.Add(t.tuple, annot);
-        ++i;
-      }
-      rel.bag = std::move(rebuilt);
-      env.Bind(rel_name, rel);
-    }
-    writer.BeginStateScope(inv, &state_eligible);
-
-    pig::Interpreter interp(opt_.udfs);
-    Status status = interp.Run(spec->qstate, &env, &writer);
-    if (status.ok()) status = interp.Run(spec->qout, &env, &writer);
-    writer.EndStateScope();
-    if (!status.ok()) {
-      return status.WithContext(StrCat("analysis replay of node ", node_id,
-                                       " (execution ", exec, ")"));
-    }
-
-    // Record exact relation cardinalities for the facts table.
-    for (const auto& [rel_name, rel] : env.relations()) {
-      RecordFact(out, node_id, rel_name, rel);
-    }
-
-    for (auto& [rel_name, rel] : inst_state) {
-      Result<const Relation*> bound = env.Lookup(rel_name);
-      if (bound.ok()) rel.bag = bound.value()->bag;
-    }
-
-    std::map<std::string, Relation>& node_out = (*outputs)[node_id];
-    for (const auto& [rel_name, schema] : spec->output_schemas) {
-      Result<const Relation*> bound = env.Lookup(rel_name);
-      if (!bound.ok()) {
-        return Status::ExecutionError(
-            StrCat("analysis replay: node ", node_id,
-                   ": Qout did not bind output '", rel_name, "'"));
-      }
-      Relation rel(rel_name, schema);
-      rel.bag.Reserve(bound.value()->bag.size());
-      for (const AnnotatedTuple& t : bound.value()->bag) {
-        rel.bag.Add(t.tuple, writer.ModuleOutput(inv, t.annot));
-      }
-      node_out[rel_name] = std::move(rel);
-    }
-    return Status::OK();
-  }
-
-  void RecordFact(WorkflowFacts* out, const std::string& node_id,
-                  const std::string& rel_name, const Relation& rel) {
-    RelationFacts& f = out->relations[node_id][rel_name];
-    CardInterval sz = CardInterval::Exact(rel.bag.size());
-    auto key = std::make_pair(node_id, rel_name);
-    if (observed_.insert(key).second) {
-      f.card.total = sz;
-    } else {
-      f.card.total = f.card.total.Join(sz);
-    }
-    f.card.state.clear();
-    f.est = static_cast<double>(rel.bag.size());
-    if (f.schema == nullptr) f.schema = rel.schema;
-  }
-
-  /// Converts the scratch graph into exact per-invocation emissions.
-  void Harvest(WorkflowFacts* out) {
-    out->invocations.clear();
-    const auto& invs = scratch_.invocations();
-    std::vector<Emission> per_inv(invs.size());
-    std::unordered_map<NodeId, size_t> m_nodes;
-    for (size_t i = 0; i < invs.size(); ++i) {
-      m_nodes[invs[i].m_node] = i;
-      per_inv[i].input_nodes =
-          CardInterval::Exact(invs[i].input_nodes.size());
-      per_inv[i].output_nodes =
-          CardInterval::Exact(invs[i].output_nodes.size());
-      per_inv[i].state_nodes =
-          CardInterval::Exact(invs[i].state_nodes.size());
-    }
-    scratch_.ForEachNode([&](NodeId id) {
-      NodeView n = scratch_.node(id);
-      uint32_t inv = n.invocation();
-      if (inv == kNoInvocation) {
-        // "m" nodes and "I" tokens are created untagged; attribute them
-        // via the invocation registry / the replay's ownership map.
-        auto it = m_nodes.find(id);
-        if (it != m_nodes.end()) {
-          inv = static_cast<uint32_t>(it->second);
-        } else {
-          auto ut = untagged_owner_.find(id);
-          if (ut == untagged_owner_.end()) return;
-          inv = ut->second;
-        }
-      }
-      if (inv >= per_inv.size()) return;
-      Emission& em = per_inv[inv];
-      std::span<const NodeId> parents = scratch_.ParentsOf(id);
-      em.nodes += CardInterval::Exact(1);
-      em.edges += CardInterval::Exact(parents.size());
-      em.est_nodes += 1;
-      em.est_edges += static_cast<double>(parents.size());
-      if (parents.size() > internal::kInlineParents) {
-        em.wide_nodes += CardInterval::Exact(1);
-        em.wide_edges += CardInterval::Exact(parents.size());
-      }
-      if (n.is_value_node() && !n.value().is_null()) {
-        em.values += CardInterval::Exact(1);
-      }
-    });
-    for (size_t i = 0; i < invs.size() && i < inv_meta_.size(); ++i) {
-      InvocationProfile p;
-      p.node_id = inv_meta_[i].node_id;
-      p.module = inv_meta_[i].module;
-      p.instance = inv_meta_[i].instance;
-      p.execution = inv_meta_[i].execution;
-      p.emission = per_inv[i];
-      out->invocations.push_back(std::move(p));
-    }
-    // Interner totals are global (payloads dedup across invocations).
-    Emission shared;
-    const StringPool& pool = scratch_.strings();
-    uint64_t chars = 0;
-    for (size_t i = 1; i < pool.size(); ++i) {
-      chars += pool.Get(static_cast<StrId>(i)).size();
-    }
-    shared.interned_strings = CardInterval::Exact(pool.size() - 1);
-    shared.interned_chars = CardInterval::Exact(chars);
-    out->shared = shared;
-    out->concrete = true;
-  }
-
-  struct InvMeta {
-    std::string node_id, module, instance;
-    int execution;
+  ProvenanceGraph scratch;
+  std::map<uint32_t, std::string> owner;  // invocation -> workflow node
+  struct Rows {
+    CardInterval all;  // joined over the executions
+    size_t last = 0;   // in the latest execution
   };
+  std::map<std::string, std::map<std::string, Rows>> rows;  // node -> rel
+  for (int e = 0; e < opt.executions; ++e) {
+    ExecutionReport report;
+    LIPSTICK_RETURN_IF_ERROR(
+        executor.Execute(opt.inputs, &scratch, ExecutionOptions{}, &report)
+            .status());
+    for (const auto& [node_id, node] : report.nodes) {
+      owner[node.invocation] = node_id;
+      for (const auto& [rel, n] : node.relation_rows) {
+        CardInterval card = CardInterval::Exact(n);
+        auto [it, fresh] = rows[node_id].try_emplace(rel, Rows{card, n});
+        if (!fresh) it->second = {it->second.all.Join(card), n};
+      }
+    }
+  }
+  scratch.Seal();
 
-  const Workflow& wf_;
-  const AnalyzeOptions& opt_;
-  const std::vector<std::string>& topo_;
-  ProvenanceGraph scratch_;
-  std::map<std::string, std::map<std::string, Relation>> state_;
-  std::vector<InvMeta> inv_meta_;
-  std::set<std::pair<std::string, std::string>> observed_;
-  /// Untagged nodes ("I" tokens) -> owning invocation, for Harvest.
-  std::unordered_map<NodeId, uint32_t> untagged_owner_;
-};
+  out->invocations = MeasureInvocations(scratch);
+  for (const auto& [inv, node_id] : owner) {
+    out->invocations[inv].node_id = node_id;
+  }
+  scratch.ForEachNode([&](NodeId id) {
+    uint32_t inv = scratch.node(id).invocation();
+    if (inv == kNoInvocation) {
+      // "I" tokens are created untagged; the only child of each is the
+      // "i" node of the invocation that consumed it.
+      std::span<const NodeId> children = scratch.ChildrenOf(id);
+      if (children.size() != 1) return;
+      inv = scratch.node(children[0]).invocation();
+    }
+    if (inv >= out->invocations.size()) return;
+    Emission& em = out->invocations[inv].emission;
+    NodeView n = scratch.node(id);
+    size_t parents = n.num_parents();
+    em.nodes += CardInterval::Exact(1);
+    em.edges += CardInterval::Exact(parents);
+    em.est_nodes += 1;
+    em.est_edges += static_cast<double>(parents);
+    if (parents > internal::kInlineParents) {
+      em.wide_nodes += CardInterval::Exact(1);
+      em.wide_edges += CardInterval::Exact(parents);
+    }
+    if (n.is_value_node() && !n.value().is_null()) {
+      em.values += CardInterval::Exact(1);
+    }
+  });
+  for (const auto& [node_id, rels] : rows) {
+    for (const auto& [rel, r] : rels) {
+      RelationFacts& f = out->relations[node_id][rel];
+      f.card = CardSet{r.all, {}};
+      f.est = static_cast<double>(r.last);
+    }
+  }
+  // Interner totals are global (payloads dedup across invocations).
+  const StringPool& pool = scratch.strings();
+  uint64_t chars = 0;
+  for (size_t i = 1; i < pool.size(); ++i) {
+    chars += pool.Get(static_cast<StrId>(i)).size();
+  }
+  out->shared = Emission{};
+  out->shared.interned_strings = CardInterval::Exact(pool.size() - 1);
+  out->shared.interned_chars = CardInterval::Exact(chars);
+  out->concrete = true;
+  return Status::OK();
+}
 
 }  // namespace
 
@@ -1926,8 +1738,7 @@ Result<WorkflowFacts> AnalyzeDataflow(const Workflow& workflow,
   // Concrete refinement: with sample inputs the value domain collapses
   // every interval to a point.
   if (!opt.inputs.empty() && !opt.force_interval) {
-    ConcreteReplay replay(workflow, opt, topo);
-    Status status = replay.Run(&facts);
+    Status status = RunConcrete(workflow, opt, &facts);
     if (!status.ok()) {
       facts.notes.push_back(StrCat("concrete replay unavailable: ",
                                    status.message(),

@@ -32,10 +32,11 @@ namespace lipstick::analysis {
 ///   - interval mode (no sample data): cardinalities are [lo, hi] ranges
 ///     with selectivity-based point estimates; sound over-approximations,
 ///   - concrete mode (sample inputs provided): the value domain — the
-///     analyzer replays the executor's invocation protocol through the
-///     real interpreter against a scratch provenance graph, so predicted
-///     counts are exact by construction (the same reuse-the-engine trick
-///     AnalyzeProgram plays for schemas).
+///     analyzer runs the real WorkflowExecutor against a scratch
+///     provenance graph, so predicted counts are exact by construction
+///     (the same reuse-the-engine trick AnalyzeProgram plays for
+///     schemas). If that run fails, the facts stay interval bounds and
+///     WorkflowFacts::notes says why.
 ///
 /// Code range D04xx (see Diagnostic):
 ///   D0401  join/group key type mismatch across BY clauses
@@ -218,7 +219,7 @@ struct WorkflowFacts {
   /// Emission shared across invocations: module/instance/op names interned
   /// once per graph plus the per-graph fixed costs.
   Emission shared;
-  /// Analysis caveats (places the concrete replay had to fall back).
+  /// Analysis caveats (why the concrete run fell back to intervals).
   std::vector<std::string> notes;
 
   Emission Total() const;

@@ -11,9 +11,25 @@ namespace lipstick::analysis {
 namespace {
 
 using pig::Expr;
-using pig::ExprKind;
 using pig::Statement;
 using pig::StatementKind;
+
+/// Diagnostic code of each kind of expression type error.
+const char* ExprErrorCode(pig::ExprErrorKind kind) {
+  switch (kind) {
+    case pig::ExprErrorKind::kUnknownField:
+      return "L0103";
+    case pig::ExprErrorKind::kOperandType:
+      return "L0104";
+    case pig::ExprErrorKind::kUnknownFunction:
+      return "L0105";
+    case pig::ExprErrorKind::kBadCall:
+      return "L0106";
+    case pig::ExprErrorKind::kPositionalRange:
+      return "L0108";
+  }
+  return "L0104";
+}
 
 struct BindInfo {
   SourceLoc loc;
@@ -96,208 +112,14 @@ class Linter {
     binds_[target] = BindInfo{loc, false};
   }
 
-  /// -------------------- expression type checking ----------------------
-  /// Mirrors pig::InferExprType but reports typed diagnostics and keeps
-  /// going after a problem (result nullopt suppresses dependent checks).
-  std::optional<FieldType> LintExpr(const Expr& expr, const Schema& schema) {
-    switch (expr.kind) {
-      case ExprKind::kConst: {
-        const Value& v = expr.literal;
-        if (v.is_bool()) return FieldType::Bool();
-        if (v.is_int()) return FieldType::Int();
-        if (v.is_double()) return FieldType::Double();
-        return FieldType::String();
-      }
-      case ExprKind::kFieldRef: {
-        Result<size_t> idx = schema.ResolveField(expr.name);
-        if (!idx.ok()) {
-          Error("L0103", expr.loc, idx.status().message(),
-                StrCat("available fields: ", schema.ToString()));
-          return std::nullopt;
-        }
-        return schema.field(*idx).type;
-      }
-      case ExprKind::kPositional: {
-        if (expr.position < 0 ||
-            static_cast<size_t>(expr.position) >= schema.num_fields()) {
-          Error("L0108", expr.loc,
-                StrCat("positional reference $", expr.position,
-                       " out of range"),
-                StrCat("the input has ", schema.num_fields(), " field(s): ",
-                       schema.ToString()));
-          return std::nullopt;
-        }
-        return schema.field(expr.position).type;
-      }
-      case ExprKind::kBagProject: {
-        Result<size_t> idx = schema.ResolveField(expr.name);
-        if (!idx.ok()) {
-          Error("L0103", expr.loc, idx.status().message(),
-                StrCat("available fields: ", schema.ToString()));
-          return std::nullopt;
-        }
-        const FieldType& bag_type = schema.field(*idx).type;
-        if (bag_type.kind() != FieldType::Kind::kBag || !bag_type.nested()) {
-          Error("L0104", expr.loc,
-                StrCat("'", expr.name, "' is not a bag field"),
-                "Bag.field projection needs a bag-valued operand");
-          return std::nullopt;
-        }
-        Result<size_t> sub = bag_type.nested()->ResolveField(expr.sub_name);
-        if (!sub.ok()) {
-          Error("L0103", expr.loc, sub.status().message(),
-                StrCat("fields of bag '", expr.name,
-                       "': ", bag_type.nested()->ToString()));
-          return std::nullopt;
-        }
-        return FieldType::Bag(Schema::Make(
-            {Field(expr.sub_name, bag_type.nested()->field(*sub).type)}));
-      }
-      case ExprKind::kUnaryOp:
-        return LintUnary(expr, schema);
-      case ExprKind::kBinaryOp:
-        return LintBinary(expr, schema);
-      case ExprKind::kFuncCall:
-        return LintCall(expr, schema);
-    }
-    return std::nullopt;
-  }
-
-  std::optional<FieldType> LintUnary(const Expr& expr, const Schema& schema) {
-    std::optional<FieldType> t = LintExpr(*expr.children[0], schema);
-    if (!t) return std::nullopt;
-    using pig::UnOp;
-    if (expr.un_op == UnOp::kIsNull || expr.un_op == UnOp::kIsNotNull) {
-      if (!t->is_scalar()) {
-        Error("L0104", expr.loc, "IS NULL requires a scalar operand");
-        return std::nullopt;
-      }
-      return FieldType::Bool();
-    }
-    if (expr.un_op == UnOp::kNot) {
-      if (t->kind() != FieldType::Kind::kBool) {
-        Error("L0104", expr.loc, "NOT requires a boolean operand",
-              StrCat("operand has type ", t->ToString()));
-        return std::nullopt;
-      }
-      return FieldType::Bool();
-    }
-    if (!t->is_numeric()) {
-      Error("L0104", expr.loc, "unary '-' requires a numeric operand",
-            StrCat("operand has type ", t->ToString()));
-      return std::nullopt;
-    }
-    return t;
-  }
-
-  std::optional<FieldType> LintBinary(const Expr& expr, const Schema& schema) {
-    std::optional<FieldType> lt = LintExpr(*expr.children[0], schema);
-    std::optional<FieldType> rt = LintExpr(*expr.children[1], schema);
-    if (!lt || !rt) return std::nullopt;
-    auto types_note = [&] {
-      return StrCat("operands have types ", lt->ToString(), " and ",
-                    rt->ToString());
-    };
-    using pig::BinOp;
-    switch (expr.bin_op) {
-      case BinOp::kAdd:
-      case BinOp::kSub:
-      case BinOp::kMul:
-      case BinOp::kDiv:
-        if (!lt->is_numeric() || !rt->is_numeric()) {
-          Error("L0104", expr.loc, "arithmetic requires numeric operands",
-                types_note());
-          return std::nullopt;
-        }
-        if (lt->kind() == FieldType::Kind::kDouble ||
-            rt->kind() == FieldType::Kind::kDouble) {
-          return FieldType::Double();
-        }
-        return FieldType::Int();
-      case BinOp::kMod:
-        if (lt->kind() != FieldType::Kind::kInt ||
-            rt->kind() != FieldType::Kind::kInt) {
-          Error("L0104", expr.loc, "'%' requires integer operands",
-                types_note());
-          return std::nullopt;
-        }
-        return FieldType::Int();
-      case BinOp::kAnd:
-      case BinOp::kOr:
-        if (lt->kind() != FieldType::Kind::kBool ||
-            rt->kind() != FieldType::Kind::kBool) {
-          Error("L0104", expr.loc, "AND/OR require boolean operands",
-                types_note());
-          return std::nullopt;
-        }
-        return FieldType::Bool();
-      default:  // comparisons
-        if (!lt->is_scalar() || !rt->is_scalar()) {
-          Error("L0104", expr.loc, "comparisons require scalar operands",
-                types_note());
-          return std::nullopt;
-        }
-        return FieldType::Bool();
-    }
-  }
-
-  std::optional<FieldType> LintCall(const Expr& expr, const Schema& schema) {
-    if (pig::IsAggregateFunction(expr.name)) {
-      if (expr.children.size() != 1) {
-        Error("L0106", expr.loc,
-              StrCat(expr.name, " takes exactly one argument, got ",
-                     expr.children.size()));
-        return std::nullopt;
-      }
-      std::optional<FieldType> arg = LintExpr(*expr.children[0], schema);
-      if (!arg) return std::nullopt;
-      if (arg->kind() != FieldType::Kind::kBag || !arg->nested()) {
-        Error("L0106", expr.loc,
-              StrCat(expr.name, " requires a bag argument"),
-              StrCat("argument has type ", arg->ToString(),
-                     "; aggregates run after GROUP"));
-        return std::nullopt;
-      }
-      std::string op = ToUpper(expr.name);
-      if (op == "COUNT") return FieldType::Int();
-      if (op == "AVG") return FieldType::Double();
-      if (arg->nested()->num_fields() != 1) {
-        Error("L0106", expr.loc,
-              StrCat(expr.name,
-                     " requires a single-attribute bag (use Bag.field)"));
-        return std::nullopt;
-      }
-      const FieldType& elem = arg->nested()->field(0).type;
-      if (!elem.is_numeric()) {
-        Error("L0106", expr.loc,
-              StrCat(expr.name, " requires numeric values"),
-              StrCat("bag elements have type ", elem.ToString()));
-        return std::nullopt;
-      }
-      return elem;
-    }
-    const pig::UdfEntry* udf =
-        options_.udfs ? options_.udfs->Lookup(expr.name) : nullptr;
-    if (udf == nullptr) {
-      Error("L0105", expr.loc,
-            StrCat("unknown function '", expr.name, "'"),
-            "not a built-in aggregate and not in the UDF registry");
-      return std::nullopt;
-    }
-    std::vector<FieldType> arg_types;
-    for (const pig::ExprPtr& child : expr.children) {
-      std::optional<FieldType> t = LintExpr(*child, schema);
-      if (!t) return std::nullopt;
-      arg_types.push_back(std::move(*t));
-    }
-    Result<FieldType> ret = udf->return_type(arg_types);
-    if (!ret.ok()) {
-      Error("L0106", expr.loc,
-            StrCat("bad call to UDF '", expr.name,
-                   "': ", ret.status().message()));
-      return std::nullopt;
-    }
-    return *ret;
+  /// Type-checks `expr` with the interpreter's own checker and reports
+  /// each error as a diagnostic. Nullopt when the type is unknown.
+  std::optional<FieldType> CheckExpr(const Expr& expr, const Schema& schema) {
+    return pig::CheckExprType(expr, schema, options_.udfs,
+                              [this](pig::ExprError e) {
+                                Error(ExprErrorCode(e.kind), e.loc,
+                                      std::move(e.message), std::move(e.note));
+                              });
   }
 
   /// ------------------------ statement checking ------------------------
@@ -356,7 +178,7 @@ class Linter {
         if (schema == nullptr) return;
         std::map<std::string, SourceLoc> aliases;
         for (const pig::GenItem& item : stmt.gen_items) {
-          LintExpr(*item.expr, *schema);
+          CheckExpr(*item.expr, *schema);
           if (item.alias.empty()) continue;
           auto [it, inserted] = aliases.emplace(item.alias, item.expr->loc);
           if (!inserted) {
@@ -371,7 +193,7 @@ class Linter {
       case StatementKind::kFilter: {
         const Schema* schema = SchemaOf(stmt.inputs[0]);
         if (schema == nullptr || stmt.condition == nullptr) return;
-        std::optional<FieldType> t = LintExpr(*stmt.condition, *schema);
+        std::optional<FieldType> t = CheckExpr(*stmt.condition, *schema);
         if (t && t->kind() != FieldType::Kind::kBool) {
           Error("L0104", stmt.condition->loc,
                 "FILTER condition must be boolean",
@@ -386,7 +208,7 @@ class Linter {
           const Schema* schema = SchemaOf(by.relation);
           if (schema == nullptr) continue;
           for (const pig::ExprPtr& key : by.keys) {
-            LintExpr(*key, *schema);
+            CheckExpr(*key, *schema);
           }
         }
         break;
@@ -408,7 +230,7 @@ class Linter {
         const Schema* schema = SchemaOf(stmt.inputs[0]);
         if (schema == nullptr) return;
         for (const auto& [name, cond] : stmt.split_targets) {
-          std::optional<FieldType> t = LintExpr(*cond, *schema);
+          std::optional<FieldType> t = CheckExpr(*cond, *schema);
           if (t && t->kind() != FieldType::Kind::kBool) {
             Error("L0104", cond->loc,
                   StrCat("SPLIT condition for '", name, "' must be boolean"),

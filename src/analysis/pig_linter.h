@@ -29,11 +29,13 @@ struct PigLintOptions {
 };
 
 /// Pre-execution semantic lint of a Pig Latin program: nested-schema type
-/// inference over every statement (reusing the engine's own inference, so
-/// the linter can never disagree with execution) plus use/def bookkeeping
-/// the engine does not track. Unlike pig::AnalyzeProgram, the linter
-/// recovers after an error: a statement with an undefined source poisons
-/// its target instead of aborting, so one mistake yields one diagnostic.
+/// inference over every statement plus use/def bookkeeping the engine does
+/// not track. Schemas come from the interpreter run over empty relations
+/// and expression types from the interpreter's own checker
+/// (pig::CheckExprType), so the linter can never disagree with execution.
+/// Unlike pig::AnalyzeProgram, the linter recovers after an error: a
+/// statement with an undefined source poisons its target instead of
+/// aborting, so one mistake yields one diagnostic.
 ///
 /// Diagnostic codes:
 ///   L0101  reference to an alias that is never bound           (error)

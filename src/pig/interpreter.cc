@@ -62,8 +62,20 @@ bool IsAggregateFunction(const std::string& name) {
 
 /// ------------------------- type inference ------------------------------
 
-Result<FieldType> InferExprType(const Expr& expr, const Schema& schema,
-                                const UdfRegistry* udfs) {
+std::optional<FieldType> CheckExprType(const Expr& expr, const Schema& schema,
+                                       const UdfRegistry* udfs,
+                                       const ExprErrorFn& on_error) {
+  // Reports one error at `expr`; notes are built only on this path.
+  auto fail = [&](ExprErrorKind kind, std::string message,
+                  std::string note = "",
+                  StatusCode code = StatusCode::kTypeError) {
+    on_error(ExprError{kind, code, expr.loc, std::move(message),
+                       std::move(note)});
+    return std::nullopt;
+  };
+  auto check = [&](const Expr& child) {
+    return CheckExprType(child, schema, udfs, on_error);
+  };
   switch (expr.kind) {
     case ExprKind::kConst: {
       const Value& v = expr.literal;
@@ -73,132 +85,186 @@ Result<FieldType> InferExprType(const Expr& expr, const Schema& schema,
       return FieldType::String();  // strings and null literals
     }
     case ExprKind::kFieldRef: {
-      LIPSTICK_ASSIGN_OR_RETURN(size_t idx, schema.ResolveField(expr.name));
-      return schema.field(idx).type;
+      Result<size_t> idx = schema.ResolveField(expr.name);
+      if (!idx.ok()) {
+        return fail(ExprErrorKind::kUnknownField, idx.status().message(),
+                    StrCat("available fields: ", schema.ToString()),
+                    idx.status().code());
+      }
+      return schema.field(*idx).type;
     }
     case ExprKind::kPositional: {
       if (expr.position < 0 ||
           static_cast<size_t>(expr.position) >= schema.num_fields()) {
-        return TypeErr(expr.loc, StrCat("positional reference $",
-                                        expr.position, " out of range for ",
-                                        schema.ToString()));
+        return fail(ExprErrorKind::kPositionalRange,
+                    StrCat("positional reference $", expr.position,
+                           " out of range"),
+                    StrCat("the input has ", schema.num_fields(),
+                           " field(s): ", schema.ToString()));
       }
       return schema.field(expr.position).type;
     }
     case ExprKind::kBagProject: {
-      LIPSTICK_ASSIGN_OR_RETURN(size_t idx, schema.ResolveField(expr.name));
-      const FieldType& bag_type = schema.field(idx).type;
-      if (bag_type.kind() != FieldType::Kind::kBag || !bag_type.nested()) {
-        return TypeErr(expr.loc,
-                       StrCat("'", expr.name, "' is not a bag field"));
+      Result<size_t> idx = schema.ResolveField(expr.name);
+      if (!idx.ok()) {
+        return fail(ExprErrorKind::kUnknownField, idx.status().message(),
+                    StrCat("available fields: ", schema.ToString()),
+                    idx.status().code());
       }
-      LIPSTICK_ASSIGN_OR_RETURN(size_t sub,
-                                bag_type.nested()->ResolveField(expr.sub_name));
+      const FieldType& bag_type = schema.field(*idx).type;
+      if (bag_type.kind() != FieldType::Kind::kBag || !bag_type.nested()) {
+        return fail(ExprErrorKind::kOperandType,
+                    StrCat("'", expr.name, "' is not a bag field"),
+                    "Bag.field projection needs a bag-valued operand");
+      }
+      Result<size_t> sub = bag_type.nested()->ResolveField(expr.sub_name);
+      if (!sub.ok()) {
+        return fail(ExprErrorKind::kUnknownField, sub.status().message(),
+                    StrCat("fields of bag '", expr.name,
+                           "': ", bag_type.nested()->ToString()),
+                    sub.status().code());
+      }
       return FieldType::Bag(Schema::Make(
-          {Field(expr.sub_name, bag_type.nested()->field(sub).type)}));
+          {Field(expr.sub_name, bag_type.nested()->field(*sub).type)}));
     }
     case ExprKind::kUnaryOp: {
-      LIPSTICK_ASSIGN_OR_RETURN(FieldType t,
-                                InferExprType(*expr.children[0], schema, udfs));
+      std::optional<FieldType> t = check(*expr.children[0]);
+      if (!t) return std::nullopt;
       if (expr.un_op == UnOp::kIsNull || expr.un_op == UnOp::kIsNotNull) {
-        if (!t.is_scalar()) {
-          return TypeErr(expr.loc, "IS NULL requires a scalar operand");
+        if (!t->is_scalar()) {
+          return fail(ExprErrorKind::kOperandType,
+                      "IS NULL requires a scalar operand");
         }
         return FieldType::Bool();
       }
       if (expr.un_op == UnOp::kNot) {
-        if (t.kind() != FieldType::Kind::kBool) {
-          return TypeErr(expr.loc, "NOT requires a boolean operand");
+        if (t->kind() != FieldType::Kind::kBool) {
+          return fail(ExprErrorKind::kOperandType,
+                      "NOT requires a boolean operand",
+                      StrCat("operand has type ", t->ToString()));
         }
         return FieldType::Bool();
       }
-      if (!t.is_numeric()) {
-        return TypeErr(expr.loc, "unary '-' requires a numeric operand");
+      if (!t->is_numeric()) {
+        return fail(ExprErrorKind::kOperandType,
+                    "unary '-' requires a numeric operand",
+                    StrCat("operand has type ", t->ToString()));
       }
       return t;
     }
     case ExprKind::kBinaryOp: {
-      LIPSTICK_ASSIGN_OR_RETURN(FieldType lt,
-                                InferExprType(*expr.children[0], schema, udfs));
-      LIPSTICK_ASSIGN_OR_RETURN(FieldType rt,
-                                InferExprType(*expr.children[1], schema, udfs));
+      std::optional<FieldType> lt = check(*expr.children[0]);
+      std::optional<FieldType> rt = check(*expr.children[1]);
+      if (!lt || !rt) return std::nullopt;
+      const char* problem;
       switch (expr.bin_op) {
         case BinOp::kAdd:
         case BinOp::kSub:
         case BinOp::kMul:
         case BinOp::kDiv:
-          if (!lt.is_numeric() || !rt.is_numeric()) {
-            return TypeErr(expr.loc, "arithmetic requires numeric operands");
+          if (lt->is_numeric() && rt->is_numeric()) {
+            // Pig semantics: int op int stays int (including '/').
+            if (lt->kind() == FieldType::Kind::kDouble ||
+                rt->kind() == FieldType::Kind::kDouble) {
+              return FieldType::Double();
+            }
+            return FieldType::Int();
           }
-          // Pig semantics: int op int stays int (including '/').
-          if (lt.kind() == FieldType::Kind::kDouble ||
-              rt.kind() == FieldType::Kind::kDouble) {
-            return FieldType::Double();
-          }
-          return FieldType::Int();
+          problem = "arithmetic requires numeric operands";
+          break;
         case BinOp::kMod:
-          if (lt.kind() != FieldType::Kind::kInt ||
-              rt.kind() != FieldType::Kind::kInt) {
-            return TypeErr(expr.loc, "'%' requires integer operands");
+          if (lt->kind() == FieldType::Kind::kInt &&
+              rt->kind() == FieldType::Kind::kInt) {
+            return FieldType::Int();
           }
-          return FieldType::Int();
+          problem = "'%' requires integer operands";
+          break;
         case BinOp::kAnd:
         case BinOp::kOr:
-          if (lt.kind() != FieldType::Kind::kBool ||
-              rt.kind() != FieldType::Kind::kBool) {
-            return TypeErr(expr.loc, "AND/OR require boolean operands");
+          if (lt->kind() == FieldType::Kind::kBool &&
+              rt->kind() == FieldType::Kind::kBool) {
+            return FieldType::Bool();
           }
-          return FieldType::Bool();
+          problem = "AND/OR require boolean operands";
+          break;
         default:  // comparisons
-          if (!lt.is_scalar() || !rt.is_scalar()) {
-            return TypeErr(expr.loc, "comparisons require scalar operands");
-          }
-          return FieldType::Bool();
+          if (lt->is_scalar() && rt->is_scalar()) return FieldType::Bool();
+          problem = "comparisons require scalar operands";
       }
+      return fail(ExprErrorKind::kOperandType, problem,
+                  StrCat("operands have types ", lt->ToString(), " and ",
+                         rt->ToString()));
     }
     case ExprKind::kFuncCall: {
       if (IsAggregateFunction(expr.name)) {
         if (expr.children.size() != 1) {
-          return TypeErr(expr.loc,
-                         StrCat(expr.name, " takes exactly one argument"));
+          return fail(ExprErrorKind::kBadCall,
+                      StrCat(expr.name, " takes exactly one argument, got ",
+                             expr.children.size()));
         }
-        LIPSTICK_ASSIGN_OR_RETURN(
-            FieldType arg, InferExprType(*expr.children[0], schema, udfs));
-        if (arg.kind() != FieldType::Kind::kBag || !arg.nested()) {
-          return TypeErr(expr.loc,
-                         StrCat(expr.name, " requires a bag argument"));
+        std::optional<FieldType> arg = check(*expr.children[0]);
+        if (!arg) return std::nullopt;
+        if (arg->kind() != FieldType::Kind::kBag || !arg->nested()) {
+          return fail(ExprErrorKind::kBadCall,
+                      StrCat(expr.name, " requires a bag argument"),
+                      StrCat("argument has type ", arg->ToString(),
+                             "; aggregates run after GROUP"));
         }
         std::string op = ToUpper(expr.name);
         if (op == "COUNT") return FieldType::Int();
         if (op == "AVG") return FieldType::Double();
-        if (arg.nested()->num_fields() != 1) {
-          return TypeErr(
-              expr.loc,
-              StrCat(expr.name,
-                     " requires a single-attribute bag (use Bag.field)"));
+        if (arg->nested()->num_fields() != 1) {
+          return fail(ExprErrorKind::kBadCall,
+                      StrCat(expr.name, " requires a single-attribute bag "
+                                        "(use Bag.field)"));
         }
-        const FieldType& elem = arg.nested()->field(0).type;
+        const FieldType& elem = arg->nested()->field(0).type;
         if (!elem.is_numeric()) {
-          return TypeErr(expr.loc,
-                         StrCat(expr.name, " requires numeric values"));
+          return fail(ExprErrorKind::kBadCall,
+                      StrCat(expr.name, " requires numeric values"),
+                      StrCat("bag elements have type ", elem.ToString()));
         }
         return elem;
       }
       const UdfEntry* udf = udfs ? udfs->Lookup(expr.name) : nullptr;
       if (udf == nullptr) {
-        return TypeErr(expr.loc,
-                       StrCat("unknown function '", expr.name, "'"));
+        return fail(ExprErrorKind::kUnknownFunction,
+                    StrCat("unknown function '", expr.name, "'"),
+                    "not a built-in aggregate and not in the UDF registry");
       }
       std::vector<FieldType> arg_types;
       for (const ExprPtr& child : expr.children) {
-        LIPSTICK_ASSIGN_OR_RETURN(FieldType t,
-                                  InferExprType(*child, schema, udfs));
-        arg_types.push_back(std::move(t));
+        std::optional<FieldType> t = check(*child);
+        if (!t) return std::nullopt;
+        arg_types.push_back(std::move(*t));
       }
-      return udf->return_type(arg_types);
+      Result<FieldType> ret = udf->return_type(arg_types);
+      if (!ret.ok()) {
+        return fail(ExprErrorKind::kBadCall,
+                    StrCat("bad call to UDF '", expr.name,
+                           "': ", ret.status().message()),
+                    "", ret.status().code());
+      }
+      return std::move(ret).value();
     }
   }
-  return Status::Internal("unhandled expression kind");
+  return fail(ExprErrorKind::kOperandType, "unhandled expression kind", "",
+              StatusCode::kInternal);
+}
+
+Result<FieldType> InferExprType(const Expr& expr, const Schema& schema,
+                                const UdfRegistry* udfs) {
+  Status first;
+  std::optional<FieldType> type =
+      CheckExprType(expr, schema, udfs, [&first](ExprError e) {
+        if (!first.ok()) return;
+        first = Status(e.code, e.kind == ExprErrorKind::kUnknownField
+                                   ? std::move(e.message)
+                                   : StrCat("line ", e.loc.line, ":",
+                                            e.loc.column, ": ", e.message));
+      });
+  if (!type) return first;
+  return *std::move(type);
 }
 
 /// --------------------------- evaluation --------------------------------

@@ -1,7 +1,9 @@
 #ifndef LIPSTICK_PIG_INTERPRETER_H_
 #define LIPSTICK_PIG_INTERPRETER_H_
 
+#include <functional>
 #include <map>
+#include <optional>
 #include <string>
 
 #include "common/result.h"
@@ -76,7 +78,37 @@ Result<std::map<std::string, SchemaPtr>> AnalyzeProgram(
     const Program& program, std::map<std::string, SchemaPtr> schemas,
     const UdfRegistry* udfs);
 
-/// Infers the result type of `expr` against tuples of `schema`.
+/// The rule an expression type error breaks.
+enum class ExprErrorKind : uint8_t {
+  kUnknownField,     // a field or Bag.field name does not resolve
+  kOperandType,      // an operator over operands of the wrong type
+  kUnknownFunction,  // neither a built-in aggregate nor a registered UDF
+  kBadCall,          // aggregate/UDF arity or argument-type error
+  kPositionalRange,  // $n past the last field
+};
+
+/// One type error found by CheckExprType.
+struct ExprError {
+  ExprErrorKind kind;
+  StatusCode code;  // kNotFound (field), the UDF's own code, or kTypeError
+  SourceLoc loc;
+  std::string message;
+  std::string note;  // context for a diagnostic (may be empty)
+};
+
+using ExprErrorFn = std::function<void(ExprError)>;
+
+/// Infers the result type of `expr` against tuples of `schema`, reporting
+/// every type error to `on_error` and going on past it: both operands of a
+/// binary operator are checked even when the first one fails. A failed
+/// subexpression yields nullopt, which suppresses the checks that depend on
+/// its type.
+std::optional<FieldType> CheckExprType(const Expr& expr, const Schema& schema,
+                                       const UdfRegistry* udfs,
+                                       const ExprErrorFn& on_error);
+
+/// CheckExprType that fails with the first error. Its message carries the
+/// "line L:C: " prefix, except for a field that does not resolve.
 Result<FieldType> InferExprType(const Expr& expr, const Schema& schema,
                                 const UdfRegistry* udfs);
 

@@ -23,13 +23,10 @@ namespace lipstick::service {
 namespace {
 
 /// Lazily registered service metrics (no-ops while the registry is
-/// disabled, mirroring the rest of the codebase).
+/// disabled, mirroring the rest of the codebase). Request, error, overload
+/// and cache counts have one source each: the server's atomics and the
+/// caches' own counters (Stats(), metricz's "service" block).
 struct ServiceMetrics {
-  obs::MetricId requests;
-  obs::MetricId errors;
-  obs::MetricId overloaded;
-  obs::MetricId cache_hits;
-  obs::MetricId cache_misses;
   obs::MetricId request_us;
   obs::MetricId queue_wait_us;
 
@@ -37,11 +34,6 @@ struct ServiceMetrics {
     static ServiceMetrics m = [] {
       obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
       ServiceMetrics out;
-      out.requests = reg.RegisterCounter("service.requests");
-      out.errors = reg.RegisterCounter("service.errors");
-      out.overloaded = reg.RegisterCounter("service.overloaded");
-      out.cache_hits = reg.RegisterCounter("service.cache_hits");
-      out.cache_misses = reg.RegisterCounter("service.cache_misses");
       out.request_us = reg.RegisterHistogram("service.request_us");
       out.queue_wait_us = reg.RegisterHistogram("service.queue_wait_us");
       return out;
@@ -258,8 +250,6 @@ void Server::SessionLoop(Session* session) {
       serialized = response.get();
     } else {
       overloaded_.fetch_add(1);
-      obs::MetricsRegistry::Global().CounterAdd(
-          ServiceMetrics::Get().overloaded);
       serialized =
           ErrorResponse("overloaded", "request queue is full, retry later")
               .Serialize();
@@ -287,14 +277,11 @@ void Server::WorkerLoop() {
 std::string Server::CountErrorResponse(std::string_view code,
                                        std::string_view message) {
   errors_.fetch_add(1);
-  obs::MetricsRegistry::Global().CounterAdd(ServiceMetrics::Get().errors);
   return ErrorResponse(code, message).Serialize();
 }
 
 std::string Server::Execute(const std::string& payload, int conn_fd) {
   requests_.fetch_add(1);
-  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
-  metrics.CounterAdd(ServiceMetrics::Get().requests);
   obs::ScopedHistTimer timer(ServiceMetrics::Get().request_us);
 
   Result<obs::JsonValue> doc = obs::ParseJson(payload);
@@ -351,7 +338,6 @@ std::string Server::ExecuteQueryOp(const std::string& op,
     return CountErrorResponse(ErrorCodeString(loaded.status().code()),
                               loaded.status().message());
   }
-  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
 
   // Parse + optimize first: the response cache is keyed on the canonical
   // plan string, so syntactically different but equivalent requests
@@ -365,10 +351,8 @@ std::string Server::ExecuteQueryOp(const std::string& op,
       (*loaded)->name, (*loaded)->epoch, parsed->canonical, {});
   std::string cached;
   if (cache_.Get(cache_key, &cached)) {
-    metrics.CounterAdd(ServiceMetrics::Get().cache_hits);
     return OkResponse(cached).Serialize();
   }
-  metrics.CounterAdd(ServiceMetrics::Get().cache_misses);
 
   // The token is created before the fault fires so an injected exec delay
   // counts against the request deadline — that determinism is what the

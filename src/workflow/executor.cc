@@ -212,6 +212,8 @@ struct WorkflowExecutor::NodeRun {
   // Invocation registered by the last Run() call, so a failed attempt's
   // record can be aborted (kNoInvocation when tracking is off).
   uint32_t last_invocation = kNoInvocation;
+  // Rows per bound relation once Qout finished (NodeReport::relation_rows).
+  std::map<std::string, size_t> relation_rows = {};
 
   Result<std::map<std::string, Relation>> Run(
       const std::map<std::string, Bag>& edge_inputs) {
@@ -302,6 +304,9 @@ struct WorkflowExecutor::NodeRun {
       return status.WithContext(
           StrCat("node ", node->id, " (module ", spec->name, ", execution ",
                  execution, ")"));
+    }
+    for (const auto& [rel_name, rel] : env.relations()) {
+      relation_rows.emplace_hint(relation_rows.end(), rel_name, rel.bag.size());
     }
 
     // Persist new state (annotations carried through).
@@ -453,6 +458,8 @@ Status WorkflowExecutor::RunNodeWithRetries(const std::string& node_id,
       if (exec->wal != nullptr && run.last_invocation != kNoInvocation) {
         (void)exec->wal->CommitInvocation(run.last_invocation);
       }
+      report_entry->invocation = run.last_invocation;
+      report_entry->relation_rows = std::move(run.relation_rows);
       std::lock_guard<std::mutex> lock(exec->mu);
       exec->outputs.emplace(node_id, std::move(node_outputs));
       last_node_times_[node_id] = timer.ElapsedSeconds();

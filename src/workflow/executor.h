@@ -80,6 +80,13 @@ struct NodeReport {
   double queue_wait_seconds = 0;  // ready-to-dispatch wait (parallel path)
   bool skipped = false;      // true: never attempted (kSkipDownstream)
   std::string skipped_because_of;  // failed ancestor that caused the skip
+  /// Graph invocation of the committed attempt (kNoInvocation when
+  /// tracking is off or no attempt committed).
+  uint32_t invocation = kNoInvocation;
+  /// Rows of every relation bound when the committed attempt's Qout
+  /// finished: inputs, state, intermediates and outputs (empty when no
+  /// attempt committed).
+  std::map<std::string, size_t> relation_rows;
 };
 
 /// Outcome of one Execute() call, node by node.

@@ -53,6 +53,16 @@ void ExpectDiagAt(const DiagnosticSink& sink, const std::string& code,
   EXPECT_EQ(diag->loc.column, column) << sink.RenderText();
 }
 
+/// Asserts the message and note of the first `code` diagnostic in `sink`.
+void ExpectDiagText(const DiagnosticSink& sink, const std::string& code,
+                    const std::string& message, const std::string& note) {
+  const Diagnostic* diag = sink.Find(code);
+  ASSERT_NE(diag, nullptr)
+      << "no " << code << " in:\n" << sink.RenderText();
+  EXPECT_EQ(diag->message, message);
+  EXPECT_EQ(diag->note, note);
+}
+
 /// A minimal valid module wrapping one qout statement block, used by the
 /// Pig-linter fixtures. The block starts at line 4, column 8.
 std::string OneModuleWf(const std::string& qout_body,
@@ -155,6 +165,10 @@ TEST(PigLinterTest, L0103UnknownField) {
   DiagnosticSink sink = LintWf(OneModuleWf(
       "    Out = FOREACH In GENERATE nope;\n"));
   ExpectDiagAt(sink, "L0103", 5, 31);
+  ExpectDiagText(sink, "L0103",
+                 "module m qout: field 'nope' not found (or ambiguous) in "
+                 "schema (x:int, s:chararray)",
+                 "available fields: (x:int, s:chararray)");
 }
 
 TEST(PigLinterTest, L0104TypeMismatch) {
@@ -162,6 +176,28 @@ TEST(PigLinterTest, L0104TypeMismatch) {
   DiagnosticSink sink = LintWf(OneModuleWf(
       "    Out = FOREACH In GENERATE s + 1;\n"));
   ExpectDiagAt(sink, "L0104", 5, 33);
+  ExpectDiagText(sink, "L0104",
+                 "module m qout: arithmetic requires numeric operands",
+                 "operands have types chararray and int");
+}
+
+TEST(PigLinterTest, BothOperandsOfOneOperatorAreChecked) {
+  // The left operand is ill-typed and the right one does not resolve:
+  // one diagnostic each, in source order.
+  DiagnosticSink sink = LintWf(OneModuleWf(
+      "    Out = FOREACH In GENERATE (s + 1) + nope;\n"));
+  ASSERT_EQ(sink.size(), 2u) << sink.RenderText();
+  EXPECT_EQ(sink.diagnostics()[0].code, "L0104");
+  EXPECT_EQ(sink.diagnostics()[1].code, "L0103");
+  ExpectDiagAt(sink, "L0104", 5, 34);
+  ExpectDiagAt(sink, "L0103", 5, 41);
+  ExpectDiagText(sink, "L0104",
+                 "module m qout: arithmetic requires numeric operands",
+                 "operands have types chararray and int");
+  ExpectDiagText(sink, "L0103",
+                 "module m qout: field 'nope' not found (or ambiguous) in "
+                 "schema (x:int, s:chararray)",
+                 "available fields: (x:int, s:chararray)");
 }
 
 TEST(PigLinterTest, L0104FilterConditionMustBeBool) {
@@ -169,18 +205,25 @@ TEST(PigLinterTest, L0104FilterConditionMustBeBool) {
       "    F = FILTER In BY x + 1;\n"
       "    Out = FOREACH F GENERATE x;\n"));
   ExpectDiagAt(sink, "L0104", 5, 24);
+  ExpectDiagText(sink, "L0104",
+                 "module m qout: FILTER condition must be boolean",
+                 "condition has type int");
 }
 
 TEST(PigLinterTest, L0105UnknownFunction) {
   DiagnosticSink sink = LintWf(OneModuleWf(
       "    Out = FOREACH In GENERATE Frobnicate(x);\n"));
   ExpectDiagAt(sink, "L0105", 5, 31);
+  ExpectDiagText(sink, "L0105", "module m qout: unknown function 'Frobnicate'",
+                 "not a built-in aggregate and not in the UDF registry");
 }
 
 TEST(PigLinterTest, L0106AggregateArity) {
   DiagnosticSink sink = LintWf(OneModuleWf(
       "    Out = FOREACH In GENERATE COUNT(x);\n"));
   ExpectDiagAt(sink, "L0106", 5, 31);
+  ExpectDiagText(sink, "L0106", "module m qout: COUNT requires a bag argument",
+                 "argument has type int; aggregates run after GROUP");
 }
 
 TEST(PigLinterTest, L0107UnusedAlias) {
@@ -189,12 +232,18 @@ TEST(PigLinterTest, L0107UnusedAlias) {
       "    Out = FOREACH In GENERATE x;\n"));
   ExpectDiagAt(sink, "L0107", 5, 5);
   EXPECT_EQ(sink.Find("L0107")->severity, Severity::kWarning);
+  ExpectDiagText(sink, "L0107", "module m qout: alias 'Lonely' is never used",
+                 "it is not an output or state relation; drop the statement "
+                 "or consume the alias");
 }
 
 TEST(PigLinterTest, L0108PositionalOutOfRange) {
   DiagnosticSink sink = LintWf(OneModuleWf(
       "    Out = FOREACH In GENERATE $7;\n"));
   ExpectDiagAt(sink, "L0108", 5, 31);
+  ExpectDiagText(sink, "L0108",
+                 "module m qout: positional reference $7 out of range",
+                 "the input has 2 field(s): (x:int, s:chararray)");
 }
 
 TEST(PigLinterTest, L0109DuplicateFieldAlias) {

@@ -400,6 +400,89 @@ TEST_F(ConcreteExactnessTest, PredictedBytesWithin15Percent) {
       << "predicted " << predicted << " bytes, actual " << total;
 }
 
+/// A source that outputs everything it has seen, feeding a node whose UDF
+/// fails on its 4th call. With two input rows per execution, the second of
+/// three executions fails in `b` after `a` already ran.
+const char* kFlakyWf =
+    "module src {\n"
+    "  input Ext(x: int);\n"
+    "  state Seen(x: int);\n"
+    "  output Out(x: int);\n"
+    "  qstate {\n"
+    "    Seen = UNION Seen, Ext;\n"
+    "  }\n"
+    "  qout {\n"
+    "    Out = FOREACH Seen GENERATE x;\n"
+    "  }\n"
+    "}\n"
+    "module sink {\n"
+    "  input In(x: int);\n"
+    "  output Res(y: int);\n"
+    "  qout {\n"
+    "    Res = FOREACH In GENERATE Flaky(x) AS y;\n"
+    "  }\n"
+    "}\n"
+    "node a = src;\n"
+    "node b = sink;\n"
+    "edge a -> b : Out -> In;\n";
+
+TEST(ConcreteFallbackTest, FailedRunLeavesTheIntervalFacts) {
+  Result<Workflow> wf = ParseWorkflow(kFlakyWf);
+  LIPSTICK_ASSERT_OK(wf.status());
+  int calls = 0;
+  pig::UdfRegistry udfs;
+  LIPSTICK_ASSERT_OK(udfs.Register(
+      "Flaky",
+      [&calls](const std::vector<Value>& args) -> Result<Value> {
+        if (++calls == 4) return Status::ExecutionError("Flaky gave up");
+        return args[0];
+      },
+      FieldType::Int()));
+  AnalyzeOptions opt;
+  opt.executions = 3;
+  opt.udfs = &udfs;
+  Bag two;
+  two.Add(T({I(1)}));
+  two.Add(T({I(2)}));
+  opt.inputs["a"]["Ext"] = two;
+  Result<WorkflowFacts> facts = AnalyzeDataflow(*wf, opt, nullptr);
+  LIPSTICK_ASSERT_OK(facts.status());
+  EXPECT_FALSE(facts->concrete);
+  ASSERT_EQ(facts->notes.size(), 1u);
+  EXPECT_NE(facts->notes[0].find("node b (module sink, execution 1)"),
+            std::string::npos)
+      << facts->notes[0];
+
+  // No concrete count of the executions that did commit leaks into the
+  // table: it is exactly the interval domain's.
+  opt.force_interval = true;
+  Result<WorkflowFacts> interval = AnalyzeDataflow(*wf, opt, nullptr);
+  LIPSTICK_ASSERT_OK(interval.status());
+  ASSERT_EQ(facts->relations.size(), interval->relations.size());
+  for (const auto& [node_id, rels] : interval->relations) {
+    ASSERT_TRUE(facts->relations.count(node_id)) << node_id;
+    const auto& got = facts->relations.at(node_id);
+    ASSERT_EQ(got.size(), rels.size()) << node_id;
+    for (const auto& [rel, want] : rels) {
+      SCOPED_TRACE(node_id + "." + rel);
+      ASSERT_TRUE(got.count(rel));
+      const RelationFacts& f = got.at(rel);
+      EXPECT_EQ(f.card.total, want.card.total)
+          << f.card.total.ToString() << " vs " << want.card.total.ToString();
+      EXPECT_EQ(f.card.state, want.card.state);
+      EXPECT_EQ(f.est, want.est);
+      ASSERT_EQ(f.schema == nullptr, want.schema == nullptr);
+      if (f.schema) {
+        EXPECT_EQ(f.schema->ToString(), want.schema->ToString());
+      }
+    }
+  }
+  EXPECT_EQ(facts->relations.at("a").at("Seen").card.total,
+            CardInterval::Range(2, kCardInf));
+  EXPECT_EQ(facts->relations.at("b").at("Res").card.total,
+            CardInterval::Range(2, kCardInf));
+}
+
 /// -------------------- interval mode: soundness -------------------------
 
 TEST(IntervalSoundnessTest, PipelineIntervalsContainGroundTruth) {

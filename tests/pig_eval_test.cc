@@ -348,6 +348,38 @@ TEST_F(EvalTest, UnknownFunctionAndRelationErrors) {
   EXPECT_FALSE(r3.ok());
 }
 
+TEST_F(EvalTest, TypeErrorsKeepTheirStatusCodes) {
+  // A field that does not resolve is kNotFound, in either operand.
+  auto r1 = RunPig("A = FOREACH Cars GENERATE Price;", &env_, "A");
+  EXPECT_EQ(r1.status().code(), StatusCode::kNotFound);
+  auto r2 = RunPig("A = FOREACH Cars GENERATE CarId + Price;", &env_, "A");
+  EXPECT_EQ(r2.status().code(), StatusCode::kNotFound);
+  // A UDF whose return_type fails keeps the code it failed with.
+  UdfRegistry udfs;
+  LIPSTICK_ASSERT_OK(udfs.Register(
+      "Inc",
+      pig::UdfEntry{
+          [](const std::vector<Value>& args) -> Result<Value> {
+            return Value::Int(args[0].int_value() + 1);
+          },
+          [](const std::vector<FieldType>& args) -> Result<FieldType> {
+            if (args.size() == 1 && args[0].kind() == FieldType::Kind::kInt) {
+              return FieldType::Int();
+            }
+            return Status::InvalidArgument("Inc takes one int");
+          }}));
+  auto r3 = RunPig("A = FOREACH Cars GENERATE Inc(Model);", &env_, "A", &udfs);
+  EXPECT_EQ(r3.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(r3.status().message(),
+            "line 1:27: bad call to UDF 'Inc': Inc takes one int");
+  LIPSTICK_EXPECT_OK(
+      RunPig("A = FOREACH Cars GENERATE Inc(CarId);", &env_, "A", &udfs)
+          .status());
+  // Every other expression error is a type error.
+  auto r4 = RunPig("A = FOREACH Cars GENERATE Model + 1;", &env_, "A");
+  EXPECT_EQ(r4.status().code(), StatusCode::kTypeError);
+}
+
 TEST_F(EvalTest, RebindingAccumulatesState) {
   auto rel = RunPig(
       "N = FOREACH Cars GENERATE CarId;\n"

@@ -436,5 +436,105 @@ TEST(ParallelExecutorTest, MatchesSerialResults) {
   }
 }
 
+/// in -> acc, the stateful accumulator, fed three rows per execution.
+Workflow AccumulatorChain() {
+  Workflow w;
+  auto source = MakeModule("source", {{"Ext", NumSchema()}}, {},
+                           {{"Out", NumSchema()}}, "",
+                           "Out = FOREACH Ext GENERATE x;");
+  auto acc = AccumulatorModule();
+  EXPECT_TRUE(w.AddModule(std::move(*source)).ok());
+  EXPECT_TRUE(w.AddModule(std::move(*acc)).ok());
+  EXPECT_TRUE(w.AddNode("in", "source").ok());
+  EXPECT_TRUE(w.AddNode("acc", "accumulator").ok());
+  EXPECT_TRUE(w.AddEdge("in", "acc", {EdgeRelation{"Out", "In"}}).ok());
+  return w;
+}
+
+WorkflowInputs ThreeRows() {
+  WorkflowInputs inputs;
+  Bag ext;
+  for (int i = 1; i <= 3; ++i) ext.Add(T({I(i)}));
+  inputs["in"]["Ext"] = std::move(ext);
+  return inputs;
+}
+
+TEST(ExecutionReportTest, CommittedNodesReportInvocationAndRelationRows) {
+  Workflow w = AccumulatorChain();
+  for (int workers : {1, 2}) {
+    SCOPED_TRACE(workers);
+    WorkflowExecutor exec(&w, nullptr);
+    LIPSTICK_ASSERT_OK(exec.Initialize());
+    ProvenanceGraph graph;
+    for (uint32_t e = 0; e < 2; ++e) {
+      ExecutionReport report;
+      auto outputs =
+          exec.Execute(ThreeRows(), &graph, ExecutionOptions{}, &report,
+                       workers);
+      LIPSTICK_ASSERT_OK(outputs.status());
+
+      // Every relation bound when Qout finished, with its row count.
+      const NodeReport& in = report.nodes.at("in");
+      EXPECT_EQ(in.relation_rows,
+                (std::map<std::string, size_t>{{"Ext", 3}, {"Out", 3}}));
+      EXPECT_EQ(in.relation_rows.at("Out"),
+                outputs->at("in").at("Out").bag.size());
+      const NodeReport& acc = report.nodes.at("acc");
+      auto seen = exec.GetState("acc", "Seen");
+      LIPSTICK_ASSERT_OK(seen.status());
+      EXPECT_EQ(acc.relation_rows,
+                (std::map<std::string, size_t>{
+                    {"G", 1}, {"In", 3}, {"Seen", 3 * (e + 1)}, {"Total", 1}}));
+      EXPECT_EQ(acc.relation_rows.at("Seen"), (*seen)->bag.size());
+      EXPECT_EQ(acc.relation_rows.at("Total"),
+                outputs->at("acc").at("Total").bag.size());
+
+      // Each node names its own invocation of this execution.
+      for (const auto& [id, node] : report.nodes) {
+        ASSERT_LT(node.invocation, graph.invocations().size()) << id;
+        const InvocationInfo& inv = graph.invocations()[node.invocation];
+        EXPECT_EQ(graph.str(inv.instance_name), id);
+        EXPECT_EQ(inv.execution, e);
+      }
+      EXPECT_NE(in.invocation, acc.invocation);
+    }
+  }
+}
+
+TEST(ExecutionReportTest, FailedNodeReportsNoInvocationOrRows) {
+  pig::UdfRegistry udfs;
+  LIPSTICK_ASSERT_OK(udfs.Register(
+      "Boom",
+      [](const std::vector<Value>&) -> Result<Value> {
+        return Status::ExecutionError("boom");
+      },
+      FieldType::Int()));
+  Workflow w = AccumulatorChain();
+  auto bad = MakeModule("bad", {{"In", NumSchema()}}, {},
+                        {{"Out", NumSchema()}}, "",
+                        "Out = FOREACH In GENERATE Boom(x) AS x;");
+  LIPSTICK_ASSERT_OK(w.AddModule(std::move(*bad)));
+  LIPSTICK_ASSERT_OK(w.AddNode("bad", "bad"));
+  LIPSTICK_ASSERT_OK(w.AddEdge("in", "bad", {EdgeRelation{"Out", "In"}}));
+  WorkflowExecutor exec(&w, &udfs);
+  LIPSTICK_ASSERT_OK(exec.Initialize());
+
+  ExecutionOptions options;
+  options.failure_policy = FailurePolicy::kBestEffort;
+  ExecutionReport report;
+  ProvenanceGraph graph;
+  LIPSTICK_ASSERT_OK(
+      exec.Execute(ThreeRows(), &graph, options, &report).status());
+  const NodeReport& failed = report.nodes.at("bad");
+  EXPECT_FALSE(failed.status.ok());
+  EXPECT_EQ(failed.attempts, 1);
+  EXPECT_EQ(failed.invocation, kNoInvocation);
+  EXPECT_TRUE(failed.relation_rows.empty());
+  for (const char* id : {"in", "acc"}) {
+    EXPECT_NE(report.nodes.at(id).invocation, kNoInvocation) << id;
+    EXPECT_FALSE(report.nodes.at(id).relation_rows.empty()) << id;
+  }
+}
+
 }  // namespace
 }  // namespace lipstick

@@ -12,7 +12,8 @@
 #   lint   `lipstick lint` over every example workflow, then
 #          `lipstick analyze --json` over the same set — any diagnostic
 #          of severity warning or above fails the gate, as does a
-#          malformed analysis report,
+#          malformed analysis report — and the explain and analyze
+#          goldens in examples/goldens, compared byte for byte,
 #   crash  crash-consistency gate: the durability and crash-matrix tests
 #          (injected torn writes, corrupted frames, and failed fsyncs at
 #          50+ distinct positions) plus a CLI-level torn-log recovery
@@ -141,7 +142,7 @@ run_lint() {
         | python3 -m json.tool >/dev/null
   done
 
-  echo "--- explain --json goldens (examples/goldens)"
+  echo "--- explain and analyze --json goldens (examples/goldens)"
   # The optimizer's rewrite reports and the cost model's predictions are
   # part of the tool's contract: `explain --json` over a deterministic
   # dealership run must match the committed goldens byte for byte.
@@ -160,14 +161,33 @@ run_lint() {
   "${cli}" explain "${work}/g.pg" \
            "zoomout dealer | subgraph 281474976710657 | stats" --json \
            > "${work}/explain_pipeline.json"
-  for name in explain_stats explain_pipeline; do
+  # The concrete domain runs the real executor over the example inputs,
+  # so its predictions are goldens too. Paths are repo-relative: the
+  # report's "file" fields must not depend on where the checkout lives.
+  local rel=examples/workflows
+  (
+    cd "${repo}"
+    "${cli}" analyze "${rel}/dealership_mini.wf" --json \
+             --input "req.Ext=${rel}/dealership_requests.csv" \
+             --state "dealer1.Cars=${rel}/dealership_cars1.csv" \
+             --state "dealer2.Cars=${rel}/dealership_cars2.csv" \
+        > "${work}/analyze_dealership_mini.json"
+    "${cli}" analyze "${rel}/running_total.wf" --json \
+             --input "in.Ext=${rel}/numbers.csv" --execs 4 \
+        > "${work}/analyze_running_total.json"
+    "${cli}" analyze "${rel}/arctic_chain.wf" --json \
+             --input "src.Ext=${rel}/arctic_readings.csv" --execs 3 \
+        > "${work}/analyze_arctic_chain.json"
+  )
+  for name in explain_stats explain_pipeline analyze_dealership_mini \
+              analyze_running_total analyze_arctic_chain; do
     python3 -m json.tool < "${work}/${name}.json" >/dev/null || {
       echo "FAIL: ${name} is not valid JSON"; return 1; }
     diff -u "${repo}/examples/goldens/${name}.json" "${work}/${name}.json" || {
       echo "FAIL: ${name} drifted from examples/goldens/${name}.json"
       return 1; }
   done
-  echo "explain goldens OK"
+  echo "explain and analyze goldens OK"
 }
 
 run_crash() {
