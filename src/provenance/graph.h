@@ -443,11 +443,18 @@ class ProvenanceGraph {
   template <typename Fn>
   void ForEachAliveNode(Fn&& fn) const {
     for (uint32_t s = 0; s < shards_.size(); ++s) {
-      const internal::NodeColumns& sh = shards_[s];
-      size_t n = sh.size();
-      for (uint64_t i = 0; i < n; ++i) {
-        if (sh.flags[i] & internal::kAliveFlag) fn(MakeNodeId(s, i));
-      }
+      ForEachAliveIndex(s, [&fn, s](uint64_t i) { fn(MakeNodeId(s, i)); });
+    }
+  }
+
+  /// Calls `fn(index)` for every alive node of `shard`, in index order: a
+  /// straight scan of the shard's flag column.
+  template <typename Fn>
+  void ForEachAliveIndex(uint32_t shard, Fn&& fn) const {
+    const uint8_t* flags = shards_[shard].flags.data();
+    const uint64_t n = shards_[shard].flags.size();
+    for (uint64_t i = 0; i < n; ++i) {
+      if (flags[i] & internal::kAliveFlag) fn(i);
     }
   }
 

@@ -4,9 +4,27 @@
 #include <array>
 #include <unordered_map>
 
+#include "obs/metrics.h"
 #include "provenance/traverse.h"
 
 namespace lipstick {
+
+namespace {
+
+/// Later than every node id: a zoom node's first use after the pass.
+constexpr NodeId kAfterEveryNode = ~NodeId{0};
+
+/// Counts ComputeGraphStats' passes over a view's visible nodes (1 unless
+/// the depth fallback ran), when metrics are armed.
+void RecordStatsPasses(size_t passes) {
+  if (!obs::MetricsRegistry::Enabled()) return;
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  static const obs::MetricId kPasses =
+      metrics.RegisterCounter("query.stats_passes");
+  metrics.CounterAdd(kPasses, passes);
+}
+
+}  // namespace
 
 NodePredicate ByLabel(NodeLabel label) {
   return [label](NodeId, const NodeView& n) { return n.label() == label; };
@@ -121,55 +139,141 @@ Result<GraphStats> ComputeGraphStats(const GraphView& view) {
   LIPSTICK_RETURN_IF_ERROR(RequireSealed(snap.graph(), "ComputeGraphStats"));
   GraphStats stats;
   stats.invocations = snap.graph().num_live_invocations();
-  // Longest path via DP over a topological order; the construction order
-  // within each shard is already topological (parents precede children),
-  // but cross-shard edges may go either way, so iterate to a fixpoint.
-  // Depths live in dense per-shard columns (plus one for the synthetic
-  // zoom nodes) instead of a hash map: the fixpoint reads every parent's
-  // depth once per round.
-  std::vector<std::vector<uint32_t>> depth(snap.num_shards());
-  for (uint32_t s = 0; s < snap.num_shards(); ++s) {
-    depth[s].assign(snap.ShardSize(s), 0);
+  // One slot per node in materialization order: shard 0, the synthetic
+  // zoom nodes, shards 1..n. That is also NodeId order, so a node's slot
+  // is its shard's first slot plus its index.
+  std::vector<size_t> first_slot(snap.num_shards(), 0);
+  size_t num_slots = snap.ShardSize(0) + view.num_synthetic();
+  for (uint32_t s = 1; s < snap.num_shards(); ++s) {
+    first_slot[s] = num_slots;
+    num_slots += snap.ShardSize(s);
   }
-  std::vector<uint32_t> syn_depth(view.num_synthetic(), 0);
-  auto depth_at = [&](NodeId id) -> uint32_t& {
-    if (view.IsSynthetic(id)) return syn_depth[view.SyntheticIndex(id)];
-    return depth[NodeShard(id)][NodeIndex(id)];
+  // A slot holds the node's level, the node count of its longest
+  // derivation path (depth + 1; 0 until the pass reaches the node), and
+  // its visible children. Fan-out is counted from the child side: each
+  // visible parent of a visible node gains one, so the view's child
+  // adjacency is never built, and hidden nodes stay at 0.
+  struct Slot {
+    uint32_t level = 0;
+    uint32_t fan_out = 0;
   };
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    view.ForEachVisibleNode([&](NodeId id, const GraphView::SyntheticNode*) {
-      uint32_t best = 0;
-      for (NodeId p : view.ParentsOf(id)) {
-        if (view.VisibleOrSynthetic(p)) {
-          best = std::max(best, depth_at(p) + 1);
+  std::vector<Slot> slots(num_slots);
+  auto slot = [data = slots.data(), first = first_slot.data()](
+                  NodeId id) -> Slot& {
+    return data[first[NodeShard(id)] + NodeIndex(id)];
+  };
+  // The pass is complete when every visible parent precedes its child.
+  bool complete = true;
+  auto other_parent = [&](NodeId p, NodeId child) -> Slot* {
+    if (!view.Visible(p)) return nullptr;
+    complete = complete && p < child;
+    return &slot(p);
+  };
+  // A parent that precedes its child in the child's own shard is in
+  // range, and the pass reached it iff it is visible: its slot answers
+  // the visibility test.
+  auto visible_parent = [&](NodeId p, NodeId child) -> Slot* {
+    if (p < child && NodeShard(p) == NodeShard(child)) {
+      Slot& ps = slot(p);
+      return ps.level != 0 ? &ps : nullptr;
+    }
+    return other_parent(p, child);
+  };
+  // A zoom node sits after shard 0, possibly after its own children (the
+  // rewired outputs), so its level is taken on first use from its input
+  // nodes, which precede the invocation's outputs by construction.
+  auto zoom_level = [&](NodeId zoom, NodeId user) {
+    Slot& z = slot(zoom);
+    if (z.level == 0) {
+      uint32_t longest = 0;
+      for (NodeId q : view.ParentsOf(zoom)) {
+        if (Slot* qs = visible_parent(q, user)) {
+          longest = std::max(longest, qs->level);
         }
       }
-      if (best > depth_at(id)) {
-        depth_at(id) = best;
+      z.level = longest + 1;
+    }
+    return z.level;
+  };
+  view.ForEachVisibleNode([&](NodeId id, const GraphView::SyntheticNode* syn) {
+    ++stats.nodes;
+    size_t fan_in = 0;
+    if (syn != nullptr) {
+      ++stats.labels[static_cast<size_t>(NodeLabel::kZoomedModule)];
+      // The level waits for the zoom node's first use (or the end).
+      for (NodeId p : syn->parents) {
+        if (!view.Visible(p)) continue;
+        ++fan_in;
+        ++slot(p).fan_out;
+      }
+    } else {
+      NodeView n = snap.node(id);
+      ++stats.labels[static_cast<size_t>(n.label())];
+      uint32_t longest = 0;
+      if (view.IsRewired(id)) {
+        for (NodeId p : view.ParentsOf(id)) {
+          if (view.IsSynthetic(p)) {
+            if (!view.VisibleOrSynthetic(p)) continue;
+            longest = std::max(longest, zoom_level(p, id));
+            ++slot(p).fan_out;
+          } else if (Slot* ps = visible_parent(p, id)) {
+            longest = std::max(longest, ps->level);
+            ++ps->fan_out;
+          } else {
+            continue;
+          }
+          ++fan_in;
+        }
+      } else {
+        // Neither synthetic nor rewired: the snapshot's own parents, all
+        // of them underlying nodes.
+        for (NodeId p : n.parents()) {
+          Slot* ps = visible_parent(p, id);
+          if (ps == nullptr) continue;
+          ++fan_in;
+          ++ps->fan_out;
+          longest = std::max(longest, ps->level);
+        }
+      }
+      slot(id).level = longest + 1;
+    }
+    stats.edges += fan_in;
+    stats.max_fan_in = std::max(stats.max_fan_in, fan_in);
+  });
+  // Zoom nodes that no visible output used.
+  for (size_t k = 0; k < view.num_synthetic(); ++k) {
+    NodeId zoom = view.SyntheticId(k);
+    if (view.VisibleOrSynthetic(zoom)) zoom_level(zoom, kAfterEveryNode);
+  }
+  // Fallback when a visible parent sits at or after its child (a
+  // cross-shard edge pointing backward): relaxation rounds over the view
+  // until nothing changes, started from the pass's levels, which never
+  // exceed the true ones.
+  size_t passes = 1;
+  bool changed = !complete;
+  while (changed) {
+    changed = false;
+    ++passes;
+    view.ForEachVisibleNode([&](NodeId id, const GraphView::SyntheticNode*) {
+      uint32_t longest = 0;
+      for (NodeId p : view.ParentsOf(id)) {
+        if (view.VisibleOrSynthetic(p)) {
+          longest = std::max(longest, slot(p).level);
+        }
+      }
+      if (longest + 1 > slot(id).level) {
+        slot(id).level = longest + 1;
         changed = true;
       }
     });
   }
-  GraphView::ChildOverlay overlay = view.BuildChildOverlay();
-  view.ForEachVisibleNode([&](NodeId id, const GraphView::SyntheticNode* syn) {
-    ++stats.nodes;
-    size_t fan_in = 0;
-    for (NodeId p : view.ParentsOf(id)) {
-      fan_in += view.VisibleOrSynthetic(p) ? 1 : 0;
-    }
-    stats.edges += fan_in;
-    stats.max_fan_in = std::max(stats.max_fan_in, fan_in);
-    size_t fan_out = 0;
-    view.ForEachChild(id, overlay, [&fan_out](NodeId) { ++fan_out; });
-    stats.max_fan_out = std::max(stats.max_fan_out, fan_out);
-    NodeLabel label =
-        syn != nullptr ? NodeLabel::kZoomedModule : snap.node(id).label();
-    ++stats.labels[static_cast<size_t>(label)];
-    stats.tokens += label == NodeLabel::kToken ? 1 : 0;
-    stats.depth = std::max<size_t>(stats.depth, depth_at(id));
-  });
+  RecordStatsPasses(passes);
+  stats.tokens = stats.labels[static_cast<size_t>(NodeLabel::kToken)];
+  for (const Slot& s : slots) {
+    stats.depth = std::max<size_t>(stats.depth, s.level);
+    stats.max_fan_out = std::max<size_t>(stats.max_fan_out, s.fan_out);
+  }
+  if (stats.depth > 0) --stats.depth;  // levels count nodes, depth edges
   return stats;
 }
 

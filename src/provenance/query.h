@@ -78,8 +78,10 @@ struct GraphStats {
   std::array<size_t, kNumNodeLabels> labels{};
 };
 /// The stats terminal over a view's visible nodes and edges (synthetic
-/// zoom nodes count as kZoomedModule). Fails with kInvalidArgument if the
-/// graph is not sealed.
+/// zoom nodes count as kZoomedModule). One pass over the visible nodes,
+/// plus relaxation rounds only when a visible parent follows its child in
+/// NodeId order; armed metrics count the passes in `query.stats_passes`.
+/// Fails with kInvalidArgument if the graph is not sealed.
 Result<GraphStats> ComputeGraphStats(const GraphView& view);
 /// ComputeGraphStats over the snapshot's identity view.
 Result<GraphStats> ComputeGraphStats(const GraphSnapshot& snap);

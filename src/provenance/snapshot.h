@@ -60,6 +60,12 @@ class VisitedSet {
         ~(1ull << (NodeIndex(id) & 63));
   }
 
+  /// One shard's words, for scans that walk a shard in index order: index
+  /// i is marked iff bit (i & 63) of word (i >> 6) is set.
+  std::span<const uint64_t> ShardWords(uint32_t shard) const {
+    return bits_[shard];
+  }
+
  private:
   friend class GraphSnapshot;
 
@@ -155,6 +161,10 @@ class GraphSnapshot {
   template <typename Fn>
   void ForEachAliveNode(Fn&& fn) const {
     graph_->ForEachAliveNode(std::forward<Fn>(fn));
+  }
+  template <typename Fn>
+  void ForEachAliveIndex(uint32_t shard, Fn&& fn) const {
+    graph_->ForEachAliveIndex(shard, std::forward<Fn>(fn));
   }
   uint32_t num_shards() const {
     return static_cast<uint32_t>(shard_sizes_.size());

@@ -32,6 +32,10 @@ GraphView GraphView::Clone() const {
   copy.synthetic_ = synthetic_;
   copy.syn_alive_ = syn_alive_;
   copy.num_syn_alive_ = num_syn_alive_;
+  if (rewired_.has_value()) {
+    copy.rewired_.emplace(snap_->AcquireVisited());
+    (*copy.rewired_)->CopyFrom(**rewired_);
+  }
   copy.overrides_ = overrides_;
   return copy;
 }
@@ -64,7 +68,7 @@ GraphView::ChildOverlay GraphView::BuildChildOverlay() const {
   for (const auto& [out, parents] : overrides_) {
     if (!Visible(out)) continue;
     for (NodeId p : parents) {
-      if (VisibleOrSynthetic(p)) overlay[p].push_back(out);
+      if (VisibleOrSynthetic(p)) overlay.edges.emplace_back(p, out);
     }
   }
   // Synthetic zoom nodes are children of their (visible) input nodes.
@@ -72,8 +76,14 @@ GraphView::ChildOverlay GraphView::BuildChildOverlay() const {
     if (!syn_alive_[k]) continue;
     NodeId zoom_id = SyntheticId(k);
     for (NodeId p : synthetic_[k].parents) {
-      if (Visible(p)) overlay[p].push_back(zoom_id);
+      if (Visible(p)) overlay.edges.emplace_back(p, zoom_id);
     }
+  }
+  if (overlay.edges.empty()) return overlay;
+  std::sort(overlay.edges.begin(), overlay.edges.end());
+  overlay.parents.emplace(NewMarks());
+  for (const auto& [parent, child] : overlay.edges) {
+    TestAndMark(*overlay.parents, parent);
   }
   return overlay;
 }
@@ -92,7 +102,11 @@ Status GraphView::ApplyZoomOut(const std::vector<std::string>& modules,
     num_visible_underlying_ -= plan->removed.size();
     for (internal::ZoomInvocationPlan& ip : plan->invocations) {
       NodeId zoom_id = SyntheticId(synthetic_.size());
+      if (!ip.outputs.empty() && !rewired_.has_value()) {
+        rewired_.emplace(snap_->AcquireVisited());
+      }
       for (NodeId out : ip.outputs) {
+        (*rewired_)->Set(out);
         overrides_[out] = {zoom_id, ip.m_node};
       }
       PushSynthetic(SyntheticNode{module, ip.invocation, ip.m_node,

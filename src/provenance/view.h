@@ -1,6 +1,7 @@
 #ifndef LIPSTICK_PROVENANCE_VIEW_H_
 #define LIPSTICK_PROVENANCE_VIEW_H_
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -9,6 +10,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -44,6 +46,13 @@ namespace lipstick {
 /// read or Materialize() one view concurrently, under the same contract as
 /// the snapshot it was built from.
 class GraphView {
+  /// One mark bit per node across both populations: a bitmap leased from
+  /// the snapshot for underlying nodes, a flag per synthetic node.
+  struct Marks {
+    VisitedLease bits;
+    std::vector<uint8_t> syn;
+  };
+
  public:
   /// A collapsed module p-node that exists only in the view. Its id
   /// (SyntheticId) continues shard 0's index space, exactly where the
@@ -112,13 +121,18 @@ class GraphView {
     if (IsSynthetic(id)) {
       return synthetic_[SyntheticIndex(id)].parents;
     }
-    if (!overrides_.empty()) {
-      auto it = overrides_.find(id);
-      if (it != overrides_.end()) {
-        return std::span<const NodeId>(it->second.data(), it->second.size());
-      }
+    if (IsRewired(id)) {
+      const std::array<NodeId, 2>& rewired = overrides_.find(id)->second;
+      return std::span<const NodeId>(rewired.data(), rewired.size());
     }
     return snap_->ParentsOf(id);
+  }
+
+  /// True iff `id`, a node of the snapshot (not a synthetic id), is a
+  /// module output a zoom stage rewired to {zoom node, m node}. One bit
+  /// test; the override map is probed only behind it.
+  bool IsRewired(NodeId id) const {
+    return rewired_.has_value() && (*rewired_)->Test(id);
   }
 
   /// Every visible node in materialization order: shard 0's originals,
@@ -128,27 +142,24 @@ class GraphView {
   /// graph, which keeps lazy exports byte-identical to eager ones.
   template <typename Fn>
   void ForEachVisibleNode(Fn&& fn) const {
-    const SyntheticNode* none = nullptr;
-    for (uint64_t i = 0; i < base0_; ++i) {
-      NodeId id = MakeNodeId(0, i);
-      if (Visible(id)) fn(id, none);
-    }
+    ForEachVisibleInShard(0, fn);
     for (size_t k = 0; k < synthetic_.size(); ++k) {
       if (syn_alive_[k]) fn(SyntheticId(k), &synthetic_[k]);
     }
     for (uint32_t s = 1; s < snap_->num_shards(); ++s) {
-      for (uint64_t i = 0; i < snap_->ShardSize(s); ++i) {
-        NodeId id = MakeNodeId(s, i);
-        if (Visible(id)) fn(id, none);
-      }
+      ForEachVisibleInShard(s, fn);
     }
   }
 
   /// Extra child adjacency a composed view carries on top of the
-  /// snapshot's CSR: edges into rewired module outputs and edges touching
-  /// synthetic zoom nodes. Built on demand by the stages/terminals that
-  /// traverse downward; see ForEachChild.
-  using ChildOverlay = std::unordered_map<NodeId, std::vector<NodeId>>;
+  /// snapshot's CSR: edges into rewired module outputs and edges into
+  /// synthetic zoom nodes, as (parent, child) pairs sorted by parent,
+  /// behind a mark on every parent that has any. Built on demand by the
+  /// operators that traverse downward; see ForEachChild.
+  struct ChildOverlay {
+    std::vector<std::pair<NodeId, NodeId>> edges;
+    std::optional<Marks> parents;  // engaged iff `edges` is non-empty
+  };
   ChildOverlay BuildChildOverlay() const;
 
   /// Visible children of `id` under the view: the snapshot's CSR edges
@@ -159,23 +170,24 @@ class GraphView {
   void ForEachChild(NodeId id, const ChildOverlay& overlay, Fn&& fn) const {
     if (!IsSynthetic(id)) {
       std::span<const NodeId> children = snap_->ChildrenOf(id);
-      if (!mask_.has_value() && overrides_.empty()) {
+      if (!mask_.has_value() && !rewired_.has_value()) {
         // Nothing hidden or rewired: the CSR holds exactly the alive
         // children, all of them visible.
         for (NodeId c : children) fn(c);
       } else {
         for (NodeId c : children) {
-          if (Visible(c) &&
-              (overrides_.empty() || overrides_.find(c) == overrides_.end())) {
-            fn(c);
-          }
+          if (Visible(c) && !IsRewired(c)) fn(c);
         }
       }
     }
-    if (!overlay.empty()) {
-      auto it = overlay.find(id);
-      if (it != overlay.end()) {
-        for (NodeId c : it->second) fn(c);
+    if (overlay.parents.has_value() && Marked(*overlay.parents, id)) {
+      auto it = std::lower_bound(
+          overlay.edges.begin(), overlay.edges.end(), id,
+          [](const std::pair<NodeId, NodeId>& e, NodeId p) {
+            return e.first < p;
+          });
+      for (; it != overlay.edges.end() && it->first == id; ++it) {
+        fn(it->second);
       }
     }
   }
@@ -240,12 +252,6 @@ class GraphView {
   explicit GraphView(const GraphSnapshot& snap)
       : snap_(&snap), base0_(snap.ShardSize(0)) {}
 
-  /// One mark bit per node across both populations: a bitmap leased from
-  /// the snapshot for underlying nodes, a flag per synthetic node.
-  struct Marks {
-    VisitedLease bits;
-    std::vector<uint8_t> syn;
-  };
   Marks NewMarks() const;
   /// Marks `id`; returns true if it was already marked.
   bool TestAndMark(Marks& marks, NodeId id) const {
@@ -274,6 +280,22 @@ class GraphView {
     ++num_syn_alive_;
   }
 
+  /// Every visible underlying node of `shard` in index order: the
+  /// shard's alive flags, less the mask's marks.
+  template <typename Fn>
+  void ForEachVisibleInShard(uint32_t shard, Fn& fn) const {
+    const SyntheticNode* none = nullptr;
+    if (!mask_.has_value()) {
+      snap_->ForEachAliveIndex(
+          shard, [&](uint64_t i) { fn(MakeNodeId(shard, i), none); });
+      return;
+    }
+    const uint64_t* hidden = (*mask_)->ShardWords(shard).data();
+    snap_->ForEachAliveIndex(shard, [&](uint64_t i) {
+      if (!((hidden[i >> 6] >> (i & 63)) & 1)) fn(MakeNodeId(shard, i), none);
+    });
+  }
+
   const GraphSnapshot* snap_;
   std::optional<VisitedLease> mask_;  // marked = hidden
   size_t num_visible_underlying_ = 0;
@@ -281,6 +303,9 @@ class GraphView {
   std::vector<SyntheticNode> synthetic_;
   std::vector<uint8_t> syn_alive_;  // parallel to synthetic_
   size_t num_syn_alive_ = 0;
+  // Rewired module outputs: a leased bitmap (taken on the first rewire)
+  // marks them, and the map holds their {zoom node, m node} parents.
+  std::optional<VisitedLease> rewired_;
   std::unordered_map<NodeId, std::array<NodeId, 2>> overrides_;
 };
 

@@ -8,6 +8,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <system_error>
 #include <utility>
 
 #include "common/cancel.h"
@@ -187,6 +188,7 @@ void Server::Shutdown() {
 Server::StatsSnapshot Server::Stats() const {
   StatsSnapshot snap;
   snap.connections = connections_.load();
+  snap.live_sessions = live_sessions_.load();
   snap.requests = requests_.load();
   snap.errors = errors_.load();
   snap.overloaded = overloaded_.load();
@@ -223,11 +225,47 @@ void Server::AcceptLoop() {
     int one = 1;
     ::setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     connections_.fetch_add(1);
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    sessions_.push_back(Session{conn, false, {}});
-    Session* session = &sessions_.back();
-    session->thread = std::thread([this, session] { SessionLoop(session); });
+    ReapEndedSessions();
+    std::string refusal;
+    {
+      std::lock_guard<std::mutex> lock(sessions_mu_);
+      sessions_.push_back(Session{conn, false, {}});
+      Session* session = &sessions_.back();
+      live_sessions_.fetch_add(1);
+      try {
+        session->thread =
+            std::thread([this, session] { SessionLoop(session); });
+      } catch (const std::system_error& e) {
+        // Out of threads (or memory for a stack): refuse this connection
+        // with an envelope and keep serving the others.
+        sessions_.pop_back();
+        live_sessions_.fetch_sub(1);
+        refusal = ErrorResponse("unavailable",
+                                StrCat("cannot start a session: ", e.what()))
+                      .Serialize();
+      }
+    }
+    if (!refusal.empty()) {
+      (void)WriteFrame(conn, refusal);
+      ::close(conn);
+    }
   }
+}
+
+void Server::ReapEndedSessions() {
+  std::vector<std::thread> ended;
+  {
+    std::lock_guard<std::mutex> lock(sessions_mu_);
+    for (auto it = sessions_.begin(); it != sessions_.end();) {
+      if (!it->closed) {
+        ++it;
+        continue;
+      }
+      ended.push_back(std::move(it->thread));
+      it = sessions_.erase(it);
+    }
+  }
+  for (std::thread& t : ended) t.join();
 }
 
 void Server::SessionLoop(Session* session) {
@@ -259,6 +297,7 @@ void Server::SessionLoop(Session* session) {
   std::lock_guard<std::mutex> lock(sessions_mu_);
   ::close(session->fd);
   session->closed = true;
+  live_sessions_.fetch_sub(1);
 }
 
 void Server::WorkerLoop() {
@@ -421,6 +460,7 @@ std::string Server::HandleAdminOp(const std::string& op,
   StatsSnapshot stats = Stats();
   std::string out = StrCat(
       "{\"service\":{\"connections\":", stats.connections,
+      ",\"live_sessions\":", stats.live_sessions,
       ",\"requests\":", stats.requests, ",\"errors\":", stats.errors,
       ",\"overloaded\":", stats.overloaded,
       ",\"cache_hits\":", stats.cache_hits,

@@ -75,6 +75,7 @@ class Server {
   /// Point-in-time counters, readable any time (tests, metricz).
   struct StatsSnapshot {
     uint64_t connections = 0;  // accepted over the server's lifetime
+    uint64_t live_sessions = 0;  // connections whose session has not ended
     uint64_t requests = 0;     // frames executed (admin + query)
     uint64_t errors = 0;       // requests answered with ok=false
     uint64_t overloaded = 0;   // admission-control rejections
@@ -120,6 +121,10 @@ class Server {
   };
 
   void AcceptLoop();
+  /// Joins and erases every session whose thread has ended, so neither
+  /// `sessions_` nor the ended threads' stacks grow with the number of
+  /// connections served.
+  void ReapEndedSessions();
   void SessionLoop(Session* session);
   void WorkerLoop();
   /// Executes one request frame end to end; returns the serialized
@@ -150,10 +155,12 @@ class Server {
   std::thread accept_thread_;
   std::vector<std::thread> worker_threads_;
   std::mutex sessions_mu_;
+  // Live sessions, plus ended ones until the next accept reaps them.
   std::list<Session> sessions_;
   std::mutex shutdown_mu_;  // serializes Shutdown() callers
 
   std::atomic<uint64_t> connections_{0};
+  std::atomic<uint64_t> live_sessions_{0};
   std::atomic<uint64_t> requests_{0};
   std::atomic<uint64_t> errors_{0};
   std::atomic<uint64_t> overloaded_{0};

@@ -95,6 +95,70 @@ inline GraphStats ReferenceGraphStats(const GraphSnapshot& snap) {
   return stats;
 }
 
+/// The stats terminal as ComputeGraphStats computed it before it became
+/// one pass: depth by relaxation rounds over the view until nothing
+/// changes, then a second walk for fan-in, labels and fan-out read from
+/// the view's child adjacency. Runs on the identity view of a
+/// materialized view's snapshot; the one-pass version must match it on
+/// every view.
+inline Result<GraphStats> ReferenceStats(const GraphSnapshot& snapshot) {
+  const GraphView view = GraphView::MakeIdentity(snapshot);
+  const GraphSnapshot& snap = view.snapshot();
+  LIPSTICK_RETURN_IF_ERROR(RequireSealed(snap.graph(), "ComputeGraphStats"));
+  GraphStats stats;
+  stats.invocations = snap.graph().num_live_invocations();
+  // Longest path via DP over a topological order; the construction order
+  // within each shard is already topological (parents precede children),
+  // but cross-shard edges may go either way, so iterate to a fixpoint.
+  // Depths live in dense per-shard columns (plus one for the synthetic
+  // zoom nodes) instead of a hash map: the fixpoint reads every parent's
+  // depth once per round.
+  std::vector<std::vector<uint32_t>> depth(snap.num_shards());
+  for (uint32_t s = 0; s < snap.num_shards(); ++s) {
+    depth[s].assign(snap.ShardSize(s), 0);
+  }
+  std::vector<uint32_t> syn_depth(view.num_synthetic(), 0);
+  auto depth_at = [&](NodeId id) -> uint32_t& {
+    if (view.IsSynthetic(id)) return syn_depth[view.SyntheticIndex(id)];
+    return depth[NodeShard(id)][NodeIndex(id)];
+  };
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    view.ForEachVisibleNode([&](NodeId id, const GraphView::SyntheticNode*) {
+      uint32_t best = 0;
+      for (NodeId p : view.ParentsOf(id)) {
+        if (view.VisibleOrSynthetic(p)) {
+          best = std::max(best, depth_at(p) + 1);
+        }
+      }
+      if (best > depth_at(id)) {
+        depth_at(id) = best;
+        changed = true;
+      }
+    });
+  }
+  GraphView::ChildOverlay overlay = view.BuildChildOverlay();
+  view.ForEachVisibleNode([&](NodeId id, const GraphView::SyntheticNode* syn) {
+    ++stats.nodes;
+    size_t fan_in = 0;
+    for (NodeId p : view.ParentsOf(id)) {
+      fan_in += view.VisibleOrSynthetic(p) ? 1 : 0;
+    }
+    stats.edges += fan_in;
+    stats.max_fan_in = std::max(stats.max_fan_in, fan_in);
+    size_t fan_out = 0;
+    view.ForEachChild(id, overlay, [&fan_out](NodeId) { ++fan_out; });
+    stats.max_fan_out = std::max(stats.max_fan_out, fan_out);
+    NodeLabel label =
+        syn != nullptr ? NodeLabel::kZoomedModule : snap.node(id).label();
+    ++stats.labels[static_cast<size_t>(label)];
+    stats.tokens += label == NodeLabel::kToken ? 1 : 0;
+    stats.depth = std::max<size_t>(stats.depth, depth_at(id));
+  });
+  return stats;
+}
+
 inline std::string ReferenceExprString(const GraphSnapshot& g, NodeId id,
                                        int depth) {
   if (depth <= 0) return "...";

@@ -10,6 +10,8 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -540,6 +542,62 @@ TEST_F(ServerTest, MetriczExposesPlanCacheCounters) {
   EXPECT_EQ(static_cast<uint64_t>(entries->number()),
             stats.plan_cache_entries);
   EXPECT_GE(stats.plan_cache_misses, 1u);
+}
+
+/// The process's virtual memory size in kB (VmSize), or 0 when
+/// /proc/self/status cannot be read.
+uint64_t VmSizeKb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoull(line.substr(7));
+  }
+  return 0;
+}
+
+TEST_F(ServerTest, EndedSessionsAreReaped) {
+  ServiceClient first = StartAndConnect();
+  LIPSTICK_ASSERT_OK(first.Query("ping", {}).status());
+  first.Close();
+  const uint64_t vm_before = VmSizeKb();
+  // Each ended session that stayed unjoined would keep its thread's stack
+  // mapped (8 MB by default) until thread creation fails.
+  constexpr int kConnections = 3000;
+  for (int i = 0; i < kConnections; ++i) {
+    Result<ServiceClient> client =
+        ServiceClient::ConnectHostPort("127.0.0.1", server_->port());
+    LIPSTICK_ASSERT_OK(client.status());
+    Result<std::string> pong = client->Query("ping", {});
+    ASSERT_TRUE(pong.ok()) << "connection " << i << ": "
+                           << pong.status().ToString();
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (server_->Stats().live_sessions != 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  Server::StatsSnapshot stats = server_->Stats();
+  EXPECT_EQ(stats.live_sessions, 0u);
+  EXPECT_EQ(stats.connections, kConnections + 1u);
+  const uint64_t vm_after = VmSizeKb();
+  if (vm_before != 0 && vm_after > vm_before) {
+    // Unreaped, 3,000 stacks would add about 24 GB.
+    EXPECT_LT(vm_after - vm_before, 4ull << 20) << "kB of VmSize growth";
+  }
+  // metricz reports the connection asking as the one live session.
+  Result<ServiceClient> client =
+      ServiceClient::ConnectHostPort("127.0.0.1", server_->port());
+  LIPSTICK_ASSERT_OK(client.status());
+  Result<std::string> metricz = client->Query("metricz", {});
+  LIPSTICK_ASSERT_OK(metricz.status());
+  Result<obs::JsonValue> doc = obs::ParseJson(*metricz);
+  LIPSTICK_ASSERT_OK(doc.status());
+  const obs::JsonValue* svc = doc->Find("service");
+  ASSERT_NE(svc, nullptr);
+  const obs::JsonValue* live = svc->Find("live_sessions");
+  ASSERT_NE(live, nullptr);
+  EXPECT_EQ(live->number(), 1);
 }
 
 TEST_F(ServerTest, ExplainRunsRemotely) {

@@ -12,9 +12,13 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/str_util.h"
+#include "obs/metrics.h"
 #include "provenance/deletion.h"
 #include "provenance/dot.h"
+#include "provenance/exec.h"
 #include "provenance/graph.h"
+#include "provenance/plan.h"
 #include "provenance/provio.h"
 #include "provenance/query.h"
 #include "provenance/snapshot.h"
@@ -54,11 +58,12 @@ ProvenanceGraph CloneSealed(const ProvenanceGraph& graph) {
   return std::move(*copy);
 }
 
-ProvenanceGraph BuildDealershipGraph() {
+ProvenanceGraph BuildDealershipGraph(int num_workers = 1) {
   workflowgen::DealershipConfig cfg;
   cfg.num_cars = 200;
   cfg.num_executions = 3;
   cfg.seed = 11;
+  cfg.num_workers = num_workers;
   auto wf = workflowgen::DealershipWorkflow::Create(cfg);
   EXPECT_TRUE(wf.ok());
   ProvenanceGraph graph;
@@ -183,6 +188,213 @@ TEST(TraverseTest, IdentityViewOperatorsMatchReferenceTerminals) {
                 testing::ReferenceDeletionSet(*snap, {t}));
     }
   }
+}
+
+// ---------------------------------------------------------------------
+// The one-pass stats terminal vs the multi-pass reference.
+// ---------------------------------------------------------------------
+
+/// ComputeGraphStats on `view`, and the number of passes it made over the
+/// view's visible nodes (the armed `query.stats_passes` counter).
+std::pair<GraphStats, uint64_t> StatsAndPasses(const GraphView& view) {
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  metrics.ResetValues();
+  metrics.Enable();
+  Result<GraphStats> stats = ComputeGraphStats(view);
+  metrics.Disable();
+  EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+  uint64_t passes = 0;
+  for (const auto& [name, value] : metrics.Snap().counters) {
+    if (name == "query.stats_passes") passes = value;
+  }
+  metrics.ResetValues();
+  return {stats.ok() ? *stats : GraphStats{}, passes};
+}
+
+/// The view a pipeline's stages compose to on `snap` (the identity view,
+/// after a failed expectation, when the pipeline does not build).
+GraphView PlanView(const GraphSnapshot& snap, const std::string& query) {
+  Result<Plan> plan = ParsePlan(query, {});
+  EXPECT_TRUE(plan.ok()) << query << ": " << plan.status().ToString();
+  if (!plan.ok()) return GraphView::MakeIdentity(snap);
+  Result<GraphView> view = BuildPlanView(snap, *plan);
+  EXPECT_TRUE(view.ok()) << query << ": " << view.status().ToString();
+  if (!view.ok()) return GraphView::MakeIdentity(snap);
+  return std::move(*view);
+}
+
+/// ComputeGraphStats(view) == ReferenceStats(Materialize(view)), field by
+/// field. Returns the one-pass version's pass count.
+uint64_t ExpectStatsMatchReference(const GraphView& view,
+                                   const std::string& what) {
+  auto [stats, passes] = StatsAndPasses(view);
+  Result<ProvenanceGraph> graph = view.Materialize();
+  EXPECT_TRUE(graph.ok()) << what << ": " << graph.status().ToString();
+  if (!graph.ok()) return passes;
+  Result<GraphSnapshot> snap = GraphSnapshot::Capture(*graph);
+  EXPECT_TRUE(snap.ok()) << what << ": " << snap.status().ToString();
+  if (!snap.ok()) return passes;
+  Result<GraphStats> ref = testing::ReferenceStats(*snap);
+  EXPECT_TRUE(ref.ok()) << what << ": " << ref.status().ToString();
+  if (!ref.ok()) return passes;
+  EXPECT_EQ(stats.nodes, ref->nodes) << what;
+  EXPECT_EQ(stats.edges, ref->edges) << what;
+  EXPECT_EQ(stats.tokens, ref->tokens) << what;
+  EXPECT_EQ(stats.invocations, ref->invocations) << what;
+  EXPECT_EQ(stats.max_fan_in, ref->max_fan_in) << what;
+  EXPECT_EQ(stats.max_fan_out, ref->max_fan_out) << what;
+  EXPECT_EQ(stats.depth, ref->depth) << what;
+  EXPECT_EQ(stats.labels, ref->labels) << what;
+  return passes;
+}
+
+/// Names of the modules with a live invocation.
+std::set<std::string> ModuleNames(const GraphSnapshot& snap) {
+  std::set<std::string> modules;
+  for (const InvocationInfo& inv : snap.invocations()) {
+    if (!inv.aborted()) modules.insert(std::string(snap.str(inv.module_name)));
+  }
+  return modules;
+}
+
+/// Pipelines over every kind of view the stats terminal reads: identity,
+/// each module's zoom and a zoom of all modules, subgraph, delete and
+/// restrict, and the composed shapes of plan_test's matrix — with a
+/// synthetic zoom node as seed and root, and the widest fan-in node.
+std::vector<std::string> StatsViewMatrix(const GraphSnapshot& snap) {
+  const std::set<std::string> modules = ModuleNames(snap);
+  const std::string first = *modules.begin();
+  const std::string all = Join({modules.begin(), modules.end()}, ",");
+  // A synthetic zoom node of `zoomout first` and its input nodes, an
+  // output of that module, a token, and the widest fan-in node.
+  const NodeId zoom = MakeNodeId(0, snap.ShardSize(0));
+  std::vector<std::string> inputs;
+  NodeId out = kInvalidNode;
+  for (const InvocationInfo& inv : snap.invocations()) {
+    if (inv.aborted() || snap.str(inv.module_name) != first) continue;
+    for (NodeId in : inv.input_nodes) {
+      if (snap.Contains(in)) inputs.push_back(StrCat(in));
+    }
+    for (NodeId o : inv.output_nodes) {
+      if (snap.Contains(o) && out == kInvalidNode) out = o;
+    }
+    break;
+  }
+  EXPECT_NE(out, kInvalidNode);
+  const NodeId token = FindNodes(snap, ByLabel(NodeLabel::kToken)).front();
+  NodeId wide = kInvalidNode;
+  size_t widest = 0;
+  snap.ForEachAliveNode([&](NodeId id) {
+    if (snap.ParentsOf(id).size() > widest) {
+      widest = snap.ParentsOf(id).size();
+      wide = id;
+    }
+  });
+  std::vector<std::string> queries = {"stats",
+                                      StrCat("zoomout ", all, " | stats")};
+  for (const std::string& m : modules) {
+    queries.push_back(StrCat("zoomout ", m, " | stats"));
+  }
+  for (const std::string& q : {
+           StrCat("subgraph ", out, " | stats"),
+           StrCat("subgraph ", out, " up | stats"),
+           StrCat("subgraph ", token, " down | stats"),
+           StrCat("delete ", token, " | stats"),
+           StrCat("delete ", wide, " | stats"),
+           StrCat("delete ", snap.ParentsOf(wide).front(), " | stats"),
+           std::string("restrict --label token | stats"),
+           StrCat("zoomout ", first, " | subgraph ", out, " | stats"),
+           StrCat("zoomout ", first, " | subgraph ", zoom, " | stats"),
+           StrCat("zoomout ", first, " | subgraph ", zoom, " down | stats"),
+           StrCat("zoomout ", first, " | delete ", zoom, " | stats"),
+           StrCat("zoomout ", first, " | delete ", Join(inputs, ","),
+                  " | stats"),
+           StrCat("zoomout ", first, " | restrict --label zoom | stats"),
+           StrCat("zoomout ", all, " | delete ", token, " | stats"),
+           StrCat("zoomout ", all, " | subgraph ", out, " | stats"),
+       }) {
+    queries.push_back(q);
+  }
+  return queries;
+}
+
+TEST(StatsTest, OnePassMatchesTheReferenceOnEveryView) {
+  for (int workers : {1, 4}) {
+    ProvenanceGraph g = BuildDealershipGraph(workers);
+    Result<GraphSnapshot> snap = GraphSnapshot::Capture(g);
+    LIPSTICK_ASSERT_OK(snap.status());
+    for (const std::string& q : StatsViewMatrix(*snap)) {
+      ExpectStatsMatchReference(PlanView(*snap, q),
+                                StrCat("dealership x", workers, ": ", q));
+    }
+  }
+  ProvenanceGraph arctic = BuildArcticGraph();
+  Result<GraphSnapshot> snap = GraphSnapshot::Capture(arctic);
+  LIPSTICK_ASSERT_OK(snap.status());
+  for (const std::string& q : StatsViewMatrix(*snap)) {
+    ExpectStatsMatchReference(PlanView(*snap, q), StrCat("arctic: ", q));
+  }
+}
+
+TEST(StatsTest, OneWorkerGraphTakesOnePass) {
+  ProvenanceGraph g = BuildDealershipGraph();
+  Result<GraphSnapshot> snap = GraphSnapshot::Capture(g);
+  LIPSTICK_ASSERT_OK(snap.status());
+  ASSERT_EQ(snap->num_shards(), 1u);
+  EXPECT_EQ(StatsAndPasses(GraphView::MakeIdentity(*snap)).second, 1u);
+  const std::set<std::string> modules = ModuleNames(*snap);
+  ASSERT_GE(modules.size(), 4u);
+  for (const std::string& m : modules) {
+    Result<GraphView> view = ZoomedView(*snap, {m}, 1);
+    LIPSTICK_ASSERT_OK(view.status());
+    EXPECT_EQ(StatsAndPasses(*view).second, 1u) << "zoomout " << m;
+  }
+}
+
+TEST(StatsTest, ParentInAHigherShardTakesTheFallbackRounds) {
+  // A chain t -> x -> y -> z whose edges alternate shards: x and z in
+  // shard 0 have their parents in shard 1, after them in id order.
+  ProvenanceGraph g;
+  ShardWriter w0 = g.writer();
+  ShardWriter w1 = g.AddShard();
+  NodeId t = w1.Token("t");
+  NodeId x = w0.Plus({t});
+  NodeId y = w1.Plus({x});
+  w0.Plus({y, y});
+  g.Seal();
+  Result<GraphSnapshot> snap = GraphSnapshot::Capture(g);
+  LIPSTICK_ASSERT_OK(snap.status());
+  GraphView view = GraphView::MakeIdentity(*snap);
+  uint64_t passes = ExpectStatsMatchReference(view, "two shards");
+  EXPECT_GT(passes, 1u);
+  GraphStats stats = StatsAndPasses(view).first;
+  EXPECT_EQ(stats.nodes, 4u);
+  EXPECT_EQ(stats.edges, 4u);
+  EXPECT_EQ(stats.tokens, 1u);
+  EXPECT_EQ(stats.max_fan_in, 2u);
+  EXPECT_EQ(stats.max_fan_out, 2u);  // y's repeated edge into z
+  EXPECT_EQ(stats.depth, 3u);
+}
+
+TEST(StatsTest, ZoomInputAfterItsOutputTakesTheFallbackRounds) {
+  // An invocation whose input node sits in a later shard than its output,
+  // so the zoom node's first use (the rewired output) precedes its input.
+  ProvenanceGraph g;
+  ShardWriter w0 = g.writer();
+  ShardWriter w1 = g.AddShard();
+  NodeId t = w0.Token("t");
+  uint32_t inv = w0.BeginInvocation("mod", "mod1", 0);
+  NodeId out = w0.ModuleOutput(inv, w0.Plus({t}));
+  w0.Plus({out});
+  w1.ModuleInput(inv, t);
+  g.Seal();
+  Result<GraphSnapshot> snap = GraphSnapshot::Capture(g);
+  LIPSTICK_ASSERT_OK(snap.status());
+  Result<GraphView> view = ZoomedView(*snap, {"mod"}, 1);
+  LIPSTICK_ASSERT_OK(view.status());
+  EXPECT_GT(ExpectStatsMatchReference(*view, "zoom input after output"), 1u);
+  // t -> input -> zoom node -> output -> its child.
+  EXPECT_EQ(StatsAndPasses(*view).first.depth, 4u);
 }
 
 // ---------------------------------------------------------------------
