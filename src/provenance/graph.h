@@ -209,8 +209,8 @@ struct InvocationInfo {
   bool aborted() const { return m_node == kInvalidNode; }
 };
 
-/// A fully-formed node, used by the deserialization path (provio) to
-/// restore nodes with explicit liveness and payload.
+/// A fully-formed node, used by GraphView::Materialize to restore nodes
+/// with explicit liveness and payload.
 struct NodeRecord {
   NodeLabel label = NodeLabel::kToken;
   NodeRole role = NodeRole::kIntermediate;
@@ -290,12 +290,13 @@ class ShardWriter {
   /// Black-box (UDF) node.
   NodeId BlackBox(std::string function, std::vector<NodeId> parents);
 
-  /// Appends a node with every field explicit (deserialization path).
+  /// Appends a node with every field explicit (view materialization).
   NodeId Restore(const NodeRecord& record);
 
-  /// WAL-replay append: every column explicit, `payload` already interned
-  /// in this graph's pool. Values are restored separately via
-  /// ProvenanceGraph::SetNodeValue, mirroring WAL record order.
+  /// Replay append (WAL recovery and graph files): every column explicit,
+  /// `payload` already interned in this graph's pool. Values are restored
+  /// separately via ProvenanceGraph::SetNodeValue, mirroring WAL record
+  /// order.
   NodeId AppendRaw(NodeLabel label, NodeRole role, uint8_t flags,
                    uint32_t invocation, StrId payload,
                    std::span<const NodeId> parents) {

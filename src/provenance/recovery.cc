@@ -17,9 +17,9 @@ namespace lipstick {
 
 namespace {
 
-using walfmt::Cursor;
 using walfmt::Record;
 using walfmt::RecordType;
+using walfmt::SavepointExtent;
 
 struct RecoveryMetrics {
   obs::MetricId replayed;
@@ -61,245 +61,6 @@ struct ScannedSegment {
   std::string torn_reason;        // empty: ends cleanly at a frame boundary
   uint64_t valid_prefix = 0;      // bytes of valid header + frames
 };
-
-/// The savepoint extent a kSavepoint record describes.
-struct SavepointExtent {
-  uint32_t execution = 0;
-  uint64_t invocation_count = 0;
-  std::vector<uint64_t> shard_sizes;
-};
-
-Result<SavepointExtent> ParseSavepoint(const Record& rec) {
-  Cursor c(rec.payload);
-  SavepointExtent sp;
-  sp.execution = c.U32();
-  sp.invocation_count = c.U64();
-  uint32_t n = c.U32();
-  if (c.ok && n <= 0x10000) {
-    sp.shard_sizes.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) sp.shard_sizes.push_back(c.U64());
-  } else {
-    c.ok = false;
-  }
-  if (!c.ok || !c.AtEnd()) {
-    return Status::ParseError("wal replay: malformed savepoint record");
-  }
-  return sp;
-}
-
-Status MalformedRecord(const Record& rec) {
-  return Status::ParseError(
-      StrCat("wal replay: malformed record type ",
-             static_cast<int>(rec.type), " at offset ", rec.offset));
-}
-
-/// Applies one record to the graph under reconstruction. `committed`
-/// collects kCommitInvocation ids (no graph effect of their own).
-Status ApplyRecord(ProvenanceGraph* graph, const Record& rec,
-                   std::vector<uint32_t>* committed) {
-  Cursor c(rec.payload);
-  switch (rec.type) {
-    case RecordType::kIntern: {
-      StrId id = c.U32();
-      uint32_t len = c.U32();
-      std::string_view s = c.Bytes(len);
-      if (!c.ok || !c.AtEnd()) return MalformedRecord(rec);
-      StrId got = graph->InternString(s);
-      if (got != id) {
-        return Status::Internal(StrCat("wal replay: intern id mismatch: log ",
-                                       id, ", graph ", got));
-      }
-      return Status::OK();
-    }
-    case RecordType::kNodeAppend: {
-      NodeId id = c.U64();
-      uint8_t label = c.U8();
-      uint8_t role = c.U8();
-      uint8_t flags = c.U8();
-      uint32_t invocation = c.U32();
-      StrId payload = c.U32();
-      uint32_t n = c.U32();
-      std::vector<NodeId> parents;
-      if (c.ok && n <= (1u << 24)) {
-        parents.reserve(n);
-        for (uint32_t i = 0; i < n; ++i) parents.push_back(c.U64());
-      } else {
-        c.ok = false;
-      }
-      if (!c.ok || !c.AtEnd()) return MalformedRecord(rec);
-      if (label > static_cast<uint8_t>(NodeLabel::kZoomedModule) ||
-          role > static_cast<uint8_t>(NodeRole::kZoom) ||
-          payload >= graph->strings().size()) {
-        return Status::ParseError(
-            StrCat("wal replay: node ", id, " has out-of-range columns"));
-      }
-      uint32_t shard = NodeShard(id);
-      if (shard > 0xffff) {
-        return Status::ParseError(
-            StrCat("wal replay: node ", id, " names absurd shard ", shard));
-      }
-      while (graph->num_shards() <= shard) (void)graph->AddShard();
-      if (NodeIndex(id) != graph->ShardSize(shard)) {
-        return Status::Internal(
-            StrCat("wal replay: node ", id, " out of append order (shard ",
-                   shard, " holds ", graph->ShardSize(shard), " nodes)"));
-      }
-      ShardWriter writer(graph, shard);
-      NodeId got = writer.AppendRaw(static_cast<NodeLabel>(label),
-                                    static_cast<NodeRole>(role), flags,
-                                    invocation, payload, parents);
-      if (got != id) {
-        return Status::Internal(
-            StrCat("wal replay: node id mismatch: log ", id, ", graph ", got));
-      }
-      return Status::OK();
-    }
-    case RecordType::kNodeValue: {
-      NodeId id = c.U64();
-      LIPSTICK_ASSIGN_OR_RETURN(Value value, walfmt::DecodeValue(&c));
-      if (!c.ok || !c.AtEnd()) return MalformedRecord(rec);
-      if (!graph->InGraph(id)) {
-        return Status::Internal(
-            StrCat("wal replay: value for unknown node ", id));
-      }
-      graph->SetNodeValue(id, std::move(value));
-      return Status::OK();
-    }
-    case RecordType::kSetParents: {
-      NodeId id = c.U64();
-      uint32_t n = c.U32();
-      std::vector<NodeId> parents;
-      if (c.ok && n <= (1u << 24)) {
-        parents.reserve(n);
-        for (uint32_t i = 0; i < n; ++i) parents.push_back(c.U64());
-      } else {
-        c.ok = false;
-      }
-      if (!c.ok || !c.AtEnd()) return MalformedRecord(rec);
-      if (!graph->InGraph(id)) {
-        return Status::Internal(
-            StrCat("wal replay: parents for unknown node ", id));
-      }
-      graph->SetParents(id, parents);
-      return Status::OK();
-    }
-    case RecordType::kSetAlive: {
-      NodeId id = c.U64();
-      uint8_t alive = c.U8();
-      if (!c.ok || !c.AtEnd()) return MalformedRecord(rec);
-      if (!graph->InGraph(id)) {
-        return Status::Internal(
-            StrCat("wal replay: liveness for unknown node ", id));
-      }
-      graph->SetAlive(id, alive != 0);
-      return Status::OK();
-    }
-    case RecordType::kKillShardTail: {
-      uint32_t shard = c.U32();
-      uint64_t from = c.U64();
-      if (!c.ok || !c.AtEnd()) return MalformedRecord(rec);
-      if (shard >= graph->num_shards()) {
-        return Status::Internal(
-            StrCat("wal replay: kill-tail on unknown shard ", shard));
-      }
-      graph->KillShardTail(shard, from);
-      return Status::OK();
-    }
-    case RecordType::kBeginInvocation: {
-      uint32_t inv = c.U32();
-      InvocationInfo info;
-      info.module_name = c.U32();
-      info.instance_name = c.U32();
-      info.execution = c.U32();
-      info.m_node = c.U64();
-      if (!c.ok || !c.AtEnd()) return MalformedRecord(rec);
-      if (inv != graph->invocations().size() ||
-          info.module_name >= graph->strings().size() ||
-          info.instance_name >= graph->strings().size() ||
-          !graph->InGraph(info.m_node)) {
-        return Status::Internal(
-            StrCat("wal replay: inconsistent invocation ", inv));
-      }
-      NodeId m_node = info.m_node;
-      uint32_t got = graph->RestoreInvocation(std::move(info));
-      LIPSTICK_CHECK(got == inv, "invocation id drifted during replay");
-      // The m-node is appended before the invocation id exists; the graph
-      // patches its invocation column afterwards, and so does replay.
-      graph->SetInvocationTag(m_node, inv);
-      return Status::OK();
-    }
-    case RecordType::kInvocationNode: {
-      uint32_t inv = c.U32();
-      uint8_t kind = c.U8();
-      NodeId node = c.U64();
-      if (!c.ok || !c.AtEnd() || kind > 2) return MalformedRecord(rec);
-      if (inv >= graph->invocations().size() || !graph->InGraph(node)) {
-        return Status::Internal(
-            StrCat("wal replay: structural node for unknown invocation ",
-                   inv));
-      }
-      InvocationInfo& info = graph->mutable_invocation(inv);
-      (kind == 0   ? info.input_nodes
-       : kind == 1 ? info.output_nodes
-                   : info.state_nodes)
-          .push_back(node);
-      return Status::OK();
-    }
-    case RecordType::kAbortInvocation: {
-      uint32_t inv = c.U32();
-      if (!c.ok || !c.AtEnd()) return MalformedRecord(rec);
-      if (inv >= graph->invocations().size()) {
-        return Status::Internal(
-            StrCat("wal replay: abort of unknown invocation ", inv));
-      }
-      graph->AbortInvocation(inv);
-      return Status::OK();
-    }
-    case RecordType::kTruncateInvocations: {
-      uint64_t count = c.U64();
-      if (!c.ok || !c.AtEnd()) return MalformedRecord(rec);
-      if (count > graph->invocations().size()) {
-        return Status::Internal("wal replay: truncation grows invocations");
-      }
-      graph->TruncateInvocations(count);
-      return Status::OK();
-    }
-    case RecordType::kCommitInvocation: {
-      uint32_t inv = c.U32();
-      if (!c.ok || !c.AtEnd()) return MalformedRecord(rec);
-      committed->push_back(inv);
-      return Status::OK();
-    }
-    case RecordType::kSavepoint:
-      // Boundaries are interpreted by the caller; validate shape only.
-      return ParseSavepoint(rec).status();
-  }
-  return Status::ParseError(
-      StrCat("wal replay: unknown record type ",
-             static_cast<int>(rec.type)));
-}
-
-/// Verifies the graph matches a savepoint's recorded extent — the
-/// cross-check that replay reproduced exactly what the tracker saw.
-Status VerifyExtent(const ProvenanceGraph& graph, const SavepointExtent& sp) {
-  if (graph.invocations().size() != sp.invocation_count) {
-    return Status::Internal(
-        StrCat("wal replay: savepoint expects ", sp.invocation_count,
-               " invocations, graph has ", graph.invocations().size()));
-  }
-  if (graph.num_shards() < sp.shard_sizes.size()) {
-    return Status::Internal("wal replay: savepoint names missing shards");
-  }
-  for (uint32_t s = 0; s < graph.num_shards(); ++s) {
-    uint64_t want = s < sp.shard_sizes.size() ? sp.shard_sizes[s] : 0;
-    if (graph.ShardSize(s) != want) {
-      return Status::Internal(
-          StrCat("wal replay: savepoint expects ", want, " nodes in shard ",
-                 s, ", graph has ", graph.ShardSize(s)));
-    }
-  }
-  return Status::OK();
-}
 
 }  // namespace
 
@@ -408,7 +169,7 @@ Result<ProvenanceGraph> RecoverGraph(const std::string& dir,
     Result<std::string> data = ReadFileToString(seg.path);
     if (!data.ok()) return data.status();
     seg.data = std::move(data).value();
-    walfmt::SegmentScanner scanner(seg.data);
+    walfmt::SegmentScanner scanner(seg.data, walfmt::kWalMagic);
     if (!scanner.header_status().ok()) {
       // An unreadable header cannot result from a torn append (headers are
       // written whole at segment creation) — except for the freshly
@@ -490,7 +251,6 @@ Result<ProvenanceGraph> RecoverGraph(const std::string& dir,
     boundary.shard_sizes.assign(sp.shard_sizes.begin(),
                                 sp.shard_sizes.end());
   }
-  std::vector<uint32_t> committed;
   uint64_t applied = 0;
   for (size_t i = 0; i < segments.size(); ++i) {
     if (!options.keep_uncommitted && (!found_sp || i > sp_seg)) break;
@@ -500,7 +260,7 @@ Result<ProvenanceGraph> RecoverGraph(const std::string& dir,
           !found_sp || i > sp_seg || (i == sp_seg && j > sp_rec);
       if (past_boundary && !options.keep_uncommitted) break;
       const Record& rec = seg.records[j];
-      Status st = ApplyRecord(&graph, rec, &committed);
+      Status st = walfmt::ApplyRecord(&graph, rec);
       if (!st.ok()) {
         return st.WithContext(
             StrCat("in ", walfmt::SegmentFileName(seg.seq)));
@@ -508,7 +268,7 @@ Result<ProvenanceGraph> RecoverGraph(const std::string& dir,
       ++applied;
       if (rec.type == RecordType::kSavepoint && found_sp && i == sp_seg &&
           j == sp_rec) {
-        LIPSTICK_ASSIGN_OR_RETURN(boundary, ParseSavepoint(rec));
+        LIPSTICK_ASSIGN_OR_RETURN(boundary, walfmt::ParseSavepoint(rec));
         // AddShard is not logged: a worker shard that had appended
         // nothing by this boundary exists only as a zero-size entry in
         // the extent. Create those so the recovered graph matches the
@@ -519,7 +279,7 @@ Result<ProvenanceGraph> RecoverGraph(const std::string& dir,
         }
         // The extent check: replay must land exactly where the tracker
         // was when it marked the boundary.
-        LIPSTICK_RETURN_IF_ERROR(VerifyExtent(graph, boundary));
+        LIPSTICK_RETURN_IF_ERROR(walfmt::VerifyExtent(graph, boundary));
       }
     }
   }

@@ -23,9 +23,9 @@ namespace lipstick {
 /// GraphSnapshot plus, for zoom, synthetic collapsed module nodes and
 /// parent rewirings. Nothing is copied or mutated when a view is built —
 /// the view materializes into a standalone ProvenanceGraph only on export,
-/// and materialization is byte-identical (provio v2) to applying the
-/// operator to a copy of the graph by mutation (the eager references in
-/// tests/reference_terminals.h). No query mutates a graph.
+/// and materialization is byte-identical (as saved graph files, provio.h)
+/// to applying the operator to a copy of the graph by mutation (the eager
+/// references in tests/reference_terminals.h). No query mutates a graph.
 ///
 /// The identity view (MakeIdentity) is the one read surface of the
 /// provenance layer: every read operator — the stages below, deletion
@@ -245,7 +245,7 @@ class GraphView {
 
   /// Builds a standalone graph equal to what the eager operator would have
   /// produced by mutation: same string pool, same node ids, same liveness,
-  /// same (rewired) parents, sealed. Byte-identical under provio v2.
+  /// same (rewired) parents, sealed. Byte-identical as a saved graph file.
   Result<ProvenanceGraph> Materialize() const;
 
  private:

@@ -8,6 +8,8 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <istream>
+#include <utility>
 
 #include "common/check.h"
 #include "common/fault.h"
@@ -56,13 +58,20 @@ uint32_t Crc32(const void* data, size_t n) {
 
 namespace {
 
+void StoreU32(char* at, uint32_t v) {
+  at[0] = static_cast<char>(v);
+  at[1] = static_cast<char>(v >> 8);
+  at[2] = static_cast<char>(v >> 16);
+  at[3] = static_cast<char>(v >> 24);
+}
+
 void PutU8(std::string* out, uint8_t v) {
   out->push_back(static_cast<char>(v));
 }
 
 void PutU32(std::string* out, uint32_t v) {
-  char b[4] = {static_cast<char>(v), static_cast<char>(v >> 8),
-               static_cast<char>(v >> 16), static_cast<char>(v >> 24)};
+  char b[4];
+  StoreU32(b, v);
   out->append(b, 4);
 }
 
@@ -71,48 +80,12 @@ void PutU64(std::string* out, uint64_t v) {
   PutU32(out, static_cast<uint32_t>(v >> 32));
 }
 
-}  // namespace
-
-uint8_t Cursor::U8() {
-  if (end - p < 1) {
-    ok = false;
-    return 0;
-  }
-  return static_cast<uint8_t>(*p++);
+void PutIds(std::string* out, std::span<const NodeId> ids) {
+  PutU32(out, static_cast<uint32_t>(ids.size()));
+  for (NodeId id : ids) PutU64(out, id);
 }
 
-uint32_t Cursor::U32() {
-  if (end - p < 4) {
-    ok = false;
-    p = end;
-    return 0;
-  }
-  uint32_t v = static_cast<uint32_t>(static_cast<uint8_t>(p[0])) |
-               static_cast<uint32_t>(static_cast<uint8_t>(p[1])) << 8 |
-               static_cast<uint32_t>(static_cast<uint8_t>(p[2])) << 16 |
-               static_cast<uint32_t>(static_cast<uint8_t>(p[3])) << 24;
-  p += 4;
-  return v;
-}
-
-uint64_t Cursor::U64() {
-  uint64_t lo = U32();
-  uint64_t hi = U32();
-  return lo | hi << 32;
-}
-
-std::string_view Cursor::Bytes(size_t n) {
-  if (static_cast<size_t>(end - p) < n) {
-    ok = false;
-    p = end;
-    return {};
-  }
-  std::string_view s(p, n);
-  p += n;
-  return s;
-}
-
-void EncodeValue(std::string* out, const Value& v) {
+void PutValue(std::string* out, const Value& v) {
   if (v.is_bool()) {
     PutU8(out, 'B');
     PutU8(out, v.bool_value() ? 1 : 0);
@@ -131,13 +104,97 @@ void EncodeValue(std::string* out, const Value& v) {
     PutU32(out, static_cast<uint32_t>(s.size()));
     out->append(s);
   } else {
-    // Null, or a nested bag/tuple — nested values degrade to null exactly
-    // like the provio text format.
+    // Null, or a nested bag/tuple: graph v-nodes keep scalars only.
     PutU8(out, 'N');
   }
 }
 
-Result<Value> DecodeValue(Cursor* c) {
+/// Starts a frame of `type` at the end of `out`: length and CRC
+/// placeholders, then the type byte. Returns the frame's offset.
+size_t BeginFrame(std::string* out, RecordType type) {
+  size_t at = out->size();
+  out->append(kFrameBytes, '\0');
+  PutU8(out, static_cast<uint8_t>(type));
+  return at;
+}
+
+/// Patches the length and CRC of the frame BeginFrame started at `at`.
+void EndFrame(std::string* out, size_t at) {
+  size_t len = out->size() - at - kFrameBytes;  // type byte + payload
+  LIPSTICK_CHECK(len <= kMaxRecordBytes, "wal record too large");
+  char* frame = out->data() + at;
+  StoreU32(frame, static_cast<uint32_t>(len));
+  StoreU32(frame + 4, Crc32(frame + kFrameBytes, len));
+}
+
+/// Little-endian payload cursor. Reads past the end set ok = false and
+/// return zeros rather than trapping, so the replayer can validate once at
+/// the end of each record.
+struct Cursor {
+  const char* p;
+  const char* end;
+  bool ok = true;
+
+  explicit Cursor(std::string_view s) : p(s.data()), end(s.data() + s.size()) {}
+
+  uint8_t U8() {
+    if (end - p < 1) {
+      ok = false;
+      return 0;
+    }
+    return static_cast<uint8_t>(*p++);
+  }
+
+  uint32_t U32() {
+    if (end - p < 4) {
+      ok = false;
+      p = end;
+      return 0;
+    }
+    uint32_t v = static_cast<uint32_t>(static_cast<uint8_t>(p[0])) |
+                 static_cast<uint32_t>(static_cast<uint8_t>(p[1])) << 8 |
+                 static_cast<uint32_t>(static_cast<uint8_t>(p[2])) << 16 |
+                 static_cast<uint32_t>(static_cast<uint8_t>(p[3])) << 24;
+    p += 4;
+    return v;
+  }
+
+  uint64_t U64() {
+    uint64_t lo = U32();
+    uint64_t hi = U32();
+    return lo | hi << 32;
+  }
+
+  std::string_view Bytes(size_t n) {
+    if (static_cast<size_t>(end - p) < n) {
+      ok = false;
+      p = end;
+      return {};
+    }
+    std::string_view s(p, n);
+    p += n;
+    return s;
+  }
+
+  /// A u32 count, then that many u64s. A count the remaining bytes cannot
+  /// hold fails the cursor before anything is reserved, so a short record
+  /// never drives a large allocation.
+  std::vector<uint64_t> U64List() {
+    std::vector<uint64_t> out;
+    uint32_t n = U32();
+    if (n > static_cast<size_t>(end - p) / 8) {
+      ok = false;
+      return out;
+    }
+    out.reserve(n);
+    for (uint32_t i = 0; i < n; ++i) out.push_back(U64());
+    return out;
+  }
+
+  bool AtEnd() const { return p == end; }
+};
+
+Result<Value> ReadValue(Cursor* c) {
   uint8_t tag = c->U8();
   switch (tag) {
     case 'N':
@@ -165,21 +222,11 @@ Result<Value> DecodeValue(Cursor* c) {
       StrCat("wal: bad value tag ", static_cast<int>(tag)));
 }
 
-std::string SegmentFileName(uint64_t seq) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "wal-%010llu.log",
-                static_cast<unsigned long long>(seq));
-  return buf;
+Status MalformedRecord(const Record& rec) {
+  return Status::ParseError(
+      StrCat("wal replay: malformed record type ",
+             static_cast<int>(rec.type), " at offset ", rec.offset));
 }
-
-std::string CheckpointFileName(uint64_t seq) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "ckpt-%010llu.pg",
-                static_cast<unsigned long long>(seq));
-  return buf;
-}
-
-namespace {
 
 bool ParseSeqName(std::string_view name, std::string_view prefix,
                   std::string_view suffix, uint64_t* seq) {
@@ -199,6 +246,126 @@ bool ParseSeqName(std::string_view name, std::string_view prefix,
 
 }  // namespace
 
+void EncodeHeader(std::string* out, std::string_view magic, uint64_t seq) {
+  LIPSTICK_CHECK(magic.size() == kMagicBytes, "segment magic size mismatch");
+  out->append(magic);
+  PutU32(out, kVersion);
+  PutU64(out, seq);
+}
+
+void EncodeIntern(std::string* out, StrId id, std::string_view s) {
+  size_t at = BeginFrame(out, RecordType::kIntern);
+  PutU32(out, id);
+  PutU32(out, static_cast<uint32_t>(s.size()));
+  out->append(s);
+  EndFrame(out, at);
+}
+
+void EncodeNodeAppend(std::string* out, NodeId id, NodeLabel label,
+                      NodeRole role, uint8_t flags, uint32_t invocation,
+                      StrId payload, std::span<const NodeId> parents) {
+  size_t at = BeginFrame(out, RecordType::kNodeAppend);
+  PutU64(out, id);
+  PutU8(out, static_cast<uint8_t>(label));
+  PutU8(out, static_cast<uint8_t>(role));
+  PutU8(out, flags);
+  PutU32(out, invocation);
+  PutU32(out, payload);
+  PutIds(out, parents);
+  EndFrame(out, at);
+}
+
+void EncodeNodeValue(std::string* out, NodeId id, const Value& value) {
+  size_t at = BeginFrame(out, RecordType::kNodeValue);
+  PutU64(out, id);
+  PutValue(out, value);
+  EndFrame(out, at);
+}
+
+void EncodeSetParents(std::string* out, NodeId id,
+                      std::span<const NodeId> parents) {
+  size_t at = BeginFrame(out, RecordType::kSetParents);
+  PutU64(out, id);
+  PutIds(out, parents);
+  EndFrame(out, at);
+}
+
+void EncodeSetAlive(std::string* out, NodeId id, bool alive) {
+  size_t at = BeginFrame(out, RecordType::kSetAlive);
+  PutU64(out, id);
+  PutU8(out, alive ? 1 : 0);
+  EndFrame(out, at);
+}
+
+void EncodeKillShardTail(std::string* out, uint32_t shard, uint64_t from) {
+  size_t at = BeginFrame(out, RecordType::kKillShardTail);
+  PutU32(out, shard);
+  PutU64(out, from);
+  EndFrame(out, at);
+}
+
+void EncodeBeginInvocation(std::string* out, uint32_t invocation,
+                           const InvocationInfo& info) {
+  size_t at = BeginFrame(out, RecordType::kBeginInvocation);
+  PutU32(out, invocation);
+  PutU32(out, info.module_name);
+  PutU32(out, info.instance_name);
+  PutU32(out, info.execution);
+  PutU64(out, info.m_node);
+  EndFrame(out, at);
+}
+
+void EncodeInvocationNode(std::string* out, uint32_t invocation, int kind,
+                          NodeId node) {
+  size_t at = BeginFrame(out, RecordType::kInvocationNode);
+  PutU32(out, invocation);
+  PutU8(out, static_cast<uint8_t>(kind));
+  PutU64(out, node);
+  EndFrame(out, at);
+}
+
+void EncodeAbortInvocation(std::string* out, uint32_t invocation) {
+  size_t at = BeginFrame(out, RecordType::kAbortInvocation);
+  PutU32(out, invocation);
+  EndFrame(out, at);
+}
+
+void EncodeTruncateInvocations(std::string* out, uint64_t count) {
+  size_t at = BeginFrame(out, RecordType::kTruncateInvocations);
+  PutU64(out, count);
+  EndFrame(out, at);
+}
+
+void EncodeCommitInvocation(std::string* out, uint32_t invocation) {
+  size_t at = BeginFrame(out, RecordType::kCommitInvocation);
+  PutU32(out, invocation);
+  EndFrame(out, at);
+}
+
+void EncodeSavepoint(std::string* out, uint32_t execution,
+                     const ProvenanceGraph::Savepoint& extent) {
+  size_t at = BeginFrame(out, RecordType::kSavepoint);
+  PutU32(out, execution);
+  PutU64(out, extent.invocation_count);
+  PutU32(out, static_cast<uint32_t>(extent.shard_sizes.size()));
+  for (size_t size : extent.shard_sizes) PutU64(out, size);
+  EndFrame(out, at);
+}
+
+std::string SegmentFileName(uint64_t seq) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "wal-%010llu.log",
+                static_cast<unsigned long long>(seq));
+  return buf;
+}
+
+std::string CheckpointFileName(uint64_t seq) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "ckpt-%010llu.pg",
+                static_cast<unsigned long long>(seq));
+  return buf;
+}
+
 bool ParseSegmentName(std::string_view name, uint64_t* seq) {
   return ParseSeqName(name, "wal-", ".log", seq);
 }
@@ -207,14 +374,15 @@ bool ParseCheckpointName(std::string_view name, uint64_t* seq) {
   return ParseSeqName(name, "ckpt-", ".pg", seq);
 }
 
-SegmentScanner::SegmentScanner(std::string_view data) : data_(data) {
-  if (data_.size() < kHeaderBytes) {
-    header_status_ = Status::ParseError("wal: short segment header");
+void SegmentScanner::ReadHeader(std::string_view magic) {
+  if (!Buffered(kHeaderBytes)) {
+    header_status_ = Status::ParseError("short segment header");
     torn_reason_ = "short header";
     return;
   }
-  if (std::memcmp(data_.data(), kMagic, kMagicBytes) != 0) {
-    header_status_ = Status::ParseError("wal: bad segment magic");
+  if (data_.substr(0, kMagicBytes) != magic) {
+    header_status_ = Status::ParseError(
+        StrCat("bad segment magic (expected ", magic, ")"));
     torn_reason_ = "bad magic";
     return;
   }
@@ -223,49 +391,266 @@ SegmentScanner::SegmentScanner(std::string_view data) : data_(data) {
   sequence_ = c.U64();
   if (version != kVersion) {
     header_status_ =
-        Status::ParseError(StrCat("wal: unsupported version ", version));
+        Status::ParseError(StrCat("unsupported segment version ", version));
     torn_reason_ = "bad version";
     return;
   }
-  offset_ = kHeaderBytes;
+  pos_ = kHeaderBytes;
+}
+
+bool SegmentScanner::Buffered(size_t n) {
+  // 64 KiB stays under glibc's mmap threshold, which freeing a larger buffer
+  // raises for the whole process. A longer frame grows the window by windows.
+  constexpr size_t kWindowBytes = 64 * 1024;
+  while (data_.size() - pos_ < n) {
+    if (in_ == nullptr || !*in_) return false;
+    window_.erase(0, pos_);  // drop the scanned bytes
+    base_ += std::exchange(pos_, 0);
+    const size_t have = window_.size();
+    window_.resize(have + kWindowBytes - have % kWindowBytes);
+    in_->read(window_.data() + have,
+              static_cast<std::streamsize>(window_.size() - have));
+    window_.resize(have + static_cast<size_t>(in_->gcount()));
+    data_ = window_;
+  }
+  return true;
 }
 
 bool SegmentScanner::Next(Record* out) {
   if (!header_status_.ok()) return false;
   if (!torn_reason_.empty()) return false;
-  if (offset_ == data_.size()) return false;  // clean end
-  if (offset_ + kFrameBytes > data_.size()) {
+  if (!Buffered(1)) return false;  // clean end
+  if (!Buffered(kFrameBytes)) {
     torn_reason_ = "short frame header";
     return false;
   }
-  Cursor c(data_.substr(offset_, kFrameBytes));
+  Cursor c(data_.substr(pos_, kFrameBytes));
   uint32_t len = c.U32();
   uint32_t crc = c.U32();
   if (len == 0 || len > kMaxRecordBytes) {
     torn_reason_ = "bad record length";
     return false;
   }
-  if (offset_ + kFrameBytes + len > data_.size()) {
+  if (!Buffered(kFrameBytes + len)) {
     torn_reason_ = "short record";
     return false;
   }
-  const char* body = data_.data() + offset_ + kFrameBytes;
+  const char* body = data_.data() + pos_ + kFrameBytes;
   if (Crc32(body, len) != crc) {
     torn_reason_ = "bad crc";
     return false;
   }
   out->type = static_cast<RecordType>(static_cast<uint8_t>(body[0]));
   out->payload = std::string_view(body + 1, len - 1);
-  out->offset = offset_;
-  offset_ += kFrameBytes + len;
+  out->offset = base_ + pos_;
+  pos_ += kFrameBytes + len;
   return true;
+}
+
+Result<SavepointExtent> ParseSavepoint(const Record& rec) {
+  Cursor c(rec.payload);
+  SavepointExtent sp;
+  sp.execution = c.U32();
+  sp.invocation_count = c.U64();
+  sp.shard_sizes = c.U64List();
+  if (!c.ok || !c.AtEnd()) {
+    return Status::ParseError("wal replay: malformed savepoint record");
+  }
+  return sp;
+}
+
+Status ApplyRecord(ProvenanceGraph* graph, const Record& rec) {
+  Cursor c(rec.payload);
+  switch (rec.type) {
+    case RecordType::kIntern: {
+      StrId id = c.U32();
+      uint32_t len = c.U32();
+      std::string_view s = c.Bytes(len);
+      if (!c.ok || !c.AtEnd()) return MalformedRecord(rec);
+      StrId got = graph->InternString(s);
+      if (got != id) {
+        return Status::Internal(StrCat("wal replay: intern id mismatch: log ",
+                                       id, ", graph ", got));
+      }
+      return Status::OK();
+    }
+    case RecordType::kNodeAppend: {
+      NodeId id = c.U64();
+      uint8_t label = c.U8();
+      uint8_t role = c.U8();
+      uint8_t flags = c.U8();
+      uint32_t invocation = c.U32();
+      StrId payload = c.U32();
+      std::vector<NodeId> parents = c.U64List();
+      if (!c.ok || !c.AtEnd()) return MalformedRecord(rec);
+      if (label > static_cast<uint8_t>(NodeLabel::kZoomedModule) ||
+          role > static_cast<uint8_t>(NodeRole::kZoom) ||
+          (flags & ~(internal::kAliveFlag | internal::kValueNodeFlag)) != 0 ||
+          payload >= graph->strings().size()) {
+        return Status::ParseError(
+            StrCat("wal replay: node ", id, " has out-of-range columns"));
+      }
+      uint32_t shard = NodeShard(id);
+      if (shard > 0xffff) {
+        return Status::ParseError(
+            StrCat("wal replay: node ", id, " names absurd shard ", shard));
+      }
+      while (graph->num_shards() <= shard) (void)graph->AddShard();
+      if (NodeIndex(id) != graph->ShardSize(shard)) {
+        return Status::Internal(
+            StrCat("wal replay: node ", id, " out of append order (shard ",
+                   shard, " holds ", graph->ShardSize(shard), " nodes)"));
+      }
+      ShardWriter writer(graph, shard);
+      NodeId got = writer.AppendRaw(static_cast<NodeLabel>(label),
+                                    static_cast<NodeRole>(role), flags,
+                                    invocation, payload, parents);
+      if (got != id) {
+        return Status::Internal(
+            StrCat("wal replay: node id mismatch: log ", id, ", graph ", got));
+      }
+      return Status::OK();
+    }
+    case RecordType::kNodeValue: {
+      NodeId id = c.U64();
+      LIPSTICK_ASSIGN_OR_RETURN(Value value, ReadValue(&c));
+      if (!c.ok || !c.AtEnd()) return MalformedRecord(rec);
+      if (!graph->InGraph(id)) {
+        return Status::Internal(
+            StrCat("wal replay: value for unknown node ", id));
+      }
+      graph->SetNodeValue(id, std::move(value));
+      return Status::OK();
+    }
+    case RecordType::kSetParents: {
+      NodeId id = c.U64();
+      std::vector<NodeId> parents = c.U64List();
+      if (!c.ok || !c.AtEnd()) return MalformedRecord(rec);
+      if (!graph->InGraph(id)) {
+        return Status::Internal(
+            StrCat("wal replay: parents for unknown node ", id));
+      }
+      graph->SetParents(id, parents);
+      return Status::OK();
+    }
+    case RecordType::kSetAlive: {
+      NodeId id = c.U64();
+      uint8_t alive = c.U8();
+      if (!c.ok || !c.AtEnd()) return MalformedRecord(rec);
+      if (!graph->InGraph(id)) {
+        return Status::Internal(
+            StrCat("wal replay: liveness for unknown node ", id));
+      }
+      graph->SetAlive(id, alive != 0);
+      return Status::OK();
+    }
+    case RecordType::kKillShardTail: {
+      uint32_t shard = c.U32();
+      uint64_t from = c.U64();
+      if (!c.ok || !c.AtEnd()) return MalformedRecord(rec);
+      if (shard >= graph->num_shards()) {
+        return Status::Internal(
+            StrCat("wal replay: kill-tail on unknown shard ", shard));
+      }
+      graph->KillShardTail(shard, from);
+      return Status::OK();
+    }
+    case RecordType::kBeginInvocation: {
+      uint32_t inv = c.U32();
+      InvocationInfo info;
+      info.module_name = c.U32();
+      info.instance_name = c.U32();
+      info.execution = c.U32();
+      info.m_node = c.U64();
+      if (!c.ok || !c.AtEnd()) return MalformedRecord(rec);
+      // Graph files write an aborted invocation with no m-node.
+      const bool aborted = info.aborted();
+      if (inv != graph->invocations().size() ||
+          info.module_name >= graph->strings().size() ||
+          info.instance_name >= graph->strings().size() ||
+          (!aborted && !graph->InGraph(info.m_node))) {
+        return Status::Internal(
+            StrCat("wal replay: inconsistent invocation ", inv));
+      }
+      NodeId m_node = info.m_node;
+      uint32_t got = graph->RestoreInvocation(std::move(info));
+      LIPSTICK_CHECK(got == inv, "invocation id drifted during replay");
+      // The m-node is appended before the invocation id exists; the graph
+      // patches its invocation column afterwards, and so does replay.
+      if (!aborted) graph->SetInvocationTag(m_node, inv);
+      return Status::OK();
+    }
+    case RecordType::kInvocationNode: {
+      uint32_t inv = c.U32();
+      uint8_t kind = c.U8();
+      NodeId node = c.U64();
+      if (!c.ok || !c.AtEnd() || kind > 2) return MalformedRecord(rec);
+      if (inv >= graph->invocations().size() || !graph->InGraph(node)) {
+        return Status::Internal(
+            StrCat("wal replay: structural node for unknown invocation ",
+                   inv));
+      }
+      InvocationInfo& info = graph->mutable_invocation(inv);
+      (kind == 0   ? info.input_nodes
+       : kind == 1 ? info.output_nodes
+                   : info.state_nodes)
+          .push_back(node);
+      return Status::OK();
+    }
+    case RecordType::kAbortInvocation: {
+      uint32_t inv = c.U32();
+      if (!c.ok || !c.AtEnd()) return MalformedRecord(rec);
+      if (inv >= graph->invocations().size()) {
+        return Status::Internal(
+            StrCat("wal replay: abort of unknown invocation ", inv));
+      }
+      graph->AbortInvocation(inv);
+      return Status::OK();
+    }
+    case RecordType::kTruncateInvocations: {
+      uint64_t count = c.U64();
+      if (!c.ok || !c.AtEnd()) return MalformedRecord(rec);
+      if (count > graph->invocations().size()) {
+        return Status::Internal("wal replay: truncation grows invocations");
+      }
+      graph->TruncateInvocations(count);
+      return Status::OK();
+    }
+    case RecordType::kCommitInvocation:
+      (void)c.U32();
+      if (!c.ok || !c.AtEnd()) return MalformedRecord(rec);
+      return Status::OK();
+    case RecordType::kSavepoint:
+      return ParseSavepoint(rec).status();
+  }
+  return Status::ParseError(
+      StrCat("wal replay: unknown record type ",
+             static_cast<int>(rec.type)));
+}
+
+Status VerifyExtent(const ProvenanceGraph& graph, const SavepointExtent& sp) {
+  if (graph.invocations().size() != sp.invocation_count) {
+    return Status::Internal(
+        StrCat("wal replay: savepoint expects ", sp.invocation_count,
+               " invocations, graph has ", graph.invocations().size()));
+  }
+  if (graph.num_shards() < sp.shard_sizes.size()) {
+    return Status::Internal("wal replay: savepoint names missing shards");
+  }
+  for (uint32_t s = 0; s < graph.num_shards(); ++s) {
+    uint64_t want = s < sp.shard_sizes.size() ? sp.shard_sizes[s] : 0;
+    if (graph.ShardSize(s) != want) {
+      return Status::Internal(
+          StrCat("wal replay: savepoint expects ", want, " nodes in shard ",
+                 s, ", graph has ", graph.ShardSize(s)));
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace walfmt
 
 namespace {
-
-using walfmt::RecordType;
 
 struct WalMetrics {
   obs::MetricId bytes;
@@ -295,28 +680,13 @@ struct WalMetrics {
   }
 };
 
-/// Per-thread payload scratch: hooks fire from concurrent ShardWriters, and
-/// serializing outside the log mutex keeps the critical section to a
-/// buffer append.
+/// Per-thread frame scratch: hooks fire from concurrent ShardWriters, and
+/// encoding outside the log mutex keeps the critical section to a buffer
+/// append.
 std::string& Scratch() {
   thread_local std::string s;
   s.clear();
   return s;
-}
-
-void PutU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  char b[4] = {static_cast<char>(v), static_cast<char>(v >> 8),
-               static_cast<char>(v >> 16), static_cast<char>(v >> 24)};
-  out->append(b, 4);
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  PutU32(out, static_cast<uint32_t>(v));
-  PutU32(out, static_cast<uint32_t>(v >> 32));
 }
 
 Status WriteFully(int fd, const char* data, size_t n) {
@@ -405,11 +775,7 @@ Status Wal::OpenSegmentLocked(uint64_t seq) {
                std::strerror(errno)));
   }
   std::string header;
-  header.append(walfmt::kMagic, walfmt::kMagicBytes);
-  PutU32(&header, walfmt::kVersion);
-  PutU64(&header, seq);
-  LIPSTICK_CHECK(header.size() == walfmt::kHeaderBytes,
-                 "wal segment header size mismatch");
+  walfmt::EncodeHeader(&header, walfmt::kWalMagic, seq);
   Status st = WriteFully(fd, header.data(), header.size());
   if (!st.ok()) {
     ::close(fd);
@@ -432,36 +798,22 @@ void Wal::MarkDeadLocked(Status why) {
 // Wal: record append + group commit
 // ---------------------------------------------------------------------------
 
-void Wal::AppendRecordLocked(RecordType type, std::string_view payload) {
-  size_t len = payload.size() + 1;  // type byte + payload
-  LIPSTICK_CHECK(len <= walfmt::kMaxRecordBytes, "wal record too large");
-  size_t frame_at = buffer_.size();
-  PutU32(&buffer_, static_cast<uint32_t>(len));
-  PutU32(&buffer_, 0);  // CRC placeholder, patched below
-  buffer_.push_back(static_cast<char>(type));
-  buffer_.append(payload);
-  uint32_t crc =
-      walfmt::Crc32(buffer_.data() + frame_at + walfmt::kFrameBytes, len);
-  char crc_bytes[4] = {
-      static_cast<char>(crc), static_cast<char>(crc >> 8),
-      static_cast<char>(crc >> 16), static_cast<char>(crc >> 24)};
-  std::memcpy(&buffer_[frame_at + 4], crc_bytes, 4);
-
-  uint64_t framed = walfmt::kFrameBytes + len;
-  bytes_appended_ += framed;
-  bytes_since_checkpoint_ += framed;
+void Wal::AppendFrameLocked(std::string_view frame) {
+  buffer_.append(frame);
+  bytes_appended_ += frame.size();
+  bytes_since_checkpoint_ += frame.size();
   ++records_appended_;
   if (obs::MetricsRegistry::Enabled()) {
     auto& reg = obs::MetricsRegistry::Global();
-    reg.CounterAdd(WalMetrics::Get().bytes, framed);
+    reg.CounterAdd(WalMetrics::Get().bytes, frame.size());
     reg.CounterAdd(WalMetrics::Get().records);
   }
 }
 
-void Wal::AppendRecord(RecordType type, std::string_view payload) {
+void Wal::AppendFrame(std::string_view frame) {
   std::lock_guard<std::mutex> lock(mu_);
   if (closed_ || !status_.ok()) return;
-  AppendRecordLocked(type, payload);
+  AppendFrameLocked(frame);
   if (buffer_.size() >= options_.buffer_bytes) (void)FlushLocked();
 }
 
@@ -611,12 +963,12 @@ void Wal::Detach() {
 }
 
 Status Wal::CommitInvocation(uint32_t invocation) {
-  std::string& p = Scratch();
-  PutU32(&p, invocation);
+  std::string& frame = Scratch();
+  walfmt::EncodeCommitInvocation(&frame, invocation);
   std::lock_guard<std::mutex> lock(mu_);
   if (closed_) return Status::Internal("wal: closed");
   LIPSTICK_RETURN_IF_ERROR(status_);
-  AppendRecordLocked(RecordType::kCommitInvocation, p);
+  AppendFrameLocked(frame);
   if (options_.fsync == FsyncPolicy::kOnCommit) {
     return SyncLocked();
   }
@@ -626,12 +978,9 @@ Status Wal::CommitInvocation(uint32_t invocation) {
 
 void Wal::AppendSavepointLocked(uint32_t execution,
                                 const ProvenanceGraph::Savepoint& extent) {
-  std::string& p = Scratch();
-  PutU32(&p, execution);
-  PutU64(&p, extent.invocation_count);
-  PutU32(&p, static_cast<uint32_t>(extent.shard_sizes.size()));
-  for (size_t size : extent.shard_sizes) PutU64(&p, size);
-  AppendRecordLocked(RecordType::kSavepoint, p);
+  std::string& frame = Scratch();
+  walfmt::EncodeSavepoint(&frame, execution, extent);
+  AppendFrameLocked(frame);
 }
 
 Status Wal::MarkSavepoint(uint32_t execution) {
@@ -769,85 +1118,66 @@ Status Wal::Close() {
 // ---------------------------------------------------------------------------
 
 void Wal::OnIntern(StrId id, std::string_view s) {
-  std::string& p = Scratch();
-  PutU32(&p, id);
-  PutU32(&p, static_cast<uint32_t>(s.size()));
-  p.append(s);
-  AppendRecord(RecordType::kIntern, p);
+  std::string& frame = Scratch();
+  walfmt::EncodeIntern(&frame, id, s);
+  AppendFrame(frame);
 }
 
 void Wal::OnNodeAppend(NodeId id, NodeLabel label, NodeRole role,
                        uint8_t flags, uint32_t invocation, StrId payload,
                        std::span<const NodeId> parents) {
-  std::string& p = Scratch();
-  PutU64(&p, id);
-  PutU8(&p, static_cast<uint8_t>(label));
-  PutU8(&p, static_cast<uint8_t>(role));
-  PutU8(&p, flags);
-  PutU32(&p, invocation);
-  PutU32(&p, payload);
-  PutU32(&p, static_cast<uint32_t>(parents.size()));
-  for (NodeId parent : parents) PutU64(&p, parent);
-  AppendRecord(RecordType::kNodeAppend, p);
+  std::string& frame = Scratch();
+  walfmt::EncodeNodeAppend(&frame, id, label, role, flags, invocation,
+                           payload, parents);
+  AppendFrame(frame);
 }
 
 void Wal::OnNodeValue(NodeId id, const Value& value) {
-  std::string& p = Scratch();
-  PutU64(&p, id);
-  walfmt::EncodeValue(&p, value);
-  AppendRecord(RecordType::kNodeValue, p);
+  std::string& frame = Scratch();
+  walfmt::EncodeNodeValue(&frame, id, value);
+  AppendFrame(frame);
 }
 
 void Wal::OnSetParents(NodeId id, std::span<const NodeId> parents) {
-  std::string& p = Scratch();
-  PutU64(&p, id);
-  PutU32(&p, static_cast<uint32_t>(parents.size()));
-  for (NodeId parent : parents) PutU64(&p, parent);
-  AppendRecord(RecordType::kSetParents, p);
+  std::string& frame = Scratch();
+  walfmt::EncodeSetParents(&frame, id, parents);
+  AppendFrame(frame);
 }
 
 void Wal::OnSetAlive(NodeId id, bool alive) {
-  std::string& p = Scratch();
-  PutU64(&p, id);
-  PutU8(&p, alive ? 1 : 0);
-  AppendRecord(RecordType::kSetAlive, p);
+  std::string& frame = Scratch();
+  walfmt::EncodeSetAlive(&frame, id, alive);
+  AppendFrame(frame);
 }
 
 void Wal::OnKillShardTail(uint32_t shard, uint64_t from) {
-  std::string& p = Scratch();
-  PutU32(&p, shard);
-  PutU64(&p, from);
-  AppendRecord(RecordType::kKillShardTail, p);
+  std::string& frame = Scratch();
+  walfmt::EncodeKillShardTail(&frame, shard, from);
+  AppendFrame(frame);
 }
 
 void Wal::OnBeginInvocation(uint32_t invocation, const InvocationInfo& info) {
-  std::string& p = Scratch();
-  PutU32(&p, invocation);
-  PutU32(&p, info.module_name);
-  PutU32(&p, info.instance_name);
-  PutU32(&p, info.execution);
-  PutU64(&p, info.m_node);
-  AppendRecord(RecordType::kBeginInvocation, p);
+  std::string& frame = Scratch();
+  walfmt::EncodeBeginInvocation(&frame, invocation, info);
+  AppendFrame(frame);
 }
 
 void Wal::OnInvocationNode(uint32_t invocation, int kind, NodeId node) {
-  std::string& p = Scratch();
-  PutU32(&p, invocation);
-  PutU8(&p, static_cast<uint8_t>(kind));
-  PutU64(&p, node);
-  AppendRecord(RecordType::kInvocationNode, p);
+  std::string& frame = Scratch();
+  walfmt::EncodeInvocationNode(&frame, invocation, kind, node);
+  AppendFrame(frame);
 }
 
 void Wal::OnAbortInvocation(uint32_t invocation) {
-  std::string& p = Scratch();
-  PutU32(&p, invocation);
-  AppendRecord(RecordType::kAbortInvocation, p);
+  std::string& frame = Scratch();
+  walfmt::EncodeAbortInvocation(&frame, invocation);
+  AppendFrame(frame);
 }
 
 void Wal::OnTruncateInvocations(uint64_t count) {
-  std::string& p = Scratch();
-  PutU64(&p, count);
-  AppendRecord(RecordType::kTruncateInvocations, p);
+  std::string& frame = Scratch();
+  walfmt::EncodeTruncateInvocations(&frame, count);
+  AppendFrame(frame);
 }
 
 }  // namespace lipstick

@@ -2,10 +2,13 @@
 #define LIPSTICK_PROVENANCE_WAL_H_
 
 #include <cstdint>
+#include <iosfwd>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/result.h"
 #include "provenance/graph.h"
@@ -21,8 +24,10 @@ namespace lipstick {
 ///
 /// Directory layout:
 ///   wal-<seq>.log   log segments, strictly increasing sequence numbers
-///   ckpt-<seq>.pg   checkpoint: provio v2 snapshot of the graph at the
-///                   instant segment <seq> was opened
+///   ckpt-<seq>.pg   checkpoint: the graph file (provio.h) of the graph
+///                   at the instant segment <seq> was opened — one
+///                   segment in this log's own format, under the graph
+///                   magic
 /// A checkpoint supersedes every earlier segment; Checkpoint() deletes
 /// them once the snapshot and the new segment head are durable. Open()
 /// never appends to an existing segment (its tail may be torn): it always
@@ -62,12 +67,14 @@ struct WalOptions {
   size_t checkpoint_bytes = 0;
 };
 
-/// Binary framing shared by the writer (wal.cc), the recovery reader
-/// (recovery.cc), and tests that need to inspect or corrupt segments.
+/// The one binary codec of provenance graphs: the WAL's segments and the
+/// `.pg` graph files (provio.h) share its framing, record types, encoders
+/// and replayer. A graph file is one segment under its own magic.
 namespace walfmt {
 
 /// Segment header: magic, format version (u32), sequence number (u64).
-inline constexpr char kMagic[] = "LIPSTICKWAL1";  // 12 chars + NUL unused
+inline constexpr char kWalMagic[] = "LIPSTICKWAL1";    // 12 chars + NUL unused
+inline constexpr char kGraphMagic[] = "LIPSTICKPG01";  // a .pg graph file
 inline constexpr size_t kMagicBytes = 12;
 inline constexpr uint32_t kVersion = 1;
 inline constexpr size_t kHeaderBytes = kMagicBytes + 4 + 8;
@@ -86,7 +93,8 @@ enum class RecordType : uint8_t {
   kSetAlive = 5,          // u64 id, u8 alive
   kKillShardTail = 6,     // u32 shard, u64 from
   kBeginInvocation = 7,   // u32 inv, u32 module, u32 instance,
-                          // u32 execution, u64 m_node
+                          // u32 execution, u64 m_node (kInvalidNode:
+                          // aborted, in graph files only)
   kInvocationNode = 8,    // u32 inv, u8 kind(0=in,1=out,2=state), u64 node
   kAbortInvocation = 9,   // u32 inv
   kTruncateInvocations = 10,  // u64 count
@@ -94,14 +102,33 @@ enum class RecordType : uint8_t {
   kSavepoint = 12,        // u32 execution, u64 inv_count, u32 n, u64[n]
 };
 
+/// CRC32 (IEEE) of a frame's type byte + payload.
 uint32_t Crc32(const void* data, size_t n);
 
-/// Binary scalar-value codec shared by kNodeValue writers and the
-/// recovery replayer (tag byte + payload; nested values degrade to null,
-/// matching provio).
-void EncodeValue(std::string* out, const Value& v);
-struct Cursor;
-Result<Value> DecodeValue(Cursor* c);
+/// Appends a segment header.
+void EncodeHeader(std::string* out, std::string_view magic, uint64_t seq);
+
+/// Frame encoders, one per record type: each appends one framed record
+/// (payload layout above) to `out`. Values use a tag byte + payload;
+/// nested values degrade to null.
+void EncodeIntern(std::string* out, StrId id, std::string_view s);
+void EncodeNodeAppend(std::string* out, NodeId id, NodeLabel label,
+                      NodeRole role, uint8_t flags, uint32_t invocation,
+                      StrId payload, std::span<const NodeId> parents);
+void EncodeNodeValue(std::string* out, NodeId id, const Value& value);
+void EncodeSetParents(std::string* out, NodeId id,
+                      std::span<const NodeId> parents);
+void EncodeSetAlive(std::string* out, NodeId id, bool alive);
+void EncodeKillShardTail(std::string* out, uint32_t shard, uint64_t from);
+void EncodeBeginInvocation(std::string* out, uint32_t invocation,
+                           const InvocationInfo& info);
+void EncodeInvocationNode(std::string* out, uint32_t invocation, int kind,
+                          NodeId node);
+void EncodeAbortInvocation(std::string* out, uint32_t invocation);
+void EncodeTruncateInvocations(std::string* out, uint64_t count);
+void EncodeCommitInvocation(std::string* out, uint32_t invocation);
+void EncodeSavepoint(std::string* out, uint32_t execution,
+                     const ProvenanceGraph::Savepoint& extent);
 
 /// Formats "wal-0000000042.log" / "ckpt-0000000042.pg".
 std::string SegmentFileName(uint64_t seq);
@@ -118,11 +145,24 @@ struct Record {
   uint64_t offset = 0;       // frame start offset within the segment
 };
 
-/// Iterates the records of one in-memory segment image, stopping at the
-/// first invalid frame (short header, bad length, short record, bad CRC).
+/// Iterates the records of one segment, stopping at the first invalid
+/// frame (short header, bad length, short record, bad CRC). `magic` is the
+/// header magic the segment must carry (kWalMagic or kGraphMagic).
 class SegmentScanner {
  public:
-  explicit SegmentScanner(std::string_view data);
+  /// Scans an in-memory image; payloads live as long as `data`.
+  SegmentScanner(std::string_view data, std::string_view magic)
+      : data_(data) {
+    ReadHeader(magic);
+  }
+  /// Scans `in` through a 64 KiB window (longer only for a longer frame),
+  /// never holding the whole file; a payload lives until the next Next().
+  SegmentScanner(std::istream& in, std::string_view magic) : in_(&in) {
+    ReadHeader(magic);
+  }
+  // data_ may point into window_, so a copy would dangle.
+  SegmentScanner(const SegmentScanner&) = delete;
+  SegmentScanner& operator=(const SegmentScanner&) = delete;
 
   /// Header validation result; scanning a bad-header segment yields no
   /// records and torn_reason() explains why.
@@ -139,31 +179,42 @@ class SegmentScanner {
   const std::string& torn_reason() const { return torn_reason_; }
   /// Offset of the first invalid byte — the truncation point that drops
   /// the torn tail while keeping every valid record.
-  uint64_t valid_prefix() const { return offset_; }
+  uint64_t valid_prefix() const { return base_ + pos_; }
 
  private:
-  std::string_view data_;
-  uint64_t offset_ = 0;
+  void ReadHeader(std::string_view magic);
+  bool Buffered(size_t n);  // true once `n` unscanned bytes are in data_
+
+  std::istream* in_ = nullptr;  // streaming only
+  std::string window_;          // streaming: bytes read, not yet dropped
+  std::string_view data_;       // the image, or window_
+  uint64_t base_ = 0;           // segment offset of data_[0]
+  size_t pos_ = 0;              // scan position in data_
   uint64_t sequence_ = 0;
   Status header_status_;
   std::string torn_reason_;
 };
 
-/// Little-endian payload cursor used to decode record payloads. Reads past
-/// the end set ok = false and return zeros rather than trapping, so the
-/// replayer can validate once at the end of each record.
-struct Cursor {
-  const char* p;
-  const char* end;
-  bool ok = true;
-
-  explicit Cursor(std::string_view s) : p(s.data()), end(s.data() + s.size()) {}
-  uint8_t U8();
-  uint32_t U32();
-  uint64_t U64();
-  std::string_view Bytes(size_t n);
-  bool AtEnd() const { return p == end; }
+/// The graph extent a kSavepoint record describes.
+struct SavepointExtent {
+  uint32_t execution = 0;
+  uint64_t invocation_count = 0;
+  std::vector<uint64_t> shard_sizes;
 };
+Result<SavepointExtent> ParseSavepoint(const Record& rec);
+
+/// Applies one record to a graph under reconstruction: the one decoder of
+/// graph records, shared by WAL recovery and LoadGraph. Counts are checked
+/// against the record's bytes before anything is allocated, and every id
+/// the record indexes the graph with is checked before use; parent ids
+/// are stored as given (LoadGraph checks them after replay). A kSavepoint
+/// is checked for shape only and a kCommitInvocation has no effect:
+/// callers interpret boundaries.
+Status ApplyRecord(ProvenanceGraph* graph, const Record& rec);
+
+/// Verifies the graph matches a savepoint's recorded extent — the
+/// cross-check that replay reproduced exactly what the writer saw.
+Status VerifyExtent(const ProvenanceGraph& graph, const SavepointExtent& sp);
 
 }  // namespace walfmt
 
@@ -199,7 +250,7 @@ class Wal final : public GraphWalSink {
   Status CommitInvocation(uint32_t invocation);
   Status MarkSavepoint(uint32_t execution);
 
-  /// Snapshots the attached graph as a provio v2 checkpoint, rolls to a
+  /// Snapshots the attached graph as a graph-file checkpoint, rolls to a
   /// new segment, and deletes the superseded segments. Call at a quiescent
   /// point (no concurrent writers), e.g. right after MarkSavepoint.
   Status Checkpoint();
@@ -241,8 +292,8 @@ class Wal final : public GraphWalSink {
       : dir_(std::move(dir)), options_(options) {}
 
   /// Appends one framed record to the buffer; flushes past the threshold.
-  void AppendRecord(walfmt::RecordType type, std::string_view payload);
-  void AppendRecordLocked(walfmt::RecordType type, std::string_view payload);
+  void AppendFrame(std::string_view frame);
+  void AppendFrameLocked(std::string_view frame);
   void AppendSavepointLocked(uint32_t execution,
                              const ProvenanceGraph::Savepoint& extent);
   Status OpenSegmentLocked(uint64_t seq);

@@ -245,6 +245,47 @@ TEST_F(DurabilityTest, CheckpointSupersedesEarlierSegments) {
   EXPECT_EQ(report.executions_recovered, 5u);
 }
 
+TEST_F(DurabilityTest, TruncatedCheckpointIsNeverUsed) {
+  fs::path dir = FreshDir("wal_ckpt_torn");
+  {
+    Runner runner;
+    auto wal = Wal::Open(dir.string());
+    LIPSTICK_ASSERT_OK(wal.status());
+    ProvenanceGraph graph;
+    LIPSTICK_EXPECT_OK((*wal)->Attach(&graph));
+    ExecutionOptions exec_options;
+    exec_options.durability = wal->get();
+    runner.exec->set_default_options(exec_options);
+    runner.Run(0, 2, &graph);
+    LIPSTICK_EXPECT_OK((*wal)->Checkpoint());
+    runner.Run(2, 3, &graph);
+    LIPSTICK_EXPECT_OK((*wal)->Close());
+  }
+  fs::path checkpoint;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    uint64_t seq = 0;
+    if (walfmt::ParseCheckpointName(entry.path().filename().string(), &seq)) {
+      checkpoint = entry.path();
+    }
+  }
+  ASSERT_FALSE(checkpoint.empty());
+  fs::resize_file(checkpoint, fs::file_size(checkpoint) - 3);
+
+  // The segments the checkpoint superseded are gone, so the log alone
+  // cannot rebuild the checkpoint's nodes: recovery must fail rather than
+  // return a graph without them.
+  RecoveryReport report;
+  Result<ProvenanceGraph> graph = RecoverGraph(dir.string(), &report);
+  EXPECT_FALSE(graph.ok());
+  const std::string name = checkpoint.filename().string();
+  bool noted = false;
+  for (const std::string& note : report.notes) {
+    noted |= note.find(name) != std::string::npos &&
+             note.find("unreadable") != std::string::npos;
+  }
+  EXPECT_TRUE(noted) << report.ToString();
+}
+
 TEST_F(DurabilityTest, AutomaticCheckpointAfterThreshold) {
   fs::path dir = FreshDir("wal_auto_ckpt");
   WalOptions options;

@@ -1,8 +1,17 @@
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <algorithm>
 #include <sstream>
 
+#include "common/rng.h"
+#include "common/str_util.h"
+#include "provenance/exec.h"
+#include "provenance/optimizer.h"
+#include "provenance/plan.h"
 #include "provenance/provio.h"
+#include "provenance/snapshot.h"
+#include "provenance/wal.h"
 #include "relational/csv.h"
 #include "test_util.h"
 #include "workflow/executor.h"
@@ -208,13 +217,13 @@ TEST(WfDslTest, FileNotFound) {
             StatusCode::kIOError);
 }
 
-/// ------------------- provio loader robustness ---------------------------
-/// The loaders must reject truncated, corrupted, or adversarial input with
-/// a Status — never crash, hang, or return a graph with dangling
-/// references (the recovery path feeds them checkpoint files that may have
-/// been cut short by a crash).
+/// ------------------- graph file loader robustness -----------------------
+/// The loader must reject truncated, corrupted, or adversarial input with
+/// a Status — never crash, hang, allocate beyond the input, or return a
+/// graph with dangling references (the recovery path feeds it checkpoint
+/// files that may have been cut short by a crash).
 
-/// Builds a tracked provenance dump of a few KiB by running the DSL
+/// Builds a tracked provenance dump of about 30 KiB by running the DSL
 /// workflow several times with provenance on.
 std::string TrackedGraphDump() {
   Result<Workflow> wf = ParseWorkflow(kDslSource);
@@ -236,99 +245,335 @@ std::string TrackedGraphDump() {
   return out.str();
 }
 
+Status LoadBytes(const std::string& bytes) {
+  std::istringstream in(bytes);
+  return LoadGraph(in).status();
+}
+
+/// One frame with the given type byte and payload, CRC and all.
+std::string Frame(uint8_t type, const std::string& payload) {
+  std::string body(1, static_cast<char>(type));
+  body += payload;
+  std::string frame;
+  for (uint32_t v : {static_cast<uint32_t>(body.size()),
+                     walfmt::Crc32(body.data(), body.size())}) {
+    for (int i = 0; i < 4; ++i) frame.push_back(static_cast<char>(v >> 8 * i));
+  }
+  return frame + body;
+}
+
+std::string GraphHeader() {
+  std::string out;
+  walfmt::EncodeHeader(&out, walfmt::kGraphMagic, 0);
+  return out;
+}
+
+/// The extent record closing a file of `nodes` nodes in shard 0.
+std::string Extent(size_t nodes, size_t invocations = 0) {
+  ProvenanceGraph::Savepoint extent;
+  extent.shard_sizes = {nodes};
+  extent.invocation_count = invocations;
+  std::string out;
+  walfmt::EncodeSavepoint(&out, 0, extent);
+  return out;
+}
+
+/// A file holding the string "tok" and one alive token node with the
+/// given parents and invocation column, closed by its extent.
+std::string OneNodeFile(std::vector<NodeId> parents, uint32_t invocation,
+                        StrId payload = 1) {
+  std::string out = GraphHeader();
+  walfmt::EncodeIntern(&out, 1, "tok");
+  walfmt::EncodeNodeAppend(&out, MakeNodeId(0, 0), NodeLabel::kToken,
+                           NodeRole::kIntermediate, internal::kAliveFlag,
+                           invocation, payload, parents);
+  return out + Extent(1);
+}
+
+/// Byte ranges (offset, length) of the frames of a graph file.
+std::vector<std::pair<size_t, size_t>> FrameSpans(const std::string& file) {
+  std::vector<std::pair<size_t, size_t>> spans;
+  walfmt::SegmentScanner scanner(file, walfmt::kGraphMagic);
+  walfmt::Record rec;
+  while (scanner.Next(&rec)) {
+    spans.emplace_back(rec.offset,
+                       walfmt::kFrameBytes + 1 + rec.payload.size());
+  }
+  return spans;
+}
+
 TEST(ProvioRobustnessTest, TruncationSweepAlwaysReturnsStatus) {
   std::string full = TrackedGraphDump();
   ASSERT_GT(full.size(), 4096u) << "dump too small for a meaningful sweep";
 
   // The intact dump loads.
-  {
-    std::istringstream in(full);
-    LIPSTICK_EXPECT_OK(LoadGraph(in).status());
+  LIPSTICK_EXPECT_OK(LoadBytes(full));
+  // Every proper prefix must be rejected: the cut lands in the header, mid
+  // frame (torn tail), or after a complete frame but before the closing
+  // extent record. Never a crash, never a silently short graph.
+  for (size_t cut = 0; cut < full.size(); ++cut) {
+    Status st = LoadBytes(full.substr(0, cut));
+    EXPECT_EQ(st.code(), StatusCode::kParseError)
+        << "prefix of " << cut << " bytes: " << st.ToString();
   }
-  // Every proper prefix at a 1 KiB boundary must be rejected: either the
-  // cut lands mid-record (parse error) or after a complete record but
-  // before the end marker (truncation error). Never a crash, never a
-  // silently short graph.
-  for (size_t cut = 0; cut + 1 < full.size(); cut += 1024) {
-    std::istringstream in(full.substr(0, cut));
-    Result<ProvenanceGraph> r = LoadGraph(in);
-    EXPECT_FALSE(r.ok()) << "prefix of " << cut << " bytes loaded";
+}
+
+TEST(ProvioRobustnessTest, LoadStreamsAcrossScannerWindows) {
+  // A 200 KiB string and 20,000 chained nodes: many times the scanner's
+  // 64 KiB window, with frames straddling window boundaries and one frame
+  // longer than a window.
+  constexpr size_t kNodes = 20000;
+  std::string file = GraphHeader();
+  walfmt::EncodeIntern(&file, 1, std::string(200 * 1024, 'x'));
+  for (size_t i = 0; i < kNodes; ++i) {
+    std::vector<NodeId> parents;
+    if (i > 0) parents.push_back(MakeNodeId(0, i - 1));
+    walfmt::EncodeNodeAppend(&file, MakeNodeId(0, i), NodeLabel::kToken,
+                             NodeRole::kIntermediate, internal::kAliveFlag,
+                             kNoInvocation, 1, parents);
+  }
+  file += Extent(kNodes);
+  ASSERT_GT(file.size(), 8u * 64 * 1024);
+
+  std::istringstream in(file);
+  Result<ProvenanceGraph> graph = LoadGraph(in);
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  EXPECT_EQ(graph->num_nodes(), kNodes);
+  std::ostringstream again;
+  LIPSTICK_ASSERT_OK(SaveGraph(*graph, again));
+  EXPECT_EQ(again.str(), file);
+
+  // A cut names the segment offset of the frame it tears, however many
+  // windows precede it; a cut on a frame boundary loses the extent.
+  const auto spans = FrameSpans(file);
+  for (size_t cut : {size_t{64 * 1024}, size_t{300 * 1024 + 5},
+                     size_t{5 * 64 * 1024 + 13}, file.size() - 1,
+                     spans[spans.size() / 2].first}) {
+    Status st = LoadBytes(file.substr(0, cut));
+    ASSERT_EQ(st.code(), StatusCode::kParseError) << "cut " << cut;
+    auto torn = std::find_if(spans.begin(), spans.end(), [&](auto span) {
+      return span.first < cut && cut < span.first + span.second;
+    });
+    const std::string want =
+        torn == spans.end()
+            ? std::string("missing the closing extent record")
+            : StrCat("torn at byte ", torn->first, " (");
+    EXPECT_NE(st.message().find(want), std::string::npos)
+        << "cut " << cut << ": " << st.message();
   }
 }
 
 TEST(ProvioRobustnessTest, GarbageHeadersRejected) {
-  for (const char* garbage :
-       {"", "LIPSTICKGRAPH v9\nshards 1\nend\n", "\x7f\x45\x4c\x46\x02\x01",
-        "totally not a graph\n", "LIPSTICKGRAPH v2"}) {
-    std::istringstream in(garbage);
-    EXPECT_FALSE(LoadGraph(in).ok()) << "accepted: " << garbage;
+  std::string wrong_version = GraphHeader() + Extent(0);
+  wrong_version[walfmt::kMagicBytes] = 2;
+  std::string wrong_sequence = GraphHeader() + Extent(0);
+  wrong_sequence[walfmt::kMagicBytes + 4] = 7;
+  // A WAL segment carries the log's magic, not the graph file's.
+  std::string wal_segment;
+  walfmt::EncodeHeader(&wal_segment, walfmt::kWalMagic, 0);
+  wal_segment += Extent(0);
+  for (const std::string& garbage :
+       {std::string(), std::string("\x7f\x45\x4c\x46\x02\x01"),
+        std::string("LIPSTICKGRAPH v2\nshards 1\nstrings 0\nend\n"),
+        std::string("totally not a graph\n"), wrong_version, wrong_sequence,
+        wal_segment}) {
+    Status st = LoadBytes(garbage);
+    EXPECT_EQ(st.code(), StatusCode::kParseError) << "accepted: " << garbage;
   }
+  EXPECT_NE(LoadBytes(wal_segment).message().find("magic"), std::string::npos);
+  // The smallest graph file: a header and the empty extent.
+  LIPSTICK_EXPECT_OK(LoadBytes(GraphHeader() + Extent(0)));
 }
 
 TEST(ProvioRobustnessTest, OversizedCountsRejectedWithoutAllocating) {
-  // Absurd shard count: rejected up front (a real graph never has more
-  // shards than worker threads).
-  std::istringstream shards("LIPSTICKGRAPH v2\nshards 4294967295\nend\n");
-  EXPECT_FALSE(LoadGraph(shards).ok());
-  // Huge declared string count with no actual strings: the reserve is
-  // clamped, and the missing records surface as a truncation error rather
-  // than an allocation of 4 billion entries.
-  std::istringstream strings(
-      "LIPSTICKGRAPH v2\nshards 1\nstrings 4000000000\n");
-  EXPECT_FALSE(LoadGraph(strings).ok());
+  auto max_rss_kb = [] {
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return usage.ru_maxrss;
+  };
+  const long before = max_rss_kb();
+  auto u32 = [](uint32_t v) {
+    std::string out;
+    for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(v >> 8 * i));
+    return out;
+  };
+  auto u64 = [&](uint64_t v) {
+    return u32(static_cast<uint32_t>(v)) + u32(static_cast<uint32_t>(v >> 32));
+  };
+  const std::string tok = GraphHeader() + Frame(1, u32(1) + u32(3) + "tok");
+  // A short node record claiming 2^24 parents: rejected before the parent
+  // list is reserved (128 MiB if it were).
+  std::string node = u64(MakeNodeId(0, 0)) + std::string(3, '\0') +
+                     u32(kNoInvocation) + u32(1) + u32(1u << 24) + u64(1);
+  EXPECT_EQ(LoadBytes(tok + Frame(2, node)).code(), StatusCode::kParseError);
+  // The same claim through a parent rewrite.
+  EXPECT_EQ(LoadBytes(tok + Frame(2, node.substr(0, 23) + u32(0)) +
+                      Frame(4, u64(MakeNodeId(0, 0)) + u32(1u << 24)))
+                .code(),
+            StatusCode::kParseError);
+  // An extent claiming 2^32-1 shards, a string claiming 4 GB, and a string
+  // value claiming 4 GB.
+  EXPECT_EQ(LoadBytes(tok + Frame(12, u32(0) + u64(0) + u32(~0u))).code(),
+            StatusCode::kParseError);
+  EXPECT_EQ(LoadBytes(GraphHeader() + Frame(1, u32(1) + u32(4000000000u)))
+                .code(),
+            StatusCode::kParseError);
+  EXPECT_EQ(LoadBytes(tok + Frame(2, node.substr(0, 23) + u32(0)) +
+                      Frame(3, u64(MakeNodeId(0, 0)) + "S" + u32(~0u)))
+                .code(),
+            StatusCode::kParseError);
+  // A frame claiming a 64 MiB record in a file of a few bytes: the load
+  // reads what the file holds, not what the length claims.
+  EXPECT_EQ(LoadBytes(GraphHeader() + u32(walfmt::kMaxRecordBytes) + u32(0) +
+                      "x")
+                .code(),
+            StatusCode::kParseError);
+  EXPECT_LT(max_rss_kb() - before, 32 * 1024) << "KiB of max RSS growth";
 }
 
-TEST(ProvioRobustnessTest, MissingEndMarkerRejected) {
+TEST(ProvioRobustnessTest, MissingExtentRecordRejected) {
   std::string full = TrackedGraphDump();
-  size_t end_at = full.rfind("end\n");
-  ASSERT_NE(end_at, std::string::npos);
-  std::istringstream in(full.substr(0, end_at));
-  Status st = LoadGraph(in).status();
+  std::vector<std::pair<size_t, size_t>> frames = FrameSpans(full);
+  ASSERT_FALSE(frames.empty());
+  // Cut exactly at the last frame boundary: every remaining frame is whole.
+  Status st = LoadBytes(full.substr(0, frames.back().first));
   EXPECT_EQ(st.code(), StatusCode::kParseError);
-  EXPECT_NE(st.message().find("end marker"), std::string::npos);
+  EXPECT_NE(st.message().find("extent record"), std::string::npos) << st;
+  // A valid frame after the extent record is rejected the same way.
+  std::string trailing = full;
+  walfmt::EncodeCommitInvocation(&trailing, 0);
+  st = LoadBytes(trailing);
+  EXPECT_EQ(st.code(), StatusCode::kParseError);
+  EXPECT_NE(st.message().find("extent record"), std::string::npos) << st;
+  // An extent that disagrees with the records.
+  st = LoadBytes(full.substr(0, frames.back().first) + Extent(1));
+  EXPECT_EQ(st.code(), StatusCode::kParseError);
+  EXPECT_NE(st.message().find("savepoint expects"), std::string::npos) << st;
 }
 
 TEST(ProvioRobustnessTest, DanglingReferencesRejected) {
   // Node whose parent list names a node that is never defined.
-  std::istringstream dangling_parent(
-      "LIPSTICKGRAPH v2\n"
-      "shards 1\n"
-      "strings 1\n"
-      "s tok\n"
-      "n 281474976710656 0 0 0 1 4294967295 281474976710657 1 N\n"
-      "end\n");
-  Status st = LoadGraph(dangling_parent).status();
+  Status st = LoadBytes(OneNodeFile({MakeNodeId(0, 1)}, kNoInvocation));
   EXPECT_EQ(st.code(), StatusCode::kParseError);
-  EXPECT_NE(st.message().find("undefined parent"), std::string::npos);
+  EXPECT_NE(st.message().find("undefined parent"), std::string::npos) << st;
 
   // Alive node tagged with an invocation that was never recorded.
-  std::istringstream dangling_invocation(
-      "LIPSTICKGRAPH v2\n"
-      "shards 1\n"
-      "strings 1\n"
-      "s tok\n"
-      "n 281474976710656 0 0 0 1 7 - 1 N\n"
-      "end\n");
-  st = LoadGraph(dangling_invocation).status();
+  st = LoadBytes(OneNodeFile({}, 7));
   EXPECT_EQ(st.code(), StatusCode::kParseError);
-  EXPECT_NE(st.message().find("undefined invocation"), std::string::npos);
+  EXPECT_NE(st.message().find("undefined invocation"), std::string::npos)
+      << st;
+
+  // Payload naming a string the file never interned.
+  EXPECT_EQ(LoadBytes(OneNodeFile({}, kNoInvocation, 2)).code(),
+            StatusCode::kParseError);
+
+  // Invocation whose m-node was never defined.
+  std::string file = OneNodeFile({}, kNoInvocation);
+  file.resize(file.size() - Extent(1).size());
+  InvocationInfo inv;
+  inv.module_name = 1;
+  inv.instance_name = 1;
+  inv.m_node = MakeNodeId(0, 5);
+  walfmt::EncodeBeginInvocation(&file, 0, inv);
+  EXPECT_EQ(LoadBytes(file + Extent(1, 1)).code(), StatusCode::kParseError);
 }
 
 TEST(ProvioRobustnessTest, MalformedRecordsRejected) {
-  // Non-numeric id inside a parents list.
-  std::istringstream bad_ids(
-      "LIPSTICKGRAPH v2\nshards 1\nstrings 1\ns tok\n"
-      "n 281474976710656 0 0 0 1 4294967295 12,abc 1 N\nend\n");
-  EXPECT_FALSE(LoadGraph(bad_ids).ok());
-  // Out-of-range label.
-  std::istringstream bad_label(
-      "LIPSTICKGRAPH v2\nshards 1\nstrings 1\ns tok\n"
-      "n 281474976710656 99 0 0 1 4294967295 - 1 N\nend\n");
-  EXPECT_FALSE(LoadGraph(bad_label).ok());
-  // Unknown record tag.
-  std::istringstream bad_tag(
-      "LIPSTICKGRAPH v2\nshards 1\nstrings 0\nq what\nend\n");
-  EXPECT_FALSE(LoadGraph(bad_tag).ok());
+  const std::string header = GraphHeader();
+  // Out-of-range label, and flag bits the graph does not define.
+  std::string bad_label = header;
+  walfmt::EncodeIntern(&bad_label, 1, "tok");
+  walfmt::EncodeNodeAppend(&bad_label, MakeNodeId(0, 0),
+                           static_cast<NodeLabel>(99), NodeRole::kIntermediate,
+                           internal::kAliveFlag, kNoInvocation, 1, {});
+  EXPECT_EQ(LoadBytes(bad_label + Extent(1)).code(), StatusCode::kParseError);
+  std::string bad_flags = header;
+  walfmt::EncodeNodeAppend(&bad_flags, MakeNodeId(0, 0), NodeLabel::kToken,
+                           NodeRole::kIntermediate, 0x80, kNoInvocation, 0,
+                           {});
+  EXPECT_EQ(LoadBytes(bad_flags + Extent(1)).code(), StatusCode::kParseError);
+  // Unknown record type, and a known one with trailing payload bytes.
+  EXPECT_EQ(LoadBytes(header + Frame(99, "x") + Extent(0)).code(),
+            StatusCode::kParseError);
+  EXPECT_EQ(LoadBytes(header + Frame(11, std::string(5, '\0')) + Extent(0))
+                .code(),
+            StatusCode::kParseError);
+  // Nodes out of append order within their shard.
+  std::string out_of_order = header;
+  walfmt::EncodeNodeAppend(&out_of_order, MakeNodeId(0, 1), NodeLabel::kToken,
+                           NodeRole::kIntermediate, internal::kAliveFlag,
+                           kNoInvocation, 0, {});
+  EXPECT_EQ(LoadBytes(out_of_order + Extent(2)).code(),
+            StatusCode::kParseError);
+}
+
+TEST(ProvioRobustnessTest, SeededMutationsLoadOrReturnStatus) {
+  // Byte flips and truncations exercise the framing checks; whole-frame
+  // drops, duplicates and swaps keep every CRC valid, so they reach the
+  // replayer's semantic checks. A mutant either loads — and then seals and
+  // answers a query — or is rejected with a ParseError.
+  const std::string full = TrackedGraphDump();
+  const std::vector<std::pair<size_t, size_t>> frames = FrameSpans(full);
+  ASSERT_GT(frames.size(), 2u);
+  auto frame_bytes = [&](size_t k) {
+    return full.substr(frames[k].first, frames[k].second);
+  };
+  Rng rng(0x5eed);
+  Result<Plan> stats = ParsePlan("stats", {});
+  LIPSTICK_ASSERT_OK(stats.status());
+  const OptimizedPlan plan = OptimizePlan(*stats);
+  int loaded = 0;
+  for (int i = 0; i < 2000; ++i) {
+    std::string m = full;
+    size_t a = static_cast<size_t>(rng.Uniform(0, frames.size() - 1));
+    size_t b = static_cast<size_t>(rng.Uniform(0, frames.size() - 1));
+    switch (rng.Uniform(0, 4)) {
+      case 0:  // flip one byte
+        m[rng.Uniform(0, m.size() - 1)] ^=
+            static_cast<char>(rng.Uniform(1, 255));
+        break;
+      case 1:  // truncate
+        m.resize(rng.Uniform(0, m.size() - 1));
+        break;
+      case 2:  // drop a frame
+        m.erase(frames[a].first, frames[a].second);
+        break;
+      case 3:  // duplicate a frame in front of another
+        m.insert(frames[b].first, frame_bytes(a));
+        break;
+      case 4: {  // swap two frames
+        if (a > b) std::swap(a, b);
+        if (a == b) continue;
+        size_t a_end = frames[a].first + frames[a].second;
+        m = full.substr(0, frames[a].first) + frame_bytes(b) +
+            full.substr(a_end, frames[b].first - a_end) + frame_bytes(a) +
+            full.substr(frames[b].first + frames[b].second);
+        break;
+      }
+    }
+    std::istringstream in(m);
+    Result<ProvenanceGraph> graph = LoadGraph(in);
+    if (!graph.ok()) {
+      EXPECT_EQ(graph.status().code(), StatusCode::kParseError)
+          << "mutant " << i << ": " << graph.status();
+      continue;
+    }
+    ++loaded;
+    graph->Seal();
+    Result<GraphSnapshot> snap = GraphSnapshot::Capture(*graph);
+    LIPSTICK_ASSERT_OK(snap.status());
+    LIPSTICK_EXPECT_OK(ExecutePlan(*snap, plan).status());
+  }
+  EXPECT_GT(loaded, 0) << "no mutant reached a loaded graph";
+}
+
+TEST(ProvioRobustnessTest, WriteFailureAtCloseIsReported) {
+  // The whole file fits the stream's buffer, so the write fails only when
+  // close() flushes it: the save must still report the failure.
+  ProvenanceGraph graph;
+  graph.writer().Token("x");
+  Status st = SaveGraphToFile(graph, "/dev/full");
+  EXPECT_EQ(st.code(), StatusCode::kIOError) << st;
 }
 
 TEST(ProvioRobustnessTest, DirectoryPathRejectedWithOneLineError) {

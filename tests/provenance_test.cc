@@ -399,17 +399,23 @@ TEST(ProvIoTest, RoundTripAbortedInvocationsAndDeadNodes) {
 
 TEST(ProvIoTest, RejectsCorruptInput) {
   std::istringstream bad_header("NOTAGRAPH\n");
-  EXPECT_FALSE(LoadGraph(bad_header).ok());
-  std::istringstream bad_record(
-      "LIPSTICKGRAPH v2\nshards 1\nstrings 0\nq wat\n");
-  EXPECT_FALSE(LoadGraph(bad_record).ok());
-  std::istringstream bad_shard("LIPSTICKGRAPH v2\nshards 0\n");
-  EXPECT_FALSE(LoadGraph(bad_shard).ok());
-  // Only v2 is a graph format; a v1 header is as unknown as any other.
-  std::istringstream v1("LIPSTICKGRAPH v1\nshards 1\nend\n");
-  Result<ProvenanceGraph> loaded = LoadGraph(v1);
+  EXPECT_EQ(LoadGraph(bad_header).status().code(), StatusCode::kParseError);
+
+  ProvenanceGraph g;
+  g.writer().Token("x");
+  std::ostringstream os;
+  LIPSTICK_ASSERT_OK(SaveGraph(g, os));
+  const std::string saved = os.str();
+  // A torn tail and a flipped byte both fail their frame's length or CRC.
+  std::istringstream torn(saved.substr(0, saved.size() - 1));
+  Result<ProvenanceGraph> loaded = LoadGraph(torn);
   ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().message(), "bad graph file header");
+  EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+  EXPECT_NE(loaded.status().message().find("torn"), std::string::npos);
+  std::string flipped = saved;
+  flipped[saved.size() / 2] ^= 0x20;
+  std::istringstream corrupt(flipped);
+  EXPECT_EQ(LoadGraph(corrupt).status().code(), StatusCode::kParseError);
 }
 
 TEST(ProvIoTest, FileRoundTrip) {

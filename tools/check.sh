@@ -16,8 +16,9 @@
 #          goldens in examples/goldens, compared byte for byte,
 #   crash  crash-consistency gate: the durability and crash-matrix tests
 #          (injected torn writes, corrupted frames, and failed fsyncs at
-#          50+ distinct positions) plus a CLI-level torn-log recovery
-#          smoke on a real workflow file,
+#          50+ distinct positions) plus a CLI-level smoke on a real
+#          workflow file: the intact log's replay must equal the
+#          tracker's .pg byte for byte, and a torn log must recover,
 #   perf   Release-mode perf smoke: the PERF_BENCHES harnesses at small
 #          scale must run to completion; their results_json lines are
 #          collected into BENCH_results.json and compared against the
@@ -205,6 +206,11 @@ run_crash() {
   trap 'rm -rf "${work}"' RETURN
   "${cli}" run "${repo}/examples/workflows/running_total.wf" \
            --execs 3 --wal "${work}/wal" --graph "${work}/clean.pg"
+  # The intact log replays to exactly the file the tracker wrote.
+  "${cli}" recover "${work}/wal" --out "${work}/replayed.pg"
+  cmp "${work}/clean.pg" "${work}/replayed.pg" || {
+    echo "FAIL: replaying the intact WAL does not reproduce clean.pg"
+    return 1; }
   # Tear the tail of the last segment: the final execution's commit is
   # gone, but everything before the last durable savepoint must survive.
   local seg; seg="$(ls "${work}"/wal/wal-*.log | sort | tail -1)"
