@@ -1,9 +1,9 @@
 #include "analysis/diagnostics.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "common/str_util.h"
+#include "obs/json.h"
 
 namespace lipstick::analysis {
 
@@ -91,23 +91,7 @@ namespace {
 
 void AppendJsonString(std::string* out, const std::string& s) {
   out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      case '\r': *out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
+  obs::JsonEscape(s, out);
   out->push_back('"');
 }
 

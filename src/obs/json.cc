@@ -1,8 +1,11 @@
 #include "obs/json.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 #include "common/str_util.h"
 
@@ -49,26 +52,88 @@ const JsonValue* JsonValue::Find(std::string_view key) const {
   return nullptr;
 }
 
+namespace {
+
+// Word-at-a-time byte tests over 8 bytes loaded as one uint64_t. Each is
+// exact as a yes/no answer for the whole word; the byte that matched is
+// then found one byte at a time.
+constexpr uint64_t kOnes = 0x0101010101010101ull;
+constexpr uint64_t kHighs = 0x8080808080808080ull;
+
+/// True when some byte of `w` is below `n` (n <= 0x80).
+constexpr bool HasByteBelow(uint64_t w, uint8_t n) {
+  return ((w - kOnes * n) & ~w & kHighs) != 0;
+}
+
+/// True when some byte of `w` equals `c`.
+constexpr bool HasByte(uint64_t w, char c) {
+  return HasByteBelow(w ^ (kOnes * static_cast<uint8_t>(c)), 1);
+}
+
+/// Offset of the first byte at or after `from` that `is_special` accepts,
+/// or s.size(). While `word_has_special` rules a whole 8-byte word out,
+/// the scan skips it in one step.
+template <typename WordTest, typename ByteTest>
+size_t FindSpecial(std::string_view s, size_t from, WordTest word_has_special,
+                   ByteTest is_special) {
+  size_t i = from;
+  for (; i + sizeof(uint64_t) <= s.size(); i += sizeof(uint64_t)) {
+    uint64_t w;
+    std::memcpy(&w, s.data() + i, sizeof(w));
+    if (word_has_special(w)) break;
+  }
+  for (; i < s.size(); ++i) {
+    if (is_special(static_cast<unsigned char>(s[i]))) return i;
+  }
+  return s.size();
+}
+
+/// The next byte the escaper must rewrite: '"', '\\', or below 0x20.
+size_t FindEscapable(std::string_view s, size_t from) {
+  return FindSpecial(
+      s, from,
+      [](uint64_t w) {
+        return HasByteBelow(w, 0x20) || HasByte(w, '"') || HasByte(w, '\\');
+      },
+      [](unsigned char c) { return c < 0x20 || c == '"' || c == '\\'; });
+}
+
+/// The next byte that ends a run inside a string literal: '"' or '\\'.
+size_t FindQuoteOrBackslash(std::string_view s, size_t from) {
+  return FindSpecial(
+      s, from, [](uint64_t w) { return HasByte(w, '"') || HasByte(w, '\\'); },
+      [](unsigned char c) { return c == '"' || c == '\\'; });
+}
+
+}  // namespace
+
+void JsonEscape(std::string_view s, std::string* out) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  size_t run = 0;
+  while (true) {
+    size_t next = FindEscapable(s, run);
+    out->append(s.data() + run, next - run);
+    if (next == s.size()) return;
+    const unsigned char c = static_cast<unsigned char>(s[next]);
+    switch (c) {
+      case '"': out->append("\\\""); break;
+      case '\\': out->append("\\\\"); break;
+      case '\n': out->append("\\n"); break;
+      case '\r': out->append("\\r"); break;
+      case '\t': out->append("\\t"); break;
+      default: {
+        const char u[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xf]};
+        out->append(u, sizeof(u));
+      }
+    }
+    run = next + 1;
+  }
+}
+
 std::string JsonEscape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+  JsonEscape(s, &out);
   return out;
 }
 
@@ -90,29 +155,29 @@ std::string JsonNumber(double d) {
   return buf;
 }
 
-void SerializeInto(const JsonValue& v, std::string* out) {
-  switch (v.kind()) {
+void JsonValue::SerializeTo(std::string* out) const {
+  switch (kind_) {
     case JsonValue::Kind::kNull:
       *out += "null";
       return;
     case JsonValue::Kind::kBool:
-      *out += v.bool_value() ? "true" : "false";
+      *out += bool_ ? "true" : "false";
       return;
     case JsonValue::Kind::kNumber:
-      *out += JsonNumber(v.number());
+      *out += JsonNumber(number_);
       return;
     case JsonValue::Kind::kString:
       *out += '"';
-      *out += JsonEscape(v.str());
+      JsonEscape(string_, out);
       *out += '"';
       return;
     case JsonValue::Kind::kArray: {
       *out += '[';
       bool first = true;
-      for (const JsonValue& e : v.array()) {
+      for (const JsonValue& e : array_) {
         if (!first) *out += ',';
         first = false;
-        SerializeInto(e, out);
+        e.SerializeTo(out);
       }
       *out += ']';
       return;
@@ -120,13 +185,13 @@ void SerializeInto(const JsonValue& v, std::string* out) {
     case JsonValue::Kind::kObject: {
       *out += '{';
       bool first = true;
-      for (const auto& [k, e] : v.members()) {
+      for (const auto& [k, e] : members_) {
         if (!first) *out += ',';
         first = false;
         *out += '"';
-        *out += JsonEscape(k);
+        JsonEscape(k, out);
         *out += "\":";
-        SerializeInto(e, out);
+        e.SerializeTo(out);
       }
       *out += '}';
       return;
@@ -136,7 +201,7 @@ void SerializeInto(const JsonValue& v, std::string* out) {
 
 std::string JsonValue::Serialize() const {
   std::string out;
-  SerializeInto(*this, &out);
+  SerializeTo(&out);
   return out;
 }
 
@@ -221,14 +286,22 @@ class Parser {
 
   Result<std::string> ParseString() {
     if (!Consume('"')) return Err("expected '\"'");
+    // Escapes only shrink, so the distance to the closing quote bounds the
+    // output: size it once. An unterminated literal reserves the rest of
+    // the input; the loop below reports it.
+    size_t close = pos_;
+    while ((close = FindQuoteOrBackslash(text_, close)) < text_.size() &&
+           text_[close] == '\\') {
+      close += 2;
+    }
     std::string out;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
+    out.reserve(std::min(close, text_.size()) - pos_);
+    while (true) {
+      size_t stop = FindQuoteOrBackslash(text_, pos_);
+      out.append(text_.data() + pos_, stop - pos_);
+      pos_ = stop;
+      if (pos_ == text_.size()) break;
+      if (text_[pos_++] == '"') return out;
       if (pos_ >= text_.size()) break;
       char esc = text_[pos_++];
       switch (esc) {

@@ -5,6 +5,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -39,6 +40,8 @@ class JsonValue {
   bool bool_value() const { return bool_; }
   double number() const { return number_; }
   const std::string& str() const { return string_; }
+  /// Mutable string, so a caller done with the document can move it out.
+  std::string& str() { return string_; }
   const std::vector<JsonValue>& array() const { return array_; }
   std::vector<JsonValue>& array() { return array_; }
   const std::vector<std::pair<std::string, JsonValue>>& members() const {
@@ -47,6 +50,9 @@ class JsonValue {
 
   /// Object member lookup; nullptr when absent or not an object.
   const JsonValue* Find(std::string_view key) const;
+  JsonValue* Find(std::string_view key) {
+    return const_cast<JsonValue*>(std::as_const(*this).Find(key));
+  }
 
   void Push(JsonValue v) { array_.push_back(std::move(v)); }
   void Set(std::string key, JsonValue v) {
@@ -57,6 +63,9 @@ class JsonValue {
   /// that are integral print without a decimal point, so round-trips of
   /// exported files are textually stable.
   std::string Serialize() const;
+  /// Appends the same text to `*out`, so a caller can serialize straight
+  /// into a buffer it has already sized (the serve daemon's frames).
+  void SerializeTo(std::string* out) const;
 
   /// Deep structural equality (object member *order* is ignored).
   bool Equals(const JsonValue& other) const;
@@ -73,8 +82,14 @@ class JsonValue {
 /// Parses one JSON document; trailing non-whitespace is an error.
 Result<JsonValue> ParseJson(std::string_view text);
 
-/// Escapes `s` for inclusion inside a JSON string literal (no quotes).
+/// Escapes `s` for inclusion inside a JSON string literal (no quotes):
+/// `"` and `\` take a backslash, \n \r \t their short escapes, and every
+/// other byte below 0x20 a \u00xx escape; all other bytes, UTF-8
+/// included, pass through. Runs of bytes that need no escape are copied
+/// whole, found a word at a time.
 std::string JsonEscape(std::string_view s);
+/// Appends the escaped form of `s` to `*out`.
+void JsonEscape(std::string_view s, std::string* out);
 
 /// Formats a double the way the obs exporters do: integral values without
 /// a decimal point, everything else with enough digits to round-trip.

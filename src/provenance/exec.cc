@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdarg>
-#include <cstdio>
+#include <charconv>
 #include <cstring>
 #include <optional>
 #include <utility>
@@ -17,15 +16,14 @@ namespace lipstick {
 
 namespace {
 
-/// snprintf into a std::string accumulator (query output is rendered to a
-/// string so batch drivers and the wire protocol can ship it whole).
-void Appendf(std::string* out, const char* fmt, ...) {
-  char buf[256];
-  va_list ap;
-  va_start(ap, fmt);
-  int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  if (n > 0) out->append(buf, std::min<size_t>(n, sizeof(buf) - 1));
+// Query output is rendered to a string, so batch drivers and the wire
+// protocol can ship it whole. Lines are appended piece by piece, with no
+// fixed-size buffer to cut them short.
+
+/// Appends `s` left-justified in a field of `width` bytes (printf's %-Ns).
+void AppendPadded(std::string* out, std::string_view s, size_t width) {
+  out->append(s);
+  if (s.size() < width) out->append(width - s.size(), ' ');
 }
 
 std::string JoinIds(const std::vector<NodeId>& ids) {
@@ -52,25 +50,35 @@ const std::array<NodeLabel, kNumNodeLabels>& LabelsByName() {
 }
 
 void RenderStatsBlock(std::string* out, const GraphStats& stats) {
-  Appendf(out, "nodes:        %zu\n", stats.nodes);
-  Appendf(out, "edges:        %zu\n", stats.edges);
-  Appendf(out, "tokens:       %zu\n", stats.tokens);
-  Appendf(out, "invocations:  %zu\n", stats.invocations);
-  Appendf(out, "max fan-in:   %zu\n", stats.max_fan_in);
-  Appendf(out, "max fan-out:  %zu\n", stats.max_fan_out);
-  Appendf(out, "depth:        %zu\n", stats.depth);
+  *out += StrCat("nodes:        ", stats.nodes, "\n",
+                 "edges:        ", stats.edges, "\n",
+                 "tokens:       ", stats.tokens, "\n",
+                 "invocations:  ", stats.invocations, "\n",
+                 "max fan-in:   ", stats.max_fan_in, "\n",
+                 "max fan-out:  ", stats.max_fan_out, "\n",
+                 "depth:        ", stats.depth, "\n");
   for (NodeLabel label : LabelsByName()) {
     size_t count = stats.labels[static_cast<size_t>(label)];
     if (count > 0) {
-      Appendf(out, "  label %-10s %zu\n", NodeLabelToString(label), count);
+      out->append("  label ");
+      AppendPadded(out, NodeLabelToString(label), 10);
+      *out += StrCat(" ", count, "\n");
     }
   }
 }
 
+/// One `find` line: "<id>  <label, 9 wide> <role, 13 wide> <payload>".
+/// Called once per matching node, so it formats without printf.
 void RenderFindLine(std::string* out, NodeId id, NodeLabel label,
                     NodeRole role, std::string_view payload) {
-  Appendf(out, "%llu  %-9s %-13s ", static_cast<unsigned long long>(id),
-          NodeLabelToString(label), NodeRoleToString(role));
+  char digits[24];
+  char* end = std::to_chars(digits, digits + sizeof(digits), id).ptr;
+  out->append(digits, end);
+  out->append("  ");
+  AppendPadded(out, NodeLabelToString(label), 9);
+  out->push_back(' ');
+  AppendPadded(out, NodeRoleToString(role), 13);
+  out->push_back(' ');
   out->append(payload);
   out->push_back('\n');
 }
@@ -106,7 +114,7 @@ Result<std::string> RenderTerminal(const GraphView& view, const PlanOp& op) {
             ++count;
             RenderFindLine(&out, id, label, role, payload);
           });
-      Appendf(&out, "(%zu nodes)\n", count);
+      out += StrCat("(", count, " nodes)\n");
       return out;
     }
     case PlanOpKind::kExpr:
@@ -127,25 +135,20 @@ Result<std::string> RenderTerminal(const GraphView& view, const PlanOp& op) {
 /// line — for the single-op forms, the historical output byte for byte.
 std::string RenderViewSummary(const PlanOp& op, size_t num_visible,
                               size_t last_removed) {
-  std::string out;
   switch (op.kind) {
     case PlanOpKind::kZoomOut:
-      Appendf(&out, "zoomed out of %zu module(s); %zu nodes remain\n",
-              op.modules.size(), num_visible);
-      return out;
+      return StrCat("zoomed out of ", op.modules.size(), " module(s); ",
+                    num_visible, " nodes remain\n");
     case PlanOpKind::kSubgraph:
-      Appendf(&out, "subgraph of %s: %zu nodes\n", JoinIds(op.nodes).c_str(),
-              num_visible);
-      return out;
+      return StrCat("subgraph of ", JoinIds(op.nodes), ": ", num_visible,
+                    " nodes\n");
     case PlanOpKind::kRestrict:
-      Appendf(&out, "restricted to %zu nodes\n", num_visible);
-      return out;
+      return StrCat("restricted to ", num_visible, " nodes\n");
     case PlanOpKind::kDeleteProp:
-      Appendf(&out, "deleted %zu node(s); %zu nodes remain\n", last_removed,
-              num_visible);
-      return out;
+      return StrCat("deleted ", last_removed, " node(s); ", num_visible,
+                    " nodes remain\n");
     default:
-      return out;
+      return std::string();
   }
 }
 

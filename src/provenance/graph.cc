@@ -568,6 +568,30 @@ void ProvenanceGraph::AbortInvocation(uint32_t invocation) {
   if (GraphWalSink* sink = wal_sink_) sink->OnAbortInvocation(invocation);
 }
 
+void ProvenanceGraph::ShrinkToFit() {
+  for (NodeColumns& s : shards_) {
+    s.labels.shrink_to_fit();
+    s.roles.shrink_to_fit();
+    s.flags.shrink_to_fit();
+    s.invocations.shrink_to_fit();
+    s.payloads.shrink_to_fit();
+    s.parents.shrink_to_fit();
+    s.edge_arena.shrink_to_fit();
+    s.value_idx.shrink_to_fit();
+    s.values.shrink_to_fit();
+  }
+  {
+    std::lock_guard<std::mutex> lock(*invocations_mu_);
+    invocations_.shrink_to_fit();
+    for (InvocationInfo& inv : invocations_) {
+      inv.input_nodes.shrink_to_fit();
+      inv.output_nodes.shrink_to_fit();
+      inv.state_nodes.shrink_to_fit();
+    }
+  }
+  pool_.ShrinkToFit();
+}
+
 ProvenanceGraph::MemoryStats ProvenanceGraph::ComputeMemoryStats() const {
   MemoryStats ms;
   for (const NodeColumns& s : shards_) {

@@ -563,6 +563,13 @@ class ProvenanceGraph {
   void AttachWalSink(GraphWalSink* sink);
   GraphWalSink* wal_sink() const { return wal_sink_; }
 
+  /// Releases the growth slack of every node column, the edge arena, the
+  /// values, the invocation records and the string pool's span table, so
+  /// each holds exactly its contents. The loaders call it once replay is
+  /// done: columns grown by doubling would otherwise keep up to half their
+  /// capacity spare for the graph's whole life. Not thread-safe.
+  void ShrinkToFit();
+
   /// Bytes held by each storage component, for size accounting
   /// (bench_prov_size) and capacity planning.
   struct MemoryStats {

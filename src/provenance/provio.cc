@@ -169,6 +169,7 @@ Result<ProvenanceGraph> LoadGraph(std::istream& is) {
   if (!st.ok()) {
     return Status::ParseError(StrCat("graph file: ", st.message()));
   }
+  graph.ShrinkToFit();
   return graph;
 }
 

@@ -36,7 +36,8 @@ Status SaveGraphToFile(const ProvenanceGraph& graph, const std::string& path);
 /// extent that disagrees with the records, or a reference to an undefined
 /// node, string or invocation is a kParseError. The result is
 /// unsealed; call Seal() before querying (benchmarks measure exactly this
-/// read + build + seal cost, cf. Figure 6).
+/// read + build + seal cost, cf. Figure 6). It holds no spare capacity
+/// (ProvenanceGraph::ShrinkToFit).
 Result<ProvenanceGraph> LoadGraph(std::istream& is);
 Result<ProvenanceGraph> LoadGraphFromFile(const std::string& path);
 

@@ -330,6 +330,8 @@ Result<ProvenanceGraph> RecoverGraph(const std::string& dir,
     span.Arg("applied", rep.records_applied);
     span.Arg("executions", rep.executions_recovered);
   }
+  // Replay grew the checkpoint's exact-size columns by doubling again.
+  graph.ShrinkToFit();
   return graph;
 }
 

@@ -51,6 +51,11 @@ const char* StringPool::Store(std::string_view s) {
   return dst;
 }
 
+void StringPool::ShrinkToFit() {
+  std::lock_guard<std::mutex> lock(*mu_);
+  spans_.shrink_to_fit();
+}
+
 size_t StringPool::MemoryBytes() const {
   std::lock_guard<std::mutex> lock(*mu_);
   return arena_bytes_ + spans_.capacity() * sizeof(Span) +

@@ -66,6 +66,10 @@ class StringPool {
   /// Bytes held by the pool: arena chunks, span table, and hash index.
   size_t MemoryBytes() const;
 
+  /// Releases the span table's growth slack. Views stay valid: they point
+  /// into the arena, which does not move.
+  void ShrinkToFit();
+
   /// Observer of first-time interns, used by the write-ahead log to record
   /// string-pool growth. Called under the pool's intern lock, so events
   /// arrive in id order and strictly before any node referencing the new

@@ -100,7 +100,7 @@ Result<std::string> ServiceClient::Query(const std::string& op,
     return Status::Internal(
         StrCat("malformed response: ", doc.status().message()));
   }
-  return ResponseToResult(*doc);
+  return ResponseToResult(std::move(*doc));
 }
 
 }  // namespace lipstick::service

@@ -6,6 +6,7 @@
 
 #include "analysis/plan_cost.h"
 #include "common/str_util.h"
+#include "obs/json.h"
 
 namespace lipstick::service {
 
@@ -56,36 +57,26 @@ std::string RenderExplainText(const ParsedQuery& parsed,
   return out;
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 std::string RenderExplainJson(const ParsedQuery& parsed,
                               const analysis::PlanCostReport& cost) {
   std::string out =
-      StrCat("{\"plan\":\"", JsonEscape(parsed.canonical), "\",");
+      StrCat("{\"plan\":\"", obs::JsonEscape(parsed.canonical), "\",");
   out += StrCat("\"bytes_per_node\":", FormatDouble(cost.bytes_per_node),
                 ",\"rewrites\":[");
   for (size_t i = 0; i < parsed.optimized.rewrites.size(); ++i) {
     const PlanRewrite& rw = parsed.optimized.rewrites[i];
-    out += StrCat(i == 0 ? "" : ",", "{\"rule\":\"", JsonEscape(rw.rule),
-                  "\",\"detail\":\"", JsonEscape(rw.detail), "\"}");
+    out += StrCat(i == 0 ? "" : ",", "{\"rule\":\"", obs::JsonEscape(rw.rule),
+                  "\",\"detail\":\"", obs::JsonEscape(rw.detail), "\"}");
   }
   out += "],\"operators\":[";
   for (size_t i = 0; i < parsed.optimized.plan.ops.size(); ++i) {
     const PlanOp& op = parsed.optimized.plan.ops[i];
     out += StrCat(i == 0 ? "" : ",", "{\"op\":\"",
-                  JsonEscape(op.Canonical()), "\",\"view\":",
+                  obs::JsonEscape(op.Canonical()), "\",\"view\":",
                   op.IsViewOp() ? "true" : "false");
     if (i < cost.rows.size()) {
       const analysis::PlanCostRow& row = cost.rows[i];
-      out += StrCat(",\"rows\":\"", JsonEscape(CardString(row.rows)),
+      out += StrCat(",\"rows\":\"", obs::JsonEscape(CardString(row.rows)),
                     "\",\"est_rows\":", FormatDouble(row.est_rows),
                     ",\"est_bytes\":", row.est_bytes);
     }

@@ -4,7 +4,9 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
+#include <utility>
 
 #include "common/fault.h"
 #include "common/str_util.h"
@@ -72,22 +74,62 @@ Result<std::string> ReadFrame(int fd) {
   return payload;
 }
 
-Status WriteFrame(int fd, std::string_view payload) {
+namespace {
+
+constexpr size_t kHeaderBytes = sizeof(uint32_t);
+
+/// The one frame encoder: `encode` appends the payload to a buffer that
+/// already holds room for the header, which then receives the length.
+template <typename Encode>
+std::string EncodeFrame(size_t payload_hint, Encode&& encode) {
+  std::string frame;
+  frame.reserve(kHeaderBytes + payload_hint);
+  frame.resize(kHeaderBytes);
+  encode(&frame);
+  // SendFrame refuses a payload over kMaxFrameBytes, so whatever a longer
+  // one's truncated header says never reaches the wire.
+  const uint32_t len = static_cast<uint32_t>(frame.size() - kHeaderBytes);
+  frame[0] = static_cast<char>(len >> 24);
+  frame[1] = static_cast<char>(len >> 16);
+  frame[2] = static_cast<char>(len >> 8);
+  frame[3] = static_cast<char>(len);
+  return frame;
+}
+
+/// A response envelope, serialized straight into its frame.
+std::string EnvelopeFrame(const obs::JsonValue& doc, size_t payload_hint) {
+  return EncodeFrame(payload_hint,
+                     [&doc](std::string* out) { doc.SerializeTo(out); });
+}
+
+}  // namespace
+
+std::string OkFrame(std::string text) {
+  // Escapes lengthen the text. Query output escapes about one byte per
+  // line (its newline), so an eighth more covers it in one allocation.
+  const size_t hint = text.size() + text.size() / 8 + 32;
+  return EnvelopeFrame(OkResponse(std::move(text)), hint);
+}
+
+std::string ErrorFrame(std::string_view code, std::string_view message) {
+  return EnvelopeFrame(ErrorResponse(code, message), message.size() + 64);
+}
+
+Status SendFrame(int fd, std::string_view frame) {
   LIPSTICK_RETURN_IF_ERROR(FaultInjector::Fire(kFaultWrite));
-  if (payload.size() > kMaxFrameBytes) {
+  if (frame.size() < kHeaderBytes ||
+      frame.size() - kHeaderBytes > kMaxFrameBytes) {
     return Status::InvalidArgument("frame payload exceeds limit");
   }
-  uint32_t len = static_cast<uint32_t>(payload.size());
   // One contiguous send: splitting header and payload across two send()
   // calls interacts with Nagle + delayed ACK and costs ~40ms per frame.
-  std::string frame;
-  frame.reserve(sizeof(uint32_t) + payload.size());
-  frame.push_back(static_cast<char>(len >> 24));
-  frame.push_back(static_cast<char>(len >> 16));
-  frame.push_back(static_cast<char>(len >> 8));
-  frame.push_back(static_cast<char>(len));
-  frame.append(payload);
   return WriteFull(fd, frame.data(), frame.size());
+}
+
+Status WriteFrame(int fd, std::string_view payload) {
+  const std::string frame = EncodeFrame(
+      payload.size(), [payload](std::string* out) { out->append(payload); });
+  return SendFrame(fd, frame);
 }
 
 std::string_view ErrorCodeString(StatusCode code) {
@@ -151,10 +193,10 @@ obs::JsonValue MakeRequest(std::string_view op,
   return req;
 }
 
-obs::JsonValue OkResponse(std::string_view text) {
+obs::JsonValue OkResponse(std::string text) {
   obs::JsonValue resp = obs::JsonValue::Object();
   resp.Set("ok", obs::JsonValue::Bool(true));
-  resp.Set("text", obs::JsonValue::Str(std::string(text)));
+  resp.Set("text", obs::JsonValue::Str(std::move(text)));
   return resp;
 }
 
@@ -168,17 +210,17 @@ obs::JsonValue ErrorResponse(std::string_view code, std::string_view message) {
   return resp;
 }
 
-Result<std::string> ResponseToResult(const obs::JsonValue& doc) {
+Result<std::string> ResponseToResult(obs::JsonValue doc) {
   const obs::JsonValue* ok = doc.Find("ok");
   if (ok == nullptr || !ok->is_bool()) {
     return Status::Internal("malformed response: missing 'ok'");
   }
   if (ok->bool_value()) {
-    const obs::JsonValue* text = doc.Find("text");
+    obs::JsonValue* text = doc.Find("text");
     if (text == nullptr || !text->is_string()) {
       return Status::Internal("malformed response: missing 'text'");
     }
-    return text->str();
+    return std::move(text->str());
   }
   const obs::JsonValue* err = doc.Find("error");
   if (err == nullptr || !err->is_object()) {

@@ -46,8 +46,23 @@ inline constexpr char kFaultExec[] = "service.exec";
 /// fault; kInvalidArgument = oversized length prefix.
 Result<std::string> ReadFrame(int fd);
 
-/// Writes one length-prefixed frame to `fd` (full payload or error).
-/// Fires "service.write".
+/// A finished frame holds the 4-byte length and then the payload. It is
+/// encoded once, into a buffer sized up front, and sent as it is: the
+/// server renders a response, encodes it straight into its frame, and
+/// hands that buffer to SendFrame.
+///
+/// The response frames: the envelopes OkResponse(text) and
+/// ErrorResponse(code, message) serialize to. `text` is moved into the
+/// envelope, not copied.
+std::string OkFrame(std::string text);
+std::string ErrorFrame(std::string_view code, std::string_view message);
+
+/// Writes a finished frame to `fd` (all of it or an error). Fires
+/// "service.write"; a payload over kMaxFrameBytes is kInvalidArgument and
+/// nothing is sent.
+Status SendFrame(int fd, std::string_view frame);
+
+/// Frames `payload` as it is and sends it (requests, raw test payloads).
 Status WriteFrame(int fd, std::string_view payload);
 
 /// Wire code string for a StatusCode (e.g. "invalid_argument"). The
@@ -69,13 +84,13 @@ obs::JsonValue MakeRequest(std::string_view op,
                            const std::vector<std::string>& args,
                            std::string_view graph = {},
                            double deadline_ms = 0);
-obs::JsonValue OkResponse(std::string_view text);
+obs::JsonValue OkResponse(std::string text);
 obs::JsonValue ErrorResponse(std::string_view code, std::string_view message);
 
-/// Unpacks a response document: the rendered text on success, or a Status
-/// carrying the server's error code + message. Malformed documents are
-/// kInternal ("malformed response").
-Result<std::string> ResponseToResult(const obs::JsonValue& doc);
+/// Unpacks a response document: the rendered text on success (moved out
+/// of `doc`), or a Status carrying the server's error code + message.
+/// Malformed documents are kInternal ("malformed response").
+Result<std::string> ResponseToResult(obs::JsonValue doc);
 
 }  // namespace lipstick::service
 

@@ -240,13 +240,12 @@ void Server::AcceptLoop() {
         // with an envelope and keep serving the others.
         sessions_.pop_back();
         live_sessions_.fetch_sub(1);
-        refusal = ErrorResponse("unavailable",
-                                StrCat("cannot start a session: ", e.what()))
-                      .Serialize();
+        refusal = ErrorFrame("unavailable",
+                             StrCat("cannot start a session: ", e.what()));
       }
     }
     if (!refusal.empty()) {
-      (void)WriteFrame(conn, refusal);
+      (void)SendFrame(conn, refusal);
       ::close(conn);
     }
   }
@@ -271,28 +270,26 @@ void Server::ReapEndedSessions() {
 void Server::SessionLoop(Session* session) {
   const int fd = session->fd;
   while (true) {
-    Result<std::string> frame = ReadFrame(fd);
-    if (!frame.ok()) {
+    Result<std::string> request = ReadFrame(fd);
+    if (!request.ok()) {
       // kAborted = clean EOF. Anything else (oversized frame, short read,
       // injected read fault) poisons the stream: no framing to resync on,
       // so drop the connection.
       break;
     }
     Work work;
-    work.payload = std::move(*frame);
+    work.payload = std::move(*request);
     work.conn_fd = fd;
     work.enqueued = std::chrono::steady_clock::now();
     std::future<std::string> response = work.response.get_future();
-    std::string serialized;
+    std::string frame;
     if (queue_.TryPush(std::move(work))) {
-      serialized = response.get();
+      frame = response.get();
     } else {
       overloaded_.fetch_add(1);
-      serialized =
-          ErrorResponse("overloaded", "request queue is full, retry later")
-              .Serialize();
+      frame = ErrorFrame("overloaded", "request queue is full, retry later");
     }
-    if (!WriteFrame(fd, serialized).ok()) break;
+    if (!SendFrame(fd, frame).ok()) break;
   }
   std::lock_guard<std::mutex> lock(sessions_mu_);
   ::close(session->fd);
@@ -316,7 +313,7 @@ void Server::WorkerLoop() {
 std::string Server::CountErrorResponse(std::string_view code,
                                        std::string_view message) {
   errors_.fetch_add(1);
-  return ErrorResponse(code, message).Serialize();
+  return ErrorFrame(code, message);
 }
 
 std::string Server::Execute(const std::string& payload, int conn_fd) {
@@ -389,9 +386,7 @@ std::string Server::ExecuteQueryOp(const std::string& op,
   std::string cache_key = ResponseCache::Key(
       (*loaded)->name, (*loaded)->epoch, parsed->canonical, {});
   std::string cached;
-  if (cache_.Get(cache_key, &cached)) {
-    return OkResponse(cached).Serialize();
-  }
+  if (cache_.Get(cache_key, &cached)) return OkFrame(std::move(cached));
 
   // The token is created before the fault fires so an injected exec delay
   // counts against the request deadline — that determinism is what the
@@ -424,13 +419,13 @@ std::string Server::ExecuteQueryOp(const std::string& op,
                               text.status().message());
   }
   cache_.Put(cache_key, *text);
-  return OkResponse(*text).Serialize();
+  return OkFrame(std::move(*text));
 }
 
 std::string Server::HandleAdminOp(const std::string& op,
                                   const std::vector<std::string>& args) {
   if (op == "ping") {
-    return OkResponse("pong\n").Serialize();
+    return OkFrame("pong\n");
   }
   if (op == "graphs") {
     std::string out;
@@ -440,7 +435,7 @@ std::string Server::HandleAdminOp(const std::string& op,
                     e.is_default ? "  (default)" : "", "\n");
     }
     if (out.empty()) out = "(no graphs loaded)\n";
-    return OkResponse(out).Serialize();
+    return OkFrame(std::move(out));
   }
   if (op == "reload") {
     std::string name = args.empty() ? std::string() : args[0];
@@ -450,10 +445,8 @@ std::string Server::HandleAdminOp(const std::string& op,
     }
     Result<std::shared_ptr<const LoadedGraph>> loaded = registry_->Get(name);
     uint64_t epoch = loaded.ok() ? (*loaded)->epoch : 0;
-    return OkResponse(StrCat("reloaded '",
-                             loaded.ok() ? (*loaded)->name : name,
-                             "' to epoch ", epoch, "\n"))
-        .Serialize();
+    return OkFrame(StrCat("reloaded '", loaded.ok() ? (*loaded)->name : name,
+                          "' to epoch ", epoch, "\n"));
   }
   // op == "metricz": internal service counters plus the full metrics
   // registry dump (non-empty only when metrics are enabled).
@@ -470,7 +463,7 @@ std::string Server::HandleAdminOp(const std::string& op,
       ",\"entries\":", stats.plan_cache_entries,
       "},\"graphs\":", registry_->size(),
       "},\"metrics\":", obs::MetricsRegistry::Global().RenderJson(), "}\n");
-  return OkResponse(out).Serialize();
+  return OkFrame(std::move(out));
 }
 
 }  // namespace lipstick::service

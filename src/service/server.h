@@ -93,7 +93,7 @@ class Server {
   struct Work {
     std::string payload;  // raw request frame
     int conn_fd = -1;     // for the disconnect probe
-    std::promise<std::string> response;
+    std::promise<std::string> response;  // the finished response frame
     std::chrono::steady_clock::time_point enqueued{};
   };
 
@@ -127,8 +127,8 @@ class Server {
   void ReapEndedSessions();
   void SessionLoop(Session* session);
   void WorkerLoop();
-  /// Executes one request frame end to end; returns the serialized
-  /// response document.
+  /// Executes one request frame end to end; returns the finished response
+  /// frame (protocol.h), which the session sends as it is.
   std::string Execute(const std::string& payload, int conn_fd);
   std::string ExecuteQueryOp(const std::string& op,
                              const std::vector<std::string>& args,

@@ -245,6 +245,38 @@ TEST_F(DurabilityTest, CheckpointSupersedesEarlierSegments) {
   EXPECT_EQ(report.executions_recovered, 5u);
 }
 
+TEST_F(DurabilityTest, RecoveredGraphHoldsNoSpareCapacity) {
+  // A checkpoint loads trimmed, and replaying the segments after it grows
+  // the columns again: recovery must end trimmed all the same.
+  fs::path dir = FreshDir("wal_ckpt_exact");
+  Runner runner;
+  auto wal = Wal::Open(dir.string());
+  LIPSTICK_ASSERT_OK(wal.status());
+  ProvenanceGraph graph;
+  LIPSTICK_EXPECT_OK((*wal)->Attach(&graph));
+  ExecutionOptions exec_options;
+  exec_options.durability = wal->get();
+  runner.exec->set_default_options(exec_options);
+  runner.Run(0, 3, &graph);
+  LIPSTICK_EXPECT_OK((*wal)->Checkpoint());
+  runner.Run(3, 7, &graph);
+  LIPSTICK_EXPECT_OK((*wal)->Close());
+  const std::string tracked = SaveBytes(&graph);
+
+  RecoveryReport report;
+  Result<ProvenanceGraph> recovered = RecoverGraph(dir.string(), &report);
+  LIPSTICK_ASSERT_OK(recovered.status());
+  EXPECT_NE(report.checkpoint_seq, 0u);
+  EXPECT_EQ(report.executions_recovered, 7u);
+  constexpr size_t kRowBytes = sizeof(NodeLabel) + sizeof(NodeRole) +
+                               sizeof(uint8_t) + sizeof(uint32_t) +
+                               sizeof(StrId) + sizeof(internal::ParentSlot) +
+                               sizeof(uint32_t);
+  EXPECT_EQ(recovered->ComputeMemoryStats().column_bytes,
+            recovered->num_nodes() * kRowBytes);
+  EXPECT_EQ(SaveBytes(&*recovered), tracked);
+}
+
 TEST_F(DurabilityTest, TruncatedCheckpointIsNeverUsed) {
   fs::path dir = FreshDir("wal_ckpt_torn");
   {

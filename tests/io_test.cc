@@ -2,6 +2,8 @@
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 
 #include "common/rng.h"
@@ -16,6 +18,7 @@
 #include "test_util.h"
 #include "workflow/executor.h"
 #include "workflow/wfdsl.h"
+#include "workflowgen/dealership.h"
 
 namespace lipstick {
 namespace {
@@ -565,6 +568,60 @@ TEST(ProvioRobustnessTest, SeededMutationsLoadOrReturnStatus) {
     LIPSTICK_EXPECT_OK(ExecutePlan(*snap, plan).status());
   }
   EXPECT_GT(loaded, 0) << "no mutant reached a loaded graph";
+}
+
+TEST(ProvioTest, LoadedGraphHoldsNoSpareCapacity) {
+  // A dealership run on two workers: several shards, wide fan-in nodes
+  // (parents in the edge arena) and aggregate values.
+  workflowgen::DealershipConfig cfg;
+  cfg.num_cars = 200;
+  cfg.num_executions = 3;
+  cfg.num_workers = 2;
+  cfg.seed = 11;
+  auto wf = workflowgen::DealershipWorkflow::Create(cfg);
+  LIPSTICK_ASSERT_OK(wf.status());
+  ProvenanceGraph tracked;
+  LIPSTICK_ASSERT_OK((*wf)->Run(&tracked).status());
+  tracked.Seal();
+  ASSERT_GT(tracked.num_shards(), 1u);
+  std::ostringstream saved;
+  LIPSTICK_ASSERT_OK(SaveGraph(tracked, saved));
+  const std::string bytes = saved.str();
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "lipstick_exact_size.pg")
+          .string();
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << bytes;
+  }
+  Result<ProvenanceGraph> graph = LoadGraphFromFile(path);
+  std::filesystem::remove(path);
+  LIPSTICK_ASSERT_OK(graph.status());
+  // One row of the node columns: label, role, flags, invocation, payload,
+  // parent slot and value index.
+  constexpr size_t kRowBytes = sizeof(NodeLabel) + sizeof(NodeRole) +
+                               sizeof(uint8_t) + sizeof(uint32_t) +
+                               sizeof(StrId) + sizeof(internal::ParentSlot) +
+                               sizeof(uint32_t);
+  size_t overflow_parents = 0, values = 0;
+  graph->ForEachNode([&](NodeId id) {
+    NodeView n = graph->node(id);
+    if (n.num_parents() > internal::kInlineParents) {
+      overflow_parents += n.num_parents();
+    }
+    values += n.value().is_null() ? 0 : 1;
+  });
+  ASSERT_GT(overflow_parents, 0u);
+  ASSERT_GT(values, 0u);
+  ProvenanceGraph::MemoryStats mem = graph->ComputeMemoryStats();
+  EXPECT_EQ(mem.column_bytes, graph->num_nodes() * kRowBytes);
+  EXPECT_EQ(mem.edge_arena_bytes, overflow_parents * sizeof(NodeId));
+  EXPECT_EQ(mem.value_bytes, values * sizeof(Value));
+  // Trimming changes no byte of the graph: Save(Load(Save(g))) == Save(g).
+  graph->Seal();
+  std::ostringstream again;
+  LIPSTICK_ASSERT_OK(SaveGraph(*graph, again));
+  EXPECT_EQ(again.str(), bytes);
 }
 
 TEST(ProvioRobustnessTest, WriteFailureAtCloseIsReported) {

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/timer.h"
 #include "obs/json.h"
 #include "obs/trace.h"
@@ -63,7 +65,103 @@ TEST_F(ObsTest, JsonRejectsMalformed) {
   EXPECT_FALSE(obs::ParseJson("[1,]").ok());
   EXPECT_FALSE(obs::ParseJson("{\"a\":1} trailing").ok());
   EXPECT_FALSE(obs::ParseJson("nul").ok());
-  EXPECT_FALSE(obs::ParseJson("\"unterminated").ok());
+  // Malformed string literals, with the message and offset each reports.
+  const std::pair<const char*, const char*> strings[] = {
+      {"\"unterminated", "json: unterminated string at offset 13"},
+      {"\"ends in a backslash\\", "json: unterminated string at offset 21"},
+      {"\"bad \\x escape\"", "json: bad escape character at offset 7"},
+      {"\"truncated \\u12", "json: truncated \\u escape at offset 13"},
+      {"\"bad \\u12g4\"", "json: bad \\u escape at offset 10"},
+      {"[\"ok\",\"a long plain run then \\q\"]",
+       "json: bad escape character at offset 31"},
+  };
+  for (const auto& [text, message] : strings) {
+    Result<obs::JsonValue> doc = obs::ParseJson(text);
+    ASSERT_FALSE(doc.ok()) << text;
+    EXPECT_EQ(doc.status().message(), message) << text;
+  }
+}
+
+/// The string escaper as it was written first, one byte at a time: the
+/// reference the run-copying escaper must reproduce byte for byte.
+std::string ReferenceEscape(std::string_view s) {
+  std::string out;
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+/// Escape, serialize and parse back one string, against the reference.
+void ExpectCodecMatchesReference(const std::string& s) {
+  const std::string want = ReferenceEscape(s);
+  EXPECT_EQ(obs::JsonEscape(s), want);
+  std::string appended = "x";
+  obs::JsonEscape(s, &appended);
+  EXPECT_EQ(appended, "x" + want);
+  obs::JsonValue doc = obs::JsonValue::Object();
+  doc.Set(s, obs::JsonValue::Str(s));
+  const std::string text = doc.Serialize();
+  EXPECT_EQ(text, "{\"" + want + "\":\"" + want + "\"}");
+  Result<obs::JsonValue> back = obs::ParseJson(text);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  ASSERT_EQ(back->members().size(), 1u);
+  EXPECT_EQ(back->members()[0].first, s);
+  EXPECT_EQ(back->members()[0].second.str(), s);
+}
+
+TEST_F(ObsTest, JsonStringCodecMatchesBytewiseReference) {
+  std::string all;
+  for (int b = 0; b < 256; ++b) {
+    const std::string one(1, static_cast<char>(b));
+    SCOPED_TRACE(b);
+    ExpectCodecMatchesReference(one);
+    all += one;
+  }
+  ExpectCodecMatchesReference(all);
+  ExpectCodecMatchesReference("");
+  ExpectCodecMatchesReference("\"\"\\\\\"quoted\\path\"");
+  // Multi-byte UTF-8 passes through unescaped: 2-, 3- and 4-byte forms.
+  ExpectCodecMatchesReference(
+      "caf\xc3\xa9 \xe6\x97\xa5\xe6\x9c\xac \xf0\x9f\x98\x80");
+  // One escapable byte at every offset 0..16 of a longer plain run, so
+  // it lands in every position of a scanned word and in the tail.
+  for (char special : {'"', '\\', '\n', '\t', '\x01', '\x1f'}) {
+    for (size_t len = 1; len <= 40; ++len) {
+      for (size_t at = 0; at <= 16 && at < len; ++at) {
+        std::string s(len, 'a');
+        s[at] = special;
+        SCOPED_TRACE(::testing::Message() << "len=" << len << " at=" << at
+                                          << " byte=" << int(special));
+        ExpectCodecMatchesReference(s);
+      }
+    }
+  }
+  // Seeded random strings, weighted toward the bytes that need escapes.
+  Rng rng(17);
+  const std::string specials = "\"\\\n\r\t\x01\x1f\x7f\x80\xff ";
+  for (int i = 0; i < 2000; ++i) {
+    std::string s(static_cast<size_t>(rng.Uniform(0, 48)), ' ');
+    for (char& c : s) {
+      c = rng.Chance(0.2) ? specials[rng.Uniform(0, specials.size() - 1)]
+                          : static_cast<char>(rng.Uniform(0, 255));
+    }
+    ExpectCodecMatchesReference(s);
+  }
 }
 
 /// ------------------------------ metrics --------------------------------

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/cancel.h"
@@ -18,6 +19,7 @@
 #include "provenance/snapshot.h"
 #include "provenance/view.h"
 #include "reference_terminals.h"
+#include "service/ops.h"
 #include "test_util.h"
 #include "workflowgen/dealership.h"
 
@@ -334,6 +336,34 @@ TEST_F(PlanEquivalenceTest, ViewFinalPipelinesRenderSummaries) {
     ExpectEquivalent(q);
     EXPECT_NE(Fused(q).find("nodes"), std::string::npos) << Fused(q);
   }
+}
+
+TEST_F(PlanEquivalenceTest, LongSummaryLinesRenderInFull) {
+  // Thirty roots make a summary line far past 255 bytes; it must keep
+  // every id, its node count and its newline, locally and as served.
+  std::vector<NodeId> tokens = FindNodes(*snap_, ByLabel(NodeLabel::kToken));
+  ASSERT_GE(tokens.size(), 30u);
+  tokens.resize(30);
+  std::vector<std::string> ids;
+  for (NodeId id : tokens) ids.push_back(StrCat(id));
+  const std::string roots = Join(ids, ",");
+  Result<Plan> plan = ParsePlan("subgraph", {roots});
+  LIPSTICK_ASSERT_OK(plan.status());
+  Result<GraphView> view = BuildPlanView(*snap_, *plan);
+  LIPSTICK_ASSERT_OK(view.status());
+  std::vector<NodeId> sorted = tokens;
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<std::string> sorted_ids;
+  for (NodeId id : sorted) sorted_ids.push_back(StrCat(id));
+  const std::string want = StrCat("subgraph of ", Join(sorted_ids, ","),
+                                  ": ", view->num_visible(), " nodes\n");
+  ASSERT_GT(want.size(), 255u);
+  EXPECT_EQ(Fused(StrCat("subgraph ", roots)), want);
+  EXPECT_EQ(Naive(StrCat("subgraph ", roots)), want);
+  Result<std::string> served =
+      service::ExecuteReadQuery(*snap_, "subgraph", {roots}, 1);
+  LIPSTICK_ASSERT_OK(served.status());
+  EXPECT_EQ(*served, want);
 }
 
 TEST_F(PlanEquivalenceTest, ThreadCountDoesNotChangeOutput) {

@@ -142,6 +142,63 @@ TEST_F(ProtocolTest, WriteFaultInjection) {
   LIPSTICK_EXPECT_OK(service::WriteFrame(fds_[0], "x"));
 }
 
+/// The 4-byte big-endian length header of a `len`-byte payload.
+std::string FrameHeader(size_t len) {
+  return {static_cast<char>(len >> 24), static_cast<char>(len >> 16),
+          static_cast<char>(len >> 8), static_cast<char>(len)};
+}
+
+TEST_F(ProtocolTest, FinishedFramesAreLengthThenEnvelope) {
+  std::string lines;
+  for (int i = 0; i < 5000; ++i) {
+    lines += StrCat(i, "  token     intermediate  car", i, "\n");
+  }
+  for (const std::string& text :
+       {std::string(), std::string("pong\n"),
+        std::string("q\"uote b\\ack\ttab \x01 caf\xc3\xa9\n"), lines}) {
+    const std::string envelope = service::OkResponse(text).Serialize();
+    EXPECT_EQ(service::OkFrame(text), FrameHeader(envelope.size()) + envelope);
+    LIPSTICK_ASSERT_OK(service::SendFrame(fds_[0], service::OkFrame(text)));
+    Result<std::string> got = service::ReadFrame(fds_[1]);
+    LIPSTICK_ASSERT_OK(got.status());
+    EXPECT_EQ(*got, envelope);
+  }
+  const std::string error =
+      service::ErrorResponse("not_found", "no \"g\"").Serialize();
+  EXPECT_EQ(service::ErrorFrame("not_found", "no \"g\""),
+            FrameHeader(error.size()) + error);
+}
+
+TEST_F(ProtocolTest, WriteFaultFailsFinishedFrameSend) {
+  FaultInjector::FaultSpec spec;
+  spec.point = service::kFaultWrite;
+  spec.max_fires = 1;
+  spec.code = StatusCode::kIOError;
+  FaultInjector::Global().Arm(spec);
+  const std::string frame = service::OkFrame("x");
+  Status st = service::SendFrame(fds_[0], frame);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kIOError);
+  // Nothing was sent; the budget is spent, so the same frame goes out.
+  LIPSTICK_ASSERT_OK(service::SendFrame(fds_[0], frame));
+  Result<std::string> got = service::ReadFrame(fds_[1]);
+  LIPSTICK_ASSERT_OK(got.status());
+  EXPECT_EQ(*got, service::OkResponse("x").Serialize());
+}
+
+TEST_F(ProtocolTest, OversizedFinishedFrameIsNotSent) {
+  const std::string frame =
+      service::OkFrame(std::string(service::kMaxFrameBytes, 'a'));
+  Status st = service::SendFrame(fds_[0], frame);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  // The stream stays clean: the next frame is the first one read.
+  LIPSTICK_ASSERT_OK(service::WriteFrame(fds_[0], "next"));
+  Result<std::string> got = service::ReadFrame(fds_[1]);
+  LIPSTICK_ASSERT_OK(got.status());
+  EXPECT_EQ(*got, "next");
+}
+
 TEST(ProtocolCodes, ErrorCodeMappingRoundTrips) {
   for (StatusCode code :
        {StatusCode::kInvalidArgument, StatusCode::kNotFound,
@@ -399,6 +456,28 @@ TEST_F(ServerTest, RemoteOutputMatchesLocalForEveryOp) {
   }
 }
 
+TEST_F(ServerTest, ResponseFrameIsTheLocalTextsEnvelope) {
+  ServiceClient client = StartAndConnect();
+  Result<std::shared_ptr<const LoadedGraph>> loaded = registry_.Get("");
+  LIPSTICK_ASSERT_OK(loaded.status());
+  const std::vector<std::string> args = {"--label", "token"};
+  Result<std::string> local =
+      service::ExecuteReadQuery((*loaded)->snapshot, "find", args, 1);
+  LIPSTICK_ASSERT_OK(local.status());
+  // First a miss, then a cache hit: both send the same bytes.
+  for (int round = 0; round < 2; ++round) {
+    Result<std::string> payload =
+        client.Call(service::MakeRequest("find", args).Serialize());
+    LIPSTICK_ASSERT_OK(payload.status());
+    EXPECT_EQ(*payload, service::OkResponse(*local).Serialize());
+  }
+  Result<std::string> pong =
+      client.Call(service::MakeRequest("ping", {}).Serialize());
+  LIPSTICK_ASSERT_OK(pong.status());
+  EXPECT_EQ(*pong, service::OkResponse("pong\n").Serialize());
+  EXPECT_EQ(server_->Stats().cache_hits, 1u);
+}
+
 TEST_F(ServerTest, ErrorEnvelopeCarriesCodes) {
   ServiceClient client = StartAndConnect();
   Result<std::string> unknown = client.Query("frobnicate", {});
@@ -606,6 +685,40 @@ TEST_F(ServerTest, ExplainRunsRemotely) {
   LIPSTICK_ASSERT_OK(text.status());
   EXPECT_EQ(text->rfind("plan: explain stats\n", 0), 0u) << *text;
   EXPECT_NE(text->find("operators:"), std::string::npos);
+}
+
+TEST_F(ServerTest, ExplainJsonEscapesEveryControlByte) {
+  // A module name holding a quote, a backslash, a tab and 0x01: explain
+  // --json must still be JSON, locally and over the wire.
+  const std::string module = "deal\"er\\x\ty\x01z";
+  const std::vector<std::string> args = {"zoomout", module, "--json"};
+  Result<std::shared_ptr<const LoadedGraph>> loaded = registry_.Get("");
+  LIPSTICK_ASSERT_OK(loaded.status());
+  Result<std::string> local =
+      service::ExecuteReadQuery((*loaded)->snapshot, "explain", args, 1);
+  LIPSTICK_ASSERT_OK(local.status());
+  // obs::ParseJson tolerates raw control bytes inside strings; strict
+  // parsers (python's json) do not, so none may reach the output.
+  ASSERT_EQ(local->back(), '\n');
+  for (size_t i = 0; i + 1 < local->size(); ++i) {
+    EXPECT_GE(static_cast<unsigned char>((*local)[i]), 0x20) << "at " << i;
+  }
+  Result<obs::JsonValue> doc = obs::ParseJson(*local);
+  LIPSTICK_ASSERT_OK(doc.status());
+  const obs::JsonValue* plan = doc->Find("plan");
+  ASSERT_NE(plan, nullptr);
+  ASSERT_TRUE(plan->is_string());
+  EXPECT_NE(plan->str().find(module), std::string::npos) << plan->str();
+  const obs::JsonValue* ops = doc->Find("operators");
+  ASSERT_NE(ops, nullptr);
+  ASSERT_FALSE(ops->array().empty());
+  EXPECT_NE(ops->array()[0].Find("op")->str().find(module),
+            std::string::npos);
+
+  ServiceClient client = StartAndConnect();
+  Result<std::string> remote = client.Query("explain", args);
+  LIPSTICK_ASSERT_OK(remote.status());
+  EXPECT_EQ(*remote, *local);
 }
 
 TEST_F(ServerTest, DeadlineExceededUnderInjectedLatency) {

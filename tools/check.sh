@@ -38,10 +38,13 @@
 #   integration
 #          end-to-end serve/connect gate: boots `lipstick serve` on an
 #          ephemeral port, drives a scripted `query --connect` session
-#          (one-shot ops, a batch file, the error envelope), diffs every
-#          byte against local-mode output, then SIGTERMs the daemon and
-#          verifies a clean drain — nonzero on any output drift, a leaked
-#          child process, or a port still listening,
+#          (one-shot ops, a batch file, the error envelope, `explain
+#          --json` over a module name with control bytes, which must also
+#          pass `python3 -m json.tool`, and a summary line past 255
+#          bytes), diffs every byte against local-mode output, then
+#          SIGTERMs the daemon and verifies a clean drain — nonzero on
+#          any output drift, a leaked child process, or a port still
+#          listening,
 #   soak   multi-client stress of the daemon under ThreadSanitizer:
 #          bench_serve with 8 concurrent clients (LIPSTICK_SOAK_SECONDS,
 #          default 20), then a second run with LIPSTICK_FAULTS arming the
@@ -388,6 +391,36 @@ EOF
            > "${work}/remote.explain.out"
   diff -u "${work}/local.explain.out" "${work}/remote.explain.out" || {
     echo "FAIL: explain output drift"; return 1; }
+
+  echo "--- explain --json escapes every control byte, local and remote"
+  # A module name holding a quote, a backslash, a tab and 0x01.
+  local odd_module=$'deal"er\\x\ty\x01z'
+  "${cli}" query "${work}/g.pg" explain zoomout "${odd_module}" --json \
+           > "${work}/local.explain.json"
+  "${cli}" query --connect "127.0.0.1:${port}" explain zoomout \
+           "${odd_module}" --json > "${work}/remote.explain.json"
+  cmp "${work}/local.explain.json" "${work}/remote.explain.json" || {
+    echo "FAIL: explain --json output drift"; return 1; }
+  local side
+  for side in local remote; do
+    python3 -m json.tool "${work}/${side}.explain.json" >/dev/null || {
+      echo "FAIL: ${side} explain --json is not valid JSON"; return 1; }
+  done
+
+  echo "--- a summary line past 255 bytes is printed whole, local and remote"
+  local roots
+  roots="$("${cli}" query "${work}/g.pg" find |
+           awk '/^[0-9]/ && n < 30 { print $1; n++ }' | paste -sd, -)"
+  "${cli}" query "${work}/g.pg" subgraph "${roots}" > "${work}/local.long.out"
+  "${cli}" query --connect "127.0.0.1:${port}" subgraph "${roots}" \
+           > "${work}/remote.long.out"
+  [[ "$(wc -c < "${work}/local.long.out")" -gt 255 ]] || {
+    echo "FAIL: 30 roots should make a summary past 255 bytes"; return 1; }
+  grep -q '^subgraph of .*: [0-9]* nodes$' "${work}/local.long.out" || {
+    echo "FAIL: long summary line cut short:"; cat "${work}/local.long.out"
+    return 1; }
+  diff -u "${work}/local.long.out" "${work}/remote.long.out" || {
+    echo "FAIL: long summary output drift"; return 1; }
 
   echo "--- error envelope carries the wire code"
   if "${cli}" query --connect "127.0.0.1:${port}" badop \
