@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <unordered_map>
 
 #include "common/fault.h"
@@ -54,17 +55,64 @@ struct ValueVecHash {
 
 }  // namespace
 
+/// An expression bound by CheckExprType. Evaluating it per tuple does no
+/// name work: columns, the aggregate operator and the UDF entry were found
+/// once, when the statement started. `expr` is the source node, which still
+/// supplies the literal, the operator, and the location and name that
+/// messages quote.
+struct BoundExpr {
+  enum class Op : uint8_t {
+    kConst,
+    kColumn,      // a named field or $n
+    kBagProject,  // Bag.field
+    kUnary,
+    kBinary,
+    kAggregate,
+    kUdf,
+  };
+  enum class Aggregate : uint8_t { kCount, kSum, kMin, kMax, kAvg };
+
+  const Expr* expr = nullptr;
+  Op op = Op::kConst;
+  Aggregate aggregate = Aggregate::kCount;  // kAggregate
+  size_t column = 0;      // kColumn; kBagProject: the bag
+  size_t sub_column = 0;  // kBagProject: the projected field of the bag
+  const UdfEntry* udf = nullptr;  // kUdf
+  std::string udf_name;  // kUdf: lower-cased; the pig.udf fault key and
+                         // the black-box label
+  std::vector<BoundExpr> children;
+};
+
+namespace {
+
+/// Each aggregate's name, in BoundExpr::Aggregate order; also the payload
+/// of its graph node.
+constexpr const char* kAggregateNames[] = {"COUNT", "SUM", "MIN", "MAX",
+                                           "AVG"};
+
+/// The built-in aggregate that `name` names, case-insensitively.
+std::optional<BoundExpr::Aggregate> AggregateOf(const std::string& name) {
+  std::string upper = ToUpper(name);
+  for (size_t i = 0; i < std::size(kAggregateNames); ++i) {
+    if (upper == kAggregateNames[i]) {
+      return static_cast<BoundExpr::Aggregate>(i);
+    }
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
 bool IsAggregateFunction(const std::string& name) {
-  std::string lower = ToLower(name);
-  return lower == "count" || lower == "sum" || lower == "min" ||
-         lower == "max" || lower == "avg";
+  return AggregateOf(name).has_value();
 }
 
 /// ------------------------- type inference ------------------------------
 
 std::optional<FieldType> CheckExprType(const Expr& expr, const Schema& schema,
                                        const UdfRegistry* udfs,
-                                       const ExprErrorFn& on_error) {
+                                       const ExprErrorFn& on_error,
+                                       BoundExpr* bound) {
   // Reports one error at `expr`; notes are built only on this path.
   auto fail = [&](ExprErrorKind kind, std::string message,
                   std::string note = "",
@@ -73,11 +121,23 @@ std::optional<FieldType> CheckExprType(const Expr& expr, const Schema& schema,
                        std::move(note)});
     return std::nullopt;
   };
-  auto check = [&](const Expr& child) {
-    return CheckExprType(child, schema, udfs, on_error);
+  if (bound != nullptr) {
+    bound->expr = &expr;
+    bound->children.resize(expr.children.size());
+  }
+  // Records the bound operator; a no-op when not binding.
+  auto bind = [bound](BoundExpr::Op op) {
+    if (bound != nullptr) bound->op = op;
+    return bound;
+  };
+  // Checks child `i`, binding it into the same child of `bound`.
+  auto check = [&](size_t i) {
+    return CheckExprType(*expr.children[i], schema, udfs, on_error,
+                         bound != nullptr ? &bound->children[i] : nullptr);
   };
   switch (expr.kind) {
     case ExprKind::kConst: {
+      bind(BoundExpr::Op::kConst);
       const Value& v = expr.literal;
       if (v.is_bool()) return FieldType::Bool();
       if (v.is_int()) return FieldType::Int();
@@ -91,6 +151,7 @@ std::optional<FieldType> CheckExprType(const Expr& expr, const Schema& schema,
                     StrCat("available fields: ", schema.ToString()),
                     idx.status().code());
       }
+      if (BoundExpr* b = bind(BoundExpr::Op::kColumn)) b->column = *idx;
       return schema.field(*idx).type;
     }
     case ExprKind::kPositional: {
@@ -101,6 +162,9 @@ std::optional<FieldType> CheckExprType(const Expr& expr, const Schema& schema,
                            " out of range"),
                     StrCat("the input has ", schema.num_fields(),
                            " field(s): ", schema.ToString()));
+      }
+      if (BoundExpr* b = bind(BoundExpr::Op::kColumn)) {
+        b->column = static_cast<size_t>(expr.position);
       }
       return schema.field(expr.position).type;
     }
@@ -124,11 +188,16 @@ std::optional<FieldType> CheckExprType(const Expr& expr, const Schema& schema,
                            "': ", bag_type.nested()->ToString()),
                     sub.status().code());
       }
+      if (BoundExpr* b = bind(BoundExpr::Op::kBagProject)) {
+        b->column = *idx;
+        b->sub_column = *sub;
+      }
       return FieldType::Bag(Schema::Make(
           {Field(expr.sub_name, bag_type.nested()->field(*sub).type)}));
     }
     case ExprKind::kUnaryOp: {
-      std::optional<FieldType> t = check(*expr.children[0]);
+      bind(BoundExpr::Op::kUnary);
+      std::optional<FieldType> t = check(0);
       if (!t) return std::nullopt;
       if (expr.un_op == UnOp::kIsNull || expr.un_op == UnOp::kIsNotNull) {
         if (!t->is_scalar()) {
@@ -153,8 +222,9 @@ std::optional<FieldType> CheckExprType(const Expr& expr, const Schema& schema,
       return t;
     }
     case ExprKind::kBinaryOp: {
-      std::optional<FieldType> lt = check(*expr.children[0]);
-      std::optional<FieldType> rt = check(*expr.children[1]);
+      bind(BoundExpr::Op::kBinary);
+      std::optional<FieldType> lt = check(0);
+      std::optional<FieldType> rt = check(1);
       if (!lt || !rt) return std::nullopt;
       const char* problem;
       switch (expr.bin_op) {
@@ -196,13 +266,16 @@ std::optional<FieldType> CheckExprType(const Expr& expr, const Schema& schema,
                          rt->ToString()));
     }
     case ExprKind::kFuncCall: {
-      if (IsAggregateFunction(expr.name)) {
+      if (std::optional<BoundExpr::Aggregate> agg = AggregateOf(expr.name)) {
+        if (BoundExpr* b = bind(BoundExpr::Op::kAggregate)) {
+          b->aggregate = *agg;
+        }
         if (expr.children.size() != 1) {
           return fail(ExprErrorKind::kBadCall,
                       StrCat(expr.name, " takes exactly one argument, got ",
                              expr.children.size()));
         }
-        std::optional<FieldType> arg = check(*expr.children[0]);
+        std::optional<FieldType> arg = check(0);
         if (!arg) return std::nullopt;
         if (arg->kind() != FieldType::Kind::kBag || !arg->nested()) {
           return fail(ExprErrorKind::kBadCall,
@@ -210,9 +283,8 @@ std::optional<FieldType> CheckExprType(const Expr& expr, const Schema& schema,
                       StrCat("argument has type ", arg->ToString(),
                              "; aggregates run after GROUP"));
         }
-        std::string op = ToUpper(expr.name);
-        if (op == "COUNT") return FieldType::Int();
-        if (op == "AVG") return FieldType::Double();
+        if (*agg == BoundExpr::Aggregate::kCount) return FieldType::Int();
+        if (*agg == BoundExpr::Aggregate::kAvg) return FieldType::Double();
         if (arg->nested()->num_fields() != 1) {
           return fail(ExprErrorKind::kBadCall,
                       StrCat(expr.name, " requires a single-attribute bag "
@@ -232,9 +304,13 @@ std::optional<FieldType> CheckExprType(const Expr& expr, const Schema& schema,
                     StrCat("unknown function '", expr.name, "'"),
                     "not a built-in aggregate and not in the UDF registry");
       }
+      if (BoundExpr* b = bind(BoundExpr::Op::kUdf)) {
+        b->udf = udf;
+        b->udf_name = ToLower(expr.name);
+      }
       std::vector<FieldType> arg_types;
-      for (const ExprPtr& child : expr.children) {
-        std::optional<FieldType> t = check(*child);
+      for (size_t i = 0; i < expr.children.size(); ++i) {
+        std::optional<FieldType> t = check(i);
         if (!t) return std::nullopt;
         arg_types.push_back(std::move(*t));
       }
@@ -253,16 +329,18 @@ std::optional<FieldType> CheckExprType(const Expr& expr, const Schema& schema,
 }
 
 Result<FieldType> InferExprType(const Expr& expr, const Schema& schema,
-                                const UdfRegistry* udfs) {
+                                const UdfRegistry* udfs, BoundExpr* bound) {
   Status first;
-  std::optional<FieldType> type =
-      CheckExprType(expr, schema, udfs, [&first](ExprError e) {
+  std::optional<FieldType> type = CheckExprType(
+      expr, schema, udfs,
+      [&first](ExprError e) {
         if (!first.ok()) return;
         first = Status(e.code, e.kind == ExprErrorKind::kUnknownField
                                    ? std::move(e.message)
                                    : StrCat("line ", e.loc.line, ":",
                                             e.loc.column, ": ", e.message));
-      });
+      },
+      bound);
   if (!type) return first;
   return *std::move(type);
 }
@@ -272,38 +350,50 @@ Result<FieldType> InferExprType(const Expr& expr, const Schema& schema,
 namespace {
 
 struct EvalContext {
-  const Schema* schema = nullptr;
   const Tuple* tuple = nullptr;
   ProvAnnotation annot = kNoProvenance;
   ShardWriter* writer = nullptr;           // null -> no tracking
   std::vector<NodeId>* specials = nullptr; // agg/BB nodes for this tuple
-  const UdfRegistry* udfs = nullptr;
 };
 
 void AddSpecial(EvalContext& ctx, NodeId node) {
   if (ctx.specials != nullptr) ctx.specials->push_back(node);
 }
 
-Result<Value> EvalExpr(const Expr& expr, EvalContext& ctx);
+/// Evaluates `e` against the context's tuple. A column or a constant is
+/// returned in place; any other result is computed into `*scratch`.
+Result<const Value*> Eval(const BoundExpr& e, EvalContext& ctx,
+                          Value* scratch);
 
-Result<Value> EvalAggregate(const Expr& expr, EvalContext& ctx) {
-  LIPSTICK_ASSIGN_OR_RETURN(Value arg, EvalExpr(*expr.children[0], ctx));
-  if (!arg.is_bag()) {
+/// Eval that leaves the result in `*out`.
+Status EvalTo(const BoundExpr& e, EvalContext& ctx, Value* out) {
+  LIPSTICK_ASSIGN_OR_RETURN(const Value* v, Eval(e, ctx, out));
+  if (v != out) *out = *v;
+  return Status::OK();
+}
+
+Result<const Value*> EvalAggregate(const BoundExpr& e, EvalContext& ctx,
+                                   Value* scratch) {
+  using Agg = BoundExpr::Aggregate;
+  const Expr& expr = *e.expr;
+  Value arg_value;
+  LIPSTICK_ASSIGN_OR_RETURN(const Value* arg,
+                            Eval(e.children[0], ctx, &arg_value));
+  if (!arg->is_bag()) {
     return ExecErr(expr.loc, StrCat(expr.name, " requires a bag argument"));
   }
-  const Bag& bag = *arg.bag();
-  std::string op = ToUpper(expr.name);
+  const Bag& bag = *arg->bag();
 
   Value result;
-  if (op == "COUNT") {
+  if (e.aggregate == Agg::kCount) {
     result = Value::Int(static_cast<int64_t>(bag.size()));
-  } else if (bag.empty()) {
-    result = op == "SUM" ? Value::Int(0) : Value::Null();
   } else {
-    // Single-attribute bags: aggregate field 0.
+    // Single-attribute bags: aggregate field 0. Nulls are skipped, so an
+    // all-null bag sums to 0 and has no minimum, maximum or average.
     bool all_int = true;
     double dsum = 0;
     int64_t isum = 0;
+    size_t non_null = 0;
     const Value* best = nullptr;
     for (const AnnotatedTuple& t : bag) {
       if (t.tuple.size() != 1) {
@@ -315,16 +405,23 @@ Result<Value> EvalAggregate(const Expr& expr, EvalContext& ctx) {
       if (!v.is_numeric()) {
         return ExecErr(expr.loc, StrCat(expr.name, " over non-numeric value"));
       }
+      ++non_null;
       if (v.is_double()) all_int = false;
       dsum += v.AsDouble();
       if (v.is_int()) isum += v.int_value();
-      if (op == "MIN" && (best == nullptr || v.Compare(*best) < 0)) best = &v;
-      if (op == "MAX" && (best == nullptr || v.Compare(*best) > 0)) best = &v;
+      if (e.aggregate == Agg::kMin && (best == nullptr || v.Compare(*best) < 0)) {
+        best = &v;
+      }
+      if (e.aggregate == Agg::kMax && (best == nullptr || v.Compare(*best) > 0)) {
+        best = &v;
+      }
     }
-    if (op == "SUM") {
+    if (e.aggregate == Agg::kSum) {
       result = all_int ? Value::Int(isum) : Value::Double(dsum);
-    } else if (op == "AVG") {
-      result = Value::Double(dsum / static_cast<double>(bag.size()));
+    } else if (e.aggregate == Agg::kAvg) {
+      result = non_null == 0
+                   ? Value::Null()
+                   : Value::Double(dsum / static_cast<double>(non_null));
     } else {
       result = best == nullptr ? Value::Null() : *best;
     }
@@ -339,7 +436,7 @@ Result<Value> EvalAggregate(const Expr& expr, EvalContext& ctx) {
     for (const AnnotatedTuple& t : bag) {
       if (t.annot == kNoProvenance) continue;
       NodeId tannot = ctx.writer->ResolveParent(t.annot);
-      if (op == "COUNT") {
+      if (e.aggregate == Agg::kCount) {
         parents.push_back(tannot);
       } else {
         NodeId vnode = ctx.writer->ConstValue(t.tuple.at(0));
@@ -350,30 +447,30 @@ Result<Value> EvalAggregate(const Expr& expr, EvalContext& ctx) {
       // Empty group: the (zero/null) aggregate derives from the group tuple.
       parents.push_back(ctx.writer->ResolveParent(ctx.annot));
     }
-    NodeId agg = ctx.writer->Aggregate(op, std::move(parents), result);
+    NodeId agg = ctx.writer->Aggregate(
+        kAggregateNames[static_cast<size_t>(e.aggregate)], std::move(parents),
+        result);
     AddSpecial(ctx, agg);
   }
-  return result;
+  *scratch = std::move(result);
+  return scratch;
 }
 
-Result<Value> EvalUdf(const Expr& expr, EvalContext& ctx) {
-  const UdfEntry* udf = ctx.udfs ? ctx.udfs->Lookup(expr.name) : nullptr;
-  if (udf == nullptr) {
-    return ExecErr(expr.loc, StrCat("unknown function '", expr.name, "'"));
-  }
+Result<const Value*> EvalUdf(const BoundExpr& e, EvalContext& ctx,
+                             Value* scratch) {
+  const Expr& expr = *e.expr;
   // UDFs are external black boxes — the boundary most likely to fail in a
   // real deployment, and the one tests inject failures into.
-  LIPSTICK_RETURN_IF_ERROR(FaultInjector::Fire("pig.udf", ToLower(expr.name))
-                               .WithContext(StrCat("UDF ", expr.name,
-                                                   " at line ",
-                                                   expr.loc.line)));
-  std::vector<Value> args;
-  args.reserve(expr.children.size());
-  for (const ExprPtr& child : expr.children) {
-    LIPSTICK_ASSIGN_OR_RETURN(Value v, EvalExpr(*child, ctx));
-    args.push_back(std::move(v));
+  Status fault = FaultInjector::Fire("pig.udf", e.udf_name);
+  if (!fault.ok()) {
+    return fault.WithContext(
+        StrCat("UDF ", expr.name, " at line ", expr.loc.line));
   }
-  Result<Value> result = udf->fn(args);
+  std::vector<Value> args(e.children.size());
+  for (size_t i = 0; i < e.children.size(); ++i) {
+    LIPSTICK_RETURN_IF_ERROR(EvalTo(e.children[i], ctx, &args[i]));
+  }
+  Result<Value> result = e.udf->fn(args);
   if (!result.ok()) {
     return result.status().WithContext(
         StrCat("UDF ", expr.name, " at line ", expr.loc.line));
@@ -400,7 +497,7 @@ Result<Value> EvalUdf(const Expr& expr, EvalContext& ctx) {
     if (scalar_arg && ctx.annot != kNoProvenance) {
       parents.push_back(ctx.writer->ResolveParent(ctx.annot));
     }
-    NodeId bb = ctx.writer->BlackBox(ToLower(expr.name), std::move(parents));
+    NodeId bb = ctx.writer->BlackBox(e.udf_name, std::move(parents));
     AddSpecial(ctx, bb);
     if (value.is_bag()) {
       // Returned tuples derive from the black box.
@@ -412,130 +509,141 @@ Result<Value> EvalUdf(const Expr& expr, EvalContext& ctx) {
       value = Value::OfBag(std::move(annotated));
     }
   }
-  return value;
+  *scratch = std::move(value);
+  return scratch;
 }
 
-Result<Value> EvalExpr(const Expr& expr, EvalContext& ctx) {
-  switch (expr.kind) {
-    case ExprKind::kConst:
-      return expr.literal;
-    case ExprKind::kFieldRef: {
-      LIPSTICK_ASSIGN_OR_RETURN(size_t idx,
-                                ctx.schema->ResolveField(expr.name));
-      return ctx.tuple->at(idx);
-    }
-    case ExprKind::kPositional: {
-      if (expr.position < 0 ||
-          static_cast<size_t>(expr.position) >= ctx.tuple->size()) {
-        return ExecErr(expr.loc, "positional reference out of range");
+Result<const Value*> Eval(const BoundExpr& e, EvalContext& ctx,
+                          Value* scratch) {
+  const Expr& expr = *e.expr;
+  auto put = [scratch](Value v) {
+    *scratch = std::move(v);
+    return scratch;
+  };
+  switch (e.op) {
+    case BoundExpr::Op::kConst:
+      return &expr.literal;
+    case BoundExpr::Op::kColumn:
+      if (e.column >= ctx.tuple->size()) {
+        return ExecErr(expr.loc, expr.kind == ExprKind::kPositional
+                                     ? "positional reference out of range"
+                                     : "field reference out of range");
       }
-      return ctx.tuple->at(expr.position);
-    }
-    case ExprKind::kBagProject: {
-      LIPSTICK_ASSIGN_OR_RETURN(size_t idx,
-                                ctx.schema->ResolveField(expr.name));
-      const Value& v = ctx.tuple->at(idx);
-      if (!v.is_bag()) {
+      return &ctx.tuple->at(e.column);
+    case BoundExpr::Op::kBagProject: {
+      if (e.column >= ctx.tuple->size() || !ctx.tuple->at(e.column).is_bag()) {
         return ExecErr(expr.loc, StrCat("'", expr.name, "' is not a bag"));
       }
-      const FieldType& ft = ctx.schema->field(idx).type;
-      if (!ft.nested()) return ExecErr(expr.loc, "bag without schema");
-      LIPSTICK_ASSIGN_OR_RETURN(size_t sub,
-                                ft.nested()->ResolveField(expr.sub_name));
+      const Bag& bag = *ctx.tuple->at(e.column).bag();
       auto out = std::make_shared<Bag>();
-      out->Reserve(v.bag()->size());
-      for (const AnnotatedTuple& t : *v.bag()) {
-        out->Add(Tuple({t.tuple.at(sub)}), t.annot);
+      out->Reserve(bag.size());
+      for (const AnnotatedTuple& t : bag) {
+        if (e.sub_column >= t.tuple.size()) {
+          return ExecErr(expr.loc, StrCat("'", expr.name, ".", expr.sub_name,
+                                          "' is out of range"));
+        }
+        out->Add(Tuple({t.tuple.at(e.sub_column)}), t.annot);
       }
-      return Value::OfBag(std::move(out));
+      return put(Value::OfBag(std::move(out)));
     }
-    case ExprKind::kUnaryOp: {
-      LIPSTICK_ASSIGN_OR_RETURN(Value v, EvalExpr(*expr.children[0], ctx));
-      if (expr.un_op == UnOp::kIsNull) return Value::Bool(v.is_null());
-      if (expr.un_op == UnOp::kIsNotNull) return Value::Bool(!v.is_null());
-      if (v.is_null()) return Value::Null();
-      if (expr.un_op == UnOp::kNot) {
-        if (!v.is_bool()) return ExecErr(expr.loc, "NOT of non-boolean");
-        return Value::Bool(!v.bool_value());
+    case BoundExpr::Op::kUnary: {
+      Value operand;
+      LIPSTICK_ASSIGN_OR_RETURN(const Value* v,
+                                Eval(e.children[0], ctx, &operand));
+      if (expr.un_op == UnOp::kIsNull) return put(Value::Bool(v->is_null()));
+      if (expr.un_op == UnOp::kIsNotNull) {
+        return put(Value::Bool(!v->is_null()));
       }
-      if (v.is_int()) return Value::Int(-v.int_value());
-      if (v.is_double()) return Value::Double(-v.double_value());
+      if (v->is_null()) return put(Value::Null());
+      if (expr.un_op == UnOp::kNot) {
+        if (!v->is_bool()) return ExecErr(expr.loc, "NOT of non-boolean");
+        return put(Value::Bool(!v->bool_value()));
+      }
+      if (v->is_int()) return put(Value::Int(-v->int_value()));
+      if (v->is_double()) return put(Value::Double(-v->double_value()));
       return ExecErr(expr.loc, "unary '-' of non-numeric");
     }
-    case ExprKind::kBinaryOp: {
+    case BoundExpr::Op::kBinary: {
+      Value left, right;
+      LIPSTICK_ASSIGN_OR_RETURN(const Value* l,
+                                Eval(e.children[0], ctx, &left));
       // AND/OR: short-circuit on the left operand.
       if (expr.bin_op == BinOp::kAnd || expr.bin_op == BinOp::kOr) {
-        LIPSTICK_ASSIGN_OR_RETURN(Value l, EvalExpr(*expr.children[0], ctx));
-        if (l.is_null()) return Value::Bool(false);
-        if (!l.is_bool()) return ExecErr(expr.loc, "AND/OR of non-boolean");
-        if (expr.bin_op == BinOp::kAnd && !l.bool_value()) {
-          return Value::Bool(false);
+        if (l->is_null()) return put(Value::Bool(false));
+        if (!l->is_bool()) return ExecErr(expr.loc, "AND/OR of non-boolean");
+        if (expr.bin_op == BinOp::kAnd && !l->bool_value()) {
+          return put(Value::Bool(false));
         }
-        if (expr.bin_op == BinOp::kOr && l.bool_value()) {
-          return Value::Bool(true);
+        if (expr.bin_op == BinOp::kOr && l->bool_value()) {
+          return put(Value::Bool(true));
         }
-        LIPSTICK_ASSIGN_OR_RETURN(Value r, EvalExpr(*expr.children[1], ctx));
-        if (r.is_null()) return Value::Bool(false);
-        if (!r.is_bool()) return ExecErr(expr.loc, "AND/OR of non-boolean");
-        return Value::Bool(r.bool_value());
+        LIPSTICK_ASSIGN_OR_RETURN(const Value* r,
+                                  Eval(e.children[1], ctx, &right));
+        if (r->is_null()) return put(Value::Bool(false));
+        if (!r->is_bool()) return ExecErr(expr.loc, "AND/OR of non-boolean");
+        return put(Value::Bool(r->bool_value()));
       }
-      LIPSTICK_ASSIGN_OR_RETURN(Value l, EvalExpr(*expr.children[0], ctx));
-      LIPSTICK_ASSIGN_OR_RETURN(Value r, EvalExpr(*expr.children[1], ctx));
+      LIPSTICK_ASSIGN_OR_RETURN(const Value* r,
+                                Eval(e.children[1], ctx, &right));
       switch (expr.bin_op) {
         case BinOp::kEq:
-          return Value::Bool(l.Equals(r));
+          return put(Value::Bool(l->Equals(*r)));
         case BinOp::kNe:
-          return Value::Bool(!l.Equals(r));
+          return put(Value::Bool(!l->Equals(*r)));
         case BinOp::kLt:
-          return Value::Bool(l.Compare(r) < 0);
+          return put(Value::Bool(l->Compare(*r) < 0));
         case BinOp::kLe:
-          return Value::Bool(l.Compare(r) <= 0);
+          return put(Value::Bool(l->Compare(*r) <= 0));
         case BinOp::kGt:
-          return Value::Bool(l.Compare(r) > 0);
+          return put(Value::Bool(l->Compare(*r) > 0));
         case BinOp::kGe:
-          return Value::Bool(l.Compare(r) >= 0);
+          return put(Value::Bool(l->Compare(*r) >= 0));
         default:
           break;
       }
       // Arithmetic.
-      if (l.is_null() || r.is_null()) return Value::Null();
-      if (!l.is_numeric() || !r.is_numeric()) {
+      if (l->is_null() || r->is_null()) return put(Value::Null());
+      if (!l->is_numeric() || !r->is_numeric()) {
         return ExecErr(expr.loc, "arithmetic on non-numeric operands");
       }
       if (expr.bin_op == BinOp::kMod) {
-        if (!l.is_int() || !r.is_int()) {
+        if (!l->is_int() || !r->is_int()) {
           return ExecErr(expr.loc, "'%' requires integers");
         }
-        if (r.int_value() == 0) return Value::Null();
-        return Value::Int(l.int_value() % r.int_value());
+        if (r->int_value() == 0) return put(Value::Null());
+        return put(Value::Int(l->int_value() % r->int_value()));
       }
       if (expr.bin_op == BinOp::kDiv) {
-        if (l.is_int() && r.is_int()) {
-          if (r.int_value() == 0) return Value::Null();
-          return Value::Int(l.int_value() / r.int_value());
+        if (l->is_int() && r->is_int()) {
+          if (r->int_value() == 0) return put(Value::Null());
+          return put(Value::Int(l->int_value() / r->int_value()));
         }
-        double denom = r.AsDouble();
-        if (denom == 0) return Value::Null();
-        return Value::Double(l.AsDouble() / denom);
+        double denom = r->AsDouble();
+        if (denom == 0) return put(Value::Null());
+        return put(Value::Double(l->AsDouble() / denom));
       }
-      bool use_double = l.is_double() || r.is_double();
+      bool use_double = l->is_double() || r->is_double();
       switch (expr.bin_op) {
         case BinOp::kAdd:
-          return use_double ? Value::Double(l.AsDouble() + r.AsDouble())
-                            : Value::Int(l.int_value() + r.int_value());
+          return put(use_double
+                         ? Value::Double(l->AsDouble() + r->AsDouble())
+                         : Value::Int(l->int_value() + r->int_value()));
         case BinOp::kSub:
-          return use_double ? Value::Double(l.AsDouble() - r.AsDouble())
-                            : Value::Int(l.int_value() - r.int_value());
+          return put(use_double
+                         ? Value::Double(l->AsDouble() - r->AsDouble())
+                         : Value::Int(l->int_value() - r->int_value()));
         case BinOp::kMul:
-          return use_double ? Value::Double(l.AsDouble() * r.AsDouble())
-                            : Value::Int(l.int_value() * r.int_value());
+          return put(use_double
+                         ? Value::Double(l->AsDouble() * r->AsDouble())
+                         : Value::Int(l->int_value() * r->int_value()));
         default:
           return Status::Internal("unhandled arithmetic op");
       }
     }
-    case ExprKind::kFuncCall:
-      if (IsAggregateFunction(expr.name)) return EvalAggregate(expr, ctx);
-      return EvalUdf(expr, ctx);
+    case BoundExpr::Op::kAggregate:
+      return EvalAggregate(e, ctx, scratch);
+    case BoundExpr::Op::kUdf:
+      return EvalUdf(e, ctx, scratch);
   }
   return Status::Internal("unhandled expression kind");
 }
@@ -577,14 +685,17 @@ std::string DefaultItemName(const Expr& expr, const Schema& schema,
   }
 }
 
+/// Types the GENERATE items against `input`, binding each into `items`.
 Result<SchemaPtr> InferForEachSchema(const Statement& stmt,
                                      const Schema& input,
-                                     const UdfRegistry* udfs) {
+                                     const UdfRegistry* udfs,
+                                     std::vector<BoundExpr>* items) {
+  items->resize(stmt.gen_items.size());
   std::vector<Field> fields;
   for (size_t i = 0; i < stmt.gen_items.size(); ++i) {
     const GenItem& item = stmt.gen_items[i];
-    LIPSTICK_ASSIGN_OR_RETURN(FieldType type,
-                              InferExprType(*item.expr, input, udfs));
+    LIPSTICK_ASSIGN_OR_RETURN(
+        FieldType type, InferExprType(*item.expr, input, udfs, &(*items)[i]));
     if (item.flatten) {
       if (type.kind() == FieldType::Kind::kBag ||
           type.kind() == FieldType::Kind::kTuple) {
@@ -608,37 +719,39 @@ Result<SchemaPtr> InferForEachSchema(const Statement& stmt,
 
 Result<Relation> ExecForEach(const Statement& stmt, const Relation& input,
                              OpContext& op) {
-  LIPSTICK_ASSIGN_OR_RETURN(SchemaPtr out_schema,
-                            InferForEachSchema(stmt, *input.schema, op.udfs));
+  std::vector<BoundExpr> items;
+  LIPSTICK_ASSIGN_OR_RETURN(
+      SchemaPtr out_schema,
+      InferForEachSchema(stmt, *input.schema, op.udfs, &items));
   Relation out(stmt.target, out_schema);
   out.bag.Reserve(input.bag.size());
+  const size_t width = out_schema->num_fields();
 
+  // Per-tuple scratch, reused: each item's value, the agg/BB nodes its
+  // evaluation created, and the cross-product odometer over FLATTENed
+  // bags (`indices[k]` selects a tuple of the k-th flattened bag).
+  std::vector<Value> values(items.size());
+  std::vector<NodeId> specials;
+  std::vector<size_t> flat_positions;
+  std::vector<size_t> indices;
   for (const AnnotatedTuple& src : input.bag) {
-    std::vector<NodeId> specials;
-    EvalContext ctx{input.schema.get(), &src.tuple, src.annot,
-                    op.writer,          &specials,  op.udfs};
+    specials.clear();
+    EvalContext ctx{&src.tuple, src.annot, op.writer, &specials};
 
     // Evaluate all items; flatten items collect their bags for expansion.
-    struct ItemResult {
-      bool flatten = false;
-      Value value;
-    };
-    std::vector<ItemResult> results;
-    results.reserve(stmt.gen_items.size());
     bool any_field_flatten = false;
-    for (const GenItem& item : stmt.gen_items) {
-      LIPSTICK_ASSIGN_OR_RETURN(Value v, EvalExpr(*item.expr, ctx));
-      if (item.flatten && v.is_bag()) any_field_flatten = true;
-      results.push_back(ItemResult{item.flatten, std::move(v)});
+    for (size_t i = 0; i < items.size(); ++i) {
+      LIPSTICK_RETURN_IF_ERROR(EvalTo(items[i], ctx, &values[i]));
+      if (stmt.gen_items[i].flatten && values[i].is_bag()) {
+        any_field_flatten = true;
+      }
     }
 
-    // Expand the cross product over flattened bags. `indices[k]` selects a
-    // tuple from the k-th flattened bag.
-    std::vector<size_t> flat_positions;
-    for (size_t i = 0; i < results.size(); ++i) {
-      if (results[i].flatten && results[i].value.is_bag()) {
+    flat_positions.clear();
+    for (size_t i = 0; i < values.size(); ++i) {
+      if (stmt.gen_items[i].flatten && values[i].is_bag()) {
         flat_positions.push_back(i);
-        if (results[i].value.bag()->empty()) {
+        if (values[i].bag()->empty()) {
           // FLATTEN of an empty bag produces no output for this tuple.
           flat_positions.clear();
           break;
@@ -647,28 +760,28 @@ Result<Relation> ExecForEach(const Statement& stmt, const Relation& input,
     }
     if (any_field_flatten && flat_positions.empty()) continue;
 
-    std::vector<size_t> indices(flat_positions.size(), 0);
+    indices.assign(flat_positions.size(), 0);
     while (true) {
       Tuple tuple;
+      tuple.mutable_values().reserve(width);
       std::vector<NodeId> flatten_annots;
       size_t flat_k = 0;
-      for (size_t i = 0; i < results.size(); ++i) {
-        const ItemResult& r = results[i];
-        if (!r.flatten) {
-          tuple.Append(r.value);
+      for (size_t i = 0; i < values.size(); ++i) {
+        const Value& v = values[i];
+        if (!stmt.gen_items[i].flatten) {
+          tuple.Append(v);
           continue;
         }
-        if (r.value.is_bag()) {
-          const AnnotatedTuple& inner =
-              r.value.bag()->at(indices[flat_k++]);
-          for (const Value& v : inner.tuple.values()) tuple.Append(v);
+        if (v.is_bag()) {
+          const AnnotatedTuple& inner = v.bag()->at(indices[flat_k++]);
+          for (const Value& f : inner.tuple.values()) tuple.Append(f);
           if (inner.annot != kNoProvenance) {
             flatten_annots.push_back(inner.annot);
           }
-        } else if (r.value.is_tuple()) {
-          for (const Value& v : r.value.tuple()->values()) tuple.Append(v);
+        } else if (v.is_tuple()) {
+          for (const Value& f : v.tuple()->values()) tuple.Append(f);
         } else {
-          tuple.Append(r.value);  // FLATTEN of scalar: identity
+          tuple.Append(v);  // FLATTEN of scalar: identity
         }
       }
 
@@ -696,10 +809,7 @@ Result<Relation> ExecForEach(const Statement& stmt, const Relation& input,
       size_t k = indices.size();
       while (k > 0) {
         --k;
-        if (++indices[k] <
-            results[flat_positions[k]].value.bag()->size()) {
-          break;
-        }
+        if (++indices[k] < values[flat_positions[k]].bag()->size()) break;
         indices[k] = 0;
         if (k == 0) {
           k = SIZE_MAX;
@@ -714,58 +824,72 @@ Result<Relation> ExecForEach(const Statement& stmt, const Relation& input,
 
 Result<Relation> ExecFilter(const Statement& stmt, const Relation& input,
                             OpContext& op) {
+  BoundExpr condition;
   LIPSTICK_ASSIGN_OR_RETURN(
       FieldType cond_type,
-      InferExprType(*stmt.condition, *input.schema, op.udfs));
+      InferExprType(*stmt.condition, *input.schema, op.udfs, &condition));
   if (cond_type.kind() != FieldType::Kind::kBool) {
     return TypeErr(stmt.loc, "FILTER condition must be boolean");
   }
   Relation out(stmt.target, input.schema);
+  Value scratch;
   for (const AnnotatedTuple& src : input.bag) {
-    EvalContext ctx{input.schema.get(), &src.tuple, src.annot,
-                    op.writer,          nullptr,    op.udfs};
-    LIPSTICK_ASSIGN_OR_RETURN(Value cond, EvalExpr(*stmt.condition, ctx));
-    if (cond.is_null()) continue;
-    if (!cond.is_bool()) {
+    EvalContext ctx{&src.tuple, src.annot, op.writer, nullptr};
+    LIPSTICK_ASSIGN_OR_RETURN(const Value* cond,
+                              Eval(condition, ctx, &scratch));
+    if (cond->is_null()) continue;
+    if (!cond->is_bool()) {
       return ExecErr(stmt.loc, "FILTER condition is not boolean");
     }
-    if (cond.bool_value()) out.bag.Add(src);
+    if (cond->bool_value()) out.bag.Add(src);
   }
   return out;
 }
 
-/// Evaluates the key expressions of a ByClause against one tuple.
-Result<ValueVec> EvalKeys(const ByClause& clause, const Schema& schema,
-                          const Tuple& tuple, const UdfRegistry* udfs) {
-  ValueVec key;
-  key.values.reserve(clause.keys.size());
-  EvalContext ctx{&schema, &tuple, kNoProvenance, nullptr, nullptr, udfs};
-  for (const ExprPtr& k : clause.keys) {
-    LIPSTICK_ASSIGN_OR_RETURN(Value v, EvalExpr(*k, ctx));
-    key.values.push_back(std::move(v));
+/// Looks up the relation of every BY clause, in clause order.
+Result<std::vector<const Relation*>> LookupByInputs(const Statement& stmt,
+                                                    const Environment& env) {
+  std::vector<const Relation*> inputs;
+  for (const ByClause& clause : stmt.by_clauses) {
+    LIPSTICK_ASSIGN_OR_RETURN(const Relation* rel,
+                              LookupInput(stmt, env, clause.relation));
+    inputs.push_back(rel);
   }
-  return key;
+  return inputs;
 }
 
-Result<FieldType> KeyFieldType(const ByClause& clause, const Schema& schema,
-                               const UdfRegistry* udfs, SourceLoc loc) {
-  if (clause.keys.empty()) {
-    return FieldType::String();  // GROUP ALL: the group key is 'all'
-  }
-  if (clause.keys.size() == 1) {
-    LIPSTICK_ASSIGN_OR_RETURN(FieldType t,
-                              InferExprType(*clause.keys[0], schema, udfs));
-    if (!t.is_scalar()) return TypeErr(loc, "group/join key must be scalar");
-    return t;
-  }
+/// Binds the key expressions of a BY clause against its input's schema
+/// and returns the group key's type: 'all' (a string) for no keys, the
+/// key's type for one, a tuple type for several. With `require_scalar` a
+/// bag- or tuple-valued key is a type error.
+Result<FieldType> BindKeys(const ByClause& clause, const Schema& schema,
+                           const UdfRegistry* udfs, SourceLoc loc,
+                           bool require_scalar, std::vector<BoundExpr>* keys) {
+  keys->resize(clause.keys.size());
   std::vector<Field> fields;
   for (size_t i = 0; i < clause.keys.size(); ++i) {
-    LIPSTICK_ASSIGN_OR_RETURN(FieldType t,
-                              InferExprType(*clause.keys[i], schema, udfs));
-    if (!t.is_scalar()) return TypeErr(loc, "group/join key must be scalar");
+    LIPSTICK_ASSIGN_OR_RETURN(
+        FieldType t, InferExprType(*clause.keys[i], schema, udfs, &(*keys)[i]));
+    if (require_scalar && !t.is_scalar()) {
+      return TypeErr(loc, "group/join key must be scalar");
+    }
     fields.emplace_back(StrCat("k", i), std::move(t));
   }
+  if (fields.empty()) return FieldType::String();  // GROUP ALL
+  if (fields.size() == 1) return std::move(fields[0].type);
   return FieldType::Tuple(Schema::Make(std::move(fields)));
+}
+
+/// Evaluates bound keys against one tuple into `key`, reusing its storage.
+/// Keys are evaluated without provenance.
+Status EvalKeys(const std::vector<BoundExpr>& keys, const Tuple& tuple,
+                ValueVec* key) {
+  key->values.resize(keys.size());
+  EvalContext ctx{&tuple, kNoProvenance, nullptr, nullptr};
+  for (size_t i = 0; i < keys.size(); ++i) {
+    LIPSTICK_RETURN_IF_ERROR(EvalTo(keys[i], ctx, &key->values[i]));
+  }
+  return Status::OK();
 }
 
 Value KeyToValue(const ValueVec& key) {
@@ -776,35 +900,39 @@ Value KeyToValue(const ValueVec& key) {
 
 /// GROUP / COGROUP share this implementation; GROUP is the 1-input case.
 Result<Relation> ExecCogroup(const Statement& stmt, OpContext& op) {
+  LIPSTICK_ASSIGN_OR_RETURN(std::vector<const Relation*> inputs,
+                            LookupByInputs(stmt, *op.env));
+  // Every clause binds before any tuple is read; the first clause's key
+  // type names the "group" field and must be scalar.
+  std::vector<std::vector<BoundExpr>> keys(inputs.size());
+  FieldType key_type;
+  for (size_t in = 0; in < inputs.size(); ++in) {
+    LIPSTICK_ASSIGN_OR_RETURN(
+        FieldType t, BindKeys(stmt.by_clauses[in], *inputs[in]->schema,
+                              op.udfs, stmt.loc, in == 0, &keys[in]));
+    if (in == 0) key_type = std::move(t);
+  }
+
   struct GroupData {
-    ValueVec key;
+    const ValueVec* key;  // owned by `index`
     std::vector<std::vector<const AnnotatedTuple*>> members;  // per input
   };
   std::unordered_map<ValueVec, size_t, ValueVecHash> index;
   std::vector<GroupData> groups;
-  std::vector<const Relation*> inputs;
-
-  for (size_t in = 0; in < stmt.by_clauses.size(); ++in) {
-    const ByClause& clause = stmt.by_clauses[in];
-    LIPSTICK_ASSIGN_OR_RETURN(const Relation* rel,
-                              LookupInput(stmt, *op.env, clause.relation));
-    inputs.push_back(rel);
-    for (const AnnotatedTuple& t : rel->bag) {
-      LIPSTICK_ASSIGN_OR_RETURN(
-          ValueVec key, EvalKeys(clause, *rel->schema, t.tuple, op.udfs));
+  ValueVec key;
+  for (size_t in = 0; in < inputs.size(); ++in) {
+    for (const AnnotatedTuple& t : inputs[in]->bag) {
+      LIPSTICK_RETURN_IF_ERROR(EvalKeys(keys[in], t.tuple, &key));
       auto [it, inserted] = index.try_emplace(key, groups.size());
       if (inserted) {
-        groups.push_back(GroupData{std::move(key), {}});
-        groups.back().members.resize(stmt.by_clauses.size());
+        groups.push_back(GroupData{&it->first, {}});
+        groups.back().members.resize(inputs.size());
       }
       groups[it->second].members[in].push_back(&t);
     }
   }
 
   // Schema: "group" key field, then one bag field per input named after it.
-  LIPSTICK_ASSIGN_OR_RETURN(
-      FieldType key_type,
-      KeyFieldType(stmt.by_clauses[0], *inputs[0]->schema, op.udfs, stmt.loc));
   std::vector<Field> fields;
   fields.emplace_back("group", key_type);
   for (size_t in = 0; in < inputs.size(); ++in) {
@@ -816,7 +944,7 @@ Result<Relation> ExecCogroup(const Statement& stmt, OpContext& op) {
 
   for (const GroupData& g : groups) {
     Tuple tuple;
-    tuple.Append(KeyToValue(g.key));
+    tuple.Append(KeyToValue(*g.key));
     std::vector<NodeId> member_annots;
     for (size_t in = 0; in < g.members.size(); ++in) {
       auto bag = std::make_shared<Bag>();
@@ -839,74 +967,115 @@ Result<Relation> ExecCogroup(const Statement& stmt, OpContext& op) {
   return out;
 }
 
+/// Adds one JOIN's work to the `pig.join_rows_indexed` and
+/// `pig.join_rows_probed` counters, when metrics are armed.
+void RecordJoinWork(size_t indexed, size_t probed) {
+  if (!obs::MetricsRegistry::Enabled()) return;
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  static const obs::MetricId kIndexed =
+      metrics.RegisterCounter("pig.join_rows_indexed");
+  static const obs::MetricId kProbed =
+      metrics.RegisterCounter("pig.join_rows_probed");
+  metrics.CounterAdd(kIndexed, indexed);
+  metrics.CounterAdd(kProbed, probed);
+}
+
+/// Hash join that indexes its smallest input (the first on a tie) and
+/// streams every other input through the index once. The output is what a
+/// nested loop over the inputs yields: input 0's tuples in order, each
+/// followed by the cross product of its matches, the last input varying
+/// fastest and every match list in its input's order.
 Result<Relation> ExecJoin(const Statement& stmt, OpContext& op) {
-  std::vector<const Relation*> inputs;
-  for (const ByClause& clause : stmt.by_clauses) {
-    LIPSTICK_ASSIGN_OR_RETURN(const Relation* rel,
-                              LookupInput(stmt, *op.env, clause.relation));
-    inputs.push_back(rel);
-  }
+  LIPSTICK_ASSIGN_OR_RETURN(std::vector<const Relation*> inputs,
+                            LookupByInputs(stmt, *op.env));
+  const size_t n = inputs.size();
   // Key lists must agree in arity and kind across all join inputs.
-  for (size_t in = 0; in < inputs.size(); ++in) {
+  std::vector<std::vector<BoundExpr>> keys(n);
+  for (size_t in = 0; in < n; ++in) {
     if (stmt.by_clauses[in].keys.size() != stmt.by_clauses[0].keys.size()) {
       return TypeErr(stmt.loc, "JOIN key lists differ in length");
     }
-    LIPSTICK_RETURN_IF_ERROR(
-        KeyFieldType(stmt.by_clauses[in], *inputs[in]->schema, op.udfs,
-                     stmt.loc)
-            .status());
+    LIPSTICK_RETURN_IF_ERROR(BindKeys(stmt.by_clauses[in], *inputs[in]->schema,
+                                      op.udfs, stmt.loc,
+                                      /*require_scalar=*/true, &keys[in])
+                                 .status());
   }
   // Output schema: fields of every input, qualified "Rel::field".
   std::vector<Field> fields;
-  for (size_t in = 0; in < inputs.size(); ++in) {
+  for (size_t in = 0; in < n; ++in) {
     for (const Field& f : inputs[in]->schema->fields()) {
       fields.emplace_back(StrCat(stmt.by_clauses[in].relation, "::", f.name),
                           f.type);
     }
   }
+  const size_t width = fields.size();
   Relation out(stmt.target, Schema::Make(std::move(fields)));
 
-  // Hash each non-first input by key.
+  size_t smallest = 0;
+  for (size_t in = 1; in < n; ++in) {
+    if (inputs[in]->bag.size() < inputs[smallest]->bag.size()) smallest = in;
+  }
+  if (inputs[smallest]->bag.empty()) return out;
+
+  // A group per distinct key of the indexed input, holding each input's
+  // matching tuples (input 0 instead records each tuple's group).
   using Matches = std::vector<const AnnotatedTuple*>;
-  std::vector<std::unordered_map<ValueVec, Matches, ValueVecHash>> tables(
-      inputs.size());
-  for (size_t in = 1; in < inputs.size(); ++in) {
-    for (const AnnotatedTuple& t : inputs[in]->bag) {
-      LIPSTICK_ASSIGN_OR_RETURN(
-          ValueVec key,
-          EvalKeys(stmt.by_clauses[in], *inputs[in]->schema, t.tuple,
-                   op.udfs));
-      tables[in][std::move(key)].push_back(&t);
+  constexpr uint32_t kNoGroup = UINT32_MAX;
+  std::unordered_map<ValueVec, uint32_t, ValueVecHash> index;
+  std::vector<std::vector<Matches>> groups;
+  std::vector<uint32_t> group_of(inputs[0]->bag.size(), kNoGroup);
+  // The indexed input goes first; the others follow in input order.
+  std::vector<size_t> order = {smallest};
+  for (size_t in = 0; in < n; ++in) {
+    if (in != smallest) order.push_back(in);
+  }
+  ValueVec key;
+  size_t probed = 0;
+  for (size_t in : order) {
+    const Bag& bag = inputs[in]->bag;
+    if (in != smallest) probed += bag.size();
+    for (size_t i = 0; i < bag.size(); ++i) {
+      LIPSTICK_RETURN_IF_ERROR(EvalKeys(keys[in], bag.at(i).tuple, &key));
+      uint32_t group;
+      if (in == smallest) {
+        auto [it, inserted] =
+            index.try_emplace(key, static_cast<uint32_t>(groups.size()));
+        if (inserted) groups.emplace_back(n);
+        group = it->second;
+      } else {
+        auto it = index.find(key);
+        if (it == index.end()) continue;
+        group = it->second;
+      }
+      if (in == 0) {
+        group_of[i] = group;
+      } else {
+        groups[group][in].push_back(&bag.at(i));
+      }
     }
   }
+  RecordJoinWork(inputs[smallest]->bag.size(), probed);
 
-  // Probe with the first input; emit the cross product of matches.
-  for (const AnnotatedTuple& t0 : inputs[0]->bag) {
-    LIPSTICK_ASSIGN_OR_RETURN(
-        ValueVec key,
-        EvalKeys(stmt.by_clauses[0], *inputs[0]->schema, t0.tuple, op.udfs));
-    std::vector<const Matches*> match_lists;
-    bool missing = false;
-    for (size_t in = 1; in < inputs.size(); ++in) {
-      auto it = tables[in].find(key);
-      if (it == tables[in].end()) {
-        missing = true;
-        break;
-      }
-      match_lists.push_back(&it->second);
+  std::vector<size_t> indices(n - 1);
+  for (size_t i = 0; i < group_of.size(); ++i) {
+    if (group_of[i] == kNoGroup) continue;
+    const std::vector<Matches>& g = groups[group_of[i]];
+    if (std::any_of(g.begin() + 1, g.end(),
+                    [](const Matches& m) { return m.empty(); })) {
+      continue;
     }
-    if (missing) continue;
-
-    std::vector<size_t> indices(match_lists.size(), 0);
+    const AnnotatedTuple& t0 = inputs[0]->bag.at(i);
+    std::fill(indices.begin(), indices.end(), 0);
     while (true) {
       Tuple tuple;
+      tuple.mutable_values().reserve(width);
       std::vector<NodeId> parents;
       for (const Value& v : t0.tuple.values()) tuple.Append(v);
       if (t0.annot != kNoProvenance && op.writer != nullptr) {
         parents.push_back(op.writer->ResolveParent(t0.annot));
       }
-      for (size_t k = 0; k < match_lists.size(); ++k) {
-        const AnnotatedTuple* t = (*match_lists[k])[indices[k]];
+      for (size_t k = 0; k < indices.size(); ++k) {
+        const AnnotatedTuple* t = g[k + 1][indices[k]];
         for (const Value& v : t->tuple.values()) tuple.Append(v);
         if (t->annot != kNoProvenance && op.writer != nullptr) {
           parents.push_back(op.writer->ResolveParent(t->annot));
@@ -922,7 +1091,7 @@ Result<Relation> ExecJoin(const Statement& stmt, OpContext& op) {
       bool done = indices.empty();
       while (k > 0) {
         --k;
-        if (++indices[k] < match_lists[k]->size()) break;
+        if (++indices[k] < g[k + 1].size()) break;
         indices[k] = 0;
         if (k == 0) done = true;
       }
@@ -1056,9 +1225,11 @@ Result<std::vector<Relation>> ExecSplit(const Statement& stmt,
                                         const Relation& input,
                                         OpContext& op) {
   std::vector<Relation> outs;
-  for (const auto& [name, cond] : stmt.split_targets) {
-    LIPSTICK_ASSIGN_OR_RETURN(FieldType t,
-                              InferExprType(*cond, *input.schema, op.udfs));
+  std::vector<BoundExpr> conds(stmt.split_targets.size());
+  for (size_t i = 0; i < stmt.split_targets.size(); ++i) {
+    const auto& [name, cond] = stmt.split_targets[i];
+    LIPSTICK_ASSIGN_OR_RETURN(
+        FieldType t, InferExprType(*cond, *input.schema, op.udfs, &conds[i]));
     if (t.kind() != FieldType::Kind::kBool) {
       return TypeErr(stmt.loc,
                      StrCat("SPLIT condition for '", name,
@@ -1066,13 +1237,12 @@ Result<std::vector<Relation>> ExecSplit(const Statement& stmt,
     }
     outs.emplace_back(name, input.schema);
   }
+  Value scratch;
   for (const AnnotatedTuple& src : input.bag) {
-    EvalContext ctx{input.schema.get(), &src.tuple, src.annot,
-                    op.writer,          nullptr,    op.udfs};
-    for (size_t i = 0; i < stmt.split_targets.size(); ++i) {
-      LIPSTICK_ASSIGN_OR_RETURN(Value v,
-                                EvalExpr(*stmt.split_targets[i].second, ctx));
-      if (v.is_bool() && v.bool_value()) outs[i].bag.Add(src);
+    EvalContext ctx{&src.tuple, src.annot, op.writer, nullptr};
+    for (size_t i = 0; i < conds.size(); ++i) {
+      LIPSTICK_ASSIGN_OR_RETURN(const Value* v, Eval(conds[i], ctx, &scratch));
+      if (v->is_bool() && v->bool_value()) outs[i].bag.Add(src);
     }
   }
   return outs;

@@ -24,6 +24,11 @@ class Environment {
     relations_[name] = std::move(relation);
   }
   Result<const Relation*> Lookup(const std::string& name) const;
+  /// The relation bound to `name`, for moving its bag out; null if unbound.
+  Relation* MutableLookup(const std::string& name) {
+    auto it = relations_.find(name);
+    return it == relations_.end() ? nullptr : &it->second;
+  }
   bool Contains(const std::string& name) const {
     return relations_.count(name) > 0;
   }
@@ -98,19 +103,27 @@ struct ExprError {
 
 using ExprErrorFn = std::function<void(ExprError)>;
 
+/// `expr` bound to one input schema: field names resolved to columns,
+/// aggregate names to an operator, UDF names to registry entries. The
+/// interpreter evaluates only this form (defined in interpreter.cc).
+struct BoundExpr;
+
 /// Infers the result type of `expr` against tuples of `schema`, reporting
 /// every type error to `on_error` and going on past it: both operands of a
 /// binary operator are checked even when the first one fails. A failed
 /// subexpression yields nullopt, which suppresses the checks that depend on
-/// its type.
+/// its type. When `bound` is non-null the same walk emits the bound form
+/// into it; it is meaningful only when a type is returned.
 std::optional<FieldType> CheckExprType(const Expr& expr, const Schema& schema,
                                        const UdfRegistry* udfs,
-                                       const ExprErrorFn& on_error);
+                                       const ExprErrorFn& on_error,
+                                       BoundExpr* bound = nullptr);
 
 /// CheckExprType that fails with the first error. Its message carries the
 /// "line L:C: " prefix, except for a field that does not resolve.
 Result<FieldType> InferExprType(const Expr& expr, const Schema& schema,
-                                const UdfRegistry* udfs);
+                                const UdfRegistry* udfs,
+                                BoundExpr* bound = nullptr);
 
 /// True if `name` is one of the built-in aggregates COUNT/SUM/MIN/MAX/AVG.
 bool IsAggregateFunction(const std::string& name);

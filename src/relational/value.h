@@ -127,6 +127,7 @@ class Bag {
   bool empty() const { return tuples_.empty(); }
   const AnnotatedTuple& at(size_t i) const { return tuples_[i]; }
   const std::vector<AnnotatedTuple>& tuples() const { return tuples_; }
+  std::vector<AnnotatedTuple>& mutable_tuples() { return tuples_; }
 
   void Add(Tuple t, ProvAnnotation a = kNoProvenance) {
     tuples_.emplace_back(std::move(t), a);

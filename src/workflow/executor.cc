@@ -262,29 +262,28 @@ struct WorkflowExecutor::NodeRun {
       env.Bind(rel_name, Relation(rel_name, schema, std::move(bag)));
     }
 
-    // Bind state relations with their stored annotations; tuples that have
-    // never been annotated get a one-time base token. "s" nodes are
-    // created lazily (only for tuples that contribute to derivations).
+    // Move the state relations into the environment with their stored
+    // annotations; tuples that have never been annotated get a one-time
+    // base token, in place, so it persists. "s" nodes are created lazily
+    // (only for tuples that contribute to derivations). The bags come back
+    // after a successful run; a failed one leaves them moved-from, and the
+    // caller restores the instance from its attempt copy or first-touch
+    // snapshot (DESIGN.md §5a).
     std::unordered_set<NodeId> state_eligible;
     for (auto& [rel_name, rel] : *state) {
       if (writer != nullptr) {
-        Bag rebuilt;
-        rebuilt.Reserve(rel.bag.size());
         size_t i = 0;
-        for (const AnnotatedTuple& t : rel.bag) {
-          ProvAnnotation annot = t.annot;
-          if (annot == kNoProvenance) {
-            annot = writer->Token(
+        for (AnnotatedTuple& t : rel.bag.mutable_tuples()) {
+          if (t.annot == kNoProvenance) {
+            t.annot = writer->Token(
                 StrCat(node->instance, ".", rel_name, "[", i, "]"),
                 NodeRole::kStateBase);
           }
-          state_eligible.insert(annot);
-          rebuilt.Add(t.tuple, annot);
+          state_eligible.insert(t.annot);
           ++i;
         }
-        rel.bag = std::move(rebuilt);  // persist the base tokens
       }
-      env.Bind(rel_name, rel);
+      env.Bind(rel_name, Relation(rel.name, rel.schema, std::move(rel.bag)));
     }
     if (writer != nullptr) {
       writer->BeginStateScope(inv, &state_eligible);
@@ -309,14 +308,6 @@ struct WorkflowExecutor::NodeRun {
       relation_rows.emplace_hint(relation_rows.end(), rel_name, rel.bag.size());
     }
 
-    // Persist new state (annotations carried through).
-    for (auto& [rel_name, rel] : *state) {
-      Result<const Relation*> bound = env.Lookup(rel_name);
-      if (bound.ok()) {
-        rel.bag = bound.value()->bag;
-      }
-    }
-
     // Collect outputs, wrapping each tuple with an "o" node ·(tuple, m).
     std::map<std::string, Relation> outputs;
     for (const auto& [rel_name, schema] : spec->output_schemas) {
@@ -336,6 +327,14 @@ struct WorkflowExecutor::NodeRun {
         out.bag.Add(t.tuple, annot);
       }
       outputs.emplace(rel_name, std::move(out));
+    }
+
+    // Move the new state back (annotations carried through). Outputs are
+    // collected first: an output may read a state relation's bag.
+    for (auto& [rel_name, rel] : *state) {
+      if (Relation* bound = env.MutableLookup(rel_name)) {
+        rel.bag = std::move(bound->bag);
+      }
     }
     return outputs;
   }
@@ -389,9 +388,9 @@ Status WorkflowExecutor::RunNodeWithRetries(const std::string& node_id,
   std::map<std::string, Bag> edge_inputs;
   {
     std::lock_guard<std::mutex> lock(exec->mu);
-    // emplace is a no-op if an earlier node of this instance already
+    // Copies nothing if an earlier node of this instance already
     // snapshotted it (first touch wins — that is the pre-execution state).
-    exec->snapshots.emplace(node->instance, *state);
+    exec->snapshots.try_emplace(node->instance, *state);
     edge_inputs = GatherEdgeInputs(*workflow_, node_id, exec->outputs);
   }
 

@@ -4,6 +4,7 @@
 
 #include <cstdlib>
 
+#include "common/str_util.h"
 #include "provenance/deletion.h"
 #include "provenance/query.h"
 #include "provenance/subgraph.h"
@@ -429,6 +430,109 @@ TEST_F(FaultTest, FailFastRollsBackStateAndProvenance) {
   graph.Seal();
   GraphStats stats = *ComputeGraphStats(Snap(graph));
   EXPECT_EQ(stats.invocations, 6u);  // 3 nodes x 2 committed executions
+}
+
+/// Every tuple of the accumulator's state with its annotation, in order.
+std::string AnnotatedState(const WorkflowExecutor& exec) {
+  auto state = exec.GetState("acc", "Seen");
+  if (!state.ok()) return state.status().ToString();
+  std::string out;
+  for (const AnnotatedTuple& t : (*state)->bag) {
+    out += StrCat(t.tuple.ToString(), "@", t.annot, " ");
+  }
+  return out;
+}
+
+TEST_F(FaultTest, StateSurvivesFailureInsideStatefulNode) {
+  // The state moves into the interpreter's environment while a node runs,
+  // so a statement failing inside the accumulator's Qstate fails with its
+  // state moved out. Each way of failing must restore the pre-execution
+  // bag, annotations included, and the next execution continues from it.
+  enum class Mode { kFailFast, kRetriedFailFast, kBestEffort };
+  for (bool tracked : {false, true}) {
+    for (Mode mode : {Mode::kFailFast, Mode::kRetriedFailFast,
+                      Mode::kBestEffort}) {
+      SCOPED_TRACE(StrCat(tracked ? "tracked" : "untracked", ", mode ",
+                          static_cast<int>(mode)));
+      FaultInjector::Global().Reset();
+      Workflow w;
+      AddModuleOrDie(&w, SourceModule());
+      AddModuleOrDie(&w, AccumulatorModule());
+      LIPSTICK_ASSERT_OK(w.AddNode("in", "source"));
+      LIPSTICK_ASSERT_OK(w.AddNode("acc", "accumulator"));
+      LIPSTICK_ASSERT_OK(w.AddEdge("in", "acc", {EdgeRelation{"Out", "In"}}));
+      WorkflowExecutor exec(&w, nullptr);
+      LIPSTICK_ASSERT_OK(exec.Initialize());
+      ProvenanceGraph graph;
+      ProvenanceGraph* g = tracked ? &graph : nullptr;
+
+      // One committed execution: non-empty state, annotated when tracked.
+      LIPSTICK_ASSERT_OK(exec.Execute(ChainInputs({10, 11}), g).status());
+      const std::string before = AnnotatedState(exec);
+      ASSERT_EQ((*exec.GetState("acc", "Seen"))->bag.ToString(), "{(10),(11)}");
+      // Tracked, every state tuple carries an annotation; untracked, none.
+      EXPECT_EQ(before.find("@0 ") == std::string::npos, tracked);
+
+      // Fail the Qstate statement `Seen = UNION Seen, In;`.
+      FaultInjector::FaultSpec spec;
+      spec.point = "pig.statement";
+      spec.key = "Seen";
+      ExecutionOptions options;
+      if (mode == Mode::kRetriedFailFast) {
+        spec.max_fires = 2;
+        options.retry.max_attempts = 3;
+      }
+      if (mode == Mode::kBestEffort) {
+        options.failure_policy = FailurePolicy::kBestEffort;
+      }
+      FaultInjector::Global().Arm(spec);
+      ExecutionReport report;
+      auto failed = exec.Execute(ChainInputs({5}), g, options, &report);
+      FaultInjector::Global().Reset();
+
+      switch (mode) {
+        case Mode::kFailFast:
+          ASSERT_FALSE(failed.ok());
+          EXPECT_EQ(failed.status().code(), StatusCode::kUnavailable);
+          EXPECT_EQ(exec.executions_run(), 1u);
+          EXPECT_EQ(AnnotatedState(exec), before);
+          break;
+        case Mode::kRetriedFailFast:
+          // Two failed attempts, then the third commits on top of the
+          // restored state: the old tuples keep their annotations.
+          LIPSTICK_ASSERT_OK(failed.status());
+          EXPECT_EQ(report.nodes.at("acc").attempts, 3);
+          EXPECT_EQ(exec.executions_run(), 2u);
+          EXPECT_EQ(AnnotatedState(exec).substr(0, before.size()), before);
+          EXPECT_EQ(failed->at("acc").at("Total").bag.ToString(), "{(26)}");
+          break;
+        case Mode::kBestEffort:
+          LIPSTICK_ASSERT_OK(failed.status());
+          EXPECT_FALSE(report.nodes.at("acc").status.ok());
+          EXPECT_EQ(failed->count("acc"), 0u);
+          EXPECT_EQ(exec.executions_run(), 2u);
+          EXPECT_EQ(AnnotatedState(exec), before);
+          break;
+      }
+
+      // The next execution continues from that state.
+      const std::string kept = AnnotatedState(exec);
+      auto next = exec.Execute(ChainInputs({1}), g);
+      LIPSTICK_ASSERT_OK(next.status());
+      EXPECT_EQ(next->at("acc").at("Total").bag.ToString(),
+                mode == Mode::kRetriedFailFast ? "{(27)}" : "{(22)}");
+      EXPECT_EQ(AnnotatedState(exec).substr(0, kept.size()), kept);
+      if (tracked) {
+        graph.Seal();
+        for (NodeId id : graph.AllNodeIds()) {
+          if (!graph.Contains(id)) continue;
+          for (NodeId p : graph.ParentsOf(id)) {
+            EXPECT_TRUE(graph.Contains(p)) << "live node with dead parent";
+          }
+        }
+      }
+    }
+  }
 }
 
 /// --------------------- always-on invariant checks -----------------------

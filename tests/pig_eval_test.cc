@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+
+#include "common/rng.h"
+#include "common/str_util.h"
 #include "pig/interpreter.h"
 #include "pig/parser.h"
 #include "pig/udf.h"
+#include "reference_join.h"
 #include "test_util.h"
 
 namespace lipstick::pig {
@@ -240,6 +245,38 @@ TEST_F(EvalTest, AggregateOverEmptyBag) {
   }
 }
 
+TEST_F(EvalTest, AggregatesSkipNulls) {
+  env_.Bind("R", MakeRelation("R",
+                              MakeSchema({{"k", FieldType::Int()},
+                                          {"x", FieldType::Int()}}),
+                              {T({I(1), I(1)}), T({I(1), Value::Null()}),
+                               T({I(1), I(3)}), T({I(2), Value::Null()})}));
+  auto rel = RunPig(
+      "G = GROUP R BY k;\n"
+      "A = FOREACH G GENERATE group AS k, AVG(R.x) AS mean, SUM(R.x) AS s,"
+      "    MIN(R.x) AS lo, MAX(R.x) AS hi, COUNT(R) AS n;",
+      &env_, "A");
+  LIPSTICK_ASSERT_OK(rel.status());
+  ASSERT_EQ(rel->bag.size(), 2u);
+  for (const AnnotatedTuple& t : rel->bag) {
+    if (t.tuple.at(0).int_value() == 1) {
+      // AVG divides by the two non-null values, not by the three tuples.
+      EXPECT_DOUBLE_EQ(t.tuple.at(1).double_value(), 2.0);
+      EXPECT_EQ(t.tuple.at(2).int_value(), 4);
+      EXPECT_EQ(t.tuple.at(3).int_value(), 1);
+      EXPECT_EQ(t.tuple.at(4).int_value(), 3);
+      EXPECT_EQ(t.tuple.at(5).int_value(), 3);
+    } else {
+      // All null: no average, minimum or maximum; the sum stays 0.
+      EXPECT_TRUE(t.tuple.at(1).is_null());
+      EXPECT_EQ(t.tuple.at(2).int_value(), 0);
+      EXPECT_TRUE(t.tuple.at(3).is_null());
+      EXPECT_TRUE(t.tuple.at(4).is_null());
+      EXPECT_EQ(t.tuple.at(5).int_value(), 1);
+    }
+  }
+}
+
 TEST_F(EvalTest, AggregateTypeErrors) {
   auto r1 = RunPig("A = FOREACH Cars GENERATE COUNT(CarId);", &env_, "A");
   EXPECT_EQ(r1.status().code(), StatusCode::kTypeError);  // not a bag
@@ -440,6 +477,156 @@ TEST_F(EvalTest, ThreeWayJoin) {
   // 2 civic cars x 1 request x 2 colors.
   EXPECT_EQ(rel->bag.size(), 4u);
   EXPECT_EQ(rel->schema->num_fields(), 2u + 3u + 2u);
+}
+
+/// ------------------ JOIN vs the nested-loop reference -------------------
+
+/// A random JOIN input (id, k, m, x) over small domains, so keys repeat.
+/// About one k and one x in eight is null. A `double_key` input holds k as
+/// a double: a whole number, which equals the int, or now and then a .5
+/// that matches nothing.
+Relation RandomJoinInput(const std::string& name, bool double_key,
+                         size_t size, Rng* rng) {
+  Relation rel(name, MakeSchema({{"id", FieldType::Int()},
+                                 {"k", double_key ? FieldType::Double()
+                                                  : FieldType::Int()},
+                                 {"m", FieldType::Int()},
+                                 {"x", FieldType::Int()}}));
+  for (size_t i = 0; i < size; ++i) {
+    Value k;
+    if (rng->Uniform(0, 7) != 0) {
+      int64_t v = rng->Uniform(0, 4);
+      k = double_key
+              ? D(static_cast<double>(v) + (rng->Uniform(0, 5) == 0 ? 0.5 : 0))
+              : I(v);
+    }
+    Value x = rng->Uniform(0, 7) == 0 ? Value() : I(rng->Uniform(0, 14));
+    rel.bag.Add(T({I(static_cast<int64_t>(i)), k, I(rng->Uniform(0, 1)), x}));
+  }
+  return rel;
+}
+
+/// One way to key a join input: its Pig BY expression and the same key
+/// computed directly.
+struct JoinKeyForm {
+  std::string pig;
+  std::function<testing::JoinKey(const Tuple&)> key;
+};
+
+TEST(JoinReferenceTest, MatchesNestedLoopInOrderWithProvenance) {
+  const JoinKeyForm by_k{"k", [](const Tuple& t) {
+                           return testing::JoinKey{t.at(1)};
+                         }};
+  const JoinKeyForm by_k_m{"(k, m)", [](const Tuple& t) {
+                             return testing::JoinKey{t.at(1), t.at(2)};
+                           }};
+  // Pig's int division truncates like C++'s, and null stays null.
+  const JoinKeyForm by_expr{"(x - 1) / 3", [](const Tuple& t) {
+                              testing::JoinKey key(1);
+                              const Value& x = t.at(3);
+                              if (!x.is_null()) {
+                                key[0] = I((x.int_value() - 1) / 3);
+                              }
+                              return key;
+                            }};
+  // Per case, each input's key form (all of one arity).
+  const std::vector<std::vector<const JoinKeyForm*>> key_sets = {
+      {&by_k, &by_k},
+      {&by_k_m, &by_k_m},
+      {&by_expr, &by_k},
+      {&by_k, &by_k, &by_k},
+      {&by_k_m, &by_k_m, &by_k_m},
+      {&by_k, &by_expr, &by_k},
+  };
+  // Input sizes: each input in turn the smallest, a tie, and an empty
+  // input in every position.
+  const std::vector<std::vector<size_t>> size_sets2 = {
+      {3, 17}, {17, 3}, {9, 9}, {0, 12}, {12, 0}, {0, 0}};
+  const std::vector<std::vector<size_t>> size_sets3 = {
+      {2, 11, 14}, {11, 2, 14}, {11, 14, 2}, {7, 7, 9},
+      {0, 8, 9},   {8, 0, 9},   {8, 9, 0}};
+  const char* names[] = {"A", "B", "C"};
+
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    for (const auto& forms : key_sets) {
+      const auto& size_sets = forms.size() == 2 ? size_sets2 : size_sets3;
+      for (const auto& sizes : size_sets) {
+        SCOPED_TRACE(StrCat("seed ", seed, ", key ", forms[0]->pig, " x",
+                            forms.size(), ", sizes ", sizes[0], "/",
+                            sizes[1], sizes.size() > 2 ? "/" : "",
+                            sizes.size() > 2 ? StrCat(sizes[2]) : ""));
+        Rng rng(seed * 1000 + sizes[0] * 31 + sizes[1]);
+        std::vector<Relation> inputs;
+        std::vector<std::vector<testing::JoinKey>> keys(forms.size());
+        std::vector<std::string> clauses;
+        for (size_t in = 0; in < forms.size(); ++in) {
+          // B holds k as a double, so int and double keys meet.
+          inputs.push_back(
+              RandomJoinInput(names[in], in == 1, sizes[in], &rng));
+          for (const AnnotatedTuple& t : inputs.back().bag) {
+            keys[in].push_back(forms[in]->key(t.tuple));
+          }
+          clauses.push_back(StrCat(names[in], " BY ", forms[in]->pig));
+        }
+        const std::string query =
+            StrCat("J = JOIN ", Join(clauses, ", "), ";");
+        std::vector<testing::JoinRow> rows = testing::ReferenceJoin(keys);
+
+        // Untracked: the reference's tuples, in its order.
+        pig::Environment env;
+        for (const Relation& rel : inputs) env.Bind(rel.name, rel);
+        auto plain = RunPig(query, &env, "J");
+        LIPSTICK_ASSERT_OK(plain.status());
+        ASSERT_EQ(plain->bag.size(), rows.size()) << query;
+        for (size_t r = 0; r < rows.size(); ++r) {
+          Tuple expected;
+          for (size_t in = 0; in < rows[r].size(); ++in) {
+            for (const Value& v : inputs[in].bag.at(rows[r][in]).tuple.values()) {
+              expected.Append(v);
+            }
+          }
+          ASSERT_EQ(plain->bag.at(r).tuple.ToString(), expected.ToString())
+              << query << " row " << r;
+        }
+
+        // Tracked: every input tuple carries its own token; each output
+        // tuple is a · node over the matched tuples' tokens in input
+        // order, and node ids rise along the output.
+        ProvenanceGraph graph;
+        ShardWriter writer = graph.writer();
+        pig::Environment tracked_env;
+        std::vector<std::vector<NodeId>> tokens(inputs.size());
+        for (size_t in = 0; in < inputs.size(); ++in) {
+          const Relation& rel = inputs[in];
+          Relation annotated(rel.name, rel.schema);
+          for (size_t i = 0; i < rel.bag.size(); ++i) {
+            tokens[in].push_back(writer.Token(StrCat(rel.name, i)));
+            annotated.bag.Add(rel.bag.at(i).tuple, tokens[in].back());
+          }
+          tracked_env.Bind(rel.name, std::move(annotated));
+        }
+        auto tracked = RunPig(query, &tracked_env, "J", nullptr, &writer);
+        LIPSTICK_ASSERT_OK(tracked.status());
+        ASSERT_EQ(tracked->bag.size(), rows.size());
+        NodeId last = 0;
+        for (size_t r = 0; r < rows.size(); ++r) {
+          const AnnotatedTuple& t = tracked->bag.at(r);
+          EXPECT_EQ(t.tuple.ToString(), plain->bag.at(r).tuple.ToString());
+          ASSERT_NE(t.annot, kNoProvenance);
+          EXPECT_EQ(graph.node(t.annot).label(), NodeLabel::kTimes);
+          std::vector<NodeId> expected_parents;
+          for (size_t in = 0; in < rows[r].size(); ++in) {
+            expected_parents.push_back(tokens[in][rows[r][in]]);
+          }
+          EXPECT_EQ(testing::ToVec(graph.ParentsOf(t.annot)),
+                    expected_parents)
+              << query << " row " << r;
+          EXPECT_GT(t.annot, last) << query << " row " << r;
+          last = t.annot;
+        }
+      }
+    }
+  }
 }
 
 TEST_F(EvalTest, GroupOfGroupNesting) {

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
+#include "common/str_util.h"
+#include "obs/metrics.h"
 #include "provenance/deletion.h"
 #include "provenance/subgraph.h"
 #include "test_util.h"
@@ -172,6 +175,87 @@ TEST(DealershipTest, FineGrainedDependencyStat) {
   // Only cars of one model (1/12 of models) matter: far below 100%.
   EXPECT_GT(fraction, 0.0);
   EXPECT_LT(fraction, 0.5);
+}
+
+/// The work one JOIN of an `a`- and a `b`-tuple input adds to the
+/// `pig.join_rows_indexed` and `pig.join_rows_probed` counters: it indexes
+/// the smaller input (the first on a tie) and streams the other through
+/// the index, and does neither when the smaller input is empty.
+struct JoinWork {
+  uint64_t indexed = 0;
+  uint64_t probed = 0;
+};
+void AddJoinWork(size_t a, size_t b, JoinWork* work) {
+  if (std::min(a, b) == 0) return;
+  work->indexed += std::min(a, b);
+  work->probed += std::max(a, b);
+}
+
+TEST(DealershipTest, JoinCountersFollowRelationSizes) {
+  DealershipConfig cfg;
+  cfg.num_cars = 400;
+  cfg.seed = 4;
+  cfg.accept_probability = 0;  // the buyer never accepts
+  auto wf = DealershipWorkflow::Create(cfg);
+  LIPSTICK_ASSERT_OK(wf.status());
+  for (int e = 1; e <= 3; ++e) {
+    LIPSTICK_ASSERT_OK((*wf)->ExecuteOnce(e, nullptr).status());
+  }
+
+  // A fourth execution with ExecuteOnce's inputs, metrics armed.
+  WorkflowInputs inputs;
+  inputs["req"]["BuyerRequests"].Add(Tuple(
+      {Value::String("buyer1"), Value::Int(4),
+       Value::String((*wf)->buyer_model())}));
+  inputs["choice"]["BuyerChoice"].Add(
+      Tuple({Value::Int(4), Value::Bool(false), Value::Double(0)}));
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  metrics.ResetValues();
+  metrics.Enable();
+  ExecutionReport report;
+  auto outputs = (*wf)->executor().Execute(
+      inputs, nullptr, (*wf)->executor().default_options(), &report);
+  metrics.Disable();
+  LIPSTICK_ASSERT_OK(outputs.status());
+  JoinWork counted;
+  for (const auto& [name, value] : metrics.Snap().counters) {
+    if (name == "pig.join_rows_indexed") counted.indexed = value;
+    if (name == "pig.join_rows_probed") counted.probed = value;
+  }
+  metrics.ResetValues();
+
+  // Every JOIN of the execution, over the relations it saw. InventoryBids
+  // and SoldCars are read before this execution's UNIONs extend them.
+  JoinWork expected;
+  for (int k = 1; k <= 4; ++k) {
+    for (const char* phase : {"dealer_bid_", "dealer_buy_"}) {
+      const std::map<std::string, size_t>& rows =
+          report.nodes.at(StrCat(phase, k)).relation_rows;
+      auto n = [&rows](const char* rel) { return rows.at(rel); };
+      AddJoinWork(n("Cars"), n("ReqModel"), &expected);  // Inventory0
+      AddJoinWork(n("Inventory"), n("SoldCars") - n("NewSold"),
+                  &expected);  // SoldInventory0
+      AddJoinWork(n("InventoryBids") - n("NewBids"), n("ReqModel"),
+                  &expected);  // PriorBids0
+      AddJoinWork(n("Cars"), n("POModel"), &expected);   // AvailCars0
+      AddJoinWork(n("NewSold"), n("Cars"), &expected);   // SoldJoin
+    }
+  }
+  const std::map<std::string, size_t>& agg =
+      report.nodes.at("agg").relation_rows;
+  AddJoinWork(agg.at("AllBids"), agg.at("Best0"), &expected);     // Joined
+  AddJoinWork(agg.at("Winners"), agg.at("MinDealer"), &expected);  // Final
+  const std::map<std::string, size_t>& and_rows =
+      report.nodes.at("and").relation_rows;
+  AddJoinWork(and_rows.at("BestBid"), and_rows.at("Choice"),
+              &expected);  // Combined
+
+  EXPECT_EQ(counted.indexed, expected.indexed);
+  EXPECT_EQ(counted.probed, expected.probed);
+  // The four bid-phase Inventory0 joins stream all 400 cars past the one
+  // requested model; nothing indexes a dealer's cars.
+  EXPECT_GE(counted.probed, 400u);
+  EXPECT_LT(counted.indexed, 20u);
 }
 
 TEST(ArcticTest, AllTopologiesValidateAndRun) {

@@ -90,14 +90,15 @@ run_asan() {
 
 # The tests that actually spin up threads: the multi-worker executor
 # (workflow_test, workflowgen_test, property_test, dataflow_test drive it
-# with num_workers > 1), the lock-free StringPool (provenance_test), the
+# with num_workers > 1; fault_test runs the 4-worker executor through its
+# rollback paths), the lock-free StringPool (provenance_test), the
 # MetricsRegistry + TraceBuffer concurrency tests (obs_test), and the
 # snapshot/traversal read-path stress (snapshot_test: concurrent readers,
 # work-stealing ParallelFor, lazy views), the plan engine
 # (plan_test: multi-threaded plan execution + the shared PlanViewCache),
 # and the query service (service_test: accept/session/worker threads, hot
 # reload, concurrent clients).
-TSAN_TESTS='^(workflow_test|workflowgen_test|property_test|dataflow_test|provenance_test|obs_test|snapshot_test|plan_test|service_test)$'
+TSAN_TESTS='^(workflow_test|workflowgen_test|fault_test|property_test|dataflow_test|provenance_test|obs_test|snapshot_test|plan_test|service_test)$'
 
 run_tsan() {
   local saved=(${CTEST_ARGS[@]+"${CTEST_ARGS[@]}"})
