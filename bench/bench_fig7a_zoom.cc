@@ -81,7 +81,7 @@ int main() {
         ParallelFor(kViews, threads, [&](size_t b, size_t e, int) {
           for (size_t i = b; i < e; ++i) {
             GraphView view = GraphView::MakeIdentity(*snap);
-            Check(view.ApplyZoomOut({"dealer"}, 1));
+            Check(view.ApplyZoomOut({"dealer"}));
           }
         });
         return t.ElapsedMillis();

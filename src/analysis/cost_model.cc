@@ -34,11 +34,14 @@ constexpr uint64_t kColumnBytesPerNode =
     sizeof(uint32_t) + sizeof(internal::ParentSlot);
 
 constexpr uint64_t kInternerChunk = 64 * 1024;
-/// StringPool::MemoryBytes per index entry: string_view + StrId + two
-/// pointers of approximated bucket overhead.
-constexpr uint64_t kIndexEntryBytes =
-    sizeof(std::string_view) + sizeof(StrId) + 2 * sizeof(void*);
 constexpr uint64_t kSpanBytes = 16;  // StringPool::Span (private): ptr + u32
+
+/// StringPool::MemoryBytes of the index for `strings` interned strings:
+/// its slot table, sized by the pool's own rule.
+uint64_t IndexBytes(uint64_t strings) {
+  if (strings == kCardInf) return kCardInf;
+  return StringPool::IndexSlotsFor(strings) * sizeof(StrId);
+}
 
 uint64_t ArenaBytes(uint64_t chars) {
   if (chars == 0) return 0;
@@ -73,13 +76,13 @@ CostReport PredictFromEmission(
   r.value_bytes = Scale(CapI(total.values), sizeof(Value));
 
   // Interner: chunked arena + span table (incl. the id-0 empty sentinel)
-  // + hash index.
+  // + index slots.
   CardInterval strings = total.interned_strings;
   CardInterval chars = total.interned_chars;
   r.interner_bytes =
       CardInterval{ArenaBytes(chars.lo), ArenaBytes(chars.hi)} +
       Scale(CapI(strings + CardInterval::Exact(1)), kSpanBytes) +
-      Scale(strings, kIndexEntryBytes);
+      CardInterval{IndexBytes(strings.lo), IndexBytes(strings.hi)};
 
   for (const InvocationProfile& p : invocations) {
     r.invocation_bytes += CardInterval::Exact(sizeof(InvocationInfo)) +

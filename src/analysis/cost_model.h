@@ -16,7 +16,7 @@ namespace lipstick::analysis {
 /// exactly: struct-of-arrays columns with push_back doubling (capacity =
 /// bit_ceil), inline ≤2-parent slots with an edge arena for wider nodes,
 /// the sealed CSR children index, sparse v-node value storage, the
-/// interner (64 KiB chunk arena + span table + hash index), and the
+/// interner (64 KiB chunk arena + span table + index slots), and the
 /// per-invocation bookkeeping vectors.
 
 /// Aggregated predicted emission of one workflow node across executions.

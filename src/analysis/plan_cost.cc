@@ -12,10 +12,11 @@ namespace {
 
 uint64_t SatSub(uint64_t a, uint64_t b) { return a > b ? a - b : 0; }
 
-/// One deterministic column scan estimating a ZoomOut stage: how many
-/// alive nodes the named modules would collapse away (intermediates +
-/// state, with state-base tokens as slack) and how many synthetic zoom
-/// nodes they would add (one per live invocation).
+/// Estimates a ZoomOut stage from the selected invocations' runs in the
+/// snapshot's invocation-run index: how many alive nodes the named modules
+/// would collapse away (intermediates + state, with state-base tokens as
+/// slack) and how many synthetic zoom nodes they would add (one per live
+/// invocation).
 struct ZoomEstimate {
   uint64_t removed_lo = 0;  // intermediates + state nodes
   uint64_t removed_hi = 0;  // + state-base tokens possibly stranded
@@ -25,36 +26,31 @@ struct ZoomEstimate {
 ZoomEstimate EstimateZoom(const GraphSnapshot& snap,
                           const std::vector<std::string>& modules) {
   std::set<std::string> names(modules.begin(), modules.end());
-  const ProvenanceGraph& g = snap.graph();
-  std::vector<uint8_t> inv_selected(g.invocations().size(), 0);
   ZoomEstimate est;
-  for (size_t i = 0; i < g.invocations().size(); ++i) {
-    const InvocationInfo& inv = g.invocations()[i];
+  for (uint32_t i = 0; i < snap.invocations().size(); ++i) {
+    const InvocationInfo& inv = snap.invocations()[i];
     if (inv.aborted()) continue;
-    std::string_view module = snap.str(inv.module_name);
-    if (names.count(std::string(module)) == 0) continue;
-    inv_selected[i] = 1;
+    if (names.count(std::string(snap.str(inv.module_name))) == 0) continue;
     ++est.added;
-  }
-  snap.ForEachAliveNode([&](NodeId id) {
-    NodeView n = snap.node(id);
-    uint32_t inv = n.invocation();
-    if (inv == kNoInvocation || inv >= inv_selected.size()) return;
-    if (!inv_selected[inv]) return;
-    switch (n.role()) {
-      case NodeRole::kIntermediate:
-      case NodeRole::kModuleState:
-        ++est.removed_lo;
-        ++est.removed_hi;
-        break;
-      case NodeRole::kStateBase:
-        // Removed only when no surviving state node still reads it.
-        ++est.removed_hi;
-        break;
-      default:
-        break;
+    for (const NodeRun& run : snap.InvocationRuns(i)) {
+      for (NodeId id = run.first; id < run.first + run.length; ++id) {
+        if (!snap.Contains(id)) continue;
+        switch (snap.node(id).role()) {
+          case NodeRole::kIntermediate:
+          case NodeRole::kModuleState:
+            ++est.removed_lo;
+            ++est.removed_hi;
+            break;
+          case NodeRole::kStateBase:
+            // Removed only when no surviving state node still reads it.
+            ++est.removed_hi;
+            break;
+          default:
+            break;
+        }
+      }
     }
-  });
+  }
   return est;
 }
 

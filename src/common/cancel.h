@@ -25,10 +25,9 @@ namespace lipstick {
 ///
 /// Installation is thread-local: a CancelScope makes a token current for
 /// the calling thread. The traversals (Traverse, GraphView's subgraph and
-/// deletion propagation) poll the current token, and ParallelFor
-/// re-installs it on its worker threads, so a deadline set at the service
-/// layer reaches every traversal visitor without threading a parameter
-/// through the operator APIs. Configure (SetDeadlineMs / SetProbe) before
+/// deletion propagation) poll the current token, so a deadline set at the
+/// service layer reaches every traversal visitor without threading a
+/// parameter through the operator APIs. Configure (SetDeadlineMs / SetProbe) before
 /// sharing the token with other threads; Cancel/Poll/status are safe
 /// afterwards.
 class CancelToken {

@@ -7,7 +7,6 @@
 #include <optional>
 #include <utility>
 
-#include "common/cancel.h"
 #include "common/str_util.h"
 #include "provenance/query.h"
 #include "provenance/semiring.h"
@@ -154,10 +153,10 @@ std::string RenderViewSummary(const PlanOp& op, size_t num_visible,
 
 /// Applies one view stage; returns the DeleteProp removal count (0 for the
 /// other stage kinds).
-Result<size_t> ApplyStage(GraphView* view, const PlanOp& op, int threads) {
+Result<size_t> ApplyStage(GraphView* view, const PlanOp& op) {
   switch (op.kind) {
     case PlanOpKind::kZoomOut:
-      LIPSTICK_RETURN_IF_ERROR(view->ApplyZoomOut(op.modules, threads));
+      LIPSTICK_RETURN_IF_ERROR(view->ApplyZoomOut(op.modules));
       return size_t{0};
     case PlanOpKind::kSubgraph:
       LIPSTICK_RETURN_IF_ERROR(
@@ -228,7 +227,6 @@ Result<std::string> ExecutePlan(const GraphSnapshot& snap,
   if (plan.ops.empty()) {
     return Status::InvalidArgument("empty plan");
   }
-  int threads = opts.threads < 1 ? 1 : opts.threads;
   size_t view_ops = plan.NumViewOps();
   PlanViewCache* cache = view_ops > 0 ? opts.cache : nullptr;
   std::optional<GraphView> view;
@@ -247,7 +245,7 @@ Result<std::string> ExecutePlan(const GraphSnapshot& snap,
   if (!view.has_value()) view = GraphView::MakeIdentity(snap);
   std::vector<std::pair<size_t, PlanViewCache::Entry>> fresh;
   for (size_t i = start; i < view_ops; ++i) {
-    Result<size_t> removed = ApplyStage(&*view, plan.ops[i], threads);
+    Result<size_t> removed = ApplyStage(&*view, plan.ops[i]);
     if (!removed.ok()) return removed.status();
     last_removed = *removed;
     if (cache != nullptr) {
@@ -255,34 +253,26 @@ Result<std::string> ExecutePlan(const GraphSnapshot& snap,
           i, PlanViewCache::Entry{view->Clone(), last_removed, opts.pin});
     }
   }
-  if (!fresh.empty()) {
-    // A fired token may have cut a stage short without failing it (the
-    // parallel zoom scans just stop claiming work): such a view is
-    // partial and must not be published.
-    if (CancelToken* token = CurrentCancelToken();
-        token != nullptr && token->cancelled()) {
-      return token->status();
-    }
-    for (auto& [i, entry] : fresh) {
-      cache->Put(opts.scope, opt.view_prefixes[i], std::move(entry));
-    }
+  // Every stage either ran whole or failed (the traversing stages return
+  // the token's status when it fires), so each fresh view is complete.
+  for (auto& [i, entry] : fresh) {
+    cache->Put(opts.scope, opt.view_prefixes[i], std::move(entry));
   }
   return RenderOutput(*view, plan, last_removed);
 }
 
 Result<std::string> ExecutePlanNaive(const GraphSnapshot& snap,
-                                     const Plan& plan, int threads) {
+                                     const Plan& plan) {
   if (plan.ops.empty()) {
     return Status::InvalidArgument("empty plan");
   }
-  if (threads < 1) threads = 1;
   size_t view_ops = plan.NumViewOps();
   const GraphSnapshot* cur = &snap;
   std::optional<GraphSnapshot> owned_snap;
   size_t last_removed = 0;
   for (size_t i = 0; i < view_ops; ++i) {
     GraphView view = GraphView::MakeIdentity(*cur);
-    Result<size_t> removed = ApplyStage(&view, plan.ops[i], threads);
+    Result<size_t> removed = ApplyStage(&view, plan.ops[i]);
     if (!removed.ok()) return removed.status();
     last_removed = *removed;
     Result<ProvenanceGraph> graph = view.Materialize();
@@ -298,11 +288,10 @@ Result<std::string> ExecutePlanNaive(const GraphSnapshot& snap,
 }
 
 Result<GraphView> BuildPlanView(const GraphSnapshot& snap, const Plan& plan,
-                                int threads) {
-  if (threads < 1) threads = 1;
+                                int /*threads*/) {
   GraphView view = GraphView::MakeIdentity(snap);
   for (size_t i = 0; i < plan.NumViewOps(); ++i) {
-    Result<size_t> removed = ApplyStage(&view, plan.ops[i], threads);
+    Result<size_t> removed = ApplyStage(&view, plan.ops[i]);
     if (!removed.ok()) return removed.status();
   }
   return view;

@@ -56,7 +56,6 @@ class PlanViewCache {
 };
 
 struct ExecOptions {
-  int threads = 1;
   // When set, composed view prefixes are reused and published under
   // `scope` (the caller namespaces by graph identity, e.g. name + epoch).
   PlanViewCache* cache = nullptr;
@@ -83,10 +82,12 @@ Result<std::string> ExecutePlan(const GraphSnapshot& snap,
 /// plan-equivalence suite asserts ExecutePlan == ExecutePlanNaive byte for
 /// byte; bench_pipeline measures the gap.
 Result<std::string> ExecutePlanNaive(const GraphSnapshot& snap,
-                                     const Plan& plan, int threads = 1);
+                                     const Plan& plan);
 
 /// Composes the plan's view stages (ignoring any terminal) into one view,
 /// for export paths (`--out` dot / provio rendering of a pipeline result).
+/// `threads` is ignored; perfbench still passes it, and the benchmark's
+/// next change drops it.
 Result<GraphView> BuildPlanView(const GraphSnapshot& snap, const Plan& plan,
                                 int threads = 1);
 

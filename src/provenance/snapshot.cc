@@ -30,6 +30,39 @@ GraphSnapshot::GraphSnapshot(const ProvenanceGraph& graph)
     num_nodes_ += shard_sizes_.back();
   }
   num_alive_ = graph.num_alive();
+  if (graph.sealed()) runs_ = BuildRunIndex(graph);
+}
+
+std::shared_ptr<const GraphSnapshot::RunIndex> GraphSnapshot::BuildRunIndex(
+    const ProvenanceGraph& graph) {
+  // One pass over each shard's invocation column collects the runs in id
+  // order; a stable counting sort by invocation lays them out as CSR.
+  const size_t num_invocations = graph.invocations().size();
+  std::vector<std::pair<uint32_t, NodeRun>> found;
+  for (uint32_t s = 0; s < graph.num_shards(); ++s) {
+    const uint64_t n = graph.ShardSize(s);
+    uint64_t i = 0;
+    while (i < n) {
+      const uint64_t begin = i;
+      const uint32_t tag = graph.node(MakeNodeId(s, i)).invocation();
+      while (++i < n && graph.node(MakeNodeId(s, i)).invocation() == tag) {
+      }
+      if (tag < num_invocations) {
+        found.emplace_back(tag, NodeRun{MakeNodeId(s, begin), i - begin});
+      }
+    }
+  }
+  auto index = std::make_shared<RunIndex>();
+  index->offsets.assign(num_invocations + 1, 0);
+  for (const auto& [inv, run] : found) ++index->offsets[inv + 1];
+  for (size_t i = 1; i < index->offsets.size(); ++i) {
+    index->offsets[i] += index->offsets[i - 1];
+  }
+  std::vector<uint32_t> next(index->offsets.begin(),
+                             index->offsets.end() - 1);
+  index->runs.resize(found.size());
+  for (const auto& [inv, run] : found) index->runs[next[inv]++] = run;
+  return index;
 }
 
 Result<GraphSnapshot> GraphSnapshot::Capture(const ProvenanceGraph& graph) {

@@ -103,6 +103,14 @@ class VisitedLease {
   std::unique_ptr<VisitedSet> set_;
 };
 
+/// One entry of a snapshot's invocation-run index: `length` consecutive
+/// nodes of one shard, from `first` on, that carry the same invocation
+/// tag.
+struct NodeRun {
+  NodeId first = kInvalidNode;
+  uint64_t length = 0;
+};
+
 /// Immutable view over a sealed ProvenanceGraph: the entry point of the
 /// unified read path (subgraph / zoom / deletion / query / export all run
 /// on a snapshot). The snapshot borrows the graph's columnar storage and
@@ -139,7 +147,7 @@ class GraphSnapshot {
   /// Captures a parent-edges-only view of a possibly unsealed graph:
   /// everything except ChildrenOf() works (ancestor traversals, rendering,
   /// validation). ChildrenOf() on an unsealed snapshot aborts, mirroring
-  /// ProvenanceGraph::ChildrenOf.
+  /// ProvenanceGraph::ChildrenOf. Given a sealed graph it is Capture.
   static GraphSnapshot CaptureForParents(const ProvenanceGraph& graph);
 
   // ----------------------------------------------------------------
@@ -182,13 +190,37 @@ class GraphSnapshot {
   /// The underlying graph, for layers that still take ProvenanceGraph&.
   const ProvenanceGraph& graph() const { return *graph_; }
 
+  /// The invocation-run index: the maximal runs of consecutive nodes in
+  /// one shard tagged with invocation `inv`, in id order. Dead nodes stay
+  /// in their runs (readers check liveness); untagged nodes and tags that
+  /// name no registered invocation are in none. Built when a sealed graph
+  /// is captured; empty for an unsealed capture and an out-of-range `inv`.
+  std::span<const NodeRun> InvocationRuns(uint32_t inv) const {
+    if (runs_ == nullptr || inv + size_t{1} >= runs_->offsets.size()) {
+      return {};
+    }
+    return std::span<const NodeRun>(runs_->runs).subspan(
+        runs_->offsets[inv], runs_->offsets[inv + 1] - runs_->offsets[inv]);
+  }
+
   /// Leases a visited bitmap sized to this snapshot from the pool,
   /// allocating only when the pool is empty. Thread-safe: concurrent
   /// readers each lease their own bitmap.
   VisitedLease AcquireVisited() const;
 
  private:
+  /// Invocation-run index in CSR form: invocation i's runs are
+  /// runs[offsets[i] .. offsets[i + 1]). Immutable; copies of a snapshot
+  /// share it.
+  struct RunIndex {
+    std::vector<uint32_t> offsets;
+    std::vector<NodeRun> runs;
+  };
+
   explicit GraphSnapshot(const ProvenanceGraph& graph);
+
+  static std::shared_ptr<const RunIndex> BuildRunIndex(
+      const ProvenanceGraph& graph);
 
   const ProvenanceGraph* graph_;
   // Non-null only for shared-ownership captures; keeps graph_ alive.
@@ -196,6 +228,7 @@ class GraphSnapshot {
   std::vector<size_t> shard_sizes_;  // sizes at capture, for bitmap sizing
   size_t num_nodes_ = 0;
   size_t num_alive_ = 0;
+  std::shared_ptr<const RunIndex> runs_;  // null for unsealed captures
   std::shared_ptr<VisitedLease::Pool> pool_;
 };
 

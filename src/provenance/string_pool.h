@@ -6,7 +6,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace lipstick {
@@ -26,10 +25,14 @@ inline constexpr StrId kStrNotFound = 0xffffffffu;
 /// lifetime of the pool (strings never move: the arena grows by adding
 /// chunks, never by reallocating one) and across moves of the pool.
 ///
-/// Thread safety: Intern() may be called from concurrent ShardWriters and
-/// takes an internal mutex. Get()/Find() are lock-free reads and must not
-/// race Intern() — in this codebase interning happens only while tracking
-/// appends nodes, and payload lookups only on the sealed graph.
+/// The index from strings to ids is a flat open-addressed table of ids,
+/// probed linearly and compared against the stored strings: 4 bytes per
+/// slot, at most 3/4 full (IndexSlotsFor).
+///
+/// Thread safety: Intern() and Find() may be called from concurrent
+/// threads and take an internal mutex. Get() is a lock-free read and must
+/// not race Intern() — in this codebase interning happens only while
+/// tracking appends nodes, and payload lookups only on the sealed graph.
 class StringPool {
  public:
   StringPool() { spans_.push_back({nullptr, 0}); }  // id 0: empty string
@@ -63,8 +66,13 @@ class StringPool {
   /// Number of distinct strings, including the implicit empty string.
   size_t size() const { return spans_.size(); }
 
-  /// Bytes held by the pool: arena chunks, span table, and hash index.
+  /// Bytes held by the pool: arena chunks, span table, and index slots.
   size_t MemoryBytes() const;
+
+  /// Slots of the index once `n` non-empty strings are interned: the
+  /// smallest power of two, at least 16, with n at most 3/4 of it (0 for
+  /// n = 0).
+  static size_t IndexSlotsFor(size_t n);
 
   /// Releases the span table's growth slack. Views stay valid: they point
   /// into the arena, which does not move.
@@ -90,13 +98,18 @@ class StringPool {
   static constexpr size_t kChunkSize = 64 * 1024;
 
   const char* Store(std::string_view s);
+  /// The index slot holding `s`, or the empty slot where it belongs.
+  /// Requires a non-empty index.
+  size_t FindSlot(std::string_view s, size_t hash) const;
+  /// Re-sizes the index for `n` strings and re-inserts every stored one.
+  void Rehash(size_t n);
 
   std::vector<std::unique_ptr<char[]>> chunks_;
   char* tail_ = nullptr;            // write cursor into the last open chunk
   size_t tail_left_ = 0;
   size_t arena_bytes_ = 0;          // total bytes allocated across chunks
   std::vector<Span> spans_;         // indexed by StrId
-  std::unordered_map<std::string_view, StrId> index_;
+  std::vector<StrId> slots_;        // the index; kEmptyStr = empty slot
   std::unique_ptr<std::mutex> mu_ = std::make_unique<std::mutex>();
   InternObserver observer_ = nullptr;
   void* observer_ctx_ = nullptr;

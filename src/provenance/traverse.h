@@ -13,8 +13,8 @@ namespace lipstick {
 
 /// The shared traversal primitives of the read path: frontier BFS over a
 /// snapshot (zoom's Definition 4.1 check, path queries, ancestors and
-/// descendants) and the work-stealing scans behind zoom planning and
-/// `query --batch`; see DESIGN.md §5g.
+/// descendants), and the chunked loop behind `query --batch`; see
+/// DESIGN.md §5g.
 
 enum class TraverseDirection : uint8_t {
   kForward,   // derivation order: follow children (requires sealed CSR)
@@ -76,18 +76,12 @@ size_t Traverse(const GraphSnapshot& snap, std::span<const NodeId> seeds,
 }
 
 /// Runs `fn(begin, end, worker)` over disjoint chunks covering [0, n) on
-/// `num_threads` workers with work stealing (workers that drain their
-/// slice steal half of a victim's remainder). `fn` must be thread-safe
-/// across distinct chunks. Blocks until all chunks are processed. The
-/// backbone of batch query serving and parallel column scans.
+/// `num_threads` plain threads (the caller is worker 0), which claim chunk
+/// indices from one atomic counter. `fn` must be thread-safe across
+/// distinct chunks. Blocks until all chunks are processed. Runs
+/// `query --batch` lines and the Fig. 7 benches' query batches.
 void ParallelFor(size_t n, int num_threads,
                  const std::function<void(size_t, size_t, int)>& fn);
-
-/// Work-stealing parallel scan over every (shard, index range) of the
-/// snapshot: `fn(shard, begin, end, worker)`.
-void ParallelForNodes(const GraphSnapshot& snap, int num_threads,
-                      const std::function<void(uint32_t, uint64_t, uint64_t,
-                                               int)>& fn);
 
 }  // namespace lipstick
 

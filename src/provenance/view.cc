@@ -88,8 +88,7 @@ GraphView::ChildOverlay GraphView::BuildChildOverlay() const {
   return overlay;
 }
 
-Status GraphView::ApplyZoomOut(const std::vector<std::string>& modules,
-                               int num_threads) {
+Status GraphView::ApplyZoomOut(const std::vector<std::string>& modules) {
   LIPSTICK_RETURN_IF_ERROR(RequireSealed(snap_->graph(), "ZoomOut"));
   std::set<std::string> unique(modules.begin(), modules.end());
   // One shared mark set across modules makes earlier modules' removals
@@ -97,9 +96,9 @@ Status GraphView::ApplyZoomOut(const std::vector<std::string>& modules,
   // seal-between-modules behavior.
   for (const std::string& module : unique) {
     Result<internal::ZoomPlan> plan =
-        internal::PlanZoomOut(*snap_, module, Mask(), num_threads);
+        internal::PlanZoomOut(*snap_, module, Mask());
     if (!plan.ok()) return plan.status();
-    num_visible_underlying_ -= plan->removed.size();
+    num_visible_underlying_ -= plan->num_removed;
     for (internal::ZoomInvocationPlan& ip : plan->invocations) {
       NodeId zoom_id = SyntheticId(synthetic_.size());
       if (!ip.outputs.empty() && !rewired_.has_value()) {

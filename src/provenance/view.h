@@ -201,11 +201,10 @@ class GraphView {
   /// ------------------------------------------------------------------
 
   /// Collapses every named module (Definition 4.1) over the current
-  /// visibility. Duplicate names collapse once; planning scans fan out
-  /// over `num_threads` workers. Fails with kNotFound when the graph holds
-  /// no live invocation of a module.
-  Status ApplyZoomOut(const std::vector<std::string>& modules,
-                      int num_threads);
+  /// visibility. Duplicate names collapse once; an invocation whose m-node
+  /// is hidden gets no zoom node. Fails with kNotFound when the graph
+  /// holds no live invocation of a module.
+  Status ApplyZoomOut(const std::vector<std::string>& modules);
 
   /// Restricts visibility to SubgraphMembers(roots, up, down).
   Status ApplySubgraph(const std::vector<NodeId>& roots, bool up, bool down);

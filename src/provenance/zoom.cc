@@ -71,20 +71,33 @@ Result<std::unordered_set<NodeId>> IntermediateNodesByDefinition(
 
 namespace internal {
 
+namespace {
+
+/// Counts the nodes a module's planning walks visit, when metrics are
+/// armed.
+void RecordZoomScan(uint64_t scanned) {
+  if (!obs::MetricsRegistry::Enabled()) return;
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  static const obs::MetricId kScanned =
+      metrics.RegisterCounter("query.zoom_nodes_scanned");
+  metrics.CounterAdd(kScanned, scanned);
+}
+
+}  // namespace
+
 Result<ZoomPlan> PlanZoomOut(const GraphSnapshot& snap,
                              const std::string& module,
-                             VisitedSet& removed_so_far, int num_threads) {
+                             VisitedSet& removed_so_far) {
   // A node is live for this plan iff it is alive in the snapshot and not
   // removed by a previously planned module of the same zoom (or hidden by
   // the view the zoom is applied to).
   auto live = [&](NodeId id) {
     return snap.Contains(id) && !removed_so_far.Test(id);
   };
-  if (num_threads < 1) num_threads = 1;
 
-  // Pass 1: gather all live invocation ids of this module. Aborted
-  // invocations (failed attempts whose provenance was rolled back) carry
-  // no structure to collapse.
+  // All live invocation ids of this module. Aborted invocations (failed
+  // attempts whose provenance was rolled back) carry no structure to
+  // collapse.
   StrId want = snap.strings().Find(module);
   std::vector<uint32_t> inv_ids;
   for (uint32_t i = 0; i < snap.invocations().size(); ++i) {
@@ -97,90 +110,60 @@ Result<ZoomPlan> PlanZoomOut(const GraphSnapshot& snap,
     return Status::NotFound(
         StrCat("no invocations of module '", module, "' in graph"));
   }
-  std::unordered_set<uint32_t> inv_set(inv_ids.begin(), inv_ids.end());
 
   ZoomPlan plan;
-
-  // Pass 2: intermediate nodes are tagged with their invocation id during
-  // tracking; collect the ones belonging to zoomed invocations. Pure column
-  // scan, fanned out over the work-stealing engine. removed_so_far is only
-  // read here; marks land after the scan.
-  {
-    std::vector<std::vector<NodeId>> found(num_threads);
-    ParallelForNodes(snap, num_threads,
-                     [&](uint32_t s, uint64_t b, uint64_t e, int w) {
-                       for (uint64_t i = b; i < e; ++i) {
-                         NodeId id = MakeNodeId(s, i);
-                         if (!live(id)) continue;
-                         NodeView n = snap.node(id);
-                         if (n.role() == NodeRole::kIntermediate &&
-                             n.invocation() != kNoInvocation &&
-                             inv_set.count(n.invocation())) {
-                           found[w].push_back(id);
-                         }
-                       }
-                     });
-    for (const std::vector<NodeId>& v : found) {
-      plan.removed.insert(plan.removed.end(), v.begin(), v.end());
+  uint64_t scanned = 0;
+  // Calls fn(id) for every node tagged with a zoomed invocation.
+  auto for_each_tagged = [&](auto&& fn) {
+    for (uint32_t inv : inv_ids) {
+      for (const NodeRun& run : snap.InvocationRuns(inv)) {
+        scanned += run.length;
+        for (uint64_t k = 0; k < run.length; ++k) fn(run.first + k);
+      }
     }
-    for (NodeId id : plan.removed) removed_so_far.Set(id);
-  }
+  };
+  auto remove = [&](NodeId id) {
+    removed_so_far.Set(id);
+    ++plan.num_removed;
+  };
 
-  // Pass 3: state nodes, and state-base tokens used only by removed state
-  // nodes ("the basic tuple nodes ... adjacent to those state nodes",
-  // ZoomOut step 4). Marking as we go deduplicates state shared across
+  // Intermediate nodes are tagged with their invocation id during
+  // tracking.
+  for_each_tagged([&](NodeId id) {
+    if (live(id) && snap.node(id).role() == NodeRole::kIntermediate) {
+      remove(id);
+    }
+  });
+  // State nodes, and state-base tokens used only by removed state nodes
+  // ("the basic tuple nodes ... adjacent to those state nodes", ZoomOut
+  // step 4). Marking as we go deduplicates state shared across
   // invocations of the module.
   for (uint32_t inv : inv_ids) {
     for (NodeId s : snap.invocations()[inv].state_nodes) {
-      if (!live(s)) continue;
-      removed_so_far.Set(s);
-      plan.removed.push_back(s);
+      if (live(s)) remove(s);
     }
   }
   // State-base tokens of zoomed invocations go too, unless something
   // outside the removal set still derives from them. Bases that were never
   // used (lazy "s" wrapping means they have no children) are part of the
   // hidden module state and disappear with it. Bases are parentless tokens
-  // and never children of other bases, so the scan is order-free and safe
-  // to parallelize.
-  {
-    std::vector<std::vector<NodeId>> found(num_threads);
-    ParallelForNodes(snap, num_threads,
-                     [&](uint32_t s, uint64_t b, uint64_t e, int w) {
-                       for (uint64_t i = b; i < e; ++i) {
-                         NodeId id = MakeNodeId(s, i);
-                         if (!live(id)) continue;
-                         NodeView n = snap.node(id);
-                         if (n.role() != NodeRole::kStateBase) continue;
-                         if (n.invocation() == kNoInvocation ||
-                             !inv_set.count(n.invocation())) {
-                           continue;
-                         }
-                         bool only_removed_uses = true;
-                         for (NodeId child : snap.ChildrenOf(id)) {
-                           if (live(child)) {
-                             only_removed_uses = false;
-                             break;
-                           }
-                         }
-                         if (only_removed_uses) found[w].push_back(id);
-                       }
-                     });
-    for (const std::vector<NodeId>& v : found) {
-      for (NodeId id : v) {
-        removed_so_far.Set(id);
-        plan.removed.push_back(id);
-      }
+  // and never children of other bases, so marking as we go is order-free.
+  for_each_tagged([&](NodeId id) {
+    if (!live(id) || snap.node(id).role() != NodeRole::kStateBase) return;
+    for (NodeId child : snap.ChildrenOf(id)) {
+      if (live(child)) return;
     }
-  }
-  // Deterministic plan regardless of worker interleaving.
-  std::sort(plan.removed.begin(), plan.removed.end());
+    remove(id);
+  });
+  RecordZoomScan(scanned);
 
-  // Pass 4: per invocation, the collapsed module p-node's inputs and the
-  // outputs to rewire through it. Input/output/m nodes are never in a
-  // zoom's removal set; live() drops only those an earlier stage hid.
+  // Per invocation, the collapsed module p-node's inputs and the outputs
+  // to rewire through it. Input/output/m nodes are never in a zoom's
+  // removal set; live() drops only those an earlier stage hid. An
+  // invocation whose m-node an earlier stage hid collapses to nothing.
   for (uint32_t inv_id : inv_ids) {
     const InvocationInfo& inv = snap.invocations()[inv_id];
+    if (!live(inv.m_node)) continue;
     ZoomInvocationPlan ip;
     ip.invocation = inv_id;
     ip.m_node = inv.m_node;
@@ -209,7 +192,7 @@ Status Zoomer::ZoomOut(const std::set<std::string>& module_names) {
     if (!IsZoomedOut(module)) group.push_back(module);
   }
   if (group.empty()) return Status::OK();
-  Status st = view_.ApplyZoomOut(group, /*num_threads=*/1);
+  Status st = view_.ApplyZoomOut(group);
   if (!st.ok()) {
     // The failed stage may have collapsed some of the group's modules.
     view_ = Rebuild();
@@ -266,7 +249,7 @@ GraphView Zoomer::Rebuild() const {
   GraphView view = GraphView::MakeIdentity(view_.snapshot());
   for (const std::vector<std::string>& group : groups_) {
     // Every group succeeded on this snapshot before, in this order.
-    LIPSTICK_CHECK(view.ApplyZoomOut(group, /*num_threads=*/1).ok(),
+    LIPSTICK_CHECK(view.ApplyZoomOut(group).ok(),
                    "re-applying a zoom group failed");
   }
   return view;

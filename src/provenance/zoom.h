@@ -35,25 +35,26 @@ struct ZoomInvocationPlan {
   std::vector<NodeId> outputs;       // alive output nodes to rewire
 };
 
-/// The full effect of collapsing one module, computed without mutating
-/// anything. GraphView::ApplyZoomOut keeps it as a view; the eager
-/// reference the tests compare views with (tests/reference_terminals.h)
-/// applies the same plan to a graph.
+/// The effect of collapsing one module, computed without mutating the
+/// snapshot: the removed nodes are the marks PlanZoomOut adds to its mark
+/// set. GraphView::ApplyZoomOut keeps it as a view.
 struct ZoomPlan {
-  std::vector<NodeId> removed;  // intermediates + state (+ base tokens)
+  size_t num_removed = 0;  // intermediates + state (+ base tokens)
+  // Invocations whose m-node is live: one zoom node each.
   std::vector<ZoomInvocationPlan> invocations;
 };
 
 /// Plans ZoomOut(module) over the snapshot, per Definition 4.1 / the
-/// ZoomOut steps of Section 4.1. Nodes already marked in `removed_so_far`
-/// (by previously planned modules of the same zoom) are treated as dead;
-/// this module's removals are added to the mark set and returned in
-/// ZoomPlan::removed in ascending id order. Column scans fan out over the
-/// traversal engine's work-stealing scan when `num_threads` > 1. Fails
-/// with kNotFound when the graph holds no live invocation of `module`.
+/// ZoomOut steps of Section 4.1, walking only the module's runs in the
+/// snapshot's invocation-run index. Nodes already marked in
+/// `removed_so_far` (hidden by the view, or removed by previously planned
+/// modules of the same zoom) are treated as dead; this module's removals
+/// are added to the mark set. An invocation whose m-node is not live gets
+/// no zoom node. Fails with kNotFound when the graph holds no live
+/// invocation of `module`.
 Result<ZoomPlan> PlanZoomOut(const GraphSnapshot& snap,
                              const std::string& module,
-                             VisitedSet& removed_so_far, int num_threads);
+                             VisitedSet& removed_so_far);
 
 }  // namespace internal
 

@@ -124,7 +124,8 @@ Result<ParsedQuery> ParseQuery(const std::string& op,
 }
 
 Result<std::string> ExecuteParsedQuery(const GraphSnapshot& snap,
-                                       const ParsedQuery& parsed, int threads,
+                                       const ParsedQuery& parsed,
+                                       int /*threads*/,
                                        PlanViewCache* view_cache,
                                        const std::string& scope,
                                        std::shared_ptr<const void> pin) {
@@ -135,7 +136,6 @@ Result<std::string> ExecuteParsedQuery(const GraphSnapshot& snap,
                                : RenderExplainText(parsed, cost);
   }
   ExecOptions opts;
-  opts.threads = threads;
   opts.cache = view_cache;
   opts.scope = scope;
   opts.pin = std::move(pin);
@@ -145,10 +145,10 @@ Result<std::string> ExecuteParsedQuery(const GraphSnapshot& snap,
 Result<std::string> ExecuteReadQuery(const GraphSnapshot& snap,
                                      const std::string& op,
                                      const std::vector<std::string>& args,
-                                     int threads) {
+                                     int /*threads*/) {
   Result<ParsedQuery> parsed = ParseQuery(op, args);
   if (!parsed.ok()) return parsed.status();
-  return ExecuteParsedQuery(snap, *parsed, threads);
+  return ExecuteParsedQuery(snap, *parsed, 1);
 }
 
 }  // namespace lipstick::service

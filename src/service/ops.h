@@ -42,7 +42,9 @@ Result<ParsedQuery> ParseQuery(const std::string& op,
 /// output. `view_cache` (optional) reuses composed view masks across
 /// requests whose plans share a canonical view prefix; `scope` namespaces
 /// its keys by graph identity and `pin` keeps the snapshot alive inside
-/// cache entries. Safe to call concurrently on one snapshot.
+/// cache entries. Safe to call concurrently on one snapshot. `threads` is
+/// ignored; perfbench still passes it, and the benchmark's next change
+/// drops it.
 Result<std::string> ExecuteParsedQuery(const GraphSnapshot& snap,
                                        const ParsedQuery& parsed, int threads,
                                        PlanViewCache* view_cache = nullptr,
@@ -53,7 +55,9 @@ Result<std::string> ExecuteParsedQuery(const GraphSnapshot& snap,
 /// behind local one-shot queries, `query --batch`, and the serve daemon,
 /// so remote responses are byte-identical to local output (golden tests
 /// double as protocol tests). Honors the calling thread's CancelToken
-/// (deadline / disconnect) through the traversal engine.
+/// (deadline / disconnect) through the traversal engine. `threads` is
+/// ignored; perfbench still passes it, and the benchmark's next change
+/// drops it.
 Result<std::string> ExecuteReadQuery(const GraphSnapshot& snap,
                                      const std::string& op,
                                      const std::vector<std::string>& args,

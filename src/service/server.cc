@@ -405,9 +405,8 @@ std::string Server::ExecuteQueryOp(const std::string& op,
   Result<std::string> text =
       token.cancelled()
           ? Result<std::string>(token.status())
-          : ExecuteParsedQuery((*loaded)->snapshot, *parsed,
-                               options_.query_threads, &view_cache_,
-                               view_scope, *loaded);
+          : ExecuteParsedQuery((*loaded)->snapshot, *parsed, 1,
+                               &view_cache_, view_scope, *loaded);
   // Authoritative end-of-request deadline check: a query that slipped past
   // the poll strides still misses its deadline deterministically.
   if (token.CheckDeadlineNow() || token.cancelled()) {

@@ -26,7 +26,6 @@ struct ServerOptions {
   size_t queue_depth = 64;       // admission control: beyond this, reject
   double default_deadline_ms = 0;  // applied when a request sets none
   size_t cache_entries = 64;       // LRU slots in each of the two caches
-  int query_threads = 1;           // traversal threads inside one query
 };
 
 /// The `lipstick serve` daemon: answers concurrent provenance queries over

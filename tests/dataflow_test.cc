@@ -594,8 +594,10 @@ TEST(CostFormulaTest, MeasuredEmissionReproducesMemoryStats) {
       << rep.edge_arena_bytes.ToString() << " vs "
       << actual.edge_arena_bytes;
   EXPECT_EQ(rep.value_bytes.lo, actual.value_bytes);
-  // The interner model approximates hash-table overhead; total must stay
-  // within the 15% accuracy budget.
+  // The interner's strings fit one arena chunk, and its span table and
+  // index slots follow sizing rules the model mirrors.
+  EXPECT_EQ(rep.interner_bytes.lo, actual.interner_bytes);
+  // The total must stay within the 15% accuracy budget.
   uint64_t total = actual.total();
   uint64_t predicted = rep.total_bytes.lo;
   double err = predicted > total ? static_cast<double>(predicted - total)

@@ -19,7 +19,10 @@
 #include "provenance/snapshot.h"
 #include "provenance/view.h"
 #include "reference_terminals.h"
+#include "service/client.h"
 #include "service/ops.h"
+#include "service/registry.h"
+#include "service/server.h"
 #include "test_util.h"
 #include "workflowgen/dealership.h"
 
@@ -210,20 +213,18 @@ class PlanEquivalenceTest : public ::testing::Test {
     graph_ = nullptr;
   }
 
-  static std::string Fused(const std::string& query, int threads = 1) {
+  static std::string Fused(const std::string& query) {
     Result<Plan> plan = ParsePlan(query, {});
     EXPECT_TRUE(plan.ok()) << plan.status().ToString();
-    ExecOptions opts;
-    opts.threads = threads;
-    Result<std::string> out = ExecutePlan(*snap_, OptimizePlan(*plan), opts);
+    Result<std::string> out = ExecutePlan(*snap_, OptimizePlan(*plan));
     EXPECT_TRUE(out.ok()) << out.status().ToString();
     return out.ok() ? *out : "";
   }
 
-  static std::string Naive(const std::string& query, int threads = 1) {
+  static std::string Naive(const std::string& query) {
     Result<Plan> plan = ParsePlan(query, {});
     EXPECT_TRUE(plan.ok()) << plan.status().ToString();
-    Result<std::string> out = ExecutePlanNaive(*snap_, *plan, threads);
+    Result<std::string> out = ExecutePlanNaive(*snap_, *plan);
     EXPECT_TRUE(out.ok()) << out.status().ToString();
     return out.ok() ? *out : "";
   }
@@ -366,13 +367,6 @@ TEST_F(PlanEquivalenceTest, LongSummaryLinesRenderInFull) {
   EXPECT_EQ(*served, want);
 }
 
-TEST_F(PlanEquivalenceTest, ThreadCountDoesNotChangeOutput) {
-  const std::string q =
-      StrCat("zoomout dealer | subgraph ", agg_out_, " | find --label token");
-  EXPECT_EQ(Fused(q, 1), Fused(q, 4));
-  EXPECT_EQ(Fused(q, 4), Naive(q, 4));
-}
-
 TEST_F(PlanEquivalenceTest, SingleOpsMatchReferenceTerminals) {
   // Plans without view ops run their terminal on the identity view; both
   // kinds must agree with the naive executor and the reference terminals.
@@ -475,6 +469,71 @@ TEST_F(PlanEquivalenceTest, CancelledTraversalsFailAndCacheNothing) {
     ASSERT_TRUE(again.ok()) << again.status().ToString();
     EXPECT_EQ(*again, Fused(q)) << "query: " << q;
   }
+}
+
+// ---------------------------------------------------------------------
+// A zoom over a view that hides an invocation's m-node
+// ---------------------------------------------------------------------
+
+TEST(ZoomAfterHiddenInvocationTest, AddsNoOrphanZoomNodes) {
+  // `subgraph <first request output> up` keeps that output and its 4
+  // ancestors, no dealer m-node among them. Zooming dealer out over it
+  // must not add a zoom node for each of the 40 hidden dealer invocations;
+  // every surface agrees.
+  workflowgen::DealershipConfig cfg;
+  cfg.num_cars = 2000;
+  cfg.num_executions = 5;
+  cfg.seed = 1;
+  cfg.accept_probability = 0;
+  auto wf = workflowgen::DealershipWorkflow::Create(cfg);
+  LIPSTICK_ASSERT_OK(wf.status());
+  ProvenanceGraph graph;
+  LIPSTICK_ASSERT_OK((*wf)->Run(&graph).status());
+  NodeId out = kInvalidNode;
+  for (const InvocationInfo& inv : graph.invocations()) {
+    if (!inv.aborted() && graph.str(inv.module_name) == "request" &&
+        !inv.output_nodes.empty()) {
+      out = inv.output_nodes.front();
+      break;
+    }
+  }
+  ASSERT_NE(out, kInvalidNode);
+  service::GraphRegistry registry;
+  LIPSTICK_ASSERT_OK(registry.AddGraph("g", std::move(graph)));
+  Result<std::shared_ptr<const service::LoadedGraph>> loaded =
+      registry.Get("g");
+  LIPSTICK_ASSERT_OK(loaded.status());
+  const GraphSnapshot& snap = (*loaded)->snapshot;
+  service::Server server(&registry, service::ServerOptions{});
+  LIPSTICK_ASSERT_OK(server.Start());
+  Result<service::ServiceClient> client =
+      service::ServiceClient::ConnectHostPort("127.0.0.1", server.port());
+  LIPSTICK_ASSERT_OK(client.status());
+
+  const std::string hidden = StrCat("subgraph ", out, " up");
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {StrCat(hidden, " | stats"), "nodes:        5\n"},
+      {StrCat(hidden, " | zoomout dealer | stats"), "nodes:        5\n"},
+      {StrCat(hidden, " | zoomout dealer"),
+       "zoomed out of 1 module(s); 5 nodes remain\n"},
+  };
+  for (const auto& [q, want] : cases) {
+    Result<Plan> plan = ParsePlan(q, {});
+    LIPSTICK_ASSERT_OK(plan.status());
+    Result<std::string> fused = ExecutePlan(snap, OptimizePlan(*plan));
+    Result<std::string> naive = ExecutePlanNaive(snap, *plan);
+    Result<std::string> local = service::ExecuteReadQuery(snap, q, {}, 1);
+    Result<std::string> served = client->Query(q, {});
+    LIPSTICK_ASSERT_OK(fused.status());
+    LIPSTICK_ASSERT_OK(naive.status());
+    LIPSTICK_ASSERT_OK(local.status());
+    LIPSTICK_ASSERT_OK(served.status());
+    EXPECT_EQ(fused->substr(0, want.size()), want) << q;
+    EXPECT_EQ(*naive, *fused) << q;
+    EXPECT_EQ(*local, *fused) << q;
+    EXPECT_EQ(*served, *fused) << q;
+  }
+  server.Shutdown();
 }
 
 // ---------------------------------------------------------------------

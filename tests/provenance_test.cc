@@ -1,11 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <thread>
+#include <vector>
 
+#include "common/str_util.h"
 #include "provenance/graph.h"
 #include "provenance/provio.h"
 #include "provenance/query.h"
 #include "provenance/semiring.h"
+#include "provenance/string_pool.h"
 #include "test_util.h"
 
 namespace lipstick {
@@ -429,6 +436,123 @@ TEST(ProvIoTest, FileRoundTrip) {
   EXPECT_EQ(loaded->node(MakeNodeId(0, 0)).payload(),
             "payload with spaces\nand newline");
   EXPECT_FALSE(LoadGraphFromFile("/nonexistent/path").ok());
+}
+
+// ---------------------------------------------------------------------
+// StringPool: the interner behind every payload and name.
+// ---------------------------------------------------------------------
+
+TEST(StringPoolTest, InternsManyStringsAcrossGrowths) {
+  StringPool pool;
+  EXPECT_EQ(pool.Find("x"), kStrNotFound);  // empty index
+  constexpr size_t kStrings = 100000;
+  std::vector<std::string_view> views;
+  for (size_t i = 0; i < kStrings; ++i) {
+    std::string s = StrCat("dealer", i % 7, ".Cars[", i, "]");
+    StrId id = pool.Intern(s);
+    ASSERT_EQ(id, i + 1) << s;  // ids are dense, in first-intern order
+    EXPECT_EQ(pool.Intern(s), id);
+    if (i < 64) views.push_back(pool.Get(id));
+  }
+  EXPECT_EQ(pool.size(), kStrings + 1);
+  for (size_t i = 0; i < kStrings; i += 997) {
+    std::string s = StrCat("dealer", i % 7, ".Cars[", i, "]");
+    EXPECT_EQ(pool.Find(s), i + 1) << s;
+    EXPECT_EQ(pool.Get(static_cast<StrId>(i + 1)), s);
+  }
+  EXPECT_EQ(pool.Find("dealer0.Cars[100000]"), kStrNotFound);
+  EXPECT_EQ(pool.Find("dealer0.Cars["), kStrNotFound);
+  EXPECT_EQ(pool.Find(""), kEmptyStr);
+  EXPECT_EQ(pool.Intern(""), kEmptyStr);
+  EXPECT_EQ(pool.Get(kEmptyStr), "");
+
+  // Views taken before the index grew still point at the same bytes, and
+  // so do they after the pool moves.
+  for (size_t i = 0; i < views.size(); ++i) {
+    EXPECT_EQ(pool.Get(static_cast<StrId>(i + 1)).data(), views[i].data());
+  }
+  StringPool moved = std::move(pool);
+  for (size_t i = 0; i < views.size(); ++i) {
+    std::string_view now = moved.Get(static_cast<StrId>(i + 1));
+    EXPECT_EQ(now.data(), views[i].data());
+    EXPECT_EQ(now, views[i]);
+    EXPECT_EQ(moved.Find(views[i]), i + 1);
+  }
+  EXPECT_EQ(moved.Intern("after the move"), kStrings + 1);
+}
+
+TEST(StringPoolTest, OversizedStringsGetTheirOwnChunk) {
+  StringPool pool;
+  StrId small = pool.Intern("small");
+  std::string big(70 * 1024, 'x');
+  big[12345] = 'y';
+  StrId id = pool.Intern(big);
+  EXPECT_EQ(pool.Get(id), big);
+  EXPECT_EQ(pool.Find(big), id);
+  std::string other = big;
+  other[12345] = 'z';
+  EXPECT_EQ(pool.Find(other), kStrNotFound);
+  EXPECT_EQ(pool.Get(small), "small");
+  EXPECT_EQ(pool.Intern("small"), small);
+}
+
+TEST(StringPoolTest, ConcurrentInternsAgreeOnIds) {
+  // Four threads intern overlapping ranges: every distinct string gets one
+  // id, whichever thread interned it first.
+  StringPool pool;
+  constexpr int kThreads = 4;
+  constexpr size_t kPerThread = 6000;
+  constexpr size_t kStride = 3000;
+  std::vector<std::vector<StrId>> ids(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t i = 0; i < kPerThread; ++i) {
+        ids[t].push_back(pool.Intern(StrCat("k", t * kStride + i)));
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  const size_t distinct = (kThreads - 1) * kStride + kPerThread;
+  EXPECT_EQ(pool.size(), distinct + 1);
+  std::vector<StrId> by_key(distinct, kStrNotFound);
+  for (int t = 0; t < kThreads; ++t) {
+    for (size_t i = 0; i < kPerThread; ++i) {
+      size_t key = t * kStride + i;
+      if (by_key[key] == kStrNotFound) by_key[key] = ids[t][i];
+      EXPECT_EQ(ids[t][i], by_key[key]) << "k" << key;
+      EXPECT_EQ(pool.Get(ids[t][i]), StrCat("k", key));
+    }
+  }
+}
+
+TEST(StringPoolTest, MemoryBytesCountsArenaSpansAndSlots) {
+  EXPECT_EQ(StringPool::IndexSlotsFor(0), 0u);
+  EXPECT_EQ(StringPool::IndexSlotsFor(1), 16u);
+  EXPECT_EQ(StringPool::IndexSlotsFor(12), 16u);
+  EXPECT_EQ(StringPool::IndexSlotsFor(13), 32u);
+  EXPECT_EQ(StringPool::IndexSlotsFor(10031), 16384u);
+  for (size_t n = 1; n < 5000; ++n) {
+    size_t slots = StringPool::IndexSlotsFor(n);
+    ASSERT_TRUE(std::has_single_bit(slots)) << n;
+    ASSERT_LE(4 * n, 3 * slots) << n;                     // at most 3/4 full
+    ASSERT_TRUE(slots == 16 || 4 * n > 3 * slots / 2) << n;  // smallest
+  }
+  constexpr size_t kSpanBytes = 16;  // StringPool::Span: ptr + u32
+  StringPool pool;
+  EXPECT_EQ(pool.MemoryBytes(), kSpanBytes);  // the empty string's span
+  // 2,000 short strings fit one 64 KiB chunk; spans grow by doubling.
+  for (size_t n = 1; n <= 2000; ++n) {
+    pool.Intern(StrCat("s", n));
+    ASSERT_EQ(pool.MemoryBytes(),
+              64 * 1024 + std::bit_ceil(n + 1) * kSpanBytes +
+                  StringPool::IndexSlotsFor(n) * sizeof(StrId))
+        << n;
+  }
+  pool.ShrinkToFit();
+  EXPECT_EQ(pool.MemoryBytes(), 64 * 1024 + 2001 * kSpanBytes +
+                                    StringPool::IndexSlotsFor(2000) *
+                                        sizeof(StrId));
 }
 
 }  // namespace

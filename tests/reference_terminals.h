@@ -6,7 +6,8 @@
 // and depends as a standalone graph renders them. Tests run these on a
 // materialized view and compare with the one implementation in src/
 // (GraphView operators and the plan engine), byte for byte. Also the
-// eager, mutating ZoomOut that zoom views must materialize identical to.
+// full-scan ZoomOut planner and the eager, mutating ZoomOut built on it,
+// which zoom views must materialize identical to.
 
 #include <algorithm>
 #include <array>
@@ -195,9 +196,95 @@ inline std::string ReferenceExprString(const GraphSnapshot& g, NodeId id,
   return "?";
 }
 
+/// A ZoomOut plan with its removed nodes listed, in ascending id order.
+struct ReferenceZoomPlan {
+  std::vector<NodeId> removed;  // intermediates + state (+ base tokens)
+  std::vector<internal::ZoomInvocationPlan> invocations;
+};
+
+/// ZoomOut planning (Definition 4.1, the ZoomOut steps of Section 4.1) by
+/// two full scans of the snapshot, with no invocation-run index: what
+/// internal::PlanZoomOut must agree with. Nodes marked in
+/// `removed_so_far` are treated as dead, and this module's removals are
+/// marked there too. An invocation whose m-node is not live gets no zoom
+/// node.
+inline Result<ReferenceZoomPlan> ReferencePlanZoomOut(
+    const GraphSnapshot& snap, const std::string& module,
+    VisitedSet& removed_so_far) {
+  auto live = [&](NodeId id) {
+    return snap.Contains(id) && !removed_so_far.Test(id);
+  };
+  StrId want = snap.strings().Find(module);
+  std::vector<uint32_t> inv_ids;
+  for (uint32_t i = 0; i < snap.invocations().size(); ++i) {
+    const InvocationInfo& inv = snap.invocations()[i];
+    if (want != kStrNotFound && inv.module_name == want && !inv.aborted()) {
+      inv_ids.push_back(i);
+    }
+  }
+  if (inv_ids.empty()) {
+    return Status::NotFound(
+        StrCat("no invocations of module '", module, "' in graph"));
+  }
+  std::unordered_set<uint32_t> inv_set(inv_ids.begin(), inv_ids.end());
+  auto zoomed = [&](NodeId id) {
+    uint32_t inv = snap.node(id).invocation();
+    return inv != kNoInvocation && inv_set.count(inv) > 0;
+  };
+  ReferenceZoomPlan plan;
+  // Intermediates; marks land after the scan.
+  snap.ForEachNode([&](NodeId id) {
+    if (live(id) && snap.node(id).role() == NodeRole::kIntermediate &&
+        zoomed(id)) {
+      plan.removed.push_back(id);
+    }
+  });
+  for (NodeId id : plan.removed) removed_so_far.Set(id);
+  for (uint32_t inv : inv_ids) {
+    for (NodeId s : snap.invocations()[inv].state_nodes) {
+      if (!live(s)) continue;
+      removed_so_far.Set(s);
+      plan.removed.push_back(s);
+    }
+  }
+  // State-base tokens no live node derives from; marks land after the
+  // scan.
+  std::vector<NodeId> bases;
+  snap.ForEachNode([&](NodeId id) {
+    if (!live(id) || snap.node(id).role() != NodeRole::kStateBase ||
+        !zoomed(id)) {
+      return;
+    }
+    for (NodeId child : snap.ChildrenOf(id)) {
+      if (live(child)) return;
+    }
+    bases.push_back(id);
+  });
+  for (NodeId id : bases) {
+    removed_so_far.Set(id);
+    plan.removed.push_back(id);
+  }
+  std::sort(plan.removed.begin(), plan.removed.end());
+  for (uint32_t inv_id : inv_ids) {
+    const InvocationInfo& inv = snap.invocations()[inv_id];
+    if (!live(inv.m_node)) continue;
+    internal::ZoomInvocationPlan ip;
+    ip.invocation = inv_id;
+    ip.m_node = inv.m_node;
+    for (NodeId in : inv.input_nodes) {
+      if (live(in)) ip.zoom_parents.push_back(in);
+    }
+    for (NodeId out : inv.output_nodes) {
+      if (live(out)) ip.outputs.push_back(out);
+    }
+    plan.invocations.push_back(std::move(ip));
+  }
+  return plan;
+}
+
 /// ZoomOut (Section 4.1) applied to the graph by mutation, one module at a
 /// time with a re-seal in between: each module is planned with
-/// internal::PlanZoomOut over a fresh snapshot, its collapsed p-nodes are
+/// ReferencePlanZoomOut over a fresh snapshot, its collapsed p-nodes are
 /// appended to shard 0, its outputs rewired to {zoom node, m node}, and
 /// its removed nodes marked dead.
 inline Status ReferenceZoomOut(ProvenanceGraph* graph,
@@ -205,13 +292,13 @@ inline Status ReferenceZoomOut(ProvenanceGraph* graph,
   ShardWriter writer = graph->writer();
   for (const std::string& module : modules) {
     graph->Seal();
-    internal::ZoomPlan plan;
+    ReferenceZoomPlan plan;
     {
       LIPSTICK_ASSIGN_OR_RETURN(GraphSnapshot snap,
                                 GraphSnapshot::Capture(*graph));
       VisitedLease removed = snap.AcquireVisited();
-      LIPSTICK_ASSIGN_OR_RETURN(
-          plan, internal::PlanZoomOut(snap, module, *removed, 1));
+      LIPSTICK_ASSIGN_OR_RETURN(plan,
+                                ReferencePlanZoomOut(snap, module, *removed));
     }
     for (internal::ZoomInvocationPlan& ip : plan.invocations) {
       NodeRecord zoom;

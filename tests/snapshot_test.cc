@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -87,11 +89,10 @@ ProvenanceGraph BuildArcticGraph() {
 
 /// The identity view with one ZoomOut stage applied.
 Result<GraphView> ZoomedView(const GraphSnapshot& snap,
-                             const std::set<std::string>& modules,
-                             int threads) {
+                             const std::set<std::string>& modules) {
   GraphView view = GraphView::MakeIdentity(snap);
   LIPSTICK_RETURN_IF_ERROR(
-      view.ApplyZoomOut({modules.begin(), modules.end()}, threads));
+      view.ApplyZoomOut({modules.begin(), modules.end()}));
   return view;
 }
 
@@ -345,7 +346,7 @@ TEST(StatsTest, OneWorkerGraphTakesOnePass) {
   const std::set<std::string> modules = ModuleNames(*snap);
   ASSERT_GE(modules.size(), 4u);
   for (const std::string& m : modules) {
-    Result<GraphView> view = ZoomedView(*snap, {m}, 1);
+    Result<GraphView> view = ZoomedView(*snap, {m});
     LIPSTICK_ASSERT_OK(view.status());
     EXPECT_EQ(StatsAndPasses(*view).second, 1u) << "zoomout " << m;
   }
@@ -390,7 +391,7 @@ TEST(StatsTest, ZoomInputAfterItsOutputTakesTheFallbackRounds) {
   g.Seal();
   Result<GraphSnapshot> snap = GraphSnapshot::Capture(g);
   LIPSTICK_ASSERT_OK(snap.status());
-  Result<GraphView> view = ZoomedView(*snap, {"mod"}, 1);
+  Result<GraphView> view = ZoomedView(*snap, {"mod"});
   LIPSTICK_ASSERT_OK(view.status());
   EXPECT_GT(ExpectStatsMatchReference(*view, "zoom input after output"), 1u);
   // t -> input -> zoom node -> output -> its child.
@@ -415,7 +416,7 @@ TEST(ViewTest, ZoomOutStageMaterializesByteIdenticalToEagerZoom) {
     ProvenanceGraph base = CloneSealed(original);
     Result<GraphSnapshot> snap = GraphSnapshot::Capture(base);
     LIPSTICK_ASSERT_OK(snap.status());
-    Result<GraphView> view = ZoomedView(*snap, modules, 4);
+    Result<GraphView> view = ZoomedView(*snap, modules);
     LIPSTICK_ASSERT_OK(view.status());
     Result<ProvenanceGraph> materialized = view->Materialize();
     LIPSTICK_ASSERT_OK(materialized.status());
@@ -436,7 +437,7 @@ TEST(ViewTest, ZoomOutStageDotMatchesEagerDot) {
 
   Result<GraphSnapshot> snap = GraphSnapshot::Capture(original);
   LIPSTICK_ASSERT_OK(snap.status());
-  Result<GraphView> view = ZoomedView(*snap, {"dealer"}, 2);
+  Result<GraphView> view = ZoomedView(*snap, {"dealer"});
   LIPSTICK_ASSERT_OK(view.status());
   std::ostringstream view_dot;
   LIPSTICK_ASSERT_OK(WriteDot(*view, view_dot));
@@ -487,7 +488,230 @@ TEST(ViewTest, ZoomOutOfUnknownModuleFails) {
   ProvenanceGraph g = BuildDealershipGraph();
   Result<GraphSnapshot> snap = GraphSnapshot::Capture(g);
   LIPSTICK_ASSERT_OK(snap.status());
-  EXPECT_FALSE(ZoomedView(*snap, {"nonexistent_module"}, 1).ok());
+  EXPECT_FALSE(ZoomedView(*snap, {"nonexistent_module"}).ok());
+}
+
+// ---------------------------------------------------------------------
+// ZoomOut planning over the invocation-run index vs the full-scan
+// reference planner.
+// ---------------------------------------------------------------------
+
+/// Every invocation's runs cover exactly the nodes tagged with it, each
+/// run is maximal within its shard, and a snapshot's runs are in id order.
+void ExpectRunsMatchTags(const GraphSnapshot& snap, const std::string& what) {
+  const size_t num_invocations = snap.invocations().size();
+  std::vector<uint64_t> tagged(num_invocations, 0);
+  snap.ForEachNode([&](NodeId id) {
+    uint32_t inv = snap.node(id).invocation();
+    if (inv < num_invocations) ++tagged[inv];
+  });
+  std::vector<uint64_t> covered(num_invocations, 0);
+  for (uint32_t inv = 0; inv < num_invocations; ++inv) {
+    NodeId prev_last = kInvalidNode;
+    for (const NodeRun& run : snap.InvocationRuns(inv)) {
+      ASSERT_GT(run.length, 0u) << what;
+      const NodeId last = run.first + run.length - 1;
+      const uint32_t shard = NodeShard(run.first);
+      ASSERT_EQ(NodeShard(last), shard) << what;
+      ASSERT_LT(NodeIndex(last), snap.ShardSize(shard)) << what;
+      EXPECT_LT(prev_last, run.first) << what << ": invocation " << inv;
+      prev_last = last;
+      for (NodeId id = run.first; id <= last; ++id) {
+        ASSERT_EQ(snap.node(id).invocation(), inv) << what << ": " << id;
+      }
+      if (NodeIndex(run.first) > 0) {
+        EXPECT_NE(snap.node(run.first - 1).invocation(), inv) << what;
+      }
+      if (NodeIndex(last) + 1 < snap.ShardSize(shard)) {
+        EXPECT_NE(snap.node(last + 1).invocation(), inv) << what;
+      }
+      covered[inv] += run.length;
+    }
+  }
+  EXPECT_EQ(covered, tagged) << what;
+  EXPECT_TRUE(snap.InvocationRuns(num_invocations).empty()) << what;
+  EXPECT_TRUE(snap.InvocationRuns(kNoInvocation).empty()) << what;
+}
+
+/// Plans `modules` as one zoom stage after `prefix` (a pipeline of view
+/// stages, or empty) with internal::PlanZoomOut and with the reference
+/// planner, from the same hide mask, and checks that both remove the same
+/// nodes and collapse the same invocations, and that the result covers
+/// every module's intermediates by Definition 4.1.
+void ExpectPlannerMatchesReference(
+    const GraphSnapshot& snap, const std::string& prefix,
+    const std::set<std::string>& modules,
+    const std::map<std::string, std::unordered_set<NodeId>>& by_definition,
+    const std::string& what) {
+  GraphView view =
+      prefix.empty() ? GraphView::MakeIdentity(snap) : PlanView(snap, prefix);
+  VisitedLease got = snap.AcquireVisited();
+  VisitedLease want = snap.AcquireVisited();
+  snap.ForEachNode([&](NodeId id) {
+    if (!view.Visible(id)) {
+      got->Set(id);
+      want->Set(id);
+    }
+  });
+  for (const std::string& module : modules) {
+    Result<internal::ZoomPlan> plan =
+        internal::PlanZoomOut(snap, module, *got);
+    Result<testing::ReferenceZoomPlan> ref =
+        testing::ReferencePlanZoomOut(snap, module, *want);
+    ASSERT_EQ(plan.ok(), ref.ok()) << what;
+    if (!plan.ok()) continue;
+    EXPECT_EQ(plan->num_removed, ref->removed.size()) << what;
+    ASSERT_EQ(plan->invocations.size(), ref->invocations.size()) << what;
+    for (size_t i = 0; i < plan->invocations.size(); ++i) {
+      const internal::ZoomInvocationPlan& a = plan->invocations[i];
+      const internal::ZoomInvocationPlan& b = ref->invocations[i];
+      EXPECT_EQ(a.invocation, b.invocation) << what;
+      EXPECT_EQ(a.m_node, b.m_node) << what;
+      EXPECT_EQ(a.zoom_parents, b.zoom_parents) << what;
+      EXPECT_EQ(a.outputs, b.outputs) << what;
+      EXPECT_TRUE(snap.Contains(a.m_node) && view.Visible(a.m_node)) << what;
+    }
+  }
+  size_t mismatches = 0;
+  snap.ForEachNode([&](NodeId id) {
+    mismatches += got->Test(id) != want->Test(id) ? 1 : 0;
+  });
+  EXPECT_EQ(mismatches, 0u) << what;
+  // The planner finds intermediates by their tag, so a node whose tag
+  // names no invocation stays; a zoom node of an earlier zoom stands for
+  // its whole invocation and stays too.
+  for (const std::string& module : modules) {
+    for (NodeId id : by_definition.at(module)) {
+      NodeView n = snap.node(id);
+      if (n.role() == NodeRole::kZoom ||
+          n.invocation() >= snap.invocations().size()) {
+        continue;
+      }
+      EXPECT_TRUE(got->Test(id)) << what << ": " << module << " keeps " << id;
+    }
+  }
+}
+
+/// The planner differential over one graph: every module, every pair of
+/// modules in one stage, each of them alone and after a subgraph, a
+/// restrict and a delete stage.
+void ExpectZoomPlansMatchReference(const ProvenanceGraph& graph,
+                                   const std::string& what) {
+  Result<GraphSnapshot> snap = GraphSnapshot::Capture(graph);
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  ExpectRunsMatchTags(*snap, what);
+  const std::set<std::string> modules = ModuleNames(*snap);
+  ASSERT_GE(modules.size(), 2u) << what;
+  std::map<std::string, std::unordered_set<NodeId>> by_definition;
+  for (const std::string& m : modules) {
+    Result<std::unordered_set<NodeId>> nodes =
+        IntermediateNodesByDefinition(*snap, m);
+    ASSERT_TRUE(nodes.ok()) << nodes.status().ToString();
+    by_definition[m] = std::move(*nodes);
+  }
+  NodeId out = kInvalidNode;
+  for (const InvocationInfo& inv : snap->invocations()) {
+    if (!inv.aborted() && !inv.output_nodes.empty() &&
+        snap->Contains(inv.output_nodes.front())) {
+      out = inv.output_nodes.front();
+      break;
+    }
+  }
+  ASSERT_NE(out, kInvalidNode) << what;
+  const NodeId token = FindNodes(*snap, ByLabel(NodeLabel::kToken)).front();
+  std::vector<std::set<std::string>> groups;
+  for (auto a = modules.begin(); a != modules.end(); ++a) {
+    groups.push_back({*a});
+    for (auto b = std::next(a); b != modules.end(); ++b) {
+      groups.push_back({*a, *b});
+    }
+  }
+  for (const std::string& prefix :
+       {std::string(), StrCat("subgraph ", out, " up"),
+        std::string("restrict --label token"), StrCat("delete ", token)}) {
+    for (const std::set<std::string>& group : groups) {
+      ExpectPlannerMatchesReference(
+          *snap, prefix, group, by_definition,
+          StrCat(what, ": ", prefix, " | zoomout ",
+                 Join({group.begin(), group.end()}, ",")));
+    }
+  }
+}
+
+TEST(ZoomPlanTest, RunsPlannerMatchesTheFullScanReference) {
+  ProvenanceGraph one = BuildDealershipGraph(1);
+  ExpectZoomPlansMatchReference(one, "dealership x1");
+  ExpectZoomPlansMatchReference(BuildDealershipGraph(4), "dealership x4");
+  ExpectZoomPlansMatchReference(BuildArcticGraph(), "arctic");
+  ExpectZoomPlansMatchReference(CloneSealed(one), "saved and loaded");
+  // A materialized zoom view: its zoom nodes, tagged with their
+  // invocations, sit at the end of shard 0 and add runs there.
+  Result<GraphSnapshot> snap = GraphSnapshot::Capture(one);
+  LIPSTICK_ASSERT_OK(snap.status());
+  Result<GraphView> zoomed = ZoomedView(*snap, {"dealer"});
+  LIPSTICK_ASSERT_OK(zoomed.status());
+  Result<ProvenanceGraph> materialized = zoomed->Materialize();
+  LIPSTICK_ASSERT_OK(materialized.status());
+  ExpectZoomPlansMatchReference(*materialized, "materialized zoom view");
+  // A tag that names no invocation (validator G0307) splits a run and
+  // falls in none.
+  ProvenanceGraph bad = CloneSealed(one);
+  NodeId victim = kInvalidNode;
+  for (const NodeRun& run : snap->InvocationRuns(0)) {
+    if (run.length >= 3) victim = run.first + 1;
+  }
+  ASSERT_NE(victim, kInvalidNode);
+  bad.SetInvocationTag(victim, static_cast<uint32_t>(
+                                   bad.invocations().size() + 5));
+  ExpectZoomPlansMatchReference(bad, "untracked tag");
+  // A state-base token that a node outside every invocation derives from
+  // stays when its module is zoomed out.
+  ProvenanceGraph used = CloneSealed(one);
+  NodeId base = kInvalidNode;
+  used.ForEachAliveNode([&](NodeId id) {
+    if (base == kInvalidNode &&
+        used.node(id).role() == NodeRole::kStateBase &&
+        used.node(id).invocation() < used.invocations().size()) {
+      base = id;
+    }
+  });
+  ASSERT_NE(base, kInvalidNode);
+  used.writer().Plus({base});
+  used.Seal();
+  ExpectZoomPlansMatchReference(used, "a base used outside its module");
+}
+
+TEST(ZoomPlanTest, PlanningScansOnlyTheZoomedInvocationsRuns) {
+  // query.zoom_nodes_scanned counts the nodes the planner's two walks
+  // visit: twice the nodes tagged with the module's live invocations.
+  ProvenanceGraph g = BuildDealershipGraph();
+  Result<GraphSnapshot> snap = GraphSnapshot::Capture(g);
+  LIPSTICK_ASSERT_OK(snap.status());
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  for (const std::string module : {"aggregate", "dealer"}) {
+    uint64_t tagged = 0;
+    snap->ForEachNode([&](NodeId id) {
+      uint32_t inv = snap->node(id).invocation();
+      if (inv < snap->invocations().size() &&
+          !snap->invocations()[inv].aborted() &&
+          snap->str(snap->invocations()[inv].module_name) == module) {
+        ++tagged;
+      }
+    });
+    ASSERT_GT(tagged, 0u) << module;
+    ASSERT_LT(tagged, snap->num_nodes()) << module;
+    metrics.ResetValues();
+    metrics.Enable();
+    Result<GraphView> view = ZoomedView(*snap, {module});
+    metrics.Disable();
+    LIPSTICK_ASSERT_OK(view.status());
+    uint64_t scanned = 0;
+    for (const auto& [name, value] : metrics.Snap().counters) {
+      if (name == "query.zoom_nodes_scanned") scanned = value;
+    }
+    metrics.ResetValues();
+    EXPECT_EQ(scanned, 2 * tagged) << module;
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -585,7 +809,7 @@ TEST(SnapshotStressTest, ConcurrentMixedReadersMatchBaseline) {
 
   // Single-threaded baselines.
   const std::string baseline_zoom_bytes = [&] {
-    Result<GraphView> view = ZoomedView(snap, {"dealer"}, 1);
+    Result<GraphView> view = ZoomedView(snap, {"dealer"});
     EXPECT_TRUE(view.ok());
     return SaveBytes(*view->Materialize());
   }();
@@ -603,7 +827,7 @@ TEST(SnapshotStressTest, ConcurrentMixedReadersMatchBaseline) {
       for (int round = 0; round < kRounds; ++round) {
         switch ((t + round) % 4) {
           case 0: {
-            Result<GraphView> view = ZoomedView(snap, {"dealer"}, 2);
+            Result<GraphView> view = ZoomedView(snap, {"dealer"});
             if (!view.ok() ||
                 SaveBytes(*view->Materialize()) != baseline_zoom_bytes) {
               mismatches.fetch_add(1);

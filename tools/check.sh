@@ -41,7 +41,9 @@
 #          (one-shot ops, a batch file, the error envelope, `explain
 #          --json` over a module name with control bytes, which must also
 #          pass `python3 -m json.tool`, and a summary line past 255
-#          bytes), diffs every byte against local-mode output, then
+#          bytes), diffs every byte against local-mode output, checks
+#          that `--batch --threads 3` prints what one thread prints and
+#          that a one-shot query refuses `--threads`, then
 #          SIGTERMs the daemon and verifies a clean drain — nonzero on
 #          any output drift, a leaked child process, or a port still
 #          listening,
@@ -94,8 +96,8 @@ run_asan() {
 # rollback paths), the lock-free StringPool (provenance_test), the
 # MetricsRegistry + TraceBuffer concurrency tests (obs_test), and the
 # snapshot/traversal read-path stress (snapshot_test: concurrent readers,
-# work-stealing ParallelFor, lazy views), the plan engine
-# (plan_test: multi-threaded plan execution + the shared PlanViewCache),
+# the plain-thread ParallelFor, lazy views), the plan engine
+# (plan_test: an in-process server + the shared PlanViewCache),
 # and the query service (service_test: accept/session/worker threads, hot
 # reload, concurrent clients).
 TSAN_TESTS='^(workflow_test|workflowgen_test|fault_test|property_test|dataflow_test|provenance_test|obs_test|snapshot_test|plan_test|service_test)$'
@@ -300,9 +302,13 @@ run_integration() {
   [[ -n "${id}" ]] || { echo "FAIL: no token node found"; return 1; }
 
   # The scripted session: one-shot ops plus a batch file. Every query must
-  # produce byte-identical output in local and serve mode.
+  # produce byte-identical output in local and serve mode. `best` is the
+  # workflow's aggregator; the last op zooms over a view that hides every
+  # dealer invocation.
   local ops=("stats" "find --label token" "expr ${id}" "subgraph ${id}"
-             "zoomout dealer" "delete ${id}" "restrict --label token")
+             "zoomout dealer" "zoomout best" "delete ${id}"
+             "restrict --label token"
+             "subgraph ${id} up | zoomout dealer | stats")
   cat > "${work}/batch.txt" <<EOF
 stats
 find --label token
@@ -322,9 +328,23 @@ EOF
   "${cli}" query "${work}/g.pg" --batch "${work}/batch.txt" \
            > "${work}/local.batch.out"
 
+  echo "--- --threads runs batch lines concurrently, in input order"
+  "${cli}" query "${work}/g.pg" --batch "${work}/batch.txt" --threads 3 \
+           > "${work}/local.batch3.out"
+  diff -u "${work}/local.batch.out" "${work}/local.batch3.out" || {
+    echo "FAIL: --threads 3 batch output differs from one thread"; return 1; }
+  if "${cli}" query "${work}/g.pg" stats --threads 2 \
+       > /dev/null 2> "${work}/threads.err"; then
+    echo "FAIL: a one-shot query accepted --threads"; return 1
+  fi
+  grep -q -- "--threads applies only to --batch" "${work}/threads.err" || {
+    echo "FAIL: missing --threads message:"; cat "${work}/threads.err"
+    return 1; }
+
   echo "--- --out saves the view: .pg materializes, any other path is dot"
   local outs=("delete ${id}" "subgraph ${id}" "zoomout dealer"
-              "restrict --label token" "zoomout dealer | subgraph ${id}")
+              "restrict --label token" "zoomout dealer | subgraph ${id}"
+              "subgraph ${id} up | zoomout dealer")
   i=0
   for q in "${outs[@]}"; do
     # shellcheck disable=SC2086

@@ -27,16 +27,15 @@
 //   lipstick query <graph.pg> --batch <queries.txt> [--threads N]
 //   lipstick serve [name=]graph.pg... [--host H] [--port P] [--workers N]
 //                  [--queue-depth N] [--deadline-ms D] [--cache N]
-//                  [--query-threads N]
 //   lipstick query --connect host:port [--graph NAME] [--deadline-ms D]
 //                  stats|find|expr|depends|subgraph|zoomout|restrict|
 //                  delete|ping|graphs|reload|metricz ... |
 //                  --batch <queries.txt>
 //
-// Every `query` form accepts `--threads N`: parallel zoom-planning scans
-// for the one-shot queries, concurrent lines over one shared snapshot for
-// --batch (one read-only query per line — single ops or `|` pipelines;
-// blank lines and # comments skipped, errors report 1-based line numbers).
+// `--batch` runs one read-only query per line (single ops or `|`
+// pipelines; blank lines and # comments skipped, errors report 1-based
+// line numbers), `--threads N` lines at a time over one shared snapshot.
+// `--threads` applies only to `--batch`.
 //
 // A `|` anywhere in the query folds the whole command line into one
 // pipeline plan: view stages (zoomout, subgraph, restrict, delete) compose
@@ -126,8 +125,7 @@ int FailUsage() {
                "       lipstick recover <wal-dir> [--out g.pg] "
                "[--keep-uncommitted] [--repair]\n"
                "       lipstick query <graph.pg> stats|find|expr|depends|"
-               "subgraph|delete|zoomout|restrict|dot|opm|validate ... "
-               "[--threads N]\n"
+               "subgraph|delete|zoomout|restrict|dot|opm|validate ...\n"
                "       lipstick query <graph.pg> \"<stage> | <stage> | ...\" "
                "[--out f]\n"
                "       lipstick explain <graph.pg> <query...> [--json]\n"
@@ -135,7 +133,7 @@ int FailUsage() {
                "[--threads N]\n"
                "       lipstick serve [name=]graph.pg... [--host H] "
                "[--port P] [--workers N] [--queue-depth N] [--deadline-ms D] "
-               "[--cache N] [--query-threads N]\n"
+               "[--cache N]\n"
                "       lipstick query --connect host:port [--graph NAME] "
                "[--deadline-ms D] <op> ... | --batch <queries.txt>\n");
   return 2;
@@ -805,9 +803,8 @@ int RunBatch(const GraphSnapshot& snap, const std::string& batch_path,
   if (!lines.ok()) return Fail(lines.status().ToString());
   std::vector<std::string> outputs(lines->size());
   std::vector<Status> errors(lines->size());
-  // Parallelism comes from running whole lines concurrently, so each line
-  // executes its query single-threaded. The whole line travels as the op
-  // string — the plan parser splits it, so pipelines need no special case.
+  // Whole lines run concurrently. The whole line travels as the op string
+  // — the plan parser splits it, so pipelines need no special case.
   ParallelFor(lines->size(), threads, [&](size_t begin, size_t end, int) {
     for (size_t i = begin; i < end; ++i) {
       Result<std::string> text =
@@ -889,7 +886,7 @@ int CmdQuery(const std::vector<std::string>& args) {
   std::vector<std::string> rest = args;
 
   // Global flags, accepted anywhere.
-  int threads = 1;
+  int threads = 0;  // 0: --threads not given
   std::string out_path;
   std::string batch_path;
   std::string connect;     // --connect host:port = remote mode
@@ -930,6 +927,9 @@ int CmdQuery(const std::vector<std::string>& args) {
     }
   }
 
+  if (threads != 0 && batch_path.empty()) {
+    return Fail("--threads applies only to --batch");
+  }
   if (!connect.empty()) {
     if (!out_path.empty()) {
       return Fail("--out is not supported with --connect");
@@ -973,7 +973,7 @@ int CmdQuery(const std::vector<std::string>& args) {
   if (!snap.ok()) return Fail(snap.status().ToString());
 
   if (!batch_path.empty()) {
-    return RunBatch(*snap, batch_path, threads);
+    return RunBatch(*snap, batch_path, std::max(threads, 1));
   }
   if (op == "opm") {
     if (out_path.empty()) return Fail("opm requires --out <file>");
@@ -1007,8 +1007,7 @@ int CmdQuery(const std::vector<std::string>& args) {
   // prints what it prints on every other surface.
   Result<service::ParsedQuery> parsed = service::ParseQuery(op, rest);
   if (!parsed.ok()) return Fail(parsed.status().ToString());
-  Result<std::string> text =
-      service::ExecuteParsedQuery(*snap, *parsed, threads);
+  Result<std::string> text = service::ExecuteParsedQuery(*snap, *parsed, 1);
   if (!text.ok()) return Fail(text.status().ToString());
   std::fputs(text->c_str(), stdout);
   // --out saves the view a plan ending in a view stage leaves: a .pg path
@@ -1016,7 +1015,7 @@ int CmdQuery(const std::vector<std::string>& args) {
   // graph to save, so --out is ignored there.
   const Plan& plan = parsed->optimized.plan;
   if (out_path.empty() || parsed->is_explain || plan.HasTerminal()) return 0;
-  Result<GraphView> view = BuildPlanView(*snap, plan, threads);
+  Result<GraphView> view = BuildPlanView(*snap, plan);
   if (!view.ok()) return Fail(view.status().ToString());
   Status st;
   if (EndsWith(out_path, ".pg")) {
@@ -1110,10 +1109,6 @@ int CmdServe(const std::vector<std::string>& args) {
       auto v = need_value("--cache");
       if (!v.ok()) return Fail(v.status().ToString());
       options.cache_entries = static_cast<size_t>(std::atoi(v->c_str()));
-    } else if (args[i] == "--query-threads") {
-      auto v = need_value("--query-threads");
-      if (!v.ok()) return Fail(v.status().ToString());
-      options.query_threads = std::atoi(v->c_str());
     } else if (!args[i].empty() && args[i][0] == '-') {
       return Fail(StrCat("unknown serve flag '", args[i], "'"));
     } else {
