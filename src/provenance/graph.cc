@@ -226,74 +226,78 @@ NodeId ShardWriter::WorkflowInput(std::string token_name) {
 }
 
 NodeId ShardWriter::ModuleInput(uint32_t invocation, NodeId tuple_node) {
-  NodeId m_node;
-  {
-    std::lock_guard<std::mutex> lock(*graph_->invocations_mu_);
-    m_node = graph_->invocations_[invocation].m_node;
-  }
-  NodeId id =
-      Times({tuple_node, m_node}, NodeRole::kModuleInput, invocation);
-  std::lock_guard<std::mutex> lock(*graph_->invocations_mu_);
-  graph_->invocations_[invocation].input_nodes.push_back(id);
-  if (GraphWalSink* sink = graph_->wal_sink_) {
-    sink->OnInvocationNode(invocation, 0, id);
-  }
-  return id;
+  return StructuralNode(invocation, tuple_node, NodeRole::kModuleInput, 0);
 }
 
 NodeId ShardWriter::ModuleOutput(uint32_t invocation, NodeId tuple_node) {
-  NodeId m_node;
-  {
-    std::lock_guard<std::mutex> lock(*graph_->invocations_mu_);
-    m_node = graph_->invocations_[invocation].m_node;
-  }
-  NodeId id =
-      Times({tuple_node, m_node}, NodeRole::kModuleOutput, invocation);
-  std::lock_guard<std::mutex> lock(*graph_->invocations_mu_);
-  graph_->invocations_[invocation].output_nodes.push_back(id);
-  if (GraphWalSink* sink = graph_->wal_sink_) {
-    sink->OnInvocationNode(invocation, 1, id);
-  }
-  return id;
+  return StructuralNode(invocation, tuple_node, NodeRole::kModuleOutput, 1);
 }
 
 NodeId ShardWriter::ModuleState(uint32_t invocation, NodeId tuple_node) {
-  NodeId m_node;
+  return StructuralNode(invocation, tuple_node, NodeRole::kModuleState, 2);
+}
+
+NodeId ShardWriter::StructuralNode(uint32_t invocation, NodeId tuple_node,
+                                   NodeRole role, int kind) {
+  NodeId parents[2] = {tuple_node, kInvalidNode};
   {
     std::lock_guard<std::mutex> lock(*graph_->invocations_mu_);
-    m_node = graph_->invocations_[invocation].m_node;
+    parents[1] = graph_->invocations_[invocation].m_node;
   }
-  NodeId id =
-      Times({tuple_node, m_node}, NodeRole::kModuleState, invocation);
+  NodeId id = Append(NodeLabel::kTimes, role, kAliveFlag, invocation,
+                     kEmptyStr, parents);
   std::lock_guard<std::mutex> lock(*graph_->invocations_mu_);
-  graph_->invocations_[invocation].state_nodes.push_back(id);
+  InvocationInfo& info = graph_->invocations_[invocation];
+  (kind == 0   ? info.input_nodes
+   : kind == 1 ? info.output_nodes
+               : info.state_nodes)
+      .push_back(id);
   if (GraphWalSink* sink = graph_->wal_sink_) {
-    sink->OnInvocationNode(invocation, 2, id);
+    sink->OnInvocationNode(invocation, kind, id);
   }
   return id;
 }
 
-void ShardWriter::BeginStateScope(
-    uint32_t invocation, const std::unordered_set<NodeId>* eligible) {
+void ShardWriter::BeginStateScope(uint32_t invocation,
+                                  std::span<const NodeId> state_tuples) {
+  EndStateScope();
   state_scope_invocation_ = invocation;
-  state_eligible_ = eligible;
-  state_wrap_cache_.clear();
+  state_ids_.assign(state_tuples.begin(), state_tuples.end());
+  if (!std::is_sorted(state_ids_.begin(), state_ids_.end())) {
+    std::sort(state_ids_.begin(), state_ids_.end());
+  }
+  state_wraps_.assign(state_ids_.size(), kInvalidNode);
+  for (NodeId id : state_ids_) {
+    if (id == kInvalidNode) continue;
+    const uint32_t s = NodeShard(id);
+    const uint64_t word = NodeIndex(id) / 64;
+    if (s >= state_marks_.size()) state_marks_.resize(s + 1);
+    if (word >= state_marks_[s].size()) state_marks_[s].resize(word + 1);
+    state_marks_[s][word] |= uint64_t{1} << (NodeIndex(id) % 64);
+  }
 }
 
 void ShardWriter::EndStateScope() {
+  // Every set bit belongs to a listed id, so zeroing their words clears
+  // the whole mark.
+  for (NodeId id : state_ids_) {
+    if (id != kInvalidNode) {
+      state_marks_[NodeShard(id)][NodeIndex(id) / 64] = 0;
+    }
+  }
+  state_ids_.clear();
+  state_wraps_.clear();
   state_scope_invocation_ = kNoInvocation;
-  state_eligible_ = nullptr;
-  state_wrap_cache_.clear();
 }
 
 NodeId ShardWriter::ResolveParent(NodeId annot) {
-  if (state_eligible_ == nullptr || annot == kInvalidNode) return annot;
-  if (!state_eligible_->count(annot)) return annot;
-  auto it = state_wrap_cache_.find(annot);
-  if (it != state_wrap_cache_.end()) return it->second;
-  NodeId s = ModuleState(state_scope_invocation_, annot);
-  state_wrap_cache_.emplace(annot, s);
-  return s;
+  if (!StateMarked(annot)) return annot;
+  const size_t k = static_cast<size_t>(
+      std::lower_bound(state_ids_.begin(), state_ids_.end(), annot) -
+      state_ids_.begin());
+  NodeId& wrap = state_wraps_[k];
+  if (wrap == kInvalidNode) wrap = ModuleState(state_scope_invocation_, annot);
+  return wrap;
 }
 
 uint32_t ProvenanceGraph::RestoreInvocation(InvocationInfo info) {
@@ -305,6 +309,26 @@ uint32_t ProvenanceGraph::RestoreInvocation(InvocationInfo info) {
 ShardWriter ProvenanceGraph::AddShard() {
   shards_.emplace_back();
   return ShardWriter(this, static_cast<uint32_t>(shards_.size() - 1));
+}
+
+std::span<NodeId> ProvenanceGraph::AppendReplayed(
+    uint32_t shard, NodeLabel label, NodeRole role, uint8_t flags,
+    uint32_t invocation, StrId payload, uint32_t num_parents) {
+  LIPSTICK_DCHECK(wal_sink_ == nullptr, "replay into a logged graph");
+  NodeColumns& sh = shards_[shard];
+  sh.labels.push_back(label);
+  sh.roles.push_back(role);
+  sh.flags.push_back(flags);
+  sh.invocations.push_back(invocation);
+  sh.payloads.push_back(payload);
+  sh.value_idx.push_back(kNoValueIdx);
+  ParentSlot& slot = sh.parents.emplace_back();
+  slot.count = num_parents;
+  sealed_ = false;
+  if (num_parents <= kInlineParents) return {slot.ab, num_parents};
+  slot.ab[0] = sh.edge_arena.size();
+  sh.edge_arena.resize(sh.edge_arena.size() + num_parents);
+  return {sh.edge_arena.data() + slot.ab[0], num_parents};
 }
 
 void ProvenanceGraph::SetAlive(NodeId id, bool alive) {

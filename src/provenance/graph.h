@@ -8,8 +8,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/check.h"
@@ -293,16 +291,6 @@ class ShardWriter {
   /// Appends a node with every field explicit (view materialization).
   NodeId Restore(const NodeRecord& record);
 
-  /// Replay append (WAL recovery and graph files): every column explicit,
-  /// `payload` already interned in this graph's pool. Values are restored
-  /// separately via ProvenanceGraph::SetNodeValue, mirroring WAL record
-  /// order.
-  NodeId AppendRaw(NodeLabel label, NodeRole role, uint8_t flags,
-                   uint32_t invocation, StrId payload,
-                   std::span<const NodeId> parents) {
-    return Append(label, role, flags, invocation, payload, parents);
-  }
-
   /// Registers a module invocation and creates its "m" node.
   uint32_t BeginInvocation(std::string module_name, std::string instance_name,
                            uint32_t execution);
@@ -322,19 +310,22 @@ class ShardWriter {
   uint32_t current_invocation() const { return current_invocation_; }
 
   /// Lazy state wrapping. While a state scope is active, ResolveParent
-  /// wraps annotations in `eligible` (the module's current state tuples)
-  /// with an "s" node ·(tuple, m) on first use — so state tuples that never
-  /// contribute to a derivation cost no graph nodes, matching the paper's
-  /// observation that outputs depend on only ~2% of the state (§5.5).
+  /// wraps each of `state_tuples` (the module's current state annotations,
+  /// in any shard) with an "s" node ·(tuple, m) on first use — so state
+  /// tuples that never contribute to a derivation cost no graph nodes,
+  /// matching the paper's observation that outputs depend on only ~2% of
+  /// the state (§5.5). The writer copies the ids and marks them in a node
+  /// bitmap of its own, so `state_tuples` need not outlive the call, and a
+  /// warmed writer allocates nothing here.
   void BeginStateScope(uint32_t invocation,
-                       const std::unordered_set<NodeId>* eligible);
-  /// Ends the scope and clears the wrap cache: a writer reused by a later
-  /// invocation must never resolve a stale "s" node of a previous scope.
+                       std::span<const NodeId> state_tuples);
+  /// Ends the scope: clears the marks and the wrapped "s" nodes, so a
+  /// writer reused by a later invocation never resolves a stale one.
   void EndStateScope();
 
   /// Returns the annotation to use as a derivation parent: the lazily
-  /// created state node if `annot` is an eligible state tuple, else
-  /// `annot` itself.
+  /// created state node if `annot` is a state tuple of the open scope,
+  /// else `annot` itself. A node appended inside the scope is never one.
   NodeId ResolveParent(NodeId annot);
 
   uint32_t shard() const { return shard_; }
@@ -343,13 +334,28 @@ class ShardWriter {
   NodeId Append(NodeLabel label, NodeRole role, uint32_t flags,
                 uint32_t invocation, StrId payload,
                 std::span<const NodeId> parents);
+  /// The "i"/"o"/"s" node ·(tuple, m) of `invocation`, recorded on its
+  /// input (kind 0), output (1) or state (2) node list.
+  NodeId StructuralNode(uint32_t invocation, NodeId tuple_node, NodeRole role,
+                        int kind);
+  bool StateMarked(NodeId id) const {
+    const uint32_t s = NodeShard(id);
+    const uint64_t word = NodeIndex(id) / 64;
+    return s < state_marks_.size() && word < state_marks_[s].size() &&
+           (state_marks_[s][word] >> (NodeIndex(id) % 64) & 1u) != 0;
+  }
 
   ProvenanceGraph* graph_;
   uint32_t shard_;
   uint32_t current_invocation_ = kNoInvocation;
+  // The open state scope: its invocation, its state tuples in ascending
+  // id order, the "s" node each one wraps to (kInvalidNode until first
+  // use), and one mark bit per node of each shard, set over the state
+  // tuples only while the scope is open.
   uint32_t state_scope_invocation_ = kNoInvocation;
-  const std::unordered_set<NodeId>* state_eligible_ = nullptr;
-  std::unordered_map<NodeId, NodeId> state_wrap_cache_;
+  std::vector<NodeId> state_ids_;
+  std::vector<NodeId> state_wraps_;
+  std::vector<std::vector<uint64_t>> state_marks_;
 };
 
 /// The provenance graph for a (sequence of) workflow execution(s).
@@ -368,6 +374,16 @@ class ProvenanceGraph {
   /// Adds a shard and returns a writer for it. Not thread-safe; create all
   /// writers before spawning tasks.
   ShardWriter AddShard();
+  /// Replay append (WAL recovery and graph files): appends one node to
+  /// `shard` with every column explicit and `payload` already interned in
+  /// this graph's pool, and returns its parent list, `num_parents` ids
+  /// long, for the caller to fill in place. Values are restored separately
+  /// via SetNodeValue, mirroring WAL record order. Replay is not logged:
+  /// the graph must have no WAL sink attached.
+  std::span<NodeId> AppendReplayed(uint32_t shard, NodeLabel label,
+                                   NodeRole role, uint8_t flags,
+                                   uint32_t invocation, StrId payload,
+                                   uint32_t num_parents);
   /// Writer for the default shard 0 (single-threaded use).
   ShardWriter writer() { return ShardWriter(this, 0); }
 

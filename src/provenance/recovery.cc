@@ -41,15 +41,21 @@ struct RecoveryMetrics {
   }
 };
 
+/// The whole file in one sized read, into a buffer of exactly its size.
 Result<std::string> ReadFileToString(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in.is_open()) {
     return Status::IOError(StrCat("cannot open ", path));
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (in.bad()) return Status::IOError(StrCat("read failed: ", path));
-  return std::move(buf).str();
+  const std::streamoff size = in.tellg();
+  if (size < 0) return Status::IOError(StrCat("read failed: ", path));
+  std::string data(static_cast<size_t>(size), '\0');
+  in.seekg(0);
+  in.read(data.data(), size);
+  if (in.gcount() != size) {
+    return Status::IOError(StrCat("read failed: ", path));
+  }
+  return data;
 }
 
 /// One scanned segment, held in memory for the two replay passes.

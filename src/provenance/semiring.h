@@ -76,12 +76,19 @@ class Polynomial {
 /// Counting semiring (N, +, ·, 0, 1) with δ(n) = [n > 0]: the reference
 /// semantics for bag multiplicity and for deletion propagation (a node
 /// survives the deletion of token t iff its value with t := 0 is nonzero).
+/// + and · saturate at UINT64_MAX instead of wrapping: a count past it
+/// reads UINT64_MAX, and since N has no zero divisors a value is still 0
+/// exactly when the Boolean semiring derives false, however deep the graph.
 struct CountingSemiring {
   using ValueType = uint64_t;
   static ValueType Zero() { return 0; }
   static ValueType One() { return 1; }
-  static ValueType Plus(ValueType a, ValueType b) { return a + b; }
-  static ValueType Times(ValueType a, ValueType b) { return a * b; }
+  static ValueType Plus(ValueType a, ValueType b) {
+    return a > UINT64_MAX - b ? UINT64_MAX : a + b;
+  }
+  static ValueType Times(ValueType a, ValueType b) {
+    return a != 0 && b > UINT64_MAX / a ? UINT64_MAX : a * b;
+  }
   static ValueType Delta(ValueType a) { return a > 0 ? 1 : 0; }
 };
 

@@ -36,23 +36,50 @@ const char* FsyncPolicyToString(FsyncPolicy policy) {
 
 namespace walfmt {
 
-uint32_t Crc32(const void* data, size_t n) {
-  static const std::array<uint32_t, 256> kTable = [] {
-    std::array<uint32_t, 256> t{};
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1u) != 0 ? 0xedb88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
+namespace {
+
+/// Slicing-by-8 tables of the reflected IEEE polynomial: row 0 is the
+/// byte-at-a-time table, and row k maps a byte to the CRC of that byte
+/// followed by k zero bytes, so one step folds in eight input bytes.
+constexpr std::array<std::array<uint32_t, 256>, 8> MakeCrcTables() {
+  std::array<std::array<uint32_t, 256>, 8> t{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) != 0 ? 0xedb88320u ^ (c >> 1) : c >> 1;
     }
-    return t;
-  }();
+    t[0][i] = c;
+  }
+  for (size_t k = 1; k < 8; ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = t[0][t[k - 1][i] & 0xffu] ^ (t[k - 1][i] >> 8);
+    }
+  }
+  return t;
+}
+
+constexpr std::array<std::array<uint32_t, 256>, 8> kCrcTables =
+    MakeCrcTables();
+
+uint32_t LoadLE32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+}
+
+}  // namespace
+
+uint32_t Crc32(const void* data, size_t n) {
+  const auto& t = kCrcTables;
   uint32_t crc = 0xffffffffu;
   const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    crc = kTable[(crc ^ p[i]) & 0xffu] ^ (crc >> 8);
+  for (; n >= 8; n -= 8, p += 8) {
+    const uint32_t lo = crc ^ LoadLE32(p);
+    const uint32_t hi = LoadLE32(p + 4);
+    crc = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+          t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^ t[3][hi & 0xffu] ^
+          t[2][(hi >> 8) & 0xffu] ^ t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
   }
+  for (; n > 0; --n, ++p) crc = t[0][(crc ^ *p) & 0xffu] ^ (crc >> 8);
   return crc ^ 0xffffffffu;
 }
 
@@ -191,6 +218,7 @@ struct Cursor {
     return out;
   }
 
+  size_t Remaining() const { return static_cast<size_t>(end - p); }
   bool AtEnd() const { return p == end; }
 };
 
@@ -481,8 +509,12 @@ Status ApplyRecord(ProvenanceGraph* graph, const Record& rec) {
       uint8_t flags = c.U8();
       uint32_t invocation = c.U32();
       StrId payload = c.U32();
-      std::vector<NodeId> parents = c.U64List();
-      if (!c.ok || !c.AtEnd()) return MalformedRecord(rec);
+      // The parents are the rest of the record; they are decoded straight
+      // into the appended node's parent list once every check has passed.
+      uint32_t num_parents = c.U32();
+      if (!c.ok || c.Remaining() != uint64_t{num_parents} * 8) {
+        return MalformedRecord(rec);
+      }
       if (label > static_cast<uint8_t>(NodeLabel::kZoomedModule) ||
           role > static_cast<uint8_t>(NodeRole::kZoom) ||
           (flags & ~(internal::kAliveFlag | internal::kValueNodeFlag)) != 0 ||
@@ -501,14 +533,10 @@ Status ApplyRecord(ProvenanceGraph* graph, const Record& rec) {
             StrCat("wal replay: node ", id, " out of append order (shard ",
                    shard, " holds ", graph->ShardSize(shard), " nodes)"));
       }
-      ShardWriter writer(graph, shard);
-      NodeId got = writer.AppendRaw(static_cast<NodeLabel>(label),
-                                    static_cast<NodeRole>(role), flags,
-                                    invocation, payload, parents);
-      if (got != id) {
-        return Status::Internal(
-            StrCat("wal replay: node id mismatch: log ", id, ", graph ", got));
-      }
+      std::span<NodeId> parents = graph->AppendReplayed(
+          shard, static_cast<NodeLabel>(label), static_cast<NodeRole>(role),
+          flags, invocation, payload, num_parents);
+      for (NodeId& parent : parents) parent = c.U64();
       return Status::OK();
     }
     case RecordType::kNodeValue: {

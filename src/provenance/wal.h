@@ -102,7 +102,8 @@ enum class RecordType : uint8_t {
   kSavepoint = 12,        // u32 execution, u64 inv_count, u32 n, u64[n]
 };
 
-/// CRC32 (IEEE) of a frame's type byte + payload.
+/// CRC32 (IEEE) of a frame's type byte + payload. Computed slicing-by-8,
+/// eight bytes per step; the values are the byte-at-a-time definition's.
 uint32_t Crc32(const void* data, size_t n);
 
 /// Appends a segment header.

@@ -76,19 +76,17 @@ Result<std::string> ReadFrame(int fd) {
 
 namespace {
 
-constexpr size_t kHeaderBytes = sizeof(uint32_t);
-
 /// The one frame encoder: `encode` appends the payload to a buffer that
 /// already holds room for the header, which then receives the length.
 template <typename Encode>
 std::string EncodeFrame(size_t payload_hint, Encode&& encode) {
   std::string frame;
-  frame.reserve(kHeaderBytes + payload_hint);
-  frame.resize(kHeaderBytes);
+  frame.reserve(kFrameHeaderBytes + payload_hint);
+  frame.resize(kFrameHeaderBytes);
   encode(&frame);
   // SendFrame refuses a payload over kMaxFrameBytes, so whatever a longer
   // one's truncated header says never reaches the wire.
-  const uint32_t len = static_cast<uint32_t>(frame.size() - kHeaderBytes);
+  const uint32_t len = static_cast<uint32_t>(frame.size() - kFrameHeaderBytes);
   frame[0] = static_cast<char>(len >> 24);
   frame[1] = static_cast<char>(len >> 16);
   frame[2] = static_cast<char>(len >> 8);
@@ -117,8 +115,8 @@ std::string ErrorFrame(std::string_view code, std::string_view message) {
 
 Status SendFrame(int fd, std::string_view frame) {
   LIPSTICK_RETURN_IF_ERROR(FaultInjector::Fire(kFaultWrite));
-  if (frame.size() < kHeaderBytes ||
-      frame.size() - kHeaderBytes > kMaxFrameBytes) {
+  if (frame.size() < kFrameHeaderBytes ||
+      frame.size() - kFrameHeaderBytes > kMaxFrameBytes) {
     return Status::InvalidArgument("frame payload exceeds limit");
   }
   // One contiguous send: splitting header and payload across two send()
@@ -165,6 +163,8 @@ StatusCode ErrorCodeFromString(std::string_view code) {
     return StatusCode::kUnavailable;
   }
   if (code == "cancelled") return StatusCode::kAborted;
+  // Everything else, "resource_exhausted" (a response past the frame
+  // limit) included, has no StatusCode of its own.
   return StatusCode::kInternal;
 }
 

@@ -1,6 +1,7 @@
 #ifndef LIPSTICK_SERVICE_PROTOCOL_H_
 #define LIPSTICK_SERVICE_PROTOCOL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -29,9 +30,13 @@ namespace lipstick::service {
 /// local mode for the same operation, so the local golden outputs double
 /// as protocol tests (see tools/check.sh `integration`).
 
-/// Upper bound on a frame payload; larger lengths poison the stream and
-/// the connection is dropped.
+/// Upper bound on a frame payload. A request past it poisons the stream
+/// and the connection is dropped; a response past it is replaced by a
+/// "resource_exhausted" error envelope (a wire-only code, like
+/// "overloaded"), and the session goes on.
 inline constexpr uint32_t kMaxFrameBytes = 16u << 20;
+/// Bytes of the big-endian length prefix that starts every frame.
+inline constexpr size_t kFrameHeaderBytes = sizeof(uint32_t);
 
 /// Failure points fired on the socket and execution paths, armable via
 /// LIPSTICK_FAULTS for deterministic robustness tests (CI soak job).
@@ -66,8 +71,9 @@ Status SendFrame(int fd, std::string_view frame);
 Status WriteFrame(int fd, std::string_view payload);
 
 /// Wire code string for a StatusCode (e.g. "invalid_argument"). The
-/// admission-control rejection code "overloaded" is produced by the
-/// server directly, not by any StatusCode.
+/// admission-control rejection code "overloaded" and the oversized-response
+/// code "resource_exhausted" are produced by the server directly, not by
+/// any StatusCode.
 std::string_view ErrorCodeString(StatusCode code);
 
 /// Inverse of ErrorCodeString; unknown strings (including "overloaded")

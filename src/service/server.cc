@@ -289,6 +289,15 @@ void Server::SessionLoop(Session* session) {
       overloaded_.fetch_add(1);
       frame = ErrorFrame("overloaded", "request queue is full, retry later");
     }
+    if (frame.size() > kFrameHeaderBytes + kMaxFrameBytes) {
+      // SendFrame would refuse it; answer with an envelope instead, and
+      // keep the session.
+      frame = ErrorFrame(
+          "resource_exhausted",
+          StrCat("response of ", frame.size() - kFrameHeaderBytes,
+                 " bytes exceeds the frame limit of ", kMaxFrameBytes,
+                 " bytes"));
+    }
     if (!SendFrame(fd, frame).ok()) break;
   }
   std::lock_guard<std::mutex> lock(sessions_mu_);

@@ -269,7 +269,12 @@ struct WorkflowExecutor::NodeRun {
     // after a successful run; a failed one leaves them moved-from, and the
     // caller restores the instance from its attempt copy or first-touch
     // snapshot (DESIGN.md §5a).
-    std::unordered_set<NodeId> state_eligible;
+    std::vector<NodeId> state_tuples;
+    if (writer != nullptr) {
+      size_t count = 0;
+      for (const auto& entry : *state) count += entry.second.bag.size();
+      state_tuples.reserve(count);
+    }
     for (auto& [rel_name, rel] : *state) {
       if (writer != nullptr) {
         size_t i = 0;
@@ -279,18 +284,19 @@ struct WorkflowExecutor::NodeRun {
                 StrCat(node->instance, ".", rel_name, "[", i, "]"),
                 NodeRole::kStateBase);
           }
-          state_eligible.insert(t.annot);
+          state_tuples.push_back(t.annot);
           ++i;
         }
       }
       env.Bind(rel_name, Relation(rel.name, rel.schema, std::move(rel.bag)));
     }
     if (writer != nullptr) {
-      writer->BeginStateScope(inv, &state_eligible);
+      writer->BeginStateScope(inv, state_tuples);
       if (eager_state_nodes) {
         // Literal Section 3.2 construction: an "s" node per state tuple
-        // per invocation, whether or not the tuple is ever used.
-        for (NodeId base : state_eligible) writer->ResolveParent(base);
+        // per invocation, whether or not the tuple is ever used, in
+        // state-tuple order.
+        for (NodeId base : state_tuples) writer->ResolveParent(base);
       }
     }
 

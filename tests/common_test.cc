@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <sstream>
+#include <string>
+#include <string_view>
+#include <typeinfo>
 
 #include "common/result.h"
 #include "common/rng.h"
@@ -72,6 +78,69 @@ TEST(ResultTest, AssignOrReturnMacro) {
 TEST(StrUtilTest, StrCat) {
   EXPECT_EQ(StrCat("a", 1, "-", 2.5), "a1-2.5");
   EXPECT_EQ(StrCat(), "");
+}
+
+/// What streaming `v` into a std::ostringstream prints: StrCat's contract.
+template <typename T>
+std::string Streamed(const T& v) {
+  std::ostringstream os;
+  os << v;
+  return os.str();
+}
+
+template <typename T>
+void ExpectIntegerWidthMatchesStream() {
+  using L = std::numeric_limits<T>;
+  for (T v : {T{0}, T{1}, static_cast<T>(-1), L::min(), L::max()}) {
+    EXPECT_EQ(StrCat(v), Streamed(v)) << typeid(T).name();
+    EXPECT_EQ(StrCat("<", v, ">"), "<" + Streamed(v) + ">");
+  }
+}
+
+TEST(StrUtilTest, StrCatPrintsWhatAStreamPrints) {
+  // Characters print as characters, whatever their signedness.
+  for (char c : {'a', '\0', '\x7f', '\xff'}) {
+    EXPECT_EQ(StrCat(c), Streamed(c));
+  }
+  const signed char sc = -3;
+  const unsigned char uc = 200;
+  const uint8_t u8 = 'z';
+  EXPECT_EQ(StrCat(sc), Streamed(sc));
+  EXPECT_EQ(StrCat(uc), Streamed(uc));
+  EXPECT_EQ(StrCat(u8), "z");
+  EXPECT_EQ(StrCat(true, false), "10");
+  ExpectIntegerWidthMatchesStream<short>();
+  ExpectIntegerWidthMatchesStream<unsigned short>();
+  ExpectIntegerWidthMatchesStream<int>();
+  ExpectIntegerWidthMatchesStream<unsigned int>();
+  ExpectIntegerWidthMatchesStream<long>();
+  ExpectIntegerWidthMatchesStream<unsigned long>();
+  ExpectIntegerWidthMatchesStream<long long>();
+  ExpectIntegerWidthMatchesStream<unsigned long long>();
+  ExpectIntegerWidthMatchesStream<int16_t>();
+  ExpectIntegerWidthMatchesStream<uint32_t>();
+  ExpectIntegerWidthMatchesStream<int64_t>();
+  ExpectIntegerWidthMatchesStream<uint64_t>();
+  ExpectIntegerWidthMatchesStream<size_t>();
+  for (double d : {0.1, 1e-7, 1e300, -2.5, 0.0,
+                   std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_EQ(StrCat(d), Streamed(d));
+    EXPECT_EQ(StrCat(static_cast<float>(d)), Streamed(static_cast<float>(d)));
+  }
+  const char* cstr = "c-string";
+  const char array[] = "array";
+  char buffer[8] = {'b', 'u', 'f', '\0', 'x'};
+  const std::string str = "string";
+  const std::string_view view("view-not-nul-terminated", 4);
+  EXPECT_EQ(StrCat(cstr, array, buffer, str, view),
+            "c-stringarraybufstringview");
+  EXPECT_EQ(StrCat(std::string(), std::string_view(), ""), "");
+  const Status st = Status::NotFound("x");
+  EXPECT_EQ(StrCat("[", st, "]"), "[" + Streamed(st) + "]");
+  enum Unscoped { kSeven = 7 };
+  EXPECT_EQ(StrCat(kSeven), Streamed(kSeven));
+  // A name past the small-string buffer comes out whole.
+  EXPECT_EQ(StrCat("dealer1.Cars", "[", 1234, "]"), "dealer1.Cars[1234]");
 }
 
 TEST(StrUtilTest, JoinAndSplit) {

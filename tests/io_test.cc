@@ -305,6 +305,37 @@ std::vector<std::pair<size_t, size_t>> FrameSpans(const std::string& file) {
   return spans;
 }
 
+/// The CRC-32 definition, one byte per step, for checking the
+/// word-at-a-time implementation against.
+uint32_t ByteAtATimeCrc32(const unsigned char* p, size_t n) {
+  uint32_t crc = 0xffffffffu;
+  for (size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1u) != 0 ? 0xedb88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xffffffffu;
+}
+
+TEST(WalFormatTest, Crc32MatchesTheByteAtATimeDefinition) {
+  EXPECT_EQ(walfmt::Crc32("123456789", 9), 0xcbf43926u);
+  EXPECT_EQ(walfmt::Crc32(nullptr, 0), 0u);
+  Rng rng(7);
+  std::vector<unsigned char> buf(4096 + 8);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng.Next());
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 64; ++n) lengths.push_back(n);
+  lengths.push_back(4096);
+  for (size_t start = 0; start < 8; ++start) {
+    for (size_t n : lengths) {
+      const unsigned char* p = buf.data() + start;
+      EXPECT_EQ(walfmt::Crc32(p, n), ByteAtATimeCrc32(p, n))
+          << "start " << start << ", length " << n;
+    }
+  }
+}
+
 TEST(ProvioRobustnessTest, TruncationSweepAlwaysReturnsStatus) {
   std::string full = TrackedGraphDump();
   ASSERT_GT(full.size(), 4096u) << "dump too small for a meaningful sweep";

@@ -293,6 +293,50 @@ INSTANTIATE_TEST_SUITE_P(
                           workflowgen::Selectivity::kMonth,
                           workflowgen::Selectivity::kYear)));
 
+/// ------------------ counting past 2^64 (Def. 4.2) ----------------------
+
+TEST(CountingSemiringTest, SaturationKeepsZeroExact) {
+  // A hundred executions derive counts past 2^64. Wrapping + and · once
+  // evaluated 9,320 of this graph's 83,004 live nodes to 0 although the
+  // Boolean semiring derives every one of them; saturated counts are 0
+  // exactly where the Boolean value is false.
+  workflowgen::DealershipConfig cfg;
+  cfg.num_cars = 400;
+  cfg.num_executions = 100;
+  cfg.seed = 4;
+  cfg.accept_probability = 0;
+  cfg.num_workers = 1;
+  auto wf = workflowgen::DealershipWorkflow::Create(cfg);
+  LIPSTICK_ASSERT_OK(wf.status());
+  ProvenanceGraph graph;
+  LIPSTICK_ASSERT_OK((*wf)->Run(&graph).status());
+  graph.Seal();
+  GraphEvaluator<CountingSemiring> counting(Snap(graph));
+  GraphEvaluator<BooleanSemiring> boolean(Snap(graph));
+  size_t live = 0, saturated = 0, disagreements = 0;
+  graph.ForEachAliveNode([&](NodeId id) {
+    const uint64_t count = counting.Eval(id);
+    ++live;
+    saturated += count == UINT64_MAX ? 1 : 0;
+    disagreements += (count == 0) == boolean.Eval(id) ? 1 : 0;
+  });
+  EXPECT_GT(live, 80000u);
+  EXPECT_GT(saturated, 0u);  // the graph does count past 2^64
+  EXPECT_EQ(disagreements, 0u);
+}
+
+TEST(CountingSemiringTest, SaturatingArithmetic) {
+  using S = CountingSemiring;
+  EXPECT_EQ(S::Plus(UINT64_MAX - 1, 1), UINT64_MAX);
+  EXPECT_EQ(S::Plus(UINT64_MAX, UINT64_MAX), UINT64_MAX);
+  EXPECT_EQ(S::Times(uint64_t{1} << 32, uint64_t{1} << 32), UINT64_MAX);
+  EXPECT_EQ(S::Times(UINT64_MAX, 0), 0u);
+  EXPECT_EQ(S::Times(0, UINT64_MAX), 0u);
+  EXPECT_EQ(S::Times(UINT64_MAX, 1), UINT64_MAX);
+  EXPECT_EQ(S::Plus(2, 3), 5u);
+  EXPECT_EQ(S::Times(6, 7), 42u);
+}
+
 /// -------------------- eager/lazy ablation property ---------------------
 
 TEST(StateNodeAblationTest, EagerAndLazyAgreeOnQueries) {

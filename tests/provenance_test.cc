@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <sstream>
 #include <string>
@@ -111,8 +112,8 @@ TEST(GraphTest, LazyStateScopeWrapsOnFirstUse) {
   uint32_t inv = w.BeginInvocation("m", "m", 0);
   NodeId base1 = w.Token("s1", NodeRole::kStateBase);
   NodeId base2 = w.Token("s2", NodeRole::kStateBase);
-  std::unordered_set<NodeId> eligible{base1, base2};
-  w.BeginStateScope(inv, &eligible);
+  // A temporary: the writer keeps its own copy of the scope's ids.
+  w.BeginStateScope(inv, std::vector<NodeId>{base1, base2});
   size_t before = g.num_nodes();
   NodeId wrapped = w.ResolveParent(base1);
   EXPECT_NE(wrapped, base1);
@@ -123,8 +124,73 @@ TEST(GraphTest, LazyStateScopeWrapsOnFirstUse) {
   // Non-eligible nodes pass through.
   NodeId other = w.Token("t");
   EXPECT_EQ(w.ResolveParent(other), other);
+  EXPECT_EQ(w.ResolveParent(kInvalidNode), kInvalidNode);
   w.EndStateScope();
   EXPECT_EQ(w.ResolveParent(base2), base2);  // scope closed
+}
+
+TEST(GraphTest, StateScopeLeavesNoStaleMark) {
+  ProvenanceGraph g;
+  auto w = g.writer();
+  uint32_t inv1 = w.BeginInvocation("m", "m", 0);
+  uint32_t inv2 = w.BeginInvocation("m", "m", 1);
+  NodeId base1 = w.Token("s1", NodeRole::kStateBase);
+  NodeId base2 = w.Token("s2", NodeRole::kStateBase);
+  w.BeginStateScope(inv1, std::vector<NodeId>{base1});
+  w.EndStateScope();
+  // The writer is reused: neither an ended scope nor the next one may
+  // wrap a tuple the next scope does not list.
+  size_t before = g.num_nodes();
+  EXPECT_EQ(w.ResolveParent(base1), base1);
+  w.BeginStateScope(inv2, std::vector<NodeId>{base2});
+  EXPECT_EQ(w.ResolveParent(base1), base1);
+  EXPECT_EQ(g.num_nodes(), before);
+  EXPECT_NE(w.ResolveParent(base2), base2);
+  w.EndStateScope();
+}
+
+TEST(GraphTest, StateScopeMarksOtherShardsOnly) {
+  ProvenanceGraph g;
+  auto w = g.writer();
+  ShardWriter other = g.AddShard();
+  uint32_t inv = w.BeginInvocation("m", "m", 0);
+  // A state tuple another writer created, in another shard.
+  NodeId remote = other.Token("s", NodeRole::kStateBase);
+  NodeId local = w.Token("t", NodeRole::kStateBase);
+  w.BeginStateScope(inv, std::vector<NodeId>{remote, local});
+  NodeId wrapped = w.ResolveParent(remote);
+  EXPECT_NE(wrapped, remote);
+  EXPECT_EQ(g.node(wrapped).parents()[0], remote);
+  EXPECT_EQ(NodeShard(wrapped), w.shard());
+  // Nodes appended inside the scope, next to a marked one, are not state.
+  NodeId fresh = w.Token("u");
+  NodeId fresh_remote = other.Token("v");
+  EXPECT_EQ(w.ResolveParent(fresh), fresh);
+  EXPECT_EQ(w.ResolveParent(fresh_remote), fresh_remote);
+  EXPECT_NE(w.ResolveParent(local), local);
+  w.EndStateScope();
+}
+
+TEST(GraphTest, StateScopeWrapsInResolveOrder) {
+  // Eager mode resolves every state tuple in state-tuple order; the "s"
+  // nodes follow that order, not the id order the scope keeps.
+  ProvenanceGraph g;
+  auto w = g.writer();
+  uint32_t inv = w.BeginInvocation("m", "m", 0);
+  std::vector<NodeId> tuples;
+  for (int i = 0; i < 100; ++i) {
+    tuples.push_back(w.Token(StrCat("s", i), NodeRole::kStateBase));
+  }
+  std::reverse(tuples.begin(), tuples.end());
+  w.BeginStateScope(inv, tuples);
+  for (NodeId t : tuples) w.ResolveParent(t);
+  for (NodeId t : tuples) w.ResolveParent(t);  // cached: no new nodes
+  w.EndStateScope();
+  const std::vector<NodeId>& s_nodes = g.invocations()[inv].state_nodes;
+  ASSERT_EQ(s_nodes.size(), tuples.size());
+  for (size_t i = 0; i < tuples.size(); ++i) {
+    EXPECT_EQ(g.node(s_nodes[i]).parents()[0], tuples[i]);
+  }
 }
 
 TEST(GraphTest, StateScopeCacheClearedBetweenInvocations) {
@@ -136,13 +202,13 @@ TEST(GraphTest, StateScopeCacheClearedBetweenInvocations) {
   uint32_t inv1 = w.BeginInvocation("m", "m", 0);
   uint32_t inv2 = w.BeginInvocation("m", "m", 1);
   NodeId base = w.Token("s", NodeRole::kStateBase);
-  std::unordered_set<NodeId> eligible{base};
+  std::vector<NodeId> eligible{base};
 
-  w.BeginStateScope(inv1, &eligible);
+  w.BeginStateScope(inv1, eligible);
   NodeId s1 = w.ResolveParent(base);
   w.EndStateScope();
 
-  w.BeginStateScope(inv2, &eligible);
+  w.BeginStateScope(inv2, eligible);
   NodeId s2 = w.ResolveParent(base);
   w.EndStateScope();
 

@@ -502,6 +502,39 @@ TEST_F(ServerTest, ErrorEnvelopeCarriesCodes) {
   EXPECT_EQ(parsed.status().code(), StatusCode::kParseError);
 }
 
+TEST_F(ServerTest, OversizedResponseGetsAnEnvelopeNotEof) {
+  // About a thousand 17 KB token names: `find` renders past the 16 MB
+  // frame limit.
+  ProvenanceGraph big;
+  ShardWriter w = big.writer();
+  const std::string name(17 * 1024, 'n');
+  for (int i = 0; i < 1000; ++i) w.Token(StrCat(name, i));
+  big.Seal();
+  LIPSTICK_ASSERT_OK(registry_.AddGraph("big", std::move(big)));
+  ServiceClient client = StartAndConnect();
+
+  Result<std::string> raw = client.Call(
+      service::MakeRequest("find", {"--label", "token"}, "big").Serialize());
+  LIPSTICK_ASSERT_OK(raw.status());
+  Result<obs::JsonValue> doc = obs::ParseJson(*raw);
+  LIPSTICK_ASSERT_OK(doc.status());
+  const obs::JsonValue* err = doc->Find("error");
+  ASSERT_NE(err, nullptr);
+  const obs::JsonValue* code = err->Find("code");
+  ASSERT_NE(code, nullptr);
+  EXPECT_EQ(code->str(), "resource_exhausted");
+  const obs::JsonValue* message = err->Find("message");
+  ASSERT_NE(message, nullptr);
+  EXPECT_NE(message->str().find(StrCat(service::kMaxFrameBytes)),
+            std::string::npos)
+      << message->str();
+
+  // The session survives.
+  Result<std::string> pong = client.Query("ping", {});
+  LIPSTICK_ASSERT_OK(pong.status());
+  EXPECT_EQ(*pong, "pong\n");
+}
+
 TEST_F(ServerTest, AdminOps) {
   ServiceClient client = StartAndConnect();
   Result<std::string> pong = client.Query("ping", {});

@@ -18,7 +18,8 @@
 #          (injected torn writes, corrupted frames, and failed fsyncs at
 #          50+ distinct positions) plus a CLI-level smoke on a real
 #          workflow file: the intact log's replay must equal the
-#          tracker's .pg byte for byte, and a torn log must recover,
+#          tracker's .pg byte for byte, with one worker and with four,
+#          and a torn log must recover,
 #   perf   Release-mode perf smoke: the PERF_BENCHES harnesses at small
 #          scale must run to completion; their results_json lines are
 #          collected into BENCH_results.json and compared against the
@@ -43,7 +44,8 @@
 #          pass `python3 -m json.tool`, and a summary line past 255
 #          bytes), diffs every byte against local-mode output, checks
 #          that `--batch --threads 3` prints what one thread prints and
-#          that a one-shot query refuses `--threads`, then
+#          that a one-shot query and a remote batch refuse `--threads`,
+#          then
 #          SIGTERMs the daemon and verifies a clean drain — nonzero on
 #          any output drift, a leaked child process, or a port still
 #          listening,
@@ -216,6 +218,18 @@ run_crash() {
   "${cli}" recover "${work}/wal" --out "${work}/replayed.pg"
   cmp "${work}/clean.pg" "${work}/replayed.pg" || {
     echo "FAIL: replaying the intact WAL does not reproduce clean.pg"
+    return 1; }
+  # The same with four workers: replay across several shards, and state
+  # tuples marked in one shard while another writer appends.
+  local ex="${repo}/examples/workflows"
+  "${cli}" run "${ex}/dealership_mini.wf" --execs 4 --workers 4 \
+           --input req.Ext="${ex}/dealership_requests.csv" \
+           --state dealer1.Cars="${ex}/dealership_cars1.csv" \
+           --state dealer2.Cars="${ex}/dealership_cars2.csv" \
+           --wal "${work}/wal4" --graph "${work}/clean4.pg"
+  "${cli}" recover "${work}/wal4" --out "${work}/replayed4.pg"
+  cmp "${work}/clean4.pg" "${work}/replayed4.pg" || {
+    echo "FAIL: replaying the 4-worker WAL does not reproduce clean4.pg"
     return 1; }
   # Tear the tail of the last segment: the final execution's commit is
   # gone, but everything before the last durable savepoint must survive.
@@ -442,6 +456,16 @@ EOF
     return 1; }
   diff -u "${work}/local.long.out" "${work}/remote.long.out" || {
     echo "FAIL: long summary output drift"; return 1; }
+
+  echo "--- a remote batch refuses --threads"
+  if "${cli}" query --connect "127.0.0.1:${port}" --batch "${work}/batch.txt" \
+       --threads 2 > "${work}/threads.out" 2> "${work}/threads.err"; then
+    echo "FAIL: --connect --batch --threads did not exit nonzero"; return 1
+  fi
+  grep -q "^lipstick: --threads is not supported with --connect$" \
+       "${work}/threads.err" || {
+    echo "FAIL: missing --threads refusal:"; cat "${work}/threads.err"
+    return 1; }
 
   echo "--- error envelope carries the wire code"
   if "${cli}" query --connect "127.0.0.1:${port}" badop \

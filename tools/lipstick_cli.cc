@@ -35,7 +35,8 @@
 // `--batch` runs one read-only query per line (single ops or `|`
 // pipelines; blank lines and # comments skipped, errors report 1-based
 // line numbers), `--threads N` lines at a time over one shared snapshot.
-// `--threads` applies only to `--batch`.
+// `--threads` applies only to a local `--batch`: a remote batch runs its
+// lines one at a time over one connection, and `--connect` refuses it.
 //
 // A `|` anywhere in the query folds the whole command line into one
 // pipeline plan: view stages (zoomout, subgraph, restrict, delete) compose
@@ -933,6 +934,9 @@ int CmdQuery(const std::vector<std::string>& args) {
   if (!connect.empty()) {
     if (!out_path.empty()) {
       return Fail("--out is not supported with --connect");
+    }
+    if (threads != 0) {
+      return Fail("--threads is not supported with --connect");
     }
     return CmdQueryRemote(connect, rest, graph_name, deadline_ms, batch_path);
   }
