@@ -4,7 +4,10 @@
 // depends on 1.8%-2.2% of the state tuples (~415 tuples) and two input
 // tuples, versus 100% of state and inputs under coarse-grained provenance.
 
+#include <sstream>
+
 #include "bench_util.h"
+#include "provenance/provio.h"
 #include "provenance/subgraph.h"
 #include "workflowgen/dealership.h"
 
@@ -66,7 +69,8 @@ int main() {
       "the paper's ~2%% at its parameters.\n");
 
   // In-memory footprint of the columnar storage, reported as JSON so
-  // tools/check.sh and EXPERIMENTS.md can track bytes/node regressions.
+  // tools/check.sh and EXPERIMENTS.md can track bytes/node regressions,
+  // and the size of the same graph's .pg file.
   {
     DealershipConfig cfg;
     cfg.num_cars = num_cars;
@@ -94,8 +98,15 @@ int main() {
         mem.edge_arena_bytes, mem.csr_bytes, mem.value_bytes,
         mem.interner_bytes, mem.invocation_bytes);
 
+    std::ostringstream file;
+    Check(SaveGraph(graph, file));
+    const size_t file_bytes = file.str().size();
+    std::printf("graph file: %zu bytes, %.2f bytes/node\n", file_bytes,
+                double(file_bytes) / double(nodes));
+
     ResultsJson results("bench_prov_size");
     results.Add("nodes", static_cast<double>(nodes));
+    results.Add("file_bytes_per_node", double(file_bytes) / double(nodes));
     results.Add("total_bytes", static_cast<double>(mem.total()));
     results.Add("memory_bytes_per_node",
                 double(mem.total()) / double(nodes));

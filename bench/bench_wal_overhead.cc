@@ -39,16 +39,14 @@ class CountingSink final : public GraphWalSink {
  public:
   uint64_t crossings = 0;
 
-  void OnIntern(StrId, std::string_view) override { ++crossings; }
+  void OnIntern(StrId, std::string_view, std::string_view) override {
+    ++crossings;
+  }
   void OnNodeAppend(NodeId, NodeLabel, NodeRole, uint8_t, uint32_t, StrId,
                     std::span<const NodeId>) override {
     ++crossings;
   }
   void OnNodeValue(NodeId, const Value&) override { ++crossings; }
-  void OnSetParents(NodeId, std::span<const NodeId>) override {
-    ++crossings;
-  }
-  void OnSetAlive(NodeId, bool) override { ++crossings; }
   void OnKillShardTail(uint32_t, uint64_t) override { ++crossings; }
   void OnBeginInvocation(uint32_t, const InvocationInfo&) override {
     ++crossings;

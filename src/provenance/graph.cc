@@ -337,11 +337,11 @@ void ProvenanceGraph::SetAlive(NodeId id, bool alive) {
   LIPSTICK_DCHECK(id != kInvalidNode && s < shards_.size() &&
                       i < shards_[s].size(),
                   "SetAlive: node id out of range");
+  LIPSTICK_CHECK(wal_sink_ == nullptr, "SetAlive on a logged graph");
   uint8_t& flags = shards_[s].flags[i];
   flags = alive ? (flags | internal::kAliveFlag)
                 : (flags & ~internal::kAliveFlag);
   sealed_ = false;
-  if (GraphWalSink* sink = wal_sink_) sink->OnSetAlive(id, alive);
 }
 
 void ProvenanceGraph::SetParents(NodeId id, std::span<const NodeId> parents) {
@@ -350,9 +350,9 @@ void ProvenanceGraph::SetParents(NodeId id, std::span<const NodeId> parents) {
   LIPSTICK_DCHECK(id != kInvalidNode && s < shards_.size() &&
                       i < shards_[s].size(),
                   "SetParents: node id out of range");
+  LIPSTICK_CHECK(wal_sink_ == nullptr, "SetParents on a logged graph");
   StoreParents(shards_[s], i, parents);
   sealed_ = false;
-  if (GraphWalSink* sink = wal_sink_) sink->OnSetParents(id, parents);
 }
 
 void ProvenanceGraph::SetRole(NodeId id, NodeRole role) {
@@ -403,8 +403,9 @@ void ProvenanceGraph::SetNodeValue(NodeId id, Value value) {
 
 namespace {
 
-void ForwardInternToSink(void* ctx, StrId id, std::string_view s) {
-  static_cast<GraphWalSink*>(ctx)->OnIntern(id, s);
+void ForwardInternToSink(void* ctx, StrId id, std::string_view s,
+                         std::string_view prev) {
+  static_cast<GraphWalSink*>(ctx)->OnIntern(id, s, prev);
 }
 
 }  // namespace

@@ -234,8 +234,11 @@ class GraphWalSink {
  public:
   virtual ~GraphWalSink() = default;
 
-  /// A string was interned for the first time.
-  virtual void OnIntern(StrId id, std::string_view s) = 0;
+  /// A string was interned for the first time. `prev` is the string one
+  /// id before it (empty for id 1); the hook runs under the pool's intern
+  /// lock, so it stays put while the hook reads it.
+  virtual void OnIntern(StrId id, std::string_view s,
+                        std::string_view prev) = 0;
   /// A node was appended (ShardWriter::Append), with the columns exactly
   /// as written.
   virtual void OnNodeAppend(NodeId id, NodeLabel label, NodeRole role,
@@ -243,9 +246,6 @@ class GraphWalSink {
                             std::span<const NodeId> parents) = 0;
   /// A v-node received (or replaced) its carried value.
   virtual void OnNodeValue(NodeId id, const Value& value) = 0;
-  /// The parent list of `id` was replaced by SetParents.
-  virtual void OnSetParents(NodeId id, std::span<const NodeId> parents) = 0;
-  virtual void OnSetAlive(NodeId id, bool alive) = 0;
   /// Every node of `shard` with index >= `from` was marked dead.
   virtual void OnKillShardTail(uint32_t shard, uint64_t from) = 0;
   /// An invocation was registered; `info` names are already interned.
@@ -485,9 +485,11 @@ class ProvenanceGraph {
   /// (provenance/view.h).
   /// ------------------------------------------------------------------
 
-  /// Marks a node alive or dead. Dirties the seal.
+  /// Marks a node alive or dead. Dirties the seal. Not logged: the graph
+  /// must have no WAL sink attached.
   void SetAlive(NodeId id, bool alive);
-  /// Replaces the parent list of `id`. Dirties the seal.
+  /// Replaces the parent list of `id`. Dirties the seal. Not logged: the
+  /// graph must have no WAL sink attached.
   void SetParents(NodeId id, std::span<const NodeId> parents);
 
   /// Column pokes for tools and validator tests that need to fabricate

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <span>
 
 #include "common/str_util.h"
 #include "provenance/wal.h"
@@ -103,8 +104,8 @@ Status SaveGraph(const ProvenanceGraph& graph, std::ostream& os) {
   // Interner ids are dense, so replaying the pool in id order reproduces
   // every StrId the records below name.
   const StringPool& pool = graph.strings();
-  for (StrId i = 1; i < pool.size(); ++i) {
-    walfmt::EncodeIntern(&buf, i, pool.Get(i));
+  for (StrId next = 1; next < pool.size();) {
+    next = walfmt::EncodeStrings(&buf, pool, next);
     drain(kChunkBytes);
   }
   graph.ForEachNode([&](NodeId id) {
@@ -127,8 +128,9 @@ Status SaveGraph(const ProvenanceGraph& graph, std::ostream& os) {
     int kind = 0;
     for (const std::vector<NodeId>* nodes :
          {&inv.input_nodes, &inv.output_nodes, &inv.state_nodes}) {
-      for (NodeId node : *nodes) {
-        walfmt::EncodeInvocationNode(&buf, i, kind, node);
+      for (std::span<const NodeId> rest(*nodes); !rest.empty();) {
+        rest = rest.subspan(walfmt::EncodeInvocationNodes(&buf, i, kind, rest));
+        drain(kChunkBytes);
       }
       ++kind;
     }

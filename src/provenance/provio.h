@@ -16,10 +16,11 @@ namespace lipstick {
 ///
 /// Format: a graph file (`*.pg`, and the WAL's `ckpt-<seq>.pg`) is one
 /// segment in the WAL's binary format (wal.h, `walfmt`) under its own
-/// magic `LIPSTICKPG01`, sequence 0: one kIntern per string-pool id in
-/// order, one kNodeAppend (plus a kNodeValue for a scalar value) per node
-/// in (shard, index) order, one kBeginInvocation plus its kInvocationNodes
-/// per invocation, and a closing kSavepoint holding the graph's extent.
+/// magic `LIPSTICKPG02`, sequence 0: the string pool in id order, packed
+/// into kStrings records, one kNodeAppend (plus a kNodeValue for a scalar
+/// value) per node in (shard, index) order, one kBeginInvocation plus its
+/// input, output and state lists (packed kInvocationNodes records) per
+/// invocation, and a closing kSavepoint holding the graph's extent.
 /// Loading replays the records through the WAL's replayer, so node ids,
 /// interner ids, shard structure and invocation metadata are preserved
 /// exactly: Save(Load(Save(g))) == Save(g).

@@ -60,7 +60,8 @@ StrId StringPool::Intern(std::string_view s) {
     slots_[slot] = id;
   }
   if (observer_ != nullptr) {
-    observer_(observer_ctx_, id, std::string_view(stored, s.size()));
+    observer_(observer_ctx_, id, std::string_view(stored, s.size()),
+              Get(id - 1));
   }
   return id;
 }

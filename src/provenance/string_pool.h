@@ -81,9 +81,11 @@ class StringPool {
   /// Observer of first-time interns, used by the write-ahead log to record
   /// string-pool growth. Called under the pool's intern lock, so events
   /// arrive in id order and strictly before any node referencing the new
-  /// id can be appended. Plain function pointer + context (not
+  /// id can be appended, and `prev`, the string one id before `s`, is
+  /// stable while it runs. Plain function pointer + context (not
   /// std::function) so the unobserved path stays one null check.
-  using InternObserver = void (*)(void* ctx, StrId id, std::string_view s);
+  using InternObserver = void (*)(void* ctx, StrId id, std::string_view s,
+                                  std::string_view prev);
   void SetInternObserver(InternObserver fn, void* ctx) {
     observer_ = fn;
     observer_ctx_ = ctx;

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <cstdio>
@@ -107,9 +108,41 @@ void PutU64(std::string* out, uint64_t v) {
   PutU32(out, static_cast<uint32_t>(v >> 32));
 }
 
-void PutIds(std::string* out, std::span<const NodeId> ids) {
-  PutU32(out, static_cast<uint32_t>(ids.size()));
-  for (NodeId id : ids) PutU64(out, id);
+/// Stores `v` as an unsigned LEB128 varint (seven bits per byte, the low
+/// group first, the high bit set on every byte but the last) at `b`, which
+/// has room for ten bytes. Returns its length.
+size_t StoreVarint(char* b, uint64_t v) {
+  size_t n = 0;
+  for (; v >= 0x80; v >>= 7) b[n++] = static_cast<char>(v | 0x80);
+  b[n++] = static_cast<char>(v);
+  return n;
+}
+
+void PutVarint(std::string* out, uint64_t v) {
+  char b[10];
+  out->append(b, StoreVarint(b, v));
+}
+
+uint64_t ZigZag(int64_t v) {
+  return static_cast<uint64_t>(v) << 1 ^ static_cast<uint64_t>(v >> 63);
+}
+
+int64_t UnZigZag(uint64_t v) {
+  return static_cast<int64_t>(v >> 1) ^ -static_cast<int64_t>(v & 1);
+}
+
+constexpr uint64_t kMaxNodeIndex = (uint64_t{1} << 48) - 1;
+
+/// A node reference relative to `base` (wal.h, RecordType).
+void PutNodeRef(std::string* out, NodeId base, NodeId id) {
+  if ((id ^ base) >> 48 == 0) {
+    PutVarint(out, ZigZag(static_cast<int64_t>(NodeIndex(id)) -
+                          static_cast<int64_t>(NodeIndex(base)))
+                       << 1);
+  } else {
+    PutVarint(out, (id >> 48) << 1 | 1);
+    PutVarint(out, NodeIndex(id));
+  }
 }
 
 void PutValue(std::string* out, const Value& v) {
@@ -118,7 +151,7 @@ void PutValue(std::string* out, const Value& v) {
     PutU8(out, v.bool_value() ? 1 : 0);
   } else if (v.is_int()) {
     PutU8(out, 'I');
-    PutU64(out, static_cast<uint64_t>(v.int_value()));
+    PutVarint(out, ZigZag(v.int_value()));
   } else if (v.is_double()) {
     PutU8(out, 'D');
     uint64_t bits;
@@ -128,7 +161,7 @@ void PutValue(std::string* out, const Value& v) {
   } else if (v.is_string()) {
     const std::string& s = v.string_value();
     PutU8(out, 'S');
-    PutU32(out, static_cast<uint32_t>(s.size()));
+    PutVarint(out, s.size());
     out->append(s);
   } else {
     // Null, or a nested bag/tuple: graph v-nodes keep scalars only.
@@ -136,27 +169,66 @@ void PutValue(std::string* out, const Value& v) {
   }
 }
 
+/// `s` front-coded against `prev`: the length of their shared prefix
+/// (capped at kMaxSharedPrefix), then the rest of `s`, length first.
+void PutFrontCoded(std::string* out, std::string_view prev,
+                   std::string_view s) {
+  const size_t limit = std::min<size_t>(
+      {prev.size(), s.size(), size_t{kMaxSharedPrefix}});
+  size_t shared = 0;
+  while (shared < limit && prev[shared] == s[shared]) ++shared;
+  PutVarint(out, shared);
+  PutVarint(out, s.size() - shared);
+  out->append(s.substr(shared));
+}
+
+/// Most records are under 128 bytes, so BeginFrame leaves room for a
+/// one-byte length and EndFrame widens it only for longer ones.
+constexpr size_t kFrameStartBytes = 1 + 4;
+
 /// Starts a frame of `type` at the end of `out`: length and CRC
 /// placeholders, then the type byte. Returns the frame's offset.
 size_t BeginFrame(std::string* out, RecordType type) {
   size_t at = out->size();
-  out->append(kFrameBytes, '\0');
+  out->append(kFrameStartBytes, '\0');
   PutU8(out, static_cast<uint8_t>(type));
   return at;
 }
 
-/// Patches the length and CRC of the frame BeginFrame started at `at`.
+/// Writes the length and CRC of the frame BeginFrame started at `at`.
 void EndFrame(std::string* out, size_t at) {
-  size_t len = out->size() - at - kFrameBytes;  // type byte + payload
+  const size_t len = out->size() - at - kFrameStartBytes;  // type + payload
   LIPSTICK_CHECK(len <= kMaxRecordBytes, "wal record too large");
+  char len_varint[10];
+  const size_t len_bytes = StoreVarint(len_varint, len);
+  if (len_bytes > 1) out->insert(at, len_bytes - 1, '\0');
   char* frame = out->data() + at;
-  StoreU32(frame, static_cast<uint32_t>(len));
-  StoreU32(frame + 4, Crc32(frame + kFrameBytes, len));
+  std::memcpy(frame, len_varint, len_bytes);
+  StoreU32(frame + len_bytes, Crc32(frame + len_bytes + 4, len));
 }
 
-/// Little-endian payload cursor. Reads past the end set ok = false and
-/// return zeros rather than trapping, so the replayer can validate once at
-/// the end of each record.
+/// Appends a count, then entries put(0), put(1), ... up to `limit` of them,
+/// as many as kPackedRecordBytes holds (at least one). Returns the count.
+template <typename PutEntry>
+size_t PutPacked(std::string* out, size_t limit, PutEntry put) {
+  const size_t entries = out->size();
+  size_t n = 0;
+  do {
+    const size_t mark = out->size();
+    put(n);
+    if (n > 0 && out->size() - entries > kPackedRecordBytes) {
+      out->resize(mark);
+      break;
+    }
+  } while (++n < limit);
+  char count[10];
+  out->insert(entries, count, StoreVarint(count, n));
+  return n;
+}
+
+/// Payload cursor. Reads past the end or of a malformed varint set
+/// ok = false and return zeros rather than trapping, so the replayer can
+/// validate once per record.
 struct Cursor {
   const char* p;
   const char* end;
@@ -164,58 +236,84 @@ struct Cursor {
 
   explicit Cursor(std::string_view s) : p(s.data()), end(s.data() + s.size()) {}
 
+  uint64_t Fail() {
+    ok = false;
+    p = end;
+    return 0;
+  }
+
   uint8_t U8() {
-    if (end - p < 1) {
-      ok = false;
-      return 0;
-    }
+    if (p == end) return static_cast<uint8_t>(Fail());
     return static_cast<uint8_t>(*p++);
   }
 
-  uint32_t U32() {
-    if (end - p < 4) {
-      ok = false;
-      p = end;
-      return 0;
-    }
-    uint32_t v = static_cast<uint32_t>(static_cast<uint8_t>(p[0])) |
-                 static_cast<uint32_t>(static_cast<uint8_t>(p[1])) << 8 |
-                 static_cast<uint32_t>(static_cast<uint8_t>(p[2])) << 16 |
-                 static_cast<uint32_t>(static_cast<uint8_t>(p[3])) << 24;
-    p += 4;
+  uint64_t U64() {
+    if (end - p < 8) return Fail();
+    uint64_t v = 0;
+    for (int i = 7; i >= 0; --i) v = v << 8 | static_cast<uint8_t>(p[i]);
+    p += 8;
     return v;
   }
 
-  uint64_t U64() {
-    uint64_t lo = U32();
-    uint64_t hi = U32();
-    return lo | hi << 32;
+  /// An unsigned LEB128 varint of at most ten bytes.
+  uint64_t Varint() {
+    if (p != end && static_cast<uint8_t>(*p) < 0x80) {
+      return static_cast<uint8_t>(*p++);
+    }
+    uint64_t v = 0;
+    for (int shift = 0;; shift += 7) {
+      if (p == end) return Fail();
+      const uint8_t b = static_cast<uint8_t>(*p++);
+      // The tenth byte carries bit 63 alone: anything more is a varint
+      // longer than ten bytes or wider than 64 bits.
+      if (shift == 63 && b > 1) return Fail();
+      v |= static_cast<uint64_t>(b & 0x7f) << shift;
+      if (b < 0x80) return v;
+    }
+  }
+
+  /// A varint of a u32 field.
+  uint32_t Varint32() {
+    const uint64_t v = Varint();
+    if (v > 0xffffffffu) return static_cast<uint32_t>(Fail());
+    return static_cast<uint32_t>(v);
+  }
+
+  /// A count of entries of at least `min_bytes` each. A count the
+  /// remaining bytes cannot hold fails the cursor before anything is
+  /// reserved, so a short record never drives a large allocation.
+  uint32_t Count(size_t min_bytes) {
+    const uint32_t n = Varint32();
+    if (n * uint64_t{min_bytes} > Remaining()) {
+      return static_cast<uint32_t>(Fail());
+    }
+    return n;
+  }
+
+  /// A node reference relative to `base` (wal.h, RecordType).
+  NodeId NodeRef(NodeId base) {
+    const uint64_t v = Varint();
+    uint64_t hi = base >> 48;
+    uint64_t index;
+    if ((v & 1) == 0) {
+      // Wraps past kMaxNodeIndex when the delta leads below index 0.
+      index = NodeIndex(base) + static_cast<uint64_t>(UnZigZag(v >> 1));
+    } else {
+      hi = v >> 1;
+      index = Varint();
+    }
+    if (hi > 0xffff || index > kMaxNodeIndex) return Fail();
+    return hi << 48 | index;
   }
 
   std::string_view Bytes(size_t n) {
-    if (static_cast<size_t>(end - p) < n) {
-      ok = false;
-      p = end;
+    if (Remaining() < n) {
+      Fail();
       return {};
     }
     std::string_view s(p, n);
     p += n;
     return s;
-  }
-
-  /// A u32 count, then that many u64s. A count the remaining bytes cannot
-  /// hold fails the cursor before anything is reserved, so a short record
-  /// never drives a large allocation.
-  std::vector<uint64_t> U64List() {
-    std::vector<uint64_t> out;
-    uint32_t n = U32();
-    if (n > static_cast<size_t>(end - p) / 8) {
-      ok = false;
-      return out;
-    }
-    out.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) out.push_back(U64());
-    return out;
   }
 
   size_t Remaining() const { return static_cast<size_t>(end - p); }
@@ -230,7 +328,7 @@ Result<Value> ReadValue(Cursor* c) {
     case 'B':
       return Value::Bool(c->U8() != 0);
     case 'I':
-      return Value::Int(static_cast<int64_t>(c->U64()));
+      return Value::Int(UnZigZag(c->Varint()));
     case 'D': {
       uint64_t bits = c->U64();
       double d;
@@ -238,8 +336,7 @@ Result<Value> ReadValue(Cursor* c) {
       return Value::Double(d);
     }
     case 'S': {
-      uint32_t n = c->U32();
-      std::string_view s = c->Bytes(n);
+      std::string_view s = c->Bytes(c->Varint32());
       if (!c->ok) break;
       return Value::String(std::string(s));
     }
@@ -254,6 +351,35 @@ Status MalformedRecord(const Record& rec) {
   return Status::ParseError(
       StrCat("wal replay: malformed record type ",
              static_cast<int>(rec.type), " at offset ", rec.offset));
+}
+
+/// Interns `prefix` + `suffix` as the pool's next id, which must be a new
+/// string.
+Status InternNext(ProvenanceGraph* graph, std::string_view prefix,
+                  std::string_view suffix) {
+  const StrId want = static_cast<StrId>(graph->strings().size());
+  StrId got;
+  if (prefix.empty()) {
+    got = graph->InternString(suffix);
+  } else {
+    // Names are short: join them on the stack, on the heap only past that.
+    char small[512];
+    std::string large;
+    char* joined = small;
+    const size_t n = prefix.size() + suffix.size();
+    if (n > sizeof small) {
+      large.resize(n);
+      joined = large.data();
+    }
+    std::memcpy(joined, prefix.data(), prefix.size());
+    std::memcpy(joined + prefix.size(), suffix.data(), suffix.size());
+    got = graph->InternString(std::string_view(joined, n));
+  }
+  if (got != want) {
+    return Status::Internal(StrCat("wal replay: string ", want,
+                                   " is not new (it is string ", got, ")"));
+  }
+  return Status::OK();
 }
 
 bool ParseSeqName(std::string_view name, std::string_view prefix,
@@ -281,102 +407,104 @@ void EncodeHeader(std::string* out, std::string_view magic, uint64_t seq) {
   PutU64(out, seq);
 }
 
-void EncodeIntern(std::string* out, StrId id, std::string_view s) {
-  size_t at = BeginFrame(out, RecordType::kIntern);
-  PutU32(out, id);
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
+void EncodeString(std::string* out, std::string_view prev,
+                  std::string_view s) {
+  size_t at = BeginFrame(out, RecordType::kStrings);
+  PutVarint(out, 1);
+  PutFrontCoded(out, prev, s);
   EndFrame(out, at);
+}
+
+StrId EncodeStrings(std::string* out, const StringPool& pool, StrId first) {
+  LIPSTICK_CHECK(first >= 1 && first < pool.size(), "no string to encode");
+  size_t at = BeginFrame(out, RecordType::kStrings);
+  const size_t n = PutPacked(out, pool.size() - first, [&](size_t k) {
+    const auto id = static_cast<StrId>(first + k);
+    PutFrontCoded(out, pool.Get(id - 1), pool.Get(id));
+  });
+  EndFrame(out, at);
+  return static_cast<StrId>(first + n);
 }
 
 void EncodeNodeAppend(std::string* out, NodeId id, NodeLabel label,
                       NodeRole role, uint8_t flags, uint32_t invocation,
                       StrId payload, std::span<const NodeId> parents) {
+  LIPSTICK_DCHECK(static_cast<uint32_t>(role) < 8 && flags < 4,
+                  "node columns wider than the record's packing");
   size_t at = BeginFrame(out, RecordType::kNodeAppend);
-  PutU64(out, id);
-  PutU8(out, static_cast<uint8_t>(label));
-  PutU8(out, static_cast<uint8_t>(role));
-  PutU8(out, flags);
-  PutU32(out, invocation);
-  PutU32(out, payload);
-  PutIds(out, parents);
+  PutVarint(out, NodeShard(id));
+  PutVarint(out, static_cast<uint32_t>(label) << 5 |
+                     static_cast<uint32_t>(role) << 2 | flags);
+  PutVarint(out, invocation + 1);  // kNoInvocation wraps to 0
+  PutVarint(out, payload);
+  PutVarint(out, parents.size());
+  for (NodeId parent : parents) PutNodeRef(out, id, parent);
   EndFrame(out, at);
 }
 
 void EncodeNodeValue(std::string* out, NodeId id, const Value& value) {
   size_t at = BeginFrame(out, RecordType::kNodeValue);
-  PutU64(out, id);
+  PutNodeRef(out, kInvalidNode, id);
   PutValue(out, value);
-  EndFrame(out, at);
-}
-
-void EncodeSetParents(std::string* out, NodeId id,
-                      std::span<const NodeId> parents) {
-  size_t at = BeginFrame(out, RecordType::kSetParents);
-  PutU64(out, id);
-  PutIds(out, parents);
-  EndFrame(out, at);
-}
-
-void EncodeSetAlive(std::string* out, NodeId id, bool alive) {
-  size_t at = BeginFrame(out, RecordType::kSetAlive);
-  PutU64(out, id);
-  PutU8(out, alive ? 1 : 0);
   EndFrame(out, at);
 }
 
 void EncodeKillShardTail(std::string* out, uint32_t shard, uint64_t from) {
   size_t at = BeginFrame(out, RecordType::kKillShardTail);
-  PutU32(out, shard);
-  PutU64(out, from);
+  PutVarint(out, shard);
+  PutVarint(out, from);
   EndFrame(out, at);
 }
 
 void EncodeBeginInvocation(std::string* out, uint32_t invocation,
                            const InvocationInfo& info) {
   size_t at = BeginFrame(out, RecordType::kBeginInvocation);
-  PutU32(out, invocation);
-  PutU32(out, info.module_name);
-  PutU32(out, info.instance_name);
-  PutU32(out, info.execution);
-  PutU64(out, info.m_node);
+  PutVarint(out, invocation);
+  PutVarint(out, info.module_name);
+  PutVarint(out, info.instance_name);
+  PutVarint(out, info.execution);
+  PutNodeRef(out, kInvalidNode, info.m_node);
   EndFrame(out, at);
 }
 
-void EncodeInvocationNode(std::string* out, uint32_t invocation, int kind,
-                          NodeId node) {
-  size_t at = BeginFrame(out, RecordType::kInvocationNode);
-  PutU32(out, invocation);
+size_t EncodeInvocationNodes(std::string* out, uint32_t invocation, int kind,
+                             std::span<const NodeId> nodes) {
+  LIPSTICK_CHECK(!nodes.empty(), "no node to encode");
+  size_t at = BeginFrame(out, RecordType::kInvocationNodes);
+  PutVarint(out, invocation);
   PutU8(out, static_cast<uint8_t>(kind));
-  PutU64(out, node);
+  const size_t n = PutPacked(out, nodes.size(), [&](size_t k) {
+    PutNodeRef(out, k == 0 ? kInvalidNode : nodes[k - 1], nodes[k]);
+  });
   EndFrame(out, at);
+  return n;
 }
 
 void EncodeAbortInvocation(std::string* out, uint32_t invocation) {
   size_t at = BeginFrame(out, RecordType::kAbortInvocation);
-  PutU32(out, invocation);
+  PutVarint(out, invocation);
   EndFrame(out, at);
 }
 
 void EncodeTruncateInvocations(std::string* out, uint64_t count) {
   size_t at = BeginFrame(out, RecordType::kTruncateInvocations);
-  PutU64(out, count);
+  PutVarint(out, count);
   EndFrame(out, at);
 }
 
 void EncodeCommitInvocation(std::string* out, uint32_t invocation) {
   size_t at = BeginFrame(out, RecordType::kCommitInvocation);
-  PutU32(out, invocation);
+  PutVarint(out, invocation);
   EndFrame(out, at);
 }
 
 void EncodeSavepoint(std::string* out, uint32_t execution,
                      const ProvenanceGraph::Savepoint& extent) {
   size_t at = BeginFrame(out, RecordType::kSavepoint);
-  PutU32(out, execution);
-  PutU64(out, extent.invocation_count);
-  PutU32(out, static_cast<uint32_t>(extent.shard_sizes.size()));
-  for (size_t size : extent.shard_sizes) PutU64(out, size);
+  PutVarint(out, execution);
+  PutVarint(out, extent.invocation_count);
+  PutVarint(out, extent.shard_sizes.size());
+  for (size_t size : extent.shard_sizes) PutVarint(out, size);
   EndFrame(out, at);
 }
 
@@ -414,12 +542,14 @@ void SegmentScanner::ReadHeader(std::string_view magic) {
     torn_reason_ = "bad magic";
     return;
   }
-  Cursor c(data_.substr(kMagicBytes, 12));
-  uint32_t version = c.U32();
-  sequence_ = c.U64();
+  const auto* fields =
+      reinterpret_cast<const unsigned char*>(data_.data() + kMagicBytes);
+  const uint32_t version = LoadLE32(fields);
+  sequence_ = LoadLE32(fields + 4) | uint64_t{LoadLE32(fields + 8)} << 32;
   if (version != kVersion) {
-    header_status_ =
-        Status::ParseError(StrCat("unsupported segment version ", version));
+    header_status_ = Status::ParseError(StrCat(
+        "unsupported segment version ", version, " (expected ", kVersion,
+        ")"));
     torn_reason_ = "bad version";
     return;
   }
@@ -448,39 +578,61 @@ bool SegmentScanner::Next(Record* out) {
   if (!header_status_.ok()) return false;
   if (!torn_reason_.empty()) return false;
   if (!Buffered(1)) return false;  // clean end
-  if (!Buffered(kFrameBytes)) {
+  // The longest header: fewer bytes remain only at the segment's end.
+  (void)Buffered(8);
+  const size_t avail = data_.size() - pos_;
+  // The length: a varint of at most four bytes, which hold any length up
+  // to kMaxRecordBytes.
+  uint32_t len = 0;
+  size_t len_bytes = 0;
+  for (bool more = true; more; ++len_bytes) {
+    if (len_bytes == avail) {
+      torn_reason_ = "short frame header";
+      return false;
+    }
+    if (len_bytes == 4) {
+      torn_reason_ = "bad record length";
+      return false;
+    }
+    const auto b = static_cast<uint8_t>(data_[pos_ + len_bytes]);
+    len |= static_cast<uint32_t>(b & 0x7f) << 7 * len_bytes;
+    more = b >= 0x80;
+  }
+  const size_t header = len_bytes + 4;
+  if (avail < header) {
     torn_reason_ = "short frame header";
     return false;
   }
-  Cursor c(data_.substr(pos_, kFrameBytes));
-  uint32_t len = c.U32();
-  uint32_t crc = c.U32();
   if (len == 0 || len > kMaxRecordBytes) {
     torn_reason_ = "bad record length";
     return false;
   }
-  if (!Buffered(kFrameBytes + len)) {
+  if (!Buffered(header + len)) {
     torn_reason_ = "short record";
     return false;
   }
-  const char* body = data_.data() + pos_ + kFrameBytes;
-  if (Crc32(body, len) != crc) {
+  const char* frame = data_.data() + pos_;
+  const char* body = frame + header;
+  if (Crc32(body, len) !=
+      LoadLE32(reinterpret_cast<const unsigned char*>(frame + len_bytes))) {
     torn_reason_ = "bad crc";
     return false;
   }
   out->type = static_cast<RecordType>(static_cast<uint8_t>(body[0]));
   out->payload = std::string_view(body + 1, len - 1);
   out->offset = base_ + pos_;
-  pos_ += kFrameBytes + len;
+  pos_ += header + len;
   return true;
 }
 
 Result<SavepointExtent> ParseSavepoint(const Record& rec) {
   Cursor c(rec.payload);
   SavepointExtent sp;
-  sp.execution = c.U32();
-  sp.invocation_count = c.U64();
-  sp.shard_sizes = c.U64List();
+  sp.execution = c.Varint32();
+  sp.invocation_count = c.Varint();
+  // A shard size takes at least one byte.
+  sp.shard_sizes.resize(c.Count(1));
+  for (uint64_t& size : sp.shard_sizes) size = c.Varint();
   if (!c.ok || !c.AtEnd()) {
     return Status::ParseError("wal replay: malformed savepoint record");
   }
@@ -490,57 +642,58 @@ Result<SavepointExtent> ParseSavepoint(const Record& rec) {
 Status ApplyRecord(ProvenanceGraph* graph, const Record& rec) {
   Cursor c(rec.payload);
   switch (rec.type) {
-    case RecordType::kIntern: {
-      StrId id = c.U32();
-      uint32_t len = c.U32();
-      std::string_view s = c.Bytes(len);
-      if (!c.ok || !c.AtEnd()) return MalformedRecord(rec);
-      StrId got = graph->InternString(s);
-      if (got != id) {
-        return Status::Internal(StrCat("wal replay: intern id mismatch: log ",
-                                       id, ", graph ", got));
+    case RecordType::kStrings: {
+      // An entry takes at least its two varints.
+      const uint32_t n = c.Count(2);
+      for (uint32_t k = 0; k < n; ++k) {
+        const uint32_t shared = c.Varint32();
+        const std::string_view suffix = c.Bytes(c.Varint32());
+        const std::string_view prev =
+            graph->str(static_cast<StrId>(graph->strings().size() - 1));
+        if (!c.ok || shared > kMaxSharedPrefix || shared > prev.size()) {
+          return MalformedRecord(rec);
+        }
+        LIPSTICK_RETURN_IF_ERROR(
+            InternNext(graph, prev.substr(0, shared), suffix));
       }
+      if (!c.ok || !c.AtEnd()) return MalformedRecord(rec);
       return Status::OK();
     }
     case RecordType::kNodeAppend: {
-      NodeId id = c.U64();
-      uint8_t label = c.U8();
-      uint8_t role = c.U8();
-      uint8_t flags = c.U8();
-      uint32_t invocation = c.U32();
-      StrId payload = c.U32();
-      // The parents are the rest of the record; they are decoded straight
-      // into the appended node's parent list once every check has passed.
-      uint32_t num_parents = c.U32();
-      if (!c.ok || c.Remaining() != uint64_t{num_parents} * 8) {
-        return MalformedRecord(rec);
-      }
-      if (label > static_cast<uint8_t>(NodeLabel::kZoomedModule) ||
-          role > static_cast<uint8_t>(NodeRole::kZoom) ||
-          (flags & ~(internal::kAliveFlag | internal::kValueNodeFlag)) != 0 ||
+      const uint32_t shard = c.Varint32();
+      const uint32_t packed = c.Varint32();
+      const uint32_t invocation = c.Varint32() - 1;  // 0 is kNoInvocation
+      const StrId payload = c.Varint32();
+      // A parent reference takes at least one byte.
+      const uint32_t num_parents = c.Count(1);
+      if (!c.ok) return MalformedRecord(rec);
+      const uint32_t label = packed >> 5;
+      if (label > static_cast<uint32_t>(NodeLabel::kZoomedModule) ||
           payload >= graph->strings().size()) {
         return Status::ParseError(
-            StrCat("wal replay: node ", id, " has out-of-range columns"));
+            StrCat("wal replay: node of shard ", shard,
+                   " has out-of-range columns"));
       }
-      uint32_t shard = NodeShard(id);
-      if (shard > 0xffff) {
+      // Shard s holds ids (s + 1) << 48 | index, so s + 1 fits 16 bits.
+      if (shard >= 0xffff) {
         return Status::ParseError(
-            StrCat("wal replay: node ", id, " names absurd shard ", shard));
+            StrCat("wal replay: node names absurd shard ", shard));
       }
       while (graph->num_shards() <= shard) (void)graph->AddShard();
-      if (NodeIndex(id) != graph->ShardSize(shard)) {
-        return Status::Internal(
-            StrCat("wal replay: node ", id, " out of append order (shard ",
-                   shard, " holds ", graph->ShardSize(shard), " nodes)"));
-      }
+      // The node's index is its shard's size: append order is the id.
+      const NodeId id = MakeNodeId(shard, graph->ShardSize(shard));
+      // The parents are the rest of the record, decoded straight into the
+      // appended node's parent list.
       std::span<NodeId> parents = graph->AppendReplayed(
-          shard, static_cast<NodeLabel>(label), static_cast<NodeRole>(role),
-          flags, invocation, payload, num_parents);
-      for (NodeId& parent : parents) parent = c.U64();
+          shard, static_cast<NodeLabel>(label),
+          static_cast<NodeRole>(packed >> 2 & 7),
+          static_cast<uint8_t>(packed & 3), invocation, payload, num_parents);
+      for (NodeId& parent : parents) parent = c.NodeRef(id);
+      if (!c.ok || !c.AtEnd()) return MalformedRecord(rec);
       return Status::OK();
     }
     case RecordType::kNodeValue: {
-      NodeId id = c.U64();
+      NodeId id = c.NodeRef(kInvalidNode);
       LIPSTICK_ASSIGN_OR_RETURN(Value value, ReadValue(&c));
       if (!c.ok || !c.AtEnd()) return MalformedRecord(rec);
       if (!graph->InGraph(id)) {
@@ -550,31 +703,9 @@ Status ApplyRecord(ProvenanceGraph* graph, const Record& rec) {
       graph->SetNodeValue(id, std::move(value));
       return Status::OK();
     }
-    case RecordType::kSetParents: {
-      NodeId id = c.U64();
-      std::vector<NodeId> parents = c.U64List();
-      if (!c.ok || !c.AtEnd()) return MalformedRecord(rec);
-      if (!graph->InGraph(id)) {
-        return Status::Internal(
-            StrCat("wal replay: parents for unknown node ", id));
-      }
-      graph->SetParents(id, parents);
-      return Status::OK();
-    }
-    case RecordType::kSetAlive: {
-      NodeId id = c.U64();
-      uint8_t alive = c.U8();
-      if (!c.ok || !c.AtEnd()) return MalformedRecord(rec);
-      if (!graph->InGraph(id)) {
-        return Status::Internal(
-            StrCat("wal replay: liveness for unknown node ", id));
-      }
-      graph->SetAlive(id, alive != 0);
-      return Status::OK();
-    }
     case RecordType::kKillShardTail: {
-      uint32_t shard = c.U32();
-      uint64_t from = c.U64();
+      uint32_t shard = c.Varint32();
+      uint64_t from = c.Varint();
       if (!c.ok || !c.AtEnd()) return MalformedRecord(rec);
       if (shard >= graph->num_shards()) {
         return Status::Internal(
@@ -584,12 +715,12 @@ Status ApplyRecord(ProvenanceGraph* graph, const Record& rec) {
       return Status::OK();
     }
     case RecordType::kBeginInvocation: {
-      uint32_t inv = c.U32();
+      uint32_t inv = c.Varint32();
       InvocationInfo info;
-      info.module_name = c.U32();
-      info.instance_name = c.U32();
-      info.execution = c.U32();
-      info.m_node = c.U64();
+      info.module_name = c.Varint32();
+      info.instance_name = c.Varint32();
+      info.execution = c.Varint32();
+      info.m_node = c.NodeRef(kInvalidNode);
       if (!c.ok || !c.AtEnd()) return MalformedRecord(rec);
       // Graph files write an aborted invocation with no m-node.
       const bool aborted = info.aborted();
@@ -608,25 +739,37 @@ Status ApplyRecord(ProvenanceGraph* graph, const Record& rec) {
       if (!aborted) graph->SetInvocationTag(m_node, inv);
       return Status::OK();
     }
-    case RecordType::kInvocationNode: {
-      uint32_t inv = c.U32();
+    case RecordType::kInvocationNodes: {
+      uint32_t inv = c.Varint32();
       uint8_t kind = c.U8();
-      NodeId node = c.U64();
-      if (!c.ok || !c.AtEnd() || kind > 2) return MalformedRecord(rec);
-      if (inv >= graph->invocations().size() || !graph->InGraph(node)) {
+      // A node reference takes at least one byte.
+      uint32_t n = c.Count(1);
+      if (!c.ok || kind > 2) return MalformedRecord(rec);
+      if (inv >= graph->invocations().size()) {
         return Status::Internal(
             StrCat("wal replay: structural node for unknown invocation ",
                    inv));
       }
       InvocationInfo& info = graph->mutable_invocation(inv);
-      (kind == 0   ? info.input_nodes
-       : kind == 1 ? info.output_nodes
-                   : info.state_nodes)
-          .push_back(node);
+      std::vector<NodeId>& nodes = kind == 0   ? info.input_nodes
+                                   : kind == 1 ? info.output_nodes
+                                               : info.state_nodes;
+      NodeId node = kInvalidNode;
+      for (uint32_t k = 0; k < n; ++k) {
+        node = c.NodeRef(node);
+        if (!c.ok) return MalformedRecord(rec);
+        if (!graph->InGraph(node)) {
+          return Status::Internal(
+              StrCat("wal replay: invocation ", inv, " names unknown node ",
+                     node));
+        }
+        nodes.push_back(node);
+      }
+      if (!c.AtEnd()) return MalformedRecord(rec);
       return Status::OK();
     }
     case RecordType::kAbortInvocation: {
-      uint32_t inv = c.U32();
+      uint32_t inv = c.Varint32();
       if (!c.ok || !c.AtEnd()) return MalformedRecord(rec);
       if (inv >= graph->invocations().size()) {
         return Status::Internal(
@@ -636,7 +779,7 @@ Status ApplyRecord(ProvenanceGraph* graph, const Record& rec) {
       return Status::OK();
     }
     case RecordType::kTruncateInvocations: {
-      uint64_t count = c.U64();
+      uint64_t count = c.Varint();
       if (!c.ok || !c.AtEnd()) return MalformedRecord(rec);
       if (count > graph->invocations().size()) {
         return Status::Internal("wal replay: truncation grows invocations");
@@ -645,7 +788,7 @@ Status ApplyRecord(ProvenanceGraph* graph, const Record& rec) {
       return Status::OK();
     }
     case RecordType::kCommitInvocation:
-      (void)c.U32();
+      (void)c.Varint32();
       if (!c.ok || !c.AtEnd()) return MalformedRecord(rec);
       return Status::OK();
     case RecordType::kSavepoint:
@@ -1145,9 +1288,9 @@ Status Wal::Close() {
 // Wal: GraphWalSink hooks
 // ---------------------------------------------------------------------------
 
-void Wal::OnIntern(StrId id, std::string_view s) {
+void Wal::OnIntern(StrId, std::string_view s, std::string_view prev) {
   std::string& frame = Scratch();
-  walfmt::EncodeIntern(&frame, id, s);
+  walfmt::EncodeString(&frame, prev, s);
   AppendFrame(frame);
 }
 
@@ -1166,18 +1309,6 @@ void Wal::OnNodeValue(NodeId id, const Value& value) {
   AppendFrame(frame);
 }
 
-void Wal::OnSetParents(NodeId id, std::span<const NodeId> parents) {
-  std::string& frame = Scratch();
-  walfmt::EncodeSetParents(&frame, id, parents);
-  AppendFrame(frame);
-}
-
-void Wal::OnSetAlive(NodeId id, bool alive) {
-  std::string& frame = Scratch();
-  walfmt::EncodeSetAlive(&frame, id, alive);
-  AppendFrame(frame);
-}
-
 void Wal::OnKillShardTail(uint32_t shard, uint64_t from) {
   std::string& frame = Scratch();
   walfmt::EncodeKillShardTail(&frame, shard, from);
@@ -1192,7 +1323,7 @@ void Wal::OnBeginInvocation(uint32_t invocation, const InvocationInfo& info) {
 
 void Wal::OnInvocationNode(uint32_t invocation, int kind, NodeId node) {
   std::string& frame = Scratch();
-  walfmt::EncodeInvocationNode(&frame, invocation, kind, node);
+  walfmt::EncodeInvocationNodes(&frame, invocation, kind, {&node, 1});
   AppendFrame(frame);
 }
 

@@ -74,32 +74,48 @@ namespace walfmt {
 
 /// Segment header: magic, format version (u32), sequence number (u64).
 inline constexpr char kWalMagic[] = "LIPSTICKWAL1";    // 12 chars + NUL unused
-inline constexpr char kGraphMagic[] = "LIPSTICKPG01";  // a .pg graph file
+inline constexpr char kGraphMagic[] = "LIPSTICKPG02";  // a .pg graph file
 inline constexpr size_t kMagicBytes = 12;
-inline constexpr uint32_t kVersion = 1;
+inline constexpr uint32_t kVersion = 2;
 inline constexpr size_t kHeaderBytes = kMagicBytes + 4 + 8;
-/// Frame: u32 payload length, u32 CRC32 over (type byte + payload), u8
-/// record type, payload. Lengths beyond this cap mean a torn/corrupt
-/// frame, not a huge record.
-inline constexpr size_t kFrameBytes = 8;
+/// Frame: the length of (type byte + payload) as a varint of at most four
+/// bytes, a u32 CRC32 over (type byte + payload), the u8 record type, then
+/// the payload. Lengths beyond this cap mean a torn/corrupt frame, not a
+/// huge record.
 inline constexpr uint32_t kMaxRecordBytes = 1u << 26;
+/// A string shares at most this many leading bytes with the one before it,
+/// so a string record expands to at most a small multiple of its bytes.
+inline constexpr uint32_t kMaxSharedPrefix = 255;
+/// SaveGraph packs strings and invocation node lists into records of at
+/// most this many entry bytes (an entry longer than that gets a record of
+/// its own), well inside the streaming scanner's 64 KiB window.
+inline constexpr size_t kPackedRecordBytes = 16 * 1024;
 
+/// Payload layouts. Every integer is an unsigned LEB128 varint (at most
+/// ten bytes, and no wider than its field) unless marked u8. A node
+/// reference ref(base) is relative to a base id: an even varint
+/// 2 * zigzag(d) names the node of base's shard at base's index + d; an odd
+/// one, 2 * hi + 1, is followed by an index and names hi << 48 | index
+/// (hi is the shard + 1, and 0 for kInvalidNode).
 enum class RecordType : uint8_t {
-  kIntern = 1,            // u32 id, u32 len, bytes
-  kNodeAppend = 2,        // u64 id, u8 label, u8 role, u8 flags,
-                          // u32 invocation, u32 payload, u32 n, u64[n]
-  kNodeValue = 3,         // u64 id, value (tag byte + payload)
-  kSetParents = 4,        // u64 id, u32 n, u64[n]
-  kSetAlive = 5,          // u64 id, u8 alive
-  kKillShardTail = 6,     // u32 shard, u64 from
-  kBeginInvocation = 7,   // u32 inv, u32 module, u32 instance,
-                          // u32 execution, u64 m_node (kInvalidNode:
+  kStrings = 1,           // n, then n x (shared, len, len bytes): the
+                          // pool's next n ids, each the first `shared`
+                          // bytes of the string one id before + the bytes
+  kNodeAppend = 2,        // shard, label << 5 | role << 2 | flags,
+                          // invocation + 1, payload, n, n x ref(node);
+                          // the node's index is its shard's size
+  kNodeValue = 3,         // ref(kInvalidNode) node, value (tag byte +
+                          // payload)
+  kKillShardTail = 6,     // shard, from
+  kBeginInvocation = 7,   // inv, module, instance, execution,
+                          // ref(kInvalidNode) m_node (kInvalidNode:
                           // aborted, in graph files only)
-  kInvocationNode = 8,    // u32 inv, u8 kind(0=in,1=out,2=state), u64 node
-  kAbortInvocation = 9,   // u32 inv
-  kTruncateInvocations = 10,  // u64 count
-  kCommitInvocation = 11,     // u32 inv
-  kSavepoint = 12,        // u32 execution, u64 inv_count, u32 n, u64[n]
+  kInvocationNodes = 8,   // inv, u8 kind (0=in,1=out,2=state), n,
+                          // n x ref(the node before; kInvalidNode first)
+  kAbortInvocation = 9,   // inv
+  kTruncateInvocations = 10,  // count
+  kCommitInvocation = 11,     // inv
+  kSavepoint = 12,        // execution, inv_count, n, n x shard size
 };
 
 /// CRC32 (IEEE) of a frame's type byte + payload. Computed slicing-by-8,
@@ -112,19 +128,24 @@ void EncodeHeader(std::string* out, std::string_view magic, uint64_t seq);
 /// Frame encoders, one per record type: each appends one framed record
 /// (payload layout above) to `out`. Values use a tag byte + payload;
 /// nested values degrade to null.
-void EncodeIntern(std::string* out, StrId id, std::string_view s);
+///
+/// One string, front-coded against `prev`, the string one id before it.
+void EncodeString(std::string* out, std::string_view prev,
+                  std::string_view s);
+/// The pool's strings from `first` on, as many as kPackedRecordBytes holds
+/// (at least one); returns the id after the last one encoded.
+StrId EncodeStrings(std::string* out, const StringPool& pool, StrId first);
 void EncodeNodeAppend(std::string* out, NodeId id, NodeLabel label,
                       NodeRole role, uint8_t flags, uint32_t invocation,
                       StrId payload, std::span<const NodeId> parents);
 void EncodeNodeValue(std::string* out, NodeId id, const Value& value);
-void EncodeSetParents(std::string* out, NodeId id,
-                      std::span<const NodeId> parents);
-void EncodeSetAlive(std::string* out, NodeId id, bool alive);
 void EncodeKillShardTail(std::string* out, uint32_t shard, uint64_t from);
 void EncodeBeginInvocation(std::string* out, uint32_t invocation,
                            const InvocationInfo& info);
-void EncodeInvocationNode(std::string* out, uint32_t invocation, int kind,
-                          NodeId node);
+/// A prefix of `nodes`, as much as kPackedRecordBytes holds (at least one
+/// node); returns how many nodes it encoded.
+size_t EncodeInvocationNodes(std::string* out, uint32_t invocation, int kind,
+                             std::span<const NodeId> nodes);
 void EncodeAbortInvocation(std::string* out, uint32_t invocation);
 void EncodeTruncateInvocations(std::string* out, uint64_t count);
 void EncodeCommitInvocation(std::string* out, uint32_t invocation);
@@ -139,7 +160,8 @@ std::string CheckpointFileName(uint64_t seq);
 bool ParseSegmentName(std::string_view name, uint64_t* seq);
 bool ParseCheckpointName(std::string_view name, uint64_t* seq);
 
-/// One decoded frame of a segment.
+/// One decoded frame of a segment. The frame ends where the scanner's
+/// valid_prefix() stands right after Next() returned it.
 struct Record {
   RecordType type;
   std::string_view payload;  // into the scanned buffer
@@ -210,7 +232,8 @@ Result<SavepointExtent> ParseSavepoint(const Record& rec);
 /// the record indexes the graph with is checked before use; parent ids
 /// are stored as given (LoadGraph checks them after replay). A kSavepoint
 /// is checked for shape only and a kCommitInvocation has no effect:
-/// callers interpret boundaries.
+/// callers interpret boundaries. A record that fails may leave the graph
+/// partly updated; both callers then discard the graph.
 Status ApplyRecord(ProvenanceGraph* graph, const Record& rec);
 
 /// Verifies the graph matches a savepoint's recorded extent — the
@@ -274,13 +297,12 @@ class Wal final : public GraphWalSink {
   uint64_t checkpoints_taken() const;
 
   // GraphWalSink implementation (called by the attached graph).
-  void OnIntern(StrId id, std::string_view s) override;
+  void OnIntern(StrId id, std::string_view s,
+                std::string_view prev) override;
   void OnNodeAppend(NodeId id, NodeLabel label, NodeRole role, uint8_t flags,
                     uint32_t invocation, StrId payload,
                     std::span<const NodeId> parents) override;
   void OnNodeValue(NodeId id, const Value& value) override;
-  void OnSetParents(NodeId id, std::span<const NodeId> parents) override;
-  void OnSetAlive(NodeId id, bool alive) override;
   void OnKillShardTail(uint32_t shard, uint64_t from) override;
   void OnBeginInvocation(uint32_t invocation,
                          const InvocationInfo& info) override;
@@ -290,7 +312,13 @@ class Wal final : public GraphWalSink {
 
  private:
   Wal(std::string dir, const WalOptions& options)
-      : dir_(std::move(dir)), options_(options) {}
+      : dir_(std::move(dir)), options_(options) {
+    // The buffer holds under buffer_bytes plus one frame. Sized once, its
+    // footprint does not depend on the first frame's size, from which
+    // doubling would start: a 30-byte start reaches 480 KiB for the
+    // default 256 KiB, a 33-byte one stops at 264 KiB.
+    buffer_.reserve(options_.buffer_bytes + 4096);
+  }
 
   /// Appends one framed record to the buffer; flushes past the threshold.
   void AppendFrame(std::string_view frame);

@@ -131,13 +131,15 @@ TEST(AllocationTest, ReplayedNodeAppendAllocatesNothing) {
        {std::vector<NodeId>{}, std::vector<NodeId>{a},
         std::vector<NodeId>{a, b}}) {
     const NodeId id = MakeNodeId(0, graph.ShardSize(0));
-    std::string frame;
-    walfmt::EncodeNodeAppend(&frame, id, NodeLabel::kTimes,
+    std::string segment;
+    walfmt::EncodeHeader(&segment, walfmt::kWalMagic, 1);
+    walfmt::EncodeNodeAppend(&segment, id, NodeLabel::kTimes,
                              NodeRole::kIntermediate, internal::kAliveFlag,
                              kNoInvocation, payload, parents);
+    walfmt::SegmentScanner scanner(segment, walfmt::kWalMagic);
     walfmt::Record rec;
-    rec.type = walfmt::RecordType::kNodeAppend;
-    rec.payload = std::string_view(frame).substr(walfmt::kFrameBytes + 1);
+    ASSERT_TRUE(scanner.Next(&rec));
+    ASSERT_EQ(rec.type, walfmt::RecordType::kNodeAppend);
     AllocationCounter counter;
     LIPSTICK_ASSERT_OK(walfmt::ApplyRecord(&graph, rec));
     EXPECT_EQ(counter.count(), 0u) << parents.size() << " parent(s)";

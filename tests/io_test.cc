@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 #include "common/rng.h"
@@ -253,16 +254,26 @@ Status LoadBytes(const std::string& bytes) {
   return LoadGraph(in).status();
 }
 
+/// An unsigned LEB128 varint, the codec's integer encoding.
+std::string Varint(uint64_t v) {
+  std::string out;
+  for (; v >= 0x80; v >>= 7) out.push_back(static_cast<char>(v | 0x80));
+  out.push_back(static_cast<char>(v));
+  return out;
+}
+
+std::string U32(uint32_t v) {
+  std::string out;
+  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(v >> 8 * i));
+  return out;
+}
+
 /// One frame with the given type byte and payload, CRC and all.
 std::string Frame(uint8_t type, const std::string& payload) {
   std::string body(1, static_cast<char>(type));
   body += payload;
-  std::string frame;
-  for (uint32_t v : {static_cast<uint32_t>(body.size()),
-                     walfmt::Crc32(body.data(), body.size())}) {
-    for (int i = 0; i < 4; ++i) frame.push_back(static_cast<char>(v >> 8 * i));
-  }
-  return frame + body;
+  return Varint(body.size()) + U32(walfmt::Crc32(body.data(), body.size())) +
+         body;
 }
 
 std::string GraphHeader() {
@@ -286,21 +297,21 @@ std::string Extent(size_t nodes, size_t invocations = 0) {
 std::string OneNodeFile(std::vector<NodeId> parents, uint32_t invocation,
                         StrId payload = 1) {
   std::string out = GraphHeader();
-  walfmt::EncodeIntern(&out, 1, "tok");
+  walfmt::EncodeString(&out, "", "tok");
   walfmt::EncodeNodeAppend(&out, MakeNodeId(0, 0), NodeLabel::kToken,
                            NodeRole::kIntermediate, internal::kAliveFlag,
                            invocation, payload, parents);
   return out + Extent(1);
 }
 
-/// Byte ranges (offset, length) of the frames of a graph file.
+/// Byte ranges (offset, length) of the frames of a graph file: a frame
+/// ends where the scanner's valid prefix stands once it is read.
 std::vector<std::pair<size_t, size_t>> FrameSpans(const std::string& file) {
   std::vector<std::pair<size_t, size_t>> spans;
   walfmt::SegmentScanner scanner(file, walfmt::kGraphMagic);
   walfmt::Record rec;
   while (scanner.Next(&rec)) {
-    spans.emplace_back(rec.offset,
-                       walfmt::kFrameBytes + 1 + rec.payload.size());
+    spans.emplace_back(rec.offset, scanner.valid_prefix() - rec.offset);
   }
   return spans;
 }
@@ -353,12 +364,12 @@ TEST(ProvioRobustnessTest, TruncationSweepAlwaysReturnsStatus) {
 }
 
 TEST(ProvioRobustnessTest, LoadStreamsAcrossScannerWindows) {
-  // A 200 KiB string and 20,000 chained nodes: many times the scanner's
+  // A 200 KiB string and 40,000 chained nodes: many times the scanner's
   // 64 KiB window, with frames straddling window boundaries and one frame
   // longer than a window.
-  constexpr size_t kNodes = 20000;
+  constexpr size_t kNodes = 40000;
   std::string file = GraphHeader();
-  walfmt::EncodeIntern(&file, 1, std::string(200 * 1024, 'x'));
+  walfmt::EncodeString(&file, "", std::string(200 * 1024, 'x'));
   for (size_t i = 0; i < kNodes; ++i) {
     std::vector<NodeId> parents;
     if (i > 0) parents.push_back(MakeNodeId(0, i - 1));
@@ -399,7 +410,7 @@ TEST(ProvioRobustnessTest, LoadStreamsAcrossScannerWindows) {
 
 TEST(ProvioRobustnessTest, GarbageHeadersRejected) {
   std::string wrong_version = GraphHeader() + Extent(0);
-  wrong_version[walfmt::kMagicBytes] = 2;
+  wrong_version[walfmt::kMagicBytes] = 1;
   std::string wrong_sequence = GraphHeader() + Extent(0);
   wrong_sequence[walfmt::kMagicBytes + 4] = 7;
   // A WAL segment carries the log's magic, not the graph file's.
@@ -415,6 +426,18 @@ TEST(ProvioRobustnessTest, GarbageHeadersRejected) {
     EXPECT_EQ(st.code(), StatusCode::kParseError) << "accepted: " << garbage;
   }
   EXPECT_NE(LoadBytes(wal_segment).message().find("magic"), std::string::npos);
+  // A file of the earlier fixed-width format fails at its magic, and a
+  // segment of the earlier version at its version, each on one line.
+  std::string old_magic = GraphHeader() + Extent(0);
+  old_magic.replace(0, walfmt::kMagicBytes, "LIPSTICKPG01");
+  for (const auto& [bytes, names] :
+       {std::pair<std::string, std::string>{old_magic, "magic"},
+        std::pair<std::string, std::string>{wrong_version, "version 1"}}) {
+    Status st = LoadBytes(bytes);
+    EXPECT_EQ(st.code(), StatusCode::kParseError);
+    EXPECT_NE(st.message().find(names), std::string::npos) << st;
+    EXPECT_EQ(st.message().find('\n'), std::string::npos) << st;
+  }
   // The smallest graph file: a header and the empty extent.
   LIPSTICK_EXPECT_OK(LoadBytes(GraphHeader() + Extent(0)));
 }
@@ -426,42 +449,85 @@ TEST(ProvioRobustnessTest, OversizedCountsRejectedWithoutAllocating) {
     return usage.ru_maxrss;
   };
   const long before = max_rss_kb();
-  auto u32 = [](uint32_t v) {
-    std::string out;
-    for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(v >> 8 * i));
-    return out;
+  auto strings = [](uint64_t n, const std::string& entries) {
+    return Frame(1, Varint(n) + entries);
   };
-  auto u64 = [&](uint64_t v) {
-    return u32(static_cast<uint32_t>(v)) + u32(static_cast<uint32_t>(v >> 32));
+  auto entry = [](uint64_t shared, const std::string& suffix) {
+    return Varint(shared) + Varint(suffix.size()) + suffix;
   };
-  const std::string tok = GraphHeader() + Frame(1, u32(1) + u32(3) + "tok");
-  // A short node record claiming 2^24 parents: rejected before the parent
-  // list is reserved (128 MiB if it were).
-  std::string node = u64(MakeNodeId(0, 0)) + std::string(3, '\0') +
-                     u32(kNoInvocation) + u32(1) + u32(1u << 24) + u64(1);
-  EXPECT_EQ(LoadBytes(tok + Frame(2, node)).code(), StatusCode::kParseError);
-  // The same claim through a parent rewrite.
-  EXPECT_EQ(LoadBytes(tok + Frame(2, node.substr(0, 23) + u32(0)) +
-                      Frame(4, u64(MakeNodeId(0, 0)) + u32(1u << 24)))
-                .code(),
-            StatusCode::kParseError);
-  // An extent claiming 2^32-1 shards, a string claiming 4 GB, and a string
-  // value claiming 4 GB.
-  EXPECT_EQ(LoadBytes(tok + Frame(12, u32(0) + u64(0) + u32(~0u))).code(),
-            StatusCode::kParseError);
-  EXPECT_EQ(LoadBytes(GraphHeader() + Frame(1, u32(1) + u32(4000000000u)))
-                .code(),
-            StatusCode::kParseError);
-  EXPECT_EQ(LoadBytes(tok + Frame(2, node.substr(0, 23) + u32(0)) +
-                      Frame(3, u64(MakeNodeId(0, 0)) + "S" + u32(~0u)))
-                .code(),
-            StatusCode::kParseError);
-  // A frame claiming a 64 MiB record in a file of a few bytes: the load
-  // reads what the file holds, not what the length claims.
-  EXPECT_EQ(LoadBytes(GraphHeader() + u32(walfmt::kMaxRecordBytes) + u32(0) +
-                      "x")
-                .code(),
-            StatusCode::kParseError);
+  const std::string tok = GraphHeader() + strings(1, entry(0, "tok"));
+  // An alive token node of shard 0: shard, packed columns, invocation + 1,
+  // payload, parent count, then the parent references.
+  auto node = [](uint64_t invocation_plus_1, uint64_t payload, uint64_t n,
+                 const std::string& parents) {
+    return Frame(2, Varint(0) + Varint(internal::kAliveFlag) +
+                        Varint(invocation_plus_1) + Varint(payload) +
+                        Varint(n) + parents);
+  };
+  const std::string one_node = tok + node(0, 1, 0, "");
+  const std::string extent1 = Extent(1);
+  // The well-formed versions of the records below load.
+  LIPSTICK_ASSERT_OK(LoadBytes(one_node + extent1));
+  LIPSTICK_ASSERT_OK(LoadBytes(
+      tok + node(0, 1, 0, "") +
+      node(0, 1, 1, Varint(1 << 1)) /* delta -1: node 0 */ + Extent(2)));
+  const std::string long_prev(300, 'a');
+  LIPSTICK_ASSERT_OK(LoadBytes(
+      GraphHeader() +
+      strings(2, entry(0, long_prev) + entry(walfmt::kMaxSharedPrefix, "b")) +
+      Extent(0)));
+
+  const std::vector<std::pair<std::string, std::string>> rejected = {
+      // A short node record claiming 2^24 parents: rejected before the
+      // parent list is reserved (128 MiB if it were).
+      {"2^24 parents", tok + node(0, 1, 1u << 24, Varint(2)) + extent1},
+      // A string record claiming 2^31 strings.
+      {"2^31 strings", GraphHeader() + strings(1u << 31, entry(0, "x")) +
+                           Extent(0)},
+      // A shared prefix longer than the string before it, and one over
+      // the cap (the string before is long enough).
+      {"prefix past the previous string",
+       tok + strings(1, entry(4, "x")) + Extent(0)},
+      {"prefix over the cap",
+       GraphHeader() +
+           strings(2, entry(0, long_prev) +
+                          entry(walfmt::kMaxSharedPrefix + 1, "b")) +
+           Extent(0)},
+      // An 11-byte varint, and a 10-byte one wider than 64 bits.
+      {"11-byte varint",
+       tok + Frame(2, std::string(10, '\x80') + std::string(1, '\0') +
+                          Varint(1) + Varint(0) + Varint(1) + Varint(0)) +
+           extent1},
+      {"65-bit varint",
+       tok + Frame(2, std::string(9, '\x80') + std::string(1, '\x02') +
+                          Varint(1) + Varint(0) + Varint(1) + Varint(0)) +
+           extent1},
+      // Varints past a u32 field, each of which would read as a valid
+      // value if truncated to 32 bits.
+      {"payload past u32", tok + node(0, (1ull << 32) + 1, 0, "") + extent1},
+      {"invocation past u32", tok + node(1ull << 32, 1, 0, "") + extent1},
+      {"count past u32", tok + node(0, 1, 1ull << 32, "") + extent1},
+      // The first node's parent at delta -1: below index 0.
+      {"parent delta below index 0", tok + node(0, 1, 1, Varint(2)) + extent1},
+      // An extent claiming 2^32-1 shards.
+      {"2^32-1 shards",
+       one_node + Frame(12, Varint(0) + Varint(0) + Varint(0xffffffffu))},
+      // A string claiming 4 GB, and a string value claiming 4 GB.
+      {"4 GB string",
+       GraphHeader() + strings(1, Varint(0) + Varint(4000000000u)) +
+           Extent(0)},
+      {"4 GB string value",
+       one_node + Frame(3, Varint(1 << 1 | 1) + Varint(0) + "S" +
+                               Varint(4000000000u)) +
+           extent1},
+      // A frame claiming a 64 MiB record in a file of a few bytes: the
+      // load reads what the file holds, not what the length claims.
+      {"64 MiB frame",
+       GraphHeader() + Varint(walfmt::kMaxRecordBytes) + U32(0) + "x"},
+  };
+  for (const auto& [what, bytes] : rejected) {
+    EXPECT_EQ(LoadBytes(bytes).code(), StatusCode::kParseError) << what;
+  }
   EXPECT_LT(max_rss_kb() - before, 32 * 1024) << "KiB of max RSS growth";
 }
 
@@ -514,31 +580,36 @@ TEST(ProvioRobustnessTest, DanglingReferencesRejected) {
 
 TEST(ProvioRobustnessTest, MalformedRecordsRejected) {
   const std::string header = GraphHeader();
-  // Out-of-range label, and flag bits the graph does not define.
+  // Out-of-range labels: far out, and one past the last.
   std::string bad_label = header;
-  walfmt::EncodeIntern(&bad_label, 1, "tok");
+  walfmt::EncodeString(&bad_label, "", "tok");
   walfmt::EncodeNodeAppend(&bad_label, MakeNodeId(0, 0),
                            static_cast<NodeLabel>(99), NodeRole::kIntermediate,
                            internal::kAliveFlag, kNoInvocation, 1, {});
   EXPECT_EQ(LoadBytes(bad_label + Extent(1)).code(), StatusCode::kParseError);
-  std::string bad_flags = header;
-  walfmt::EncodeNodeAppend(&bad_flags, MakeNodeId(0, 0), NodeLabel::kToken,
-                           NodeRole::kIntermediate, 0x80, kNoInvocation, 0,
-                           {});
-  EXPECT_EQ(LoadBytes(bad_flags + Extent(1)).code(), StatusCode::kParseError);
+  const uint32_t past_last_label = static_cast<uint32_t>(kNumNodeLabels) << 5;
+  EXPECT_EQ(LoadBytes(header +
+                      Frame(2, Varint(0) + Varint(past_last_label) +
+                                   Varint(0) + Varint(0) + Varint(0)) +
+                      Extent(1))
+                .code(),
+            StatusCode::kParseError);
   // Unknown record type, and a known one with trailing payload bytes.
   EXPECT_EQ(LoadBytes(header + Frame(99, "x") + Extent(0)).code(),
             StatusCode::kParseError);
   EXPECT_EQ(LoadBytes(header + Frame(11, std::string(5, '\0')) + Extent(0))
                 .code(),
             StatusCode::kParseError);
-  // Nodes out of append order within their shard.
-  std::string out_of_order = header;
-  walfmt::EncodeNodeAppend(&out_of_order, MakeNodeId(0, 1), NodeLabel::kToken,
+  // A node record names its shard, not its index: the index is the
+  // shard's size, so a missing node shows as an extent the records do
+  // not reach.
+  std::string short_shard = header;
+  walfmt::EncodeNodeAppend(&short_shard, MakeNodeId(0, 1), NodeLabel::kToken,
                            NodeRole::kIntermediate, internal::kAliveFlag,
                            kNoInvocation, 0, {});
-  EXPECT_EQ(LoadBytes(out_of_order + Extent(2)).code(),
-            StatusCode::kParseError);
+  Status st = LoadBytes(short_shard + Extent(2));
+  EXPECT_EQ(st.code(), StatusCode::kParseError);
+  EXPECT_NE(st.message().find("savepoint expects"), std::string::npos) << st;
 }
 
 TEST(ProvioRobustnessTest, SeededMutationsLoadOrReturnStatus) {
@@ -652,6 +723,46 @@ TEST(ProvioTest, LoadedGraphHoldsNoSpareCapacity) {
   graph->Seal();
   std::ostringstream again;
   LIPSTICK_ASSERT_OK(SaveGraph(*graph, again));
+  EXPECT_EQ(again.str(), bytes);
+}
+
+TEST(ProvioTest, PackedRecordsFitTheScannerWindow) {
+  // 20,000 names of the tracker's `<prefix>[<i>]` form and 20,000 state
+  // nodes of one invocation: several packed string and invocation-node
+  // records, each far inside the loader's 64 KiB window.
+  ProvenanceGraph graph;
+  ShardWriter writer = graph.writer();
+  const uint32_t inv = writer.BeginInvocation("dealer", "dealer1", 0);
+  for (int i = 0; i < 20000; ++i) {
+    const NodeId tuple =
+        writer.Token(StrCat("dealer1.Cars[", i, "]"), NodeRole::kStateBase);
+    writer.ModuleState(inv, tuple);
+  }
+  graph.Seal();
+  std::ostringstream saved;
+  LIPSTICK_ASSERT_OK(SaveGraph(graph, saved));
+  const std::string bytes = saved.str();
+  std::map<walfmt::RecordType, int> records;
+  size_t string_bytes = 0;
+  walfmt::SegmentScanner scanner(bytes, walfmt::kGraphMagic);
+  walfmt::Record rec;
+  while (scanner.Next(&rec)) {
+    const size_t frame = scanner.valid_prefix() - rec.offset;
+    ++records[rec.type];
+    EXPECT_LE(frame, 64u * 1024);
+    if (rec.type == walfmt::RecordType::kStrings) string_bytes += frame;
+  }
+  EXPECT_GT(records[walfmt::RecordType::kStrings], 1);
+  EXPECT_GT(records[walfmt::RecordType::kInvocationNodes], 1);
+  // Front coding keeps each of these names to a few bytes.
+  EXPECT_LT(string_bytes, 20000u * 6);
+  std::istringstream in(bytes);
+  Result<ProvenanceGraph> loaded = LoadGraph(in);
+  LIPSTICK_ASSERT_OK(loaded.status());
+  EXPECT_EQ(loaded->invocations()[inv].state_nodes,
+            graph.invocations()[inv].state_nodes);
+  std::ostringstream again;
+  LIPSTICK_ASSERT_OK(SaveGraph(*loaded, again));
   EXPECT_EQ(again.str(), bytes);
 }
 

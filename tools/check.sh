@@ -100,9 +100,11 @@ run_asan() {
 # snapshot/traversal read-path stress (snapshot_test: concurrent readers,
 # the plain-thread ParallelFor, lazy views), the plan engine
 # (plan_test: an in-process server + the shared PlanViewCache),
-# and the query service (service_test: accept/session/worker threads, hot
-# reload, concurrent clients).
-TSAN_TESTS='^(workflow_test|workflowgen_test|fault_test|property_test|dataflow_test|provenance_test|obs_test|snapshot_test|plan_test|service_test)$'
+# the query service (service_test: accept/session/worker threads, hot
+# reload, concurrent clients), and the WAL (durability_test: three workers
+# logging into one WAL, whose string records read the pool under its
+# intern lock).
+TSAN_TESTS='^(workflow_test|workflowgen_test|fault_test|property_test|dataflow_test|provenance_test|obs_test|snapshot_test|plan_test|service_test|durability_test)$'
 
 run_tsan() {
   local saved=(${CTEST_ARGS[@]+"${CTEST_ARGS[@]}"})
@@ -212,8 +214,17 @@ run_crash() {
   local cli="${repo}/build/tools/lipstick"
   local work; work="$(mktemp -d)"
   trap 'rm -rf "${work}"' RETURN
-  "${cli}" run "${repo}/examples/workflows/running_total.wf" \
-           --execs 3 --wal "${work}/wal" --graph "${work}/clean.pg"
+  local ex="${repo}/examples/workflows"
+  "${cli}" run "${ex}/running_total.wf" --input in.Ext="${ex}/numbers.csv" \
+           --execs 5 --wal "${work}/wal" --graph "${work}/clean.pg"
+  # Without its input the workflow derives nothing (tokens, no edges), and
+  # the replay checks below would pass over a log of no derivation.
+  local summary; summary="$("${cli}" validate "${work}/clean.pg")"
+  echo "${summary}"
+  if ! grep -Eq ' [1-9][0-9]* edge\(s\)' <<<"${summary}"; then
+    echo "FAIL: the clean graph holds no derivation edge"
+    return 1
+  fi
   # The intact log replays to exactly the file the tracker wrote.
   "${cli}" recover "${work}/wal" --out "${work}/replayed.pg"
   cmp "${work}/clean.pg" "${work}/replayed.pg" || {
@@ -221,7 +232,6 @@ run_crash() {
     return 1; }
   # The same with four workers: replay across several shards, and state
   # tuples marked in one shard while another writer appends.
-  local ex="${repo}/examples/workflows"
   "${cli}" run "${ex}/dealership_mini.wf" --execs 4 --workers 4 \
            --input req.Ext="${ex}/dealership_requests.csv" \
            --state dealer1.Cars="${ex}/dealership_cars1.csv" \
