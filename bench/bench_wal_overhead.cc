@@ -46,6 +46,9 @@ class CountingSink final : public GraphWalSink {
                     std::span<const NodeId>) override {
     ++crossings;
   }
+  void OnTokens(NodeId, NodeRole, uint32_t, std::span<const StrId>) override {
+    ++crossings;
+  }
   void OnNodeValue(NodeId, const Value&) override { ++crossings; }
   void OnKillShardTail(uint32_t, uint64_t) override { ++crossings; }
   void OnBeginInvocation(uint32_t, const InvocationInfo&) override {

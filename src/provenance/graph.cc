@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/growth.h"
 #include "common/timer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -113,6 +114,35 @@ NodeId ShardWriter::Append(NodeLabel label, NodeRole role, uint32_t flags,
 NodeId ShardWriter::Token(std::string name, NodeRole role) {
   return Append(NodeLabel::kToken, role, kAliveFlag, current_invocation_,
                 graph_->pool_.Intern(name), {});
+}
+
+NodeId ShardWriter::Tokens(std::span<const StrId> payloads, NodeRole role) {
+  NodeColumns& sh = graph_->shards_[shard_];
+  const NodeId first = MakeNodeId(shard_, sh.size());
+  const size_t n = payloads.size();
+  ReserveAsIfPushed(sh.labels, n);
+  ReserveAsIfPushed(sh.roles, n);
+  ReserveAsIfPushed(sh.flags, n);
+  ReserveAsIfPushed(sh.invocations, n);
+  ReserveAsIfPushed(sh.payloads, n);
+  ReserveAsIfPushed(sh.parents, n);
+  ReserveAsIfPushed(sh.value_idx, n);
+  sh.labels.insert(sh.labels.end(), n, NodeLabel::kToken);
+  sh.roles.insert(sh.roles.end(), n, role);
+  sh.flags.insert(sh.flags.end(), n, static_cast<uint8_t>(kAliveFlag));
+  sh.invocations.insert(sh.invocations.end(), n, current_invocation_);
+  sh.payloads.insert(sh.payloads.end(), payloads.begin(), payloads.end());
+  sh.parents.resize(sh.parents.size() + n);  // no parents
+  sh.value_idx.insert(sh.value_idx.end(), n, kNoValueIdx);
+  graph_->sealed_ = false;
+  if (GraphWalSink* sink = graph_->wal_sink_) {
+    sink->OnTokens(first, role, current_invocation_, payloads);
+  }
+  return first;
+}
+
+StrId ShardWriter::Intern(std::string_view s) {
+  return graph_->pool_.Intern(s);
 }
 
 NodeId ShardWriter::Plus(std::vector<NodeId> parents) {
@@ -329,6 +359,24 @@ std::span<NodeId> ProvenanceGraph::AppendReplayed(
   slot.ab[0] = sh.edge_arena.size();
   sh.edge_arena.resize(sh.edge_arena.size() + num_parents);
   return {sh.edge_arena.data() + slot.ab[0], num_parents};
+}
+
+void ProvenanceGraph::ReserveExtent(std::span<const uint64_t> shard_sizes,
+                                    size_t invocations) {
+  while (shards_.size() < shard_sizes.size()) shards_.emplace_back();
+  for (size_t s = 0; s < shard_sizes.size(); ++s) {
+    NodeColumns& sh = shards_[s];
+    const size_t n = static_cast<size_t>(shard_sizes[s]);
+    sh.labels.reserve(n);
+    sh.roles.reserve(n);
+    sh.flags.reserve(n);
+    sh.invocations.reserve(n);
+    sh.payloads.reserve(n);
+    sh.parents.reserve(n);
+    sh.value_idx.reserve(n);
+  }
+  std::lock_guard<std::mutex> lock(*invocations_mu_);
+  invocations_.reserve(invocations);
 }
 
 void ProvenanceGraph::SetAlive(NodeId id, bool alive) {

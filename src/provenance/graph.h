@@ -244,6 +244,12 @@ class GraphWalSink {
   virtual void OnNodeAppend(NodeId id, NodeLabel label, NodeRole role,
                             uint8_t flags, uint32_t invocation, StrId payload,
                             std::span<const NodeId> parents) = 0;
+  /// A run of tokens was appended (ShardWriter::Tokens): the k-th, id
+  /// `first` + k, is an alive token of `role` and `invocation` with no
+  /// parents and payload `payloads[k]`. The same as one OnNodeAppend per
+  /// token, in order.
+  virtual void OnTokens(NodeId first, NodeRole role, uint32_t invocation,
+                        std::span<const StrId> payloads) = 0;
   /// A v-node received (or replaced) its carried value.
   virtual void OnNodeValue(NodeId id, const Value& value) = 0;
   /// Every node of `shard` with index >= `from` was marked dead.
@@ -271,6 +277,14 @@ class ShardWriter {
 
   /// Atomic provenance token, e.g. an input or initial-state tuple id.
   NodeId Token(std::string name, NodeRole role = NodeRole::kIntermediate);
+  /// Tokens in bulk: one per payload, in order, as Token would append them
+  /// one by one (the same columns and ids), with one sink hook for the
+  /// run. Returns the first one's id; the k-th is that id + k. The
+  /// columns grow at most once, as far as appending the run one node at a
+  /// time would grow them. The payloads come from Intern().
+  NodeId Tokens(std::span<const StrId> payloads, NodeRole role);
+  /// Interns a payload in the graph's pool (the ids Tokens takes).
+  StrId Intern(std::string_view s);
   /// + node over `parents` (alternative derivation).
   NodeId Plus(std::vector<NodeId> parents);
   /// · node over `parents` (joint derivation).
@@ -529,6 +543,13 @@ class ProvenanceGraph {
   std::string_view str(StrId id) const { return pool_.Get(id); }
   /// Interns a string (tracking and deserialization paths).
   StrId InternString(std::string_view s) { return pool_.Intern(s); }
+  /// Interns `prefix` + `suffix`, joined in the pool's arena (replay of a
+  /// front-coded string).
+  StrId InternString(std::string_view prefix, std::string_view suffix) {
+    return pool_.Intern(prefix, suffix);
+  }
+  /// Makes room for `n` new strings at once (StringPool::Reserve).
+  void ReserveStrings(size_t n) { pool_.Reserve(n); }
 
   /// Registered invocations, indexed by invocation id.
   const std::vector<InvocationInfo>& invocations() const {
@@ -580,6 +601,17 @@ class ProvenanceGraph {
   /// detached first, and the graph must not be moved while attached.
   void AttachWalSink(GraphWalSink* sink);
   GraphWalSink* wal_sink() const { return wal_sink_; }
+
+  /// Replay reservation: creates the shards `shard_sizes` names and
+  /// reserves shard s's node columns for `shard_sizes[s]` nodes in all,
+  /// and the invocation records for `invocations`, exactly, so a replay
+  /// that reaches that extent reallocates none of them and ShrinkToFit
+  /// after it copies none. Capacities already past a size are left alone.
+  /// The caller bounds the sizes: recovery draws an extent read from a
+  /// log from one budget of rows that the log's bytes bound. Not
+  /// thread-safe.
+  void ReserveExtent(std::span<const uint64_t> shard_sizes,
+                     size_t invocations);
 
   /// Releases the growth slack of every node column, the edge arena, the
   /// values, the invocation records and the string pool's span table, so

@@ -58,15 +58,21 @@ Result<std::string> ReadFileToString(const std::string& path) {
   return data;
 }
 
-/// One scanned segment, held in memory for the two replay passes.
+/// One scanned segment, held in memory for the two replay passes. Pass 1
+/// checks every frame and keeps counts; pass 2 re-walks the checked image.
 struct ScannedSegment {
   uint64_t seq = 0;
   std::string path;
-  std::string data;               // raw file image; records point into it
-  std::vector<Record> records;
+  std::string data;               // raw file image
+  uint64_t records = 0;           // valid frames
   std::string torn_reason;        // empty: ends cleanly at a frame boundary
   uint64_t valid_prefix = 0;      // bytes of valid header + frames
 };
+
+/// A node or invocation record takes at least 11 bytes: a 6-byte frame
+/// and five one-byte varints. A reservation from a log's extent draws on
+/// what the log's bytes can hold at that size.
+constexpr uint64_t kMinNodeRecordBytes = 11;
 
 }  // namespace
 
@@ -161,6 +167,13 @@ Result<ProvenanceGraph> RecoverGraph(const std::string& dir,
   // (segments beyond a gap describe state we cannot reconstruct).
   std::vector<ScannedSegment> segments;
   uint64_t prev_seq = 0;
+  uint64_t total_records = 0;
+  // The last savepoint (the recovery boundary): its segment (none yet),
+  // frame offset and end, and payload.
+  size_t sp_seg = ~size_t{0};
+  uint64_t sp_offset = 0;
+  uint64_t sp_end = 0;
+  std::string sp_payload;
   for (uint64_t seq : segment_seqs) {
     if (seq < base_seq) continue;  // superseded by the checkpoint
     if (prev_seq != 0 && seq != prev_seq + 1) {
@@ -196,10 +209,21 @@ Result<ProvenanceGraph> RecoverGraph(const std::string& dir,
           StrCat("wal recovery: ", seg.path, ": header sequence ",
                  scanner.sequence(), " does not match file name"));
     }
+    // Pass 1, per segment: check every frame, keeping only the count and
+    // the last savepoint.
     Record rec;
-    while (scanner.Next(&rec)) seg.records.push_back(rec);
+    while (scanner.Next(&rec)) {
+      ++seg.records;
+      if (rec.type == RecordType::kSavepoint) {
+        sp_seg = segments.size();
+        sp_offset = rec.offset;
+        sp_end = scanner.valid_prefix();
+        sp_payload.assign(rec.payload);
+      }
+    }
     seg.torn_reason = scanner.torn_reason();
     seg.valid_prefix = scanner.valid_prefix();
+    total_records += seg.records;
     ++rep.segments_scanned;
     bool torn = !seg.torn_reason.empty();
     if (torn) {
@@ -222,20 +246,8 @@ Result<ProvenanceGraph> RecoverGraph(const std::string& dir,
     }
   }
 
-  // Pass 1: find the last savepoint — the recovery boundary.
-  size_t sp_seg = segments.size();  // index of the boundary segment
-  size_t sp_rec = 0;                // index of the savepoint record within it
-  uint64_t total_records = 0;
-  for (size_t i = 0; i < segments.size(); ++i) {
-    total_records += segments[i].records.size();
-    for (size_t j = 0; j < segments[i].records.size(); ++j) {
-      if (segments[i].records[j].type == RecordType::kSavepoint) {
-        sp_seg = i;
-        sp_rec = j;
-      }
-    }
-  }
-  if (sp_seg == segments.size()) {
+  const bool found_sp = sp_seg < segments.size();
+  if (!found_sp) {
     // No durable execution boundary: the crash predates the first
     // savepoint. With a checkpoint the snapshot itself is the boundary;
     // without one the committed prefix is empty — recover the empty
@@ -246,10 +258,48 @@ Result<ProvenanceGraph> RecoverGraph(const std::string& dir,
             : "no savepoint in log; restored checkpoint only");
   }
 
-  // Pass 2: apply records through the boundary (and beyond it, when the
-  // caller wants the uncommitted tail kept as dead structure). With no
-  // savepoint in the log the checkpoint itself is the boundary.
-  const bool found_sp = sp_seg < segments.size();
+  // Reserve for the boundary: its extent sizes the node columns and the
+  // invocation records at once. An extent is only read from the log, so
+  // the reservation draws on one budget, the rows the log's bytes up to
+  // the boundary can hold: each shard's growth, each shard it creates and
+  // the invocations all take from it, and a hostile extent reserves no
+  // more in all. An inconsistent extent still fails the check below.
+  if (found_sp) {
+    walfmt::Record sp_rec{RecordType::kSavepoint, sp_payload, sp_offset};
+    Result<SavepointExtent> target = walfmt::ParseSavepoint(sp_rec);
+    if (target.ok()) {
+      uint64_t bytes = 0;
+      for (size_t i = 0; i <= sp_seg; ++i) {
+        bytes += i == sp_seg ? sp_end : segments[i].valid_prefix;
+      }
+      uint64_t budget = bytes / kMinNodeRecordBytes;
+      std::vector<uint64_t>& sizes = target->shard_sizes;
+      // Shard s holds ids (s + 1) << 48 | index, so s + 1 fits 16 bits.
+      size_t s = 0;
+      for (; s < sizes.size() && s < 0xffff; ++s) {
+        const bool exists = s < graph.num_shards();
+        if (!exists) {
+          if (budget == 0) break;
+          --budget;
+        }
+        const uint64_t have = exists ? graph.ShardSize(s) : 0;
+        const uint64_t grow =
+            std::min(std::max(sizes[s], have) - have, budget);
+        budget -= grow;
+        sizes[s] = have + grow;
+      }
+      sizes.resize(s);
+      const uint64_t have = graph.invocations().size();
+      const uint64_t grow =
+          std::min(std::max(target->invocation_count, have) - have, budget);
+      graph.ReserveExtent(sizes, static_cast<size_t>(have + grow));
+    }
+  }
+
+  // Pass 2: re-walk the checked images and apply records through the
+  // boundary (and beyond it, when the caller wants the uncommitted tail
+  // kept as dead structure). With no savepoint in the log the checkpoint
+  // itself is the boundary.
   SavepointExtent boundary;  // default: the empty extent (nothing committed)
   if (rep.checkpoint_seq != 0) {
     ProvenanceGraph::Savepoint sp = graph.TakeSavepoint();
@@ -261,19 +311,21 @@ Result<ProvenanceGraph> RecoverGraph(const std::string& dir,
   for (size_t i = 0; i < segments.size(); ++i) {
     if (!options.keep_uncommitted && (!found_sp || i > sp_seg)) break;
     const ScannedSegment& seg = segments[i];
-    for (size_t j = 0; j < seg.records.size(); ++j) {
-      bool past_boundary =
-          !found_sp || i > sp_seg || (i == sp_seg && j > sp_rec);
-      if (past_boundary && !options.keep_uncommitted) break;
-      const Record& rec = seg.records[j];
+    const uint64_t end = !options.keep_uncommitted && i == sp_seg
+                             ? sp_end
+                             : seg.valid_prefix;
+    walfmt::SegmentScanner scanner(
+        std::string_view(seg.data).substr(0, static_cast<size_t>(end)),
+        walfmt::kWalMagic, /*verified=*/true);
+    Record rec;
+    while (scanner.Next(&rec)) {
       Status st = walfmt::ApplyRecord(&graph, rec);
       if (!st.ok()) {
         return st.WithContext(
             StrCat("in ", walfmt::SegmentFileName(seg.seq)));
       }
       ++applied;
-      if (rec.type == RecordType::kSavepoint && found_sp && i == sp_seg &&
-          j == sp_rec) {
+      if (i == sp_seg && rec.offset == sp_offset) {
         LIPSTICK_ASSIGN_OR_RETURN(boundary, walfmt::ParseSavepoint(rec));
         // AddShard is not logged: a worker shard that had appended
         // nothing by this boundary exists only as a zero-size entry in
@@ -336,7 +388,9 @@ Result<ProvenanceGraph> RecoverGraph(const std::string& dir,
     span.Arg("applied", rep.records_applied);
     span.Arg("executions", rep.executions_recovered);
   }
-  // Replay grew the checkpoint's exact-size columns by doubling again.
+  // Trims what the reservation could not size: the edge arena, values,
+  // invocation node lists and the pool's span table (which grows as
+  // interning does).
   graph.ShrinkToFit();
   return graph;
 }

@@ -26,8 +26,16 @@ inline constexpr StrId kStrNotFound = 0xffffffffu;
 /// chunks, never by reallocating one) and across moves of the pool.
 ///
 /// The index from strings to ids is a flat open-addressed table of ids,
-/// probed linearly and compared against the stored strings: 4 bytes per
-/// slot, at most 3/4 full (IndexSlotsFor).
+/// probed linearly: 4 bytes per slot, at most 3/4 full (IndexSlotsFor).
+/// Each span keeps 32 bits of its string's hash in what would otherwise
+/// be padding, so a probe compares hashes before it compares lengths or
+/// reads the arena, and a rehash re-inserts from the stored hashes
+/// without touching the strings. A span stays 16 bytes.
+///
+/// Bulk paths grow the pool the way interning one string at a time does:
+/// Reserve() sizes the span table and the index once for a known batch,
+/// to exactly what the batch's interns would leave, and the two-part
+/// Intern() joins a front-coded name where it would be stored anyway.
 ///
 /// Thread safety: Intern() and Find() may be called from concurrent
 /// threads and take an internal mutex. Get() is a lock-free read and must
@@ -35,13 +43,27 @@ inline constexpr StrId kStrNotFound = 0xffffffffu;
 /// tracking appends nodes, and payload lookups only on the sealed graph.
 class StringPool {
  public:
-  StringPool() { spans_.push_back({nullptr, 0}); }  // id 0: empty string
+  StringPool() { spans_.push_back({nullptr, 0, 0}); }  // id 0: empty string
 
   StringPool(StringPool&&) = default;
   StringPool& operator=(StringPool&&) = default;
 
   /// Returns the id of `s`, interning it on first use.
   StrId Intern(std::string_view s);
+
+  /// Intern(prefix + suffix), without joining the two anywhere but in the
+  /// arena, where a new string is stored anyway (a join that would open a
+  /// new chunk goes through a heap string instead, so the arena grows as
+  /// one-part interns grow it).
+  StrId Intern(std::string_view prefix, std::string_view suffix);
+
+  /// Makes room for `n` more strings at once: the span table grows at most
+  /// once, to the capacity that `n` interns one by one would leave (it
+  /// doubles), and the index is sized for the new total, so the batch
+  /// rehashes at most once. Call it only for strings that will be new (a
+  /// replayed record's checked count): for strings already present it
+  /// would leave the tables larger than interning them does.
+  void Reserve(size_t n);
 
   /// Returns the id of `s` if already interned, else kStrNotFound. Lets
   /// lookups by name (zoom, ByModule, ByPayload prefilters) run as integer
@@ -95,15 +117,23 @@ class StringPool {
   struct Span {
     const char* data;
     uint32_t size;
+    uint32_t hash;  // the string's hash; in the pointer's padding
   };
+  static_assert(sizeof(void*) != 8 || sizeof(Span) == 16,
+                "the hash must fit the span's padding");
 
   static constexpr size_t kChunkSize = 64 * 1024;
 
+  /// Intern's body, under the lock. `staged`: `s` already sits at the
+  /// arena's write cursor (the two-part Intern put it there), so storing
+  /// it only advances the cursor.
+  StrId InternLocked(std::string_view s, bool staged);
   const char* Store(std::string_view s);
   /// The index slot holding `s`, or the empty slot where it belongs.
   /// Requires a non-empty index.
-  size_t FindSlot(std::string_view s, size_t hash) const;
-  /// Re-sizes the index for `n` strings and re-inserts every stored one.
+  size_t FindSlot(std::string_view s, uint32_t hash) const;
+  /// Re-sizes the index for `n` strings and re-inserts every stored one
+  /// by its stored hash.
   void Rehash(size_t n);
 
   std::vector<std::unique_ptr<char[]>> chunks_;

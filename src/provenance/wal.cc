@@ -123,6 +123,12 @@ void PutVarint(std::string* out, uint64_t v) {
   out->append(b, StoreVarint(b, v));
 }
 
+size_t VarintBytes(uint64_t v) {
+  size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
+
 uint64_t ZigZag(int64_t v) {
   return static_cast<uint64_t>(v) << 1 ^ static_cast<uint64_t>(v >> 63);
 }
@@ -354,27 +360,11 @@ Status MalformedRecord(const Record& rec) {
 }
 
 /// Interns `prefix` + `suffix` as the pool's next id, which must be a new
-/// string.
+/// string. The pool joins the two in its arena.
 Status InternNext(ProvenanceGraph* graph, std::string_view prefix,
                   std::string_view suffix) {
   const StrId want = static_cast<StrId>(graph->strings().size());
-  StrId got;
-  if (prefix.empty()) {
-    got = graph->InternString(suffix);
-  } else {
-    // Names are short: join them on the stack, on the heap only past that.
-    char small[512];
-    std::string large;
-    char* joined = small;
-    const size_t n = prefix.size() + suffix.size();
-    if (n > sizeof small) {
-      large.resize(n);
-      joined = large.data();
-    }
-    std::memcpy(joined, prefix.data(), prefix.size());
-    std::memcpy(joined + prefix.size(), suffix.data(), suffix.size());
-    got = graph->InternString(std::string_view(joined, n));
-  }
+  const StrId got = graph->InternString(prefix, suffix);
   if (got != want) {
     return Status::Internal(StrCat("wal replay: string ", want,
                                    " is not new (it is string ", got, ")"));
@@ -407,12 +397,25 @@ void EncodeHeader(std::string* out, std::string_view magic, uint64_t seq) {
   PutU64(out, seq);
 }
 
-void EncodeString(std::string* out, std::string_view prev,
-                  std::string_view s) {
-  size_t at = BeginFrame(out, RecordType::kStrings);
-  PutVarint(out, 1);
+size_t BeginStrings(std::string* out) {
+  return BeginFrame(out, RecordType::kStrings);
+}
+
+void AppendStringEntry(std::string* out, std::string_view prev,
+                       std::string_view s) {
   PutFrontCoded(out, prev, s);
+}
+
+void EndStrings(std::string* out, size_t at, uint32_t n) {
+  // The count leads the entries, which were written first.
+  char count[10];
+  out->insert(at + kFrameStartBytes + 1, count, StoreVarint(count, n));
   EndFrame(out, at);
+}
+
+size_t StringsFrameBytes(size_t entry_bytes, uint32_t n) {
+  const size_t len = 1 + VarintBytes(n) + entry_bytes;  // type + payload
+  return VarintBytes(len) + 4 + len;
 }
 
 StrId EncodeStrings(std::string* out, const StringPool& pool, StrId first) {
@@ -613,8 +616,9 @@ bool SegmentScanner::Next(Record* out) {
   }
   const char* frame = data_.data() + pos_;
   const char* body = frame + header;
-  if (Crc32(body, len) !=
-      LoadLE32(reinterpret_cast<const unsigned char*>(frame + len_bytes))) {
+  if (!verified_ &&
+      Crc32(body, len) !=
+          LoadLE32(reinterpret_cast<const unsigned char*>(frame + len_bytes))) {
     torn_reason_ = "bad crc";
     return false;
   }
@@ -645,6 +649,10 @@ Status ApplyRecord(ProvenanceGraph* graph, const Record& rec) {
     case RecordType::kStrings: {
       // An entry takes at least its two varints.
       const uint32_t n = c.Count(2);
+      if (!c.ok) return MalformedRecord(rec);
+      // Every string of the record is new, so the pool grows once for
+      // them: Count bounded n by the record's bytes.
+      graph->ReserveStrings(n);
       for (uint32_t k = 0; k < n; ++k) {
         const uint32_t shared = c.Varint32();
         const std::string_view suffix = c.Bytes(c.Varint32());
@@ -969,16 +977,30 @@ void Wal::MarkDeadLocked(Status why) {
 // Wal: record append + group commit
 // ---------------------------------------------------------------------------
 
-void Wal::AppendFrameLocked(std::string_view frame) {
-  buffer_.append(frame);
-  bytes_appended_ += frame.size();
-  bytes_since_checkpoint_ += frame.size();
+void Wal::CountFrameLocked(size_t bytes) {
+  bytes_appended_ += bytes;
+  bytes_since_checkpoint_ += bytes;
   ++records_appended_;
   if (obs::MetricsRegistry::Enabled()) {
     auto& reg = obs::MetricsRegistry::Global();
-    reg.CounterAdd(WalMetrics::Get().bytes, frame.size());
+    reg.CounterAdd(WalMetrics::Get().bytes, bytes);
     reg.CounterAdd(WalMetrics::Get().records);
   }
+}
+
+void Wal::CloseStringsLocked() {
+  if (strings_at_ == kNoRun) return;
+  walfmt::EndStrings(&buffer_, strings_at_, strings_count_);
+  CountFrameLocked(buffer_.size() - strings_at_);
+  strings_at_ = kNoRun;
+  strings_count_ = 0;
+  strings_entry_bytes_ = 0;
+}
+
+void Wal::AppendFrameLocked(std::string_view frame) {
+  CloseStringsLocked();
+  buffer_.append(frame);
+  CountFrameLocked(frame.size());
 }
 
 void Wal::AppendFrame(std::string_view frame) {
@@ -990,6 +1012,7 @@ void Wal::AppendFrame(std::string_view frame) {
 
 Status Wal::FlushLocked() {
   if (!status_.ok()) return status_;
+  CloseStringsLocked();
   if (buffer_.empty()) return Status::OK();
 
   if (FaultInjector::Armed()) {
@@ -1075,14 +1098,17 @@ Status Wal::status() const {
   return status_;
 }
 
+// An open string run counts as the frame closing it now would make.
 uint64_t Wal::bytes_appended() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return bytes_appended_;
+  if (strings_at_ == kNoRun) return bytes_appended_;
+  return bytes_appended_ +
+         walfmt::StringsFrameBytes(strings_entry_bytes_, strings_count_);
 }
 
 uint64_t Wal::records_appended() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return records_appended_;
+  return records_appended_ + (strings_at_ == kNoRun ? 0 : 1);
 }
 
 uint64_t Wal::checkpoints_taken() const {
@@ -1289,9 +1315,21 @@ Status Wal::Close() {
 // ---------------------------------------------------------------------------
 
 void Wal::OnIntern(StrId, std::string_view s, std::string_view prev) {
-  std::string& frame = Scratch();
-  walfmt::EncodeString(&frame, prev, s);
-  AppendFrame(frame);
+  std::string& entry = Scratch();
+  walfmt::AppendStringEntry(&entry, prev, s);
+  std::lock_guard<std::mutex> lock(mu_);
+  if (closed_ || !status_.ok()) return;
+  // A run holds as many entries as kPackedRecordBytes holds, as
+  // SaveGraph's string records do (at least one).
+  if (strings_at_ != kNoRun &&
+      strings_entry_bytes_ + entry.size() > walfmt::kPackedRecordBytes) {
+    CloseStringsLocked();
+  }
+  if (strings_at_ == kNoRun) strings_at_ = walfmt::BeginStrings(&buffer_);
+  buffer_.append(entry);
+  ++strings_count_;
+  strings_entry_bytes_ += entry.size();
+  if (buffer_.size() >= options_.buffer_bytes) (void)FlushLocked();
 }
 
 void Wal::OnNodeAppend(NodeId id, NodeLabel label, NodeRole role,
@@ -1301,6 +1339,25 @@ void Wal::OnNodeAppend(NodeId id, NodeLabel label, NodeRole role,
   walfmt::EncodeNodeAppend(&frame, id, label, role, flags, invocation,
                            payload, parents);
   AppendFrame(frame);
+}
+
+void Wal::OnTokens(NodeId first, NodeRole role, uint32_t invocation,
+                   std::span<const StrId> payloads) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (closed_ || !status_.ok()) return;
+  CloseStringsLocked();
+  // Encoded in place, record by record, with AppendFrame's flush check
+  // after each: the bytes and flush points of one OnNodeAppend per token.
+  NodeId id = first;
+  for (StrId payload : payloads) {
+    const size_t at = buffer_.size();
+    walfmt::EncodeNodeAppend(&buffer_, id++, NodeLabel::kToken, role,
+                             internal::kAliveFlag, invocation, payload, {});
+    CountFrameLocked(buffer_.size() - at);
+    if (buffer_.size() >= options_.buffer_bytes && !FlushLocked().ok()) {
+      return;
+    }
+  }
 }
 
 void Wal::OnNodeValue(NodeId id, const Value& value) {

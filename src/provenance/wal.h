@@ -56,8 +56,9 @@ const char* FsyncPolicyToString(FsyncPolicy policy);
 struct WalOptions {
   FsyncPolicy fsync = FsyncPolicy::kOnSavepoint;
   /// Group-commit buffer: records accumulate in memory and are written
-  /// out when the buffer exceeds this many bytes (or at commit /
-  /// savepoint / checkpoint boundaries).
+  /// out once the buffer reaches this many bytes, at every savepoint and
+  /// checkpoint, on Flush/Sync/Close, and at an invocation commit only
+  /// under FsyncPolicy::kOnCommit.
   size_t buffer_bytes = 256 * 1024;
   /// Roll to a new segment after the current one exceeds this size.
   size_t segment_bytes = 8 * 1024 * 1024;
@@ -129,9 +130,19 @@ void EncodeHeader(std::string* out, std::string_view magic, uint64_t seq);
 /// (payload layout above) to `out`. Values use a tag byte + payload;
 /// nested values degrade to null.
 ///
-/// One string, front-coded against `prev`, the string one id before it.
-void EncodeString(std::string* out, std::string_view prev,
-                  std::string_view s);
+/// A kStrings record built one string at a time (the log's string runs).
+/// BeginStrings starts the frame at the end of `out` and returns its
+/// offset; AppendStringEntry appends one string, front-coded against
+/// `prev`; EndStrings, given the number of entries, writes the count,
+/// the length and the CRC. The bytes are EncodeStrings' for the same
+/// strings.
+size_t BeginStrings(std::string* out);
+void AppendStringEntry(std::string* out, std::string_view prev,
+                       std::string_view s);
+void EndStrings(std::string* out, size_t at, uint32_t n);
+/// The bytes of the frame EndStrings makes of `n` entries taking
+/// `entry_bytes` bytes.
+size_t StringsFrameBytes(size_t entry_bytes, uint32_t n);
 /// The pool's strings from `first` on, as many as kPackedRecordBytes holds
 /// (at least one); returns the id after the last one encoded.
 StrId EncodeStrings(std::string* out, const StringPool& pool, StrId first);
@@ -173,9 +184,12 @@ struct Record {
 /// header magic the segment must carry (kWalMagic or kGraphMagic).
 class SegmentScanner {
  public:
-  /// Scans an in-memory image; payloads live as long as `data`.
-  SegmentScanner(std::string_view data, std::string_view magic)
-      : data_(data) {
+  /// Scans an in-memory image; payloads live as long as `data`. A
+  /// `verified` image is one an earlier scan of this class accepted frame
+  /// by frame (recovery's second pass): its CRCs are not computed again.
+  SegmentScanner(std::string_view data, std::string_view magic,
+                 bool verified = false)
+      : data_(data), verified_(verified) {
     ReadHeader(magic);
   }
   /// Scans `in` through a 64 KiB window (longer only for a longer frame),
@@ -211,6 +225,7 @@ class SegmentScanner {
   std::istream* in_ = nullptr;  // streaming only
   std::string window_;          // streaming: bytes read, not yet dropped
   std::string_view data_;       // the image, or window_
+  bool verified_ = false;       // frames already checked: skip the CRC
   uint64_t base_ = 0;           // segment offset of data_[0]
   size_t pos_ = 0;              // scan position in data_
   uint64_t sequence_ = 0;
@@ -268,9 +283,10 @@ class Wal final : public GraphWalSink {
   ProvenanceGraph* attached_graph() const { return graph_; }
 
   /// Durability boundaries, called by WorkflowExecutor. CommitInvocation
-  /// flushes the buffer (fsync under kOnCommit); MarkSavepoint records the
-  /// graph extent at a committed execution boundary and flushes (fsync
-  /// under kOnSavepoint / kOnCommit).
+  /// appends a commit record; it flushes and fsyncs under kOnCommit, and
+  /// otherwise flushes only once the buffer reaches buffer_bytes.
+  /// MarkSavepoint records the graph extent at a committed execution
+  /// boundary and flushes (fsync under kOnSavepoint / kOnCommit).
   Status CommitInvocation(uint32_t invocation);
   Status MarkSavepoint(uint32_t execution);
 
@@ -302,6 +318,8 @@ class Wal final : public GraphWalSink {
   void OnNodeAppend(NodeId id, NodeLabel label, NodeRole role, uint8_t flags,
                     uint32_t invocation, StrId payload,
                     std::span<const NodeId> parents) override;
+  void OnTokens(NodeId first, NodeRole role, uint32_t invocation,
+                std::span<const StrId> payloads) override;
   void OnNodeValue(NodeId id, const Value& value) override;
   void OnKillShardTail(uint32_t shard, uint64_t from) override;
   void OnBeginInvocation(uint32_t invocation,
@@ -323,6 +341,13 @@ class Wal final : public GraphWalSink {
   /// Appends one framed record to the buffer; flushes past the threshold.
   void AppendFrame(std::string_view frame);
   void AppendFrameLocked(std::string_view frame);
+  /// Counts a frame of `bytes` bytes just appended to the buffer.
+  void CountFrameLocked(size_t bytes);
+  /// Closes the open string run, if any: writes its count, length and CRC
+  /// and counts it. Every other record, flush, savepoint and checkpoint
+  /// closes it first, so an intern reaches the log before anything that
+  /// names it.
+  void CloseStringsLocked();
   void AppendSavepointLocked(uint32_t execution,
                              const ProvenanceGraph::Savepoint& extent);
   Status OpenSegmentLocked(uint64_t seq);
@@ -340,6 +365,12 @@ class Wal final : public GraphWalSink {
   uint64_t seq_ = 0;
   std::string segment_name_;       // fault-injection / diagnostics key
   std::string buffer_;             // pending framed records
+  // The open string run: a kStrings frame at buffer_[strings_at_] whose
+  // entries OnIntern appends, kNoRun when none is open.
+  static constexpr size_t kNoRun = ~size_t{0};
+  size_t strings_at_ = kNoRun;
+  uint32_t strings_count_ = 0;
+  size_t strings_entry_bytes_ = 0;
   uint64_t segment_written_ = 0;   // bytes flushed into the open segment
   uint64_t bytes_appended_ = 0;    // framed bytes accepted, process total
   uint64_t records_appended_ = 0;

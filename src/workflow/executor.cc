@@ -270,6 +270,8 @@ struct WorkflowExecutor::NodeRun {
     // caller restores the instance from its attempt copy or first-touch
     // snapshot (DESIGN.md §5a).
     std::vector<NodeId> state_tuples;
+    std::string name;              // "<instance>.<rel>[<i>]", reused
+    std::vector<StrId> payloads;   // one relation's new token names
     if (writer != nullptr) {
       size_t count = 0;
       for (const auto& entry : *state) count += entry.second.bag.size();
@@ -277,15 +279,29 @@ struct WorkflowExecutor::NodeRun {
     }
     for (auto& [rel_name, rel] : *state) {
       if (writer != nullptr) {
-        size_t i = 0;
-        for (AnnotatedTuple& t : rel.bag.mutable_tuples()) {
-          if (t.annot == kNoProvenance) {
-            t.annot = writer->Token(
-                StrCat(node->instance, ".", rel_name, "[", i, "]"),
-                NodeRole::kStateBase);
+        // Base tokens in bulk, per relation: the names are interned first,
+        // in tuple order (a WAL packs them into one string run), then
+        // appended as one run of tokens, so the strings and nodes get the
+        // ids tokenizing tuple by tuple gives.
+        std::vector<AnnotatedTuple>& tuples = rel.bag.mutable_tuples();
+        payloads.clear();
+        size_t prefix = 0;  // of `name`, once the first token needs it
+        for (size_t i = 0; i < tuples.size(); ++i) {
+          if (tuples[i].annot != kNoProvenance) continue;
+          if (prefix == 0) {
+            name = StrCat(node->instance, ".", rel_name, "[");
+            prefix = name.size();
           }
+          name.resize(prefix);
+          name += StrCat(i, "]");
+          payloads.push_back(writer->Intern(name));
+        }
+        NodeId token = payloads.empty()
+                           ? kInvalidNode
+                           : writer->Tokens(payloads, NodeRole::kStateBase);
+        for (AnnotatedTuple& t : tuples) {
+          if (t.annot == kNoProvenance) t.annot = token++;
           state_tuples.push_back(t.annot);
-          ++i;
         }
       }
       env.Bind(rel_name, Relation(rel.name, rel.schema, std::move(rel.bag)));

@@ -29,9 +29,11 @@
 namespace {
 
 std::atomic<uint64_t> g_allocations{0};
+std::atomic<uint64_t> g_allocated_bytes{0};
 
 void* CountedAlloc(size_t n) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(n, std::memory_order_relaxed);
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
 }
@@ -48,13 +50,15 @@ void operator delete[](void* p, size_t) noexcept { std::free(p); }
 namespace lipstick {
 namespace {
 
-/// Allocations since construction.
+/// Allocations, and bytes allocated, since construction.
 class AllocationCounter {
  public:
   uint64_t count() const { return g_allocations.load() - start_; }
+  uint64_t bytes() const { return g_allocated_bytes.load() - start_bytes_; }
 
  private:
   uint64_t start_ = g_allocations.load();
+  uint64_t start_bytes_ = g_allocated_bytes.load();
 };
 
 /// Appends tokens to shard 0 until it holds 2^k + 1 nodes. Every column
@@ -172,42 +176,69 @@ TEST(AllocationTest, WritePathCounts) {
   ExecutionOptions options = (*wf)->executor().default_options();
   options.durability = wal->get();
   (*wf)->executor().set_default_options(options);
+  std::vector<uint64_t> execution_allocations;
   for (int e = 1; e <= cfg.num_executions; ++e) {
     AllocationCounter counter;
     LIPSTICK_ASSERT_OK((*wf)->ExecuteOnce(e, &graph).status());
-    std::printf("allocations: execution %d: %llu\n", e,
-                static_cast<unsigned long long>(counter.count()));
+    execution_allocations.push_back(counter.count());
+    std::printf("allocations: execution %d: %llu (%llu bytes)\n", e,
+                static_cast<unsigned long long>(counter.count()),
+                static_cast<unsigned long long>(counter.bytes()));
   }
+  // The first execution names the 10,000 cars' base tokens in bulk: no
+  // allocation per token, so it allocates about what a later one does.
+  EXPECT_LT(execution_allocations[0], execution_allocations[1] * 11 / 10);
   LIPSTICK_ASSERT_OK((*wal)->Close());
   graph.Seal();
   const std::string pg = (dir / "graph.pg").string();
   LIPSTICK_ASSERT_OK(SaveGraphToFile(graph, pg));
   const size_t nodes = graph.num_nodes();
 
-  uint64_t load_allocations = 0;
+  uint64_t load_allocations = 0, load_bytes = 0;
   {
     AllocationCounter counter;
     Result<ProvenanceGraph> loaded = LoadGraphFromFile(pg);
     load_allocations = counter.count();
+    load_bytes = counter.bytes();
     LIPSTICK_ASSERT_OK(loaded.status());
     EXPECT_EQ(loaded->num_nodes(), nodes);
   }
-  uint64_t recover_allocations = 0;
+  uint64_t recover_allocations = 0, recover_bytes = 0, graph_bytes = 0;
+  RecoveryReport report;
   {
     AllocationCounter counter;
     Result<ProvenanceGraph> recovered =
-        RecoverGraph((dir / "wal").string(), nullptr);
+        RecoverGraph((dir / "wal").string(), &report);
     recover_allocations = counter.count();
+    recover_bytes = counter.bytes();
     LIPSTICK_ASSERT_OK(recovered.status());
     EXPECT_EQ(recovered->num_nodes(), nodes);
+    graph_bytes = recovered->ComputeMemoryStats().total();
   }
-  std::printf("allocations: load %llu, recover %llu (%zu nodes)\n",
+  uint64_t log_bytes = 0;
+  for (const auto& entry : fs::directory_iterator(dir / "wal")) {
+    log_bytes += entry.file_size();
+  }
+  std::printf("allocations: load %llu (%llu bytes), recover %llu (%llu "
+              "bytes; log %llu bytes, %llu records, recovered graph %llu "
+              "bytes) (%zu nodes)\n",
               static_cast<unsigned long long>(load_allocations),
-              static_cast<unsigned long long>(recover_allocations), nodes);
+              static_cast<unsigned long long>(load_bytes),
+              static_cast<unsigned long long>(recover_allocations),
+              static_cast<unsigned long long>(recover_bytes),
+              static_cast<unsigned long long>(log_bytes),
+              static_cast<unsigned long long>(report.records_applied),
+              static_cast<unsigned long long>(graph_bytes), nodes);
   // Replay costs no allocation per record: what remains is column growth,
   // the string pool, invocation records and file handling.
   EXPECT_LT(load_allocations, nodes / 20);
   EXPECT_LT(recover_allocations, nodes / 20);
+  EXPECT_LE(load_allocations, 477u);
+  // Recovery holds the log's image and builds the graph, its columns
+  // sized for the boundary up front; it keeps no storage per record. What
+  // it allocates past those two stays well below the 2 MiB of capacity a
+  // vector of the records alone took.
+  EXPECT_LT(recover_bytes, log_bytes + graph_bytes + 1024 * 1024);
   fs::remove_all(dir);
 }
 

@@ -93,7 +93,9 @@ void ExpectIntegerWidthMatchesStream() {
   using L = std::numeric_limits<T>;
   for (T v : {T{0}, T{1}, static_cast<T>(-1), L::min(), L::max()}) {
     EXPECT_EQ(StrCat(v), Streamed(v)) << typeid(T).name();
-    EXPECT_EQ(StrCat("<", v, ">"), "<" + Streamed(v) + ">");
+    std::string bracketed = "<";
+    bracketed.append(Streamed(v)).append(">");
+    EXPECT_EQ(StrCat("<", v, ">"), bracketed);
   }
 }
 
@@ -136,7 +138,9 @@ TEST(StrUtilTest, StrCatPrintsWhatAStreamPrints) {
             "c-stringarraybufstringview");
   EXPECT_EQ(StrCat(std::string(), std::string_view(), ""), "");
   const Status st = Status::NotFound("x");
-  EXPECT_EQ(StrCat("[", st, "]"), "[" + Streamed(st) + "]");
+  std::string bracketed = "[";
+  bracketed.append(Streamed(st)).append("]");
+  EXPECT_EQ(StrCat("[", st, "]"), bracketed);
   enum Unscoped { kSeven = 7 };
   EXPECT_EQ(StrCat(kSeven), Streamed(kSeven));
   // A name past the small-string buffer comes out whole.

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -686,6 +688,146 @@ TEST_F(DurabilityTest, ParallelArcticRoundTrip) {
   EXPECT_EQ(RecoveredBytes(dir, &report), in_memory);
   EXPECT_EQ(report.executions_recovered, 3u);
   EXPECT_EQ(report.torn_segments, 0u);
+}
+
+/// The string count of a kStrings record: the varint (at most five
+/// bytes) its payload leads with.
+uint32_t StringsCount(const walfmt::Record& rec) {
+  uint64_t n = 0;
+  for (size_t k = 0; k < rec.payload.size() && k < 5; ++k) {
+    const uint8_t byte = static_cast<uint8_t>(rec.payload[k]);
+    n |= uint64_t{byte & 0x7fu} << (7 * k);
+    if ((byte & 0x80) == 0) break;
+  }
+  return static_cast<uint32_t>(n);
+}
+
+/// The string counts of the kStrings records of every segment in `dir`,
+/// in log order.
+std::vector<uint32_t> StringRunCounts(const fs::path& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    uint64_t seq;
+    if (walfmt::ParseSegmentName(entry.path().filename().string(), &seq)) {
+      names.push_back(entry.path().string());
+    }
+  }
+  std::sort(names.begin(), names.end());
+  std::vector<uint32_t> counts;
+  for (const std::string& name : names) {
+    std::ifstream in(name, std::ios::binary);
+    std::string data((std::istreambuf_iterator<char>(in)), {});
+    walfmt::SegmentScanner scanner(data, walfmt::kWalMagic);
+    walfmt::Record rec;
+    while (scanner.Next(&rec)) {
+      if (rec.type == walfmt::RecordType::kStrings) {
+        counts.push_back(StringsCount(rec));
+      }
+    }
+  }
+  return counts;
+}
+
+TEST_F(DurabilityTest, BulkTokenStringRunsReplayByteForByte) {
+  // The dealers' first invocations name every car with a bulk run of
+  // tokens: the WAL packs those names into string runs, and replay must
+  // reproduce the tracker's graph on one worker and on four (where
+  // workers intern into one log concurrently).
+  for (int workers : {1, 4}) {
+    fs::path dir = FreshDir(StrCat("wal_string_runs_", workers));
+    workflowgen::DealershipConfig config;
+    config.num_cars = 300;
+    config.num_executions = 3;
+    config.num_workers = workers;
+    config.accept_probability = 0;
+    auto wf = workflowgen::DealershipWorkflow::Create(config);
+    LIPSTICK_ASSERT_OK(wf.status());
+    auto wal = Wal::Open(dir.string());
+    LIPSTICK_ASSERT_OK(wal.status());
+    ProvenanceGraph graph;
+    LIPSTICK_EXPECT_OK((*wal)->Attach(&graph));
+    ExecutionOptions exec_options;
+    exec_options.durability = wal->get();
+    (*wf)->executor().set_default_options(exec_options);
+    LIPSTICK_ASSERT_OK((*wf)->Run(&graph).status());
+    LIPSTICK_EXPECT_OK((*wal)->Close());
+
+    const std::vector<uint32_t> runs = StringRunCounts(dir);
+    ASSERT_FALSE(runs.empty());
+    // A dealer holds about 75 of the 300 cars.
+    EXPECT_GE(*std::max_element(runs.begin(), runs.end()), 50u)
+        << workers << " worker(s): the car names were not packed";
+    uint64_t strings = 0;
+    for (uint32_t n : runs) strings += n;
+    EXPECT_EQ(strings + 1, graph.strings().size()) << workers;
+
+    std::string in_memory = SaveBytes(&graph);
+    RecoveryReport report;
+    EXPECT_EQ(RecoveredBytes(dir, &report), in_memory) << workers;
+    EXPECT_EQ(report.torn_segments, 0u);
+    EXPECT_EQ(report.records_discarded, 0u);
+  }
+}
+
+TEST_F(DurabilityTest, TailTornInsideAStringRunRecoversCommittedPrefix) {
+  fs::path dir = FreshDir("wal_torn_string_run");
+  auto wal = Wal::Open(dir.string());
+  LIPSTICK_ASSERT_OK(wal.status());
+  ProvenanceGraph graph;
+  LIPSTICK_EXPECT_OK((*wal)->Attach(&graph));
+  ShardWriter writer = graph.writer();
+  auto tokenize = [&](int from, int to) {
+    std::vector<StrId> names;
+    for (int i = from; i < to; ++i) {
+      names.push_back(writer.Intern(StrCat("dealer1.Cars[", i, "]")));
+    }
+    writer.Tokens(names, NodeRole::kStateBase);
+  };
+  tokenize(0, 100);
+  LIPSTICK_ASSERT_OK((*wal)->MarkSavepoint(1));
+  const std::string committed = SaveBytes(&graph);
+  // One run of 2,900 names (about 12 KB of entries), then their tokens.
+  std::vector<StrId> names;
+  for (int i = 100; i < 3000; ++i) {
+    names.push_back(writer.Intern(StrCat("dealer1.Cars[", i, "]")));
+  }
+  // The open run counts as the frame that closes it.
+  const uint64_t bytes_open = (*wal)->bytes_appended();
+  const uint64_t records_open = (*wal)->records_appended();
+  LIPSTICK_ASSERT_OK((*wal)->Flush());
+  EXPECT_EQ((*wal)->bytes_appended(), bytes_open);
+  EXPECT_EQ((*wal)->records_appended(), records_open);
+  writer.Tokens(names, NodeRole::kStateBase);
+  LIPSTICK_ASSERT_OK((*wal)->MarkSavepoint(2));
+  LIPSTICK_EXPECT_OK((*wal)->Close());
+  EXPECT_EQ((*wal)->records_appended(), records_open + names.size() + 1);
+
+  const std::string segment = (dir / walfmt::SegmentFileName(1)).string();
+  std::string data;
+  {
+    std::ifstream in(segment, std::ios::binary);
+    data.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  EXPECT_EQ(data.size(), (*wal)->bytes_appended() + walfmt::kHeaderBytes);
+  walfmt::SegmentScanner scanner(data, walfmt::kWalMagic);
+  walfmt::Record rec;
+  uint64_t run_start = 0, run_end = 0;
+  while (scanner.Next(&rec)) {
+    if (rec.type == walfmt::RecordType::kStrings &&
+        StringsCount(rec) == 2900) {
+      run_start = rec.offset;
+      run_end = scanner.valid_prefix();
+    }
+  }
+  ASSERT_GT(run_end, run_start) << "no run of the 2,900 names";
+  // Shortest last: a longer cut would extend the file with zeros.
+  for (uint64_t cut : {run_end - 1, (run_start + run_end) / 2, run_start + 3}) {
+    fs::resize_file(segment, cut);
+    RecoveryReport report;
+    EXPECT_EQ(RecoveredBytes(dir, &report), committed) << "cut " << cut;
+    EXPECT_EQ(report.executions_recovered, 1u);
+    EXPECT_EQ(report.torn_segments, 1u);
+  }
 }
 
 }  // namespace

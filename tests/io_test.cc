@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 #include <sys/resource.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <filesystem>
@@ -13,6 +14,7 @@
 #include "provenance/optimizer.h"
 #include "provenance/plan.h"
 #include "provenance/provio.h"
+#include "provenance/recovery.h"
 #include "provenance/snapshot.h"
 #include "provenance/wal.h"
 #include "relational/csv.h"
@@ -249,6 +251,17 @@ std::string TrackedGraphDump() {
   return out.str();
 }
 
+/// The process's peak virtual size in KiB (VmPeak), or -1 where
+/// /proc/self/status does not report it.
+long VmPeakKb() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("VmPeak:", 0) == 0) return std::stol(line.substr(7));
+  }
+  return -1;
+}
+
 Status LoadBytes(const std::string& bytes) {
   std::istringstream in(bytes);
   return LoadGraph(in).status();
@@ -276,6 +289,11 @@ std::string Frame(uint8_t type, const std::string& payload) {
          body;
 }
 
+/// A kStrings record of one string: the pool's next id.
+std::string OneString(const std::string& s) {
+  return Frame(1, Varint(1) + Varint(0) + Varint(s.size()) + s);
+}
+
 std::string GraphHeader() {
   std::string out;
   walfmt::EncodeHeader(&out, walfmt::kGraphMagic, 0);
@@ -296,8 +314,7 @@ std::string Extent(size_t nodes, size_t invocations = 0) {
 /// given parents and invocation column, closed by its extent.
 std::string OneNodeFile(std::vector<NodeId> parents, uint32_t invocation,
                         StrId payload = 1) {
-  std::string out = GraphHeader();
-  walfmt::EncodeString(&out, "", "tok");
+  std::string out = GraphHeader() + OneString("tok");
   walfmt::EncodeNodeAppend(&out, MakeNodeId(0, 0), NodeLabel::kToken,
                            NodeRole::kIntermediate, internal::kAliveFlag,
                            invocation, payload, parents);
@@ -368,8 +385,7 @@ TEST(ProvioRobustnessTest, LoadStreamsAcrossScannerWindows) {
   // 64 KiB window, with frames straddling window boundaries and one frame
   // longer than a window.
   constexpr size_t kNodes = 40000;
-  std::string file = GraphHeader();
-  walfmt::EncodeString(&file, "", std::string(200 * 1024, 'x'));
+  std::string file = GraphHeader() + OneString(std::string(200 * 1024, 'x'));
   for (size_t i = 0; i < kNodes; ++i) {
     std::vector<NodeId> parents;
     if (i > 0) parents.push_back(MakeNodeId(0, i - 1));
@@ -481,9 +497,15 @@ TEST(ProvioRobustnessTest, OversizedCountsRejectedWithoutAllocating) {
       // A short node record claiming 2^24 parents: rejected before the
       // parent list is reserved (128 MiB if it were).
       {"2^24 parents", tok + node(0, 1, 1u << 24, Varint(2)) + extent1},
-      // A string record claiming 2^31 strings.
+      // A string record claiming 2^31 strings, and one claiming four
+      // strings in the six bytes of three: rejected before the pool
+      // reserves for them.
       {"2^31 strings", GraphHeader() + strings(1u << 31, entry(0, "x")) +
                            Extent(0)},
+      {"4 strings in the bytes of 3",
+       GraphHeader() +
+           strings(4, entry(0, "") + entry(0, "") + entry(0, "")) +
+           Extent(0)},
       // A shared prefix longer than the string before it, and one over
       // the cap (the string before is long enough).
       {"prefix past the previous string",
@@ -528,6 +550,46 @@ TEST(ProvioRobustnessTest, OversizedCountsRejectedWithoutAllocating) {
   for (const auto& [what, bytes] : rejected) {
     EXPECT_EQ(LoadBytes(bytes).code(), StatusCode::kParseError) << what;
   }
+
+  // Recovery reserves the graph for its boundary's extent before replay,
+  // so the extent must not size anything by its claims: a savepoint of
+  // two shards of 2^40 nodes and 2^40 invocations, and one of 10,000 such
+  // shards behind a MiB of frames that pass the CRC check (a string
+  // record whose count is malformed). Only replay rejects either log.
+  const std::string savepoint2 =
+      Frame(12, Varint(0) + Varint(uint64_t{1} << 40) + Varint(2) +
+                    Varint(uint64_t{1} << 40) + Varint(uint64_t{1} << 40));
+  std::string many_shards = Varint(0) + Varint(uint64_t{1} << 40) +
+                            Varint(10000);
+  for (int s = 0; s < 10000; ++s) many_shards += Varint(uint64_t{1} << 40);
+  const std::pair<const char*, std::string> hostile_logs[] = {
+      {"2 shards", strings(1u << 31, entry(0, "x")) + savepoint2},
+      {"10,000 shards", Frame(1, std::string(1 << 20, '\x80')) +
+                            Frame(12, many_shards)},
+  };
+  const auto dir = std::filesystem::temp_directory_path() /
+                   StrCat("lipstick_hostile_extent_", ::getpid());
+  for (const auto& [what, frames] : hostile_logs) {
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    {
+      std::string segment;
+      walfmt::EncodeHeader(&segment, walfmt::kWalMagic, 1);
+      std::ofstream out(dir / walfmt::SegmentFileName(1), std::ios::binary);
+      out << segment << frames;
+    }
+    // Reserved pages are not touched, so max RSS alone cannot see an
+    // oversized reservation; the peak virtual size can.
+    const long vm_before = VmPeakKb();
+    EXPECT_EQ(RecoverGraph(dir.string()).status().code(),
+              StatusCode::kParseError)
+        << what;
+    if (vm_before >= 0) {
+      EXPECT_LT(VmPeakKb() - vm_before, 1024 * 1024)
+          << what << ": KiB of peak virtual size growth";
+    }
+  }
+  std::filesystem::remove_all(dir);
   EXPECT_LT(max_rss_kb() - before, 32 * 1024) << "KiB of max RSS growth";
 }
 
@@ -581,8 +643,7 @@ TEST(ProvioRobustnessTest, DanglingReferencesRejected) {
 TEST(ProvioRobustnessTest, MalformedRecordsRejected) {
   const std::string header = GraphHeader();
   // Out-of-range labels: far out, and one past the last.
-  std::string bad_label = header;
-  walfmt::EncodeString(&bad_label, "", "tok");
+  std::string bad_label = header + OneString("tok");
   walfmt::EncodeNodeAppend(&bad_label, MakeNodeId(0, 0),
                            static_cast<NodeLabel>(99), NodeRole::kIntermediate,
                            internal::kAliveFlag, kNoInvocation, 1, {});

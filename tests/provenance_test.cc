@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -590,6 +591,81 @@ TEST(StringPoolTest, ConcurrentInternsAgreeOnIds) {
       EXPECT_EQ(pool.Get(ids[t][i]), StrCat("k", key));
     }
   }
+}
+
+TEST(StringPoolTest, SameLengthNamesKeepTheirIdsAcrossRehashAndReserve) {
+  // 50,000 names of one length that differ in their last digits only:
+  // the hash comparison, not the length, tells them apart.
+  constexpr int kNames = 50000;
+  auto name = [](int i) { return StrCat("dealer1.Cars[", 10000 + i, "]"); };
+  StringPool pool;
+  for (int i = 0; i < kNames; ++i) {
+    if (i == 20000) pool.Reserve(25000);  // one rehash for the batch
+    ASSERT_EQ(pool.Intern(name(i)), static_cast<StrId>(i + 1)) << i;
+  }
+  for (int i = 0; i < kNames; ++i) {
+    const std::string s = name(i);
+    ASSERT_EQ(pool.Intern(s), static_cast<StrId>(i + 1)) << s;
+    ASSERT_EQ(pool.Find(s), static_cast<StrId>(i + 1)) << s;
+    ASSERT_EQ(pool.Get(static_cast<StrId>(i + 1)), s);
+  }
+  EXPECT_EQ(pool.Find("dealer1.Cars[99999]"), kStrNotFound);
+  EXPECT_EQ(pool.size(), kNames + 1u);
+}
+
+TEST(StringPoolTest, CollidingHashesKeepTheirIds) {
+  // Strings whose hashes share their low 12 bits start every probe at
+  // the same slot of any index up to 4,096 slots: they must still get,
+  // and be found under, ids of their own.
+  const std::hash<std::string_view> hash;
+  const size_t want = hash("c0") & 0xfff;
+  std::vector<std::string> colliding;
+  for (int i = 0; colliding.size() < 300; ++i) {
+    std::string s = StrCat("c", i);
+    if ((hash(s) & 0xfff) == want) colliding.push_back(std::move(s));
+  }
+  StringPool pool;
+  for (size_t k = 0; k < colliding.size(); ++k) {
+    if (k == 100) pool.Reserve(150);
+    ASSERT_EQ(pool.Intern(colliding[k]), static_cast<StrId>(k + 1));
+  }
+  for (size_t k = 0; k < colliding.size(); ++k) {
+    EXPECT_EQ(pool.Find(colliding[k]), static_cast<StrId>(k + 1));
+    EXPECT_EQ(pool.Intern(colliding[k]), static_cast<StrId>(k + 1));
+  }
+  EXPECT_EQ(pool.Find(StrCat("c", -1)), kStrNotFound);
+}
+
+TEST(StringPoolTest, PoolBuiltInBulkEqualsOneBuiltStringByString) {
+  // Reserve for each batch, and join each name from two parts: the same
+  // ids and the same bytes as interning the joined names one by one.
+  StringPool one, bulk;
+  int next = 0;
+  for (int batch : {1, 3, 12, 100, 1000, 2500, 7, 9000}) {
+    bulk.Reserve(batch);
+    for (int k = 0; k < batch; ++k, ++next) {
+      const std::string prefix = StrCat("dealer", next % 3, ".Cars[");
+      const std::string suffix = StrCat(next, "]");
+      const StrId id = one.Intern(prefix + suffix);
+      ASSERT_EQ(bulk.Intern(prefix, suffix), id) << next;
+    }
+    ASSERT_EQ(bulk.MemoryBytes(), one.MemoryBytes()) << "after " << next;
+  }
+  for (StrId id = 1; id < one.size(); ++id) {
+    ASSERT_EQ(bulk.Get(id), one.Get(id));
+  }
+  // A two-part name already interned keeps its id and stores nothing.
+  const size_t bytes = bulk.MemoryBytes();
+  EXPECT_EQ(bulk.Intern("dealer1.Cars[", "1]"), one.Find("dealer1.Cars[1]"));
+  EXPECT_EQ(bulk.Intern("", "dealer2.Cars[2]"), one.Find("dealer2.Cars[2]"));
+  EXPECT_EQ(bulk.Intern("", ""), kEmptyStr);
+  EXPECT_EQ(bulk.MemoryBytes(), bytes);
+  EXPECT_EQ(bulk.size(), one.size());
+  // A two-part name longer than a chunk.
+  const std::string big(70 * 1024, 'b');
+  const StrId id = bulk.Intern(big, "!");
+  EXPECT_EQ(bulk.Get(id), big + "!");
+  EXPECT_EQ(bulk.Find(big + "!"), id);
 }
 
 TEST(StringPoolTest, MemoryBytesCountsArenaSpansAndSlots) {

@@ -2,6 +2,10 @@
 # Full verification gate, split into individually callable stages so CI
 # jobs and local iteration reuse the exact same commands:
 #   build  build + ctest in the regular configuration (-Wshadow -Werror),
+#   release
+#          build every target + ctest in Release (-O3) under the same
+#          -Werror, so diagnostics that only the optimizer's inlining
+#          raises (g++'s -Wrestrict, -Warray-bounds, ...) fail the gate,
 #   asan   build + ctest under ASan+UBSan in Debug (assertions on, so
 #          every executor run re-validates its provenance graph),
 #   tidy   clang-tidy over src/ and tools/ (skipped when not installed),
@@ -60,7 +64,7 @@
 #   all    every stage, in the order above (the default; coverage and
 #          soak excluded — they rebuild the world and run long, CI runs
 #          them as dedicated jobs).
-# Usage: tools/check.sh [build|asan|tsan|tidy|lint|crash|perf|perfbench|integration|soak|coverage|all] [extra ctest args...]
+# Usage: tools/check.sh [build|release|asan|tsan|tidy|lint|crash|perf|perfbench|integration|soak|coverage|all] [extra ctest args...]
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -87,6 +91,9 @@ run_config() {
 }
 
 run_build() { run_config build; }
+
+# Shares build-release with the perf stage, which builds only the benches.
+run_release() { run_config build-release -DCMAKE_BUILD_TYPE=Release; }
 
 run_asan() {
   run_config build-asan -DLIPSTICK_SANITIZE=ON -DCMAKE_BUILD_TYPE=Debug
@@ -543,7 +550,7 @@ run_coverage() {
 
 stage="${1:-all}"
 case "${stage}" in
-  build|asan|tsan|tidy|lint|crash|perf|perfbench|integration|soak|coverage)
+  build|release|asan|tsan|tidy|lint|crash|perf|perfbench|integration|soak|coverage)
     shift
     CTEST_ARGS=("$@")
     "run_${stage}"
@@ -551,11 +558,12 @@ case "${stage}" in
     ;;
   all) if [[ $# -gt 0 ]]; then shift; fi ;;
   -*|'') ;;  # no stage named: run everything, args go to ctest
-  *) echo "unknown stage '${stage}' (build|asan|tsan|tidy|lint|crash|perf|perfbench|integration|soak|coverage|all)"; exit 2 ;;
+  *) echo "unknown stage '${stage}' (build|release|asan|tsan|tidy|lint|crash|perf|perfbench|integration|soak|coverage|all)"; exit 2 ;;
 esac
 
 CTEST_ARGS=("$@")
 run_build
+run_release
 run_asan
 run_tsan
 run_tidy
